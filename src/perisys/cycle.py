@@ -2,10 +2,10 @@
 
 The next pair depends only on the trailing window of max(p, q) consecutive
 pairs, so the sequence of windows is the orbit of a deterministic map.
-Scanning windows with a first-repeat hash map therefore gives, at the
-first collision, both the minimal cycle length and the minimal window
-preperiod: window i recurring first at window j > i means the orbit has
-tail length i and cycle length j - i.
+Scanning windows for the first one that recurs therefore gives both the
+minimal cycle length and the minimal window preperiod: window i recurring
+first at window j > i means the orbit has tail length i and cycle length
+j - i.
 
 Window k is the one ending at pair index k; k = 0 is the initial data.  A
 preperiod of 0 thus means the trajectory repeats from the first generated
@@ -13,16 +13,21 @@ pair onward.  Pairwise equality (x_{n+period}, y_{n+period}) = (x_n, y_n)
 is guaranteed for every n >= preperiod - max(p, q) + 1, in particular for
 all n >= preperiod.
 
-States are tuples of canonical rationals, so a hash collision can never
-produce a false positive: the dict compares keys for full equality.
+Each pair is hashed once, from the numerators and denominators of its
+canonical rationals, and the hashes of a window are combined into a
+polynomial rolling hash modulo the Mersenne prime 2**61 - 1, updated in
+O(1) per step.  Equal windows always get equal keys, and a window whose
+key is already taken is compared pair by pair with the stored window
+before it counts as a repeat.  A hash collision therefore never produces
+a false positive or hides a repeat, and the first confirmed repeat is the
+minimal one.  Memory is O(horizon) pairs and hashes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,11 +60,56 @@ def default_horizon(p: int, q: int) -> int:
     return 4 * math.lcm(p, 2 * q) + 4 * max(p, q)
 
 
+_MODULUS = (1 << 61) - 1
+_BASE = 1_181_783_497_276_652_981
+
+
+def _pair_hash(pair: tuple) -> int:
+    x, y = pair
+    # Canonical rationals are equal iff their components are; hashing the
+    # integers avoids Fraction.__hash__, which reduces modulo a prime.  Keys
+    # do collide on small data (hash(-1) == hash(-2)), hence the exact
+    # confirmation in _first_repeat.
+    return hash((x.numerator, x.denominator, y.numerator, y.denominator))
+
+
+def _first_repeat(initial_pairs: Sequence[tuple], generated_pairs: Iterable[tuple],
+                  w: int) -> CycleResult:
+    """First recurring length-``w`` window, scanning every generated pair.
+
+    Window k ends at the k-th generated pair; window 0 is the last ``w``
+    initial pairs.  ``generated_pairs`` is consumed only up to the repeat;
+    without one, the horizon is the number of generated pairs.
+    """
+    pairs = list(initial_pairs)
+    hashes = [_pair_hash(pair) for pair in pairs]
+    key = 0
+    for h in hashes[-w:]:
+        key = (key * _BASE + h) % _MODULUS
+    drop = pow(_BASE, w, _MODULUS)
+    end0 = len(pairs)  # pairs[k + end0 - w : k + end0] is window k
+    seen = {key: 0}
+    k = 0
+    for k, pair in enumerate(generated_pairs, 1):
+        h = _pair_hash(pair)
+        key = (key * _BASE + h - hashes[-w] * drop) % _MODULUS
+        pairs.append(pair)
+        hashes.append(h)
+        slot = key
+        while (j := seen.setdefault(slot, k)) != k:
+            if pairs[j + end0 - w:j + end0] == pairs[-w:]:
+                return Periodic(preperiod=j, period=k - j)
+            slot += 1  # a different window holds this slot: probe the next one
+    return NoCycleWithinHorizon(horizon=k)
+
+
 def find_window_cycle(items: Sequence[Hashable], window: int) -> tuple[int, int] | None:
     """First repeated length-``window`` window of ``items``.
 
-    Returns (first_occurrence, distance) in window-start indices, or None
-    if every window is distinct.
+    Naive reference oracle for the rolling-hash scan: it builds and hashes
+    a fresh tuple per window, so it costs O(window) per item.  Returns
+    (first_occurrence, distance) in window-start indices, or None if every
+    window is distinct.
     """
     if window < 1 or len(items) < window:
         return None
@@ -77,14 +127,8 @@ def find_cycle(traj: Trajectory) -> CycleResult:
     if traj.backend != BACKEND_EXACT:
         raise ValueError("cycle detection needs hashable exact states")
     spec = traj.spec
-    w = max(spec.p, spec.q)
-    hit = find_window_cycle(traj.pairs(), w)
-    if hit is None:
-        return NoCycleWithinHorizon(horizon=traj.n_max)
-    start, period = hit
-    # items begin at pair index -q+1, so the window starting at offset k
-    # ends at pair index k + w - q.
-    return Periodic(preperiod=start + w - spec.q, period=period)
+    pairs = traj.pairs()
+    return _first_repeat(pairs[:spec.q], pairs[spec.q:], max(spec.p, spec.q))
 
 
 def detect_cycle(spec: SystemSpec, horizon: int | None = None,
@@ -94,16 +138,9 @@ def detect_cycle(spec: SystemSpec, horizon: int | None = None,
         horizon = default_horizon(spec.p, spec.q)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w = max(spec.p, spec.q)
-    window = deque(zip(spec.x_init, spec.y_init), maxlen=w)
-    seen = {tuple(window): 0}
-    for n, x, y in itertools.islice(iter_pairs(spec, BACKEND_EXACT, max_bits), horizon):
-        window.append((x, y))
-        state = tuple(window)
-        if state in seen:
-            return Periodic(preperiod=seen[state], period=n - seen[state])
-        seen[state] = n
-    return NoCycleWithinHorizon(horizon=horizon)
+    generated = itertools.islice(iter_pairs(spec, BACKEND_EXACT, max_bits), horizon)
+    return _first_repeat(tuple(zip(spec.x_init, spec.y_init)),
+                         ((x, y) for _, x, y in generated), max(spec.p, spec.q))
 
 
 def confirm_periodic(traj: Trajectory, preperiod: int, period: int, cycles: int = 2) -> bool:

@@ -23,6 +23,7 @@ below one ulp of any large log value.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import re
@@ -40,17 +41,31 @@ _MANTISSA_BITS = 53
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def _parse_int(digits: str) -> int:
+    """Exact ``int`` of a validated decimal literal of any length.
+
+    ``int()`` refuses literals longer than ``sys.get_int_max_str_digits()``
+    (4300 by default); ``Decimal`` parses them exactly and converts to
+    ``int`` without going through that limit, which stays untouched for the
+    host program.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        return int(decimal.Decimal(digits))
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as ``-3/7`` or ``2``."""
+    """Parse a rational literal such as ``-3/7`` or ``2``, of any length."""
     if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
         raise SpecSyntaxError(f"not a rational literal: {text!r}")
     num_text, _, den_text = text.partition("/")
     if not den_text:
-        return Fraction(int(num_text))
-    den = int(den_text)
+        return Fraction(_parse_int(num_text))
+    den = _parse_int(den_text)
     if den == 0:
         raise SpecSyntaxError(f"denominator must be positive: {text!r}")
-    return Fraction(int(num_text), den)
+    return Fraction(_parse_int(num_text), den)
 
 
 def format_rational(value: Fraction) -> str:

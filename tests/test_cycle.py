@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisys import (
     BitLengthExceededError,
     NoCycleWithinHorizon,
     Periodic,
     Regime,
+    SystemSpec,
     classify,
     confirm_periodic,
     default_horizon,
@@ -20,8 +24,11 @@ from perisys import (
     random_positive_spec,
     simulate,
 )
+from perisys import cycle
 
 from conftest import fixed_point_spec
+
+SMALL_VALUES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
 
 def window_differs(traj, n, period):
@@ -127,3 +134,67 @@ def test_confirm_periodic_needs_enough_data():
         confirm_periodic(traj, 0, 5, cycles=2)
     with pytest.raises(ValueError):
         confirm_periodic(traj, 0, 0)
+
+
+def oracle_cycle(traj):
+    """The naive window-tuple scan, as Periodic / NoCycleWithinHorizon."""
+    spec = traj.spec
+    w = max(spec.p, spec.q)
+    hit = find_window_cycle(traj.pairs(), w)
+    if hit is None:
+        return NoCycleWithinHorizon(traj.n_max)
+    # pairs begin at index -q+1, so the window starting at offset k ends at k + w - q
+    return Periodic(preperiod=hit[0] + w - spec.q, period=hit[1])
+
+
+@st.composite
+def small_alphabet_specs(draw):
+    """Few distinct values, sign flips, drift and fixed points: many window repeats."""
+    q = draw(st.integers(1, 8))
+    p = draw(st.integers(1, q))
+    a = draw(st.sampled_from(SMALL_VALUES))
+    kind = draw(st.sampled_from(["c=1", "b=-a", "drift", "fixed-point"]))
+    if kind == "fixed-point":
+        x = draw(st.sampled_from(SMALL_VALUES))
+        return SystemSpec(a=a, b=a, p=p, q=q, x_init=(x,) * q, y_init=(a / x,) * q)
+    if kind == "c=1":
+        b = a
+    elif kind == "b=-a":
+        b = -a
+    else:
+        b = draw(st.sampled_from([v for v in SMALL_VALUES if v != a]))
+    alphabet = draw(st.lists(st.sampled_from(SMALL_VALUES), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(alphabet)
+    return SystemSpec(a=a, b=b, p=p, q=q,
+                      x_init=tuple(draw(values) for _ in range(q)),
+                      y_init=tuple(draw(values) for _ in range(q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_alphabet_specs(), st.integers(1, 300))
+def test_rolling_detector_matches_naive_oracle(spec, horizon):
+    traj = simulate(spec, horizon)
+    expected = oracle_cycle(traj)
+    assert detect_cycle(spec, horizon) == expected
+    assert find_cycle(traj) == expected
+
+
+def test_rolling_detector_on_plus_minus_one_data_63_64():
+    rng = random.Random(64)
+    spec = SystemSpec(a=1, b=1, p=63, q=64,
+                      x_init=tuple(rng.choice((1, -1)) for _ in range(64)),
+                      y_init=tuple(rng.choice((1, -1)) for _ in range(64)))
+    result = detect_cycle(spec)
+    assert isinstance(result, Periodic)
+    traj = simulate(spec, result.preperiod + result.period)
+    assert find_cycle(traj) == oracle_cycle(traj) == result
+
+
+def test_hash_collisions_are_confirmed_exactly(monkeypatch):
+    # every pair gets the same hash, so every window key collides
+    monkeypatch.setattr(cycle, "_pair_hash", lambda pair: 0)
+    rng = random.Random(31)
+    for p, q in ((1, 2), (2, 3), (2, 4), (3, 5)):
+        spec = random_positive_spec(rng, p, q)
+        traj = simulate(spec, 120)
+        assert find_cycle(traj) == detect_cycle(spec, 120) == oracle_cycle(traj)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -58,6 +60,33 @@ def test_parse_rational_rejects(text):
 @given(st.fractions(max_denominator=10**6))
 def test_literal_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+def decimal_text(n: int) -> str:
+    """Decimal literal of ``n`` that does not go through ``int.__str__``."""
+    return format(decimal.Decimal(n), "f")
+
+
+@pytest.mark.parametrize("num,den", [
+    (10**4300 - 1, 1),                 # 4300 digits: the last length int() accepts
+    (-(10**4300 + 7), 1),              # 4301 digits
+    (3**12000, 2**20000 + 1),          # 5726 / 6021 digits
+    (-(10**9000 + 1), 10**4400 - 3),
+], ids=["4300-digits", "4301-digits", "power-ratio", "signed-ratio"])
+def test_literal_round_trip_beyond_int_str_digit_limit(num, den):
+    limit = sys.get_int_max_str_digits()
+    text = decimal_text(num) if den == 1 else f"{decimal_text(num)}/{decimal_text(den)}"
+    value = parse_rational(text)
+    assert value == Fraction(num, den)
+    canonical = f"{decimal_text(value.numerator)}/{decimal_text(value.denominator)}"
+    assert parse_rational(canonical) == value
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_rational_long_literal_is_typed():
+    assert parse_rational("1" * 5000) == Fraction((10**5000 - 1) // 9)
+    with pytest.raises(SpecSyntaxError):
+        parse_rational("1" * 5000 + "/" + "0" * 5000)
 
 
 @given(nonzero_fractions, nonzero_fractions)
