@@ -24,15 +24,11 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
-from .errors import (
-    NotOddQuotientError,
-    TooFewPointsError,
-    WrongBackendError,
-    WrongRegimeError,
-)
+from .errors import NotOddQuotientError, TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
-from .simulator import BACKEND_EXACT, Trajectory, subsequence, to_signed_log
+from .simulator import BACKEND_EXACT, Trajectory, _require_exact, subsequence, to_signed_log
 
 
 @dataclass(frozen=True)
@@ -89,13 +85,14 @@ def drift(spec: SystemSpec) -> DriftReport:
     )
 
 
-def _require_exact(traj: Trajectory) -> None:
-    if traj.backend != BACKEND_EXACT:
-        raise WrongBackendError(f"exact backend required, got {traj.backend!r}")
-
-
 def block_ratio_check(traj: Trajectory) -> bool:
-    """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n."""
+    """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n.
+
+    With r = c^(q/g), compared cross-multiplied over numerators (N) and
+    denominators (D), as xmN xD rD == rN xN xmD.  Canonical rationals
+    have positive denominators, so u/v = r/s holds exactly when
+    u*s = r*v, signs included: a sign flip alone fails the check.
+    """
     _require_exact(traj)
     spec = traj.spec
     if not _odd_quotient(spec):
@@ -106,9 +103,11 @@ def block_ratio_check(traj: Trajectory) -> bool:
     if traj.n_max < m + 1:
         raise ValueError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
     ratio = spec.c ** (spec.q // math.gcd(spec.p, spec.q))
+    r_num, r_den = ratio.numerator, ratio.denominator
+    q, xs = spec.q, traj.xs  # list offset q holds x_1
     return all(
-        traj.x(n + m) == ratio * traj.x(n)
-        for n in range(1, traj.n_max - m + 1)
+        x_m.numerator * x.denominator * r_den == r_num * x.numerator * x_m.denominator
+        for x, x_m in zip(islice(xs, q, None), islice(xs, q + m, None))
     )
 
 
@@ -117,6 +116,11 @@ def second_difference_check(traj: Trajectory) -> bool:
 
     Holds for |b| = |a| regardless of periodicity; a repeated root only
     adds a linear log term, which the second difference kills.
+
+    Compared cross-multiplied over numerators (N) and denominators (D), as
+    x2mN xN xmD^2 == xmN^2 x2mD xD.  Canonical rationals have positive
+    denominators, so this holds exactly when the Fraction identity does,
+    signs included.
     """
     _require_exact(traj)
     spec = traj.spec
@@ -127,9 +131,13 @@ def second_difference_check(traj: Trajectory) -> bool:
     m = _block_steps(spec)
     if traj.n_max < 2 * m + 1:
         raise ValueError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
+    q, xs = spec.q, traj.xs  # list offset q holds x_1
     return all(
-        traj.x(n + 2 * m) * traj.x(n) == traj.x(n + m) ** 2
-        for n in range(1, traj.n_max - 2 * m + 1)
+        x_2m.numerator * x.numerator * x_m.denominator ** 2
+        == x_m.numerator ** 2 * x_2m.denominator * x.denominator
+        for x, x_m, x_2m in zip(
+            islice(xs, q, None), islice(xs, q + m, None), islice(xs, q + 2 * m, None),
+        )
     )
 
 

@@ -147,10 +147,12 @@ def confirm_periodic(traj: Trajectory, preperiod: int, period: int, cycles: int 
     """Replay check: pairs at n and n + period agree for preperiod <= n <= preperiod + cycles*period."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
+    if cycles < 0:
+        raise ValueError(f"cycles must be >= 0, got {cycles}")
     last = preperiod + (cycles + 1) * period
     if traj.n_max < last:
         raise ValueError(f"need a trajectory through n={last}, have {traj.n_max}")
-    return all(
-        traj.x(n) == traj.x(n + period) and traj.y(n) == traj.y(n + period)
-        for n in range(preperiod, preperiod + cycles * period + 1)
-    )
+    lo = traj._offset(preperiod)
+    hi = lo + cycles * period + 1
+    return (traj.xs[lo:hi] == traj.xs[lo + period:hi + period]
+            and traj.ys[lo:hi] == traj.ys[lo + period:hi + period])

@@ -126,13 +126,28 @@ def _require_exact(traj: Trajectory) -> None:
 
 
 def product_invariant_check(traj: Trajectory) -> bool:
-    """True iff (x_n y_n)(x_{n-q} y_{n-q}) = ab exactly at every generated n."""
+    """True iff (x_n y_n)(x_{n-q} y_{n-q}) = ab exactly at every generated n.
+
+    Compared cross-multiplied over numerators (N) and denominators (D):
+
+        xN yN xqN yqN abD == abN xD yD xqD yqD
+
+    Canonical rationals have positive denominators, so u/v = r/s holds
+    exactly when u*s = r*v, signs included.  The test stays exact and
+    zero-tolerance without forming a Fraction product or its gcd.
+    """
     _require_exact(traj)
     spec = traj.spec
     ab = spec.a * spec.b
+    ab_num, ab_den = ab.numerator, ab.denominator
+    q, xs, ys = spec.q, traj.xs, traj.ys
+    # list offset k holds index k - q + 1, so x_n for n = 1 sits at offset q
     return all(
-        (traj.x(n) * traj.y(n)) * (traj.x(n - spec.q) * traj.y(n - spec.q)) == ab
-        for n in range(1, traj.n_max + 1)
+        x.numerator * y.numerator * x_q.numerator * y_q.numerator * ab_den
+        == ab_num * x.denominator * y.denominator * x_q.denominator * y_q.denominator
+        for x, y, x_q, y_q in zip(
+            itertools.islice(xs, q, None), itertools.islice(ys, q, None), xs, ys,
+        )
     )
 
 
@@ -143,6 +158,11 @@ def x_relation_check(traj: Trajectory) -> bool:
     smaller n it would tie together unconstrained initial data (the x and y
     initial values are independent of each other), and it fails there for
     generic specs.
+
+    With c = a/b it is compared cross-multiplied over numerators (N) and
+    denominators (D), as xN xqN xpD xpqD cD == cN xpN xpqN xD xqD.  The
+    denominators of canonical rationals are positive, so this holds
+    exactly when the Fraction identity does, signs included.
     """
     _require_exact(traj)
     spec = traj.spec
@@ -150,9 +170,16 @@ def x_relation_check(traj: Trajectory) -> bool:
     if traj.n_max < start:
         raise ValueError(f"need a trajectory through at least n={start}, have {traj.n_max}")
     c = spec.c
+    c_num, c_den = c.numerator, c.denominator
+    p, q, xs = spec.p, spec.q, traj.xs
+    first = start + q - 1  # list offset of x_start
     return all(
-        traj.x(n) * traj.x(n - spec.q) == c * traj.x(n - spec.p) * traj.x(n - spec.p - spec.q)
-        for n in range(start, traj.n_max + 1)
+        x.numerator * x_q.numerator * x_p.denominator * x_pq.denominator * c_den
+        == c_num * x_p.numerator * x_pq.numerator * x.denominator * x_q.denominator
+        for x, x_q, x_p, x_pq in zip(
+            itertools.islice(xs, first, None), itertools.islice(xs, first - q, None),
+            itertools.islice(xs, first - p, None), itertools.islice(xs, first - p - q, None),
+        )
     )
 
 
@@ -163,12 +190,12 @@ def subsequence(traj: Trajectory, m: int, t: int, which: str = "x") -> list:
     if not 0 <= t < m:
         raise ValueError(f"offset t must lie in 0..{m - 1}, got {t}")
     if which == "x":
-        pick = traj.x
+        values = traj.xs
     elif which == "y":
-        pick = traj.y
+        values = traj.ys
     else:
         raise ValueError(f"which must be 'x' or 'y', got {which!r}")
-    return [pick(n) for n in range(t, traj.n_max + 1, m)]
+    return values[t + traj.spec.q - 1::m]
 
 
 def _signed_log_of(traj: Trajectory, value) -> SignedLog:
@@ -184,8 +211,9 @@ def trajectory_records(traj: Trajectory) -> Iterator[dict]:
     has no exact form, so its x and y columns are empty.
     """
     exact = traj.backend == BACKEND_EXACT
-    for n in range(1, traj.n_max + 1):
-        xv, yv = traj.x(n), traj.y(n)
+    q = traj.spec.q
+    generated = zip(itertools.islice(traj.xs, q, None), itertools.islice(traj.ys, q, None))
+    for n, (xv, yv) in enumerate(generated, 1):
         sx, sy = _signed_log_of(traj, xv), _signed_log_of(traj, yv)
         yield {
             "n": n,

@@ -134,6 +134,8 @@ def test_confirm_periodic_needs_enough_data():
         confirm_periodic(traj, 0, 5, cycles=2)
     with pytest.raises(ValueError):
         confirm_periodic(traj, 0, 0)
+    with pytest.raises(ValueError):
+        confirm_periodic(traj, 0, 1, cycles=-1)
 
 
 def oracle_cycle(traj):
