@@ -9,20 +9,17 @@ overrides the cap on exact-value bit length.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
-from .cycle import (
-    CycleResult,
-    NoCycleWithinHorizon,
-    Periodic,
-    default_horizon,
-    detect_cycle,
-)
+from .cycle import CycleResult, Periodic, default_horizon, detect_cycle
 from .errors import PerisysError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj, validate
 from .simulator import (
@@ -53,13 +50,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_validated_spec(path, mode: str = "general") -> SystemSpec:
+def _load_validated_spec(path) -> SystemSpec:
     """Load a spec file; raises PerisysError or ValueError with a printable message."""
     spec = load_spec(path)
-    report = validate(spec, mode)
+    report = validate(spec, "general")
     if not report.ok:
         lines = "\n".join(f"  {rule}: {message}" for rule, message in report.violations)
-        raise ValueError(f"spec fails {mode} validation:\n{lines}")
+        raise ValueError(f"spec fails general validation:\n{lines}")
     return spec
 
 
@@ -76,17 +73,36 @@ def classification_line(result: Classification) -> str:
     )
 
 
+def agreement(classification: Classification, c: Fraction, result: CycleResult) -> str:
+    """Classifier/detector agreement: "pass", "fail" or "pass-degenerate".
+
+    A detector-found cycle inside a generically unbounded regime counts as
+    "pass-degenerate" (special initial data, not a contradiction).
+    Agreement accounts for c = a/b: the classifier speaks about the |c| = 1
+    magnitude structure, so with drift (|c| != 1) it expects no exact
+    cycle, and with b = -a the joint period bound doubles.
+    """
+    periodic = isinstance(result, Periodic)
+    if abs(c) != 1:
+        # drift scales magnitudes by |c|^(1/2p) per step, so an exact cycle
+        # is impossible for any delays; the block-ratio law is the periodic
+        # structure that remains
+        return "fail" if periodic else "pass"
+    if classification.regime is Regime.EVENTUALLY_PERIODIC:
+        # b = -a flips x by c^(q/g) = +/-1 over each block, doubling the
+        # joint period bound relative to the magnitude period
+        modulus = classification.predicted_period * (1 if c == 1 else 2)
+        return "pass" if periodic and modulus % result.period == 0 else "fail"
+    return "pass-degenerate" if periodic else "pass"
+
+
 def build_run_report(spec: SystemSpec, n: int | None = None,
                      horizon: int | None = None) -> dict:
     """Bundle every applicable exact check plus classifier/detector agreement.
 
-    Check values are "pass" / "fail"; detector-found cycles inside a
-    generically unbounded regime count as "pass-degenerate" (special
-    initial data, not a contradiction).  Checks that do not apply to the
-    spec's regime are listed under "skipped" with the reason.  Agreement
-    accounts for a and b: the classifier speaks about the |c| = 1
-    magnitude structure, so with drift (|a/b| != 1) it expects no exact
-    cycle, and with b = -a the joint period bound doubles.
+    Check values are "pass" / "fail", and "pass-degenerate" for agreement
+    (see :func:`agreement`).  Checks that do not apply to the spec's
+    regime are listed under "skipped" with the reason.
     """
     classification = classify(spec.p, spec.q)
     m = math.lcm(spec.p, 2 * spec.q)
@@ -119,25 +135,7 @@ def build_run_report(spec: SystemSpec, n: int | None = None,
         checks["block_ratio"] = "pass" if block_ratio_check(traj) else "fail"
 
     cycle_result = detect_cycle(spec, horizon)
-    if abs(spec.c) != 1:
-        # drift scales magnitudes by |c|^(1/2p) per step, so an exact cycle
-        # is impossible for any delays; the block-ratio law is the periodic
-        # structure that remains
-        agrees = isinstance(cycle_result, NoCycleWithinHorizon)
-        checks["classifier_detector_agreement"] = "pass" if agrees else "fail"
-    elif classification.regime is Regime.EVENTUALLY_PERIODIC:
-        # b = -a flips x by c^(q/g) = +/-1 over each block, doubling the
-        # joint period bound relative to the magnitude period
-        modulus = classification.predicted_period * (1 if spec.c == 1 else 2)
-        agrees = (
-            isinstance(cycle_result, Periodic)
-            and modulus % cycle_result.period == 0
-        )
-        checks["classifier_detector_agreement"] = "pass" if agrees else "fail"
-    elif isinstance(cycle_result, Periodic):
-        checks["classifier_detector_agreement"] = "pass-degenerate"
-    else:
-        checks["classifier_detector_agreement"] = "pass"
+    checks["classifier_detector_agreement"] = agreement(classification, spec.c, cycle_result)
 
     slopes = []
     if n >= 2 * stride:
@@ -173,44 +171,34 @@ class SweepRow:
         }
 
 
-def _row_verdict(classification: Classification,
-                 outcomes: tuple[CycleResult, ...]) -> str:
-    degenerate = False
-    for result in outcomes:
-        if classification.regime is Regime.EVENTUALLY_PERIODIC:
-            if not isinstance(result, Periodic):
-                return VERDICT_INCONSISTENT
-            if classification.predicted_period % result.period != 0:
-                return VERDICT_INCONSISTENT
-        elif isinstance(result, Periodic):
-            degenerate = True
-    return VERDICT_DEGENERATE if degenerate else VERDICT_CONSISTENT
-
-
 def sweep_grid(p_max: int, q_max: int, trials: int, horizon: int | None = None,
                seed: int = 0, p_min: int = 1) -> list[SweepRow]:
     """Classify every 1 <= p < q <= bounds and confront `trials` random specs each.
 
     Each trial spec (a = b = 1, positive initial data) gets its own PRNG
     seeded from (seed, p, q, trial), so rows are reproducible regardless of
-    execution order.
+    execution order.  A row is INCONSISTENT if any trial's agreement fails,
+    else CONSISTENT-DEGENERATE if any is "pass-degenerate".
     """
     rows = []
     for p in range(p_min, p_max + 1):
         for q in range(p + 1, q_max + 1):
             classification = classify(p, q)
             row_horizon = default_horizon(p, q) if horizon is None else horizon
-            outcomes = []
+            outcomes, agreements = [], set()
             for trial in range(trials):
                 rng = random.Random(f"{seed}:{p}:{q}:{trial}")
                 spec = random_positive_spec(rng, p, q)
-                outcomes.append(detect_cycle(spec, row_horizon))
-            outcomes = tuple(outcomes)
+                result = detect_cycle(spec, row_horizon)
+                outcomes.append(result)
+                agreements.add(agreement(classification, spec.c, result))
             rows.append(SweepRow(
                 p=p, q=q,
                 classification=classification,
-                outcomes=outcomes,
-                verdict=_row_verdict(classification, outcomes),
+                outcomes=tuple(outcomes),
+                verdict=(VERDICT_INCONSISTENT if "fail" in agreements
+                         else VERDICT_DEGENERATE if "pass-degenerate" in agreements
+                         else VERDICT_CONSISTENT),
             ))
     return rows
 
@@ -225,10 +213,24 @@ def _sweep_row_line(row: SweepRow) -> str:
     return f"{row.p},{row.q},{cls.regime.value},{modulus},{row.verdict},{outcome_text}"
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """Stdout, or the --out file; a regular file is removed if the body raises.
+
+    Opening happens outside the cleanup, so a file that could not be opened
+    is left alone; /dev/null and other non-regular paths are never removed.
+    """
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    stream = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with stream:
+            yield stream
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def cmd_classify(args) -> int:
@@ -242,18 +244,13 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_validated_spec(args.config)
-    backend = _BACKEND_ALIASES[args.backend]
-    traj = simulate(spec, args.n, backend=backend)
-    stream, owned = _open_out(args.out)
-    try:
+    traj = simulate(spec, args.n, backend=_BACKEND_ALIASES[args.backend])
+    with _open_out(args.out) as stream:
         if args.format == "csv":
             write_trajectory_csv(traj, stream)
         else:
             json.dump(trajectory_to_obj(traj), stream, indent=2)
             stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -276,13 +273,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    trials = args.trials if args.trials is not None else args.trials_arg
-    if trials is None:
-        trials = 3
-    rows = sweep_grid(args.p_max, args.q_max, trials,
+    rows = sweep_grid(args.p_max, args.q_max, args.trials or args.trials_arg,
                       horizon=args.horizon, seed=args.seed, p_min=args.p_min)
-    stream, owned = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         if args.format == "json":
             json.dump([row.to_obj() for row in rows], stream, indent=2)
             stream.write("\n")
@@ -290,9 +283,6 @@ def cmd_sweep(args) -> int:
             stream.write("p,q,regime,modulus,verdict,outcomes\n")
             for row in rows:
                 stream.write(_sweep_row_line(row) + "\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="classifier-vs-detector grid over p < q")
     swp.add_argument("p_max", type=_positive_int)
     swp.add_argument("q_max", type=_positive_int)
-    swp.add_argument("trials_arg", type=_positive_int, nargs="?", default=None,
+    swp.add_argument("trials_arg", type=_positive_int, nargs="?", default=3,
                      metavar="trials")
     swp.add_argument("--trials", type=_positive_int, default=None,
                      help="random specs per (p, q); default 3")

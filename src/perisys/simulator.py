@@ -32,7 +32,6 @@ from .numerics import SignedLog, check_bits, format_rational, resolve_max_bits, 
 
 BACKEND_EXACT = "exact"
 BACKEND_SIGNEDLOG = "signedlog"
-BACKENDS = (BACKEND_EXACT, BACKEND_SIGNEDLOG)
 
 TRAJECTORY_CSV_HEADER = ("n", "x", "y", "sign_x", "log_abs_x", "sign_y", "log_abs_y")
 
@@ -66,26 +65,24 @@ class Trajectory:
         return list(zip(self.xs, self.ys))
 
 
+def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tuple:
+    """(a, b, initial xs, initial ys, bit cap) in the backend's number form."""
+    if backend == BACKEND_EXACT:
+        return spec.a, spec.b, list(spec.x_init), list(spec.y_init), resolve_max_bits(max_bits)
+    if backend != BACKEND_SIGNEDLOG:
+        raise WrongBackendError(f"unknown backend {backend!r}")
+    a, b = to_signed_log(spec.a), to_signed_log(spec.b)
+    return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init)), None
+
+
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
                max_bits: int | None = None) -> Iterator[tuple]:
     """Yield (n, x_n, y_n) lazily for n = 1, 2, ...  Keeps O(q) state."""
     report = validate(spec, "general")
     if not report.ok:
         raise ValueError(f"spec fails general validation: {report.violations}")
-    if backend == BACKEND_EXACT:
-        a, b = spec.a, spec.b
-        window = deque(zip(spec.x_init, spec.y_init), maxlen=spec.q)
-        cap = resolve_max_bits(max_bits)
-    elif backend == BACKEND_SIGNEDLOG:
-        a, b = to_signed_log(spec.a), to_signed_log(spec.b)
-        window = deque(
-            ((to_signed_log(x), to_signed_log(y))
-             for x, y in zip(spec.x_init, spec.y_init)),
-            maxlen=spec.q,
-        )
-        cap = None
-    else:
-        raise WrongBackendError(f"unknown backend {backend!r}")
+    a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
+    window = deque(zip(xs, ys), maxlen=spec.q)
 
     back_p = spec.q - spec.p  # window[k] holds index n - q + k
     for n in itertools.count(1):
@@ -106,14 +103,7 @@ def simulate(spec: SystemSpec, n_steps: int, backend: str = BACKEND_EXACT,
     """Generate the trajectory through index ``n_steps`` (deterministic)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if backend not in BACKENDS:
-        raise WrongBackendError(f"unknown backend {backend!r}")
-    if backend == BACKEND_EXACT:
-        xs: list = list(spec.x_init)
-        ys: list = list(spec.y_init)
-    else:
-        xs = [to_signed_log(v) for v in spec.x_init]
-        ys = [to_signed_log(v) for v in spec.y_init]
+    _, _, xs, ys, _ = _initial_state(spec, backend, max_bits)
     for _, x, y in itertools.islice(iter_pairs(spec, backend, max_bits), n_steps):
         xs.append(x)
         ys.append(y)

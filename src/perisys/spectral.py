@@ -13,6 +13,12 @@ v2(p) > v2(q) where v2 is the 2-adic valuation.  A repeated root forces a
 linear-in-n term in log space, hence an exponentially growing or decaying
 subsequence and no periodicity; all-simple roots give eventual periodicity
 with period lcm(p, 2q).
+
+At runtime ``verify`` and ``sweep`` check :func:`classify` against the
+exact cycle detector.  The root enumeration (the ``*_root_turns`` helpers,
+:func:`decompose`, :func:`enumerate_roots` and the ``repeated_root_by_*``
+tests) runs only in the test suite, as reference oracles for the
+classifier.
 """
 
 from __future__ import annotations
@@ -46,12 +52,12 @@ def turn(k: int, d: int) -> Fraction:
 
 
 def unit_root_turns(p: int) -> list[Fraction]:
-    """Turns of the p solutions of lambda^p = 1."""
+    """Turns of the p solutions of lambda^p = 1 (test oracle)."""
     return [turn(l, p) for l in range(p)]
 
 
 def negation_root_turns(q: int) -> list[Fraction]:
-    """Turns of the q solutions of lambda^q = -1."""
+    """Turns of the q solutions of lambda^q = -1 (test oracle)."""
     return [turn(2 * k + 1, 2 * q) for k in range(q)]
 
 
@@ -67,6 +73,7 @@ class Decomposition:
 
 
 def decompose(p: int, q: int) -> Decomposition:
+    """Split p and q as in :class:`Decomposition` (test oracle)."""
     _require_positive(p, q)
     g = math.gcd(p, q)
     r = two_adic_valuation(g)
@@ -88,7 +95,7 @@ class SpectrumReport:
 
 
 def enumerate_roots(p: int, q: int) -> SpectrumReport:
-    """Multiset union of the two explicit root families."""
+    """Multiset union of the two explicit root families (test oracle)."""
     _require_positive(p, q)
     counts = Counter(unit_root_turns(p))
     counts.update(negation_root_turns(q))
@@ -96,7 +103,7 @@ def enumerate_roots(p: int, q: int) -> SpectrumReport:
 
 
 def repeated_root_by_condition(p: int, q: int) -> bool:
-    """Repeated-root test via the coincidence condition (2k+1) s = 2 l t.
+    """Repeated-root test via the coincidence condition (2k+1) s = 2 l t (test oracle).
 
     Scans the q odd-multiple candidates; a solution in integers l is a
     shared root of the two factors (the implied l always lands in 0..p-1).
@@ -111,7 +118,7 @@ def repeated_root_by_condition(p: int, q: int) -> bool:
 
 
 def repeated_root_by_intersection(p: int, q: int) -> bool:
-    """Repeated-root test via intersecting the two exact turn sets."""
+    """Repeated-root test via intersecting the two exact turn sets (test oracle)."""
     _require_positive(p, q)
     return not set(unit_root_turns(p)).isdisjoint(negation_root_turns(q))
 

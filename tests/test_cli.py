@@ -3,14 +3,32 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
 
-from perisys import parse_spec, random_positive_spec, spec_to_json
-from perisys.cli import main, sweep_grid
+from perisys import (
+    NoCycleWithinHorizon,
+    Periodic,
+    classify,
+    detect_cycle,
+    parse_spec,
+    random_positive_spec,
+    spec_to_json,
+)
+from perisys.cli import (
+    VERDICT_CONSISTENT,
+    VERDICT_DEGENERATE,
+    VERDICT_INCONSISTENT,
+    agreement,
+    main,
+    sweep_grid,
+)
 import perisys.cli as cli_module
+import perisys.simulator as simulator_module
 
 from conftest import fixed_point_spec
 
@@ -92,6 +110,39 @@ def test_simulate_out_file(periodic_config, tmp_path, capsys):
     assert main(["simulate", "--config", path, "-n", "5", "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert len(out.read_text().splitlines()) == 6
+
+
+def _fail_mid_export(monkeypatch):
+    """Make the third exact literal of an export raise, as the 4300-digit fault does."""
+    original = simulator_module.format_rational
+    calls = []
+
+    def failing(value):
+        calls.append(value)
+        if len(calls) == 3:
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+        return original(value)
+    monkeypatch.setattr(simulator_module, "format_rational", failing)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_export_leaves_no_out_file(periodic_config, tmp_path, capsys, monkeypatch, fmt):
+    path, _ = periodic_config
+    out = tmp_path / f"traj.{fmt}"
+    out.write_text("stale\n")
+    _fail_mid_export(monkeypatch)
+    assert main(["simulate", "--config", path, "-n", "5", "--format", fmt,
+                 "--out", str(out)]) == 1
+    assert "4300 digits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_dev_null_is_never_removed(periodic_config, capsys, monkeypatch):
+    path, _ = periodic_config
+    assert main(["simulate", "--config", path, "-n", "5", "--out", os.devnull]) == 0
+    _fail_mid_export(monkeypatch)
+    assert main(["simulate", "--config", path, "-n", "5", "--out", os.devnull]) == 1
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):
@@ -207,16 +258,51 @@ def test_sweep_json_format(capsys):
     assert all(row["verdict"].startswith("CONSISTENT") for row in rows)
 
 
-def test_sweep_grid_degenerate_verdict():
+def test_sweep_grid_degenerate_verdict(monkeypatch):
     rows = sweep_grid(2, 3, 1, seed=0, p_min=2)
     assert len(rows) == 1
     # inject the all-ones fixed point by hand: a periodic trajectory inside
     # the generically unbounded (2, 3) regime is degenerate, not inconsistent
-    from perisys import detect_cycle
-    from perisys.cli import _row_verdict, VERDICT_DEGENERATE
-    from perisys import classify
     result = detect_cycle(fixed_point_spec(2, 3), 100)
-    assert _row_verdict(classify(2, 3), (result,)) == VERDICT_DEGENERATE
+    assert agreement(classify(2, 3), Fraction(1), result) == "pass-degenerate"
+    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec, horizon: result)
+    assert sweep_grid(2, 3, 1, seed=0, p_min=2)[0].verdict == VERDICT_DEGENERATE
+
+
+# classify(6, 10) is periodic with period 60; classify(2, 3) is generically unbounded
+@pytest.mark.parametrize("p, q, c, result, expected", [
+    (6, 10, Fraction(1), Periodic(3, 60), "pass"),
+    (6, 10, Fraction(1), Periodic(0, 12), "pass"),             # divides the modulus
+    (6, 10, Fraction(1), NoCycleWithinHorizon(500), "fail"),   # no cycle, periodic regime
+    (6, 10, Fraction(1), Periodic(0, 7), "fail"),              # does not divide 60
+    (6, 10, Fraction(1), Periodic(0, 120), "fail"),            # doubling needs b = -a
+    (6, 10, Fraction(-1), Periodic(0, 120), "pass"),           # b = -a doubles the bound
+    (6, 10, Fraction(-1), Periodic(0, 240), "fail"),
+    (6, 10, Fraction(-1), NoCycleWithinHorizon(500), "fail"),
+    (6, 10, Fraction(1, 2), Periodic(0, 60), "fail"),          # drift: no exact cycle
+    (6, 10, Fraction(3, 5), NoCycleWithinHorizon(500), "pass"),
+    (2, 3, Fraction(2), Periodic(0, 1), "fail"),
+    (2, 3, Fraction(2), NoCycleWithinHorizon(500), "pass"),
+    (2, 3, Fraction(1), Periodic(0, 1), "pass-degenerate"),    # special data, unbounded regime
+    (2, 3, Fraction(-1), Periodic(4, 2), "pass-degenerate"),
+    (2, 3, Fraction(1), NoCycleWithinHorizon(500), "pass"),
+])
+def test_agreement_table(p, q, c, result, expected):
+    assert agreement(classify(p, q), c, result) == expected
+
+
+def test_sweep_verdict_from_trial_agreements(monkeypatch):
+    # rows (2, 3) unbounded, (2, 4) periodic with period 8, (2, 5) unbounded
+    outcomes = iter([
+        Periodic(0, 1), NoCycleWithinHorizon(9),   # degenerate + pass
+        Periodic(0, 8), NoCycleWithinHorizon(9),   # pass + fail
+        NoCycleWithinHorizon(9), NoCycleWithinHorizon(9),
+    ])
+    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec, horizon: next(outcomes))
+    rows = sweep_grid(2, 5, 2, p_min=2)
+    assert [(row.q, row.verdict) for row in rows] == [
+        (3, VERDICT_DEGENERATE), (4, VERDICT_INCONSISTENT), (5, VERDICT_CONSISTENT),
+    ]
 
 
 def test_missing_config_exits_1(capsys):
