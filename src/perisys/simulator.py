@@ -15,6 +15,29 @@ Backends:
 * ``signedlog`` stores :class:`SignedLog` values whose log magnitudes track
   the exact trajectory to float precision and cannot overflow, which makes
   very long runs in growing regimes cheap.
+
+The exact backend does not run the second equation literally.  The product
+of the two equations is
+
+    z_n = x_n y_n = ab / z_{n-q},
+
+so z_{n+2q} = z_n: the product takes at most 2q values, z at indices
+-q+1 .. q, all fixed by the initial data.  Hence
+
+    y_n = y_{n-p} * K_n,   K_n = b / z_{n-q},
+
+where K_n repeats with period 2q in n.  An exact step is one division of
+the constant a by y_{n-p} and one product of y_{n-p} with a small
+coefficient.  ``Fraction`` reduces a product or quotient by gcds of cross
+pairs of numerators and denominators, so every gcd pairs a full-size
+integer with a small one and costs time linear in its bit length; the
+literal recurrence forms x_{n-q} y_{n-q} and divides by it, which takes
+gcds of two full-size integers.  A canonical ``Fraction`` is unique, so
+both forms give identical values.
+
+The signed-log backend keeps the literal recurrence: the coefficient form
+would add the logs in another order, which changes float rounding and with
+it the exported log magnitudes.
 """
 
 from __future__ import annotations
@@ -77,25 +100,48 @@ def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tupl
 
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
                max_bits: int | None = None) -> Iterator[tuple]:
-    """Yield (n, x_n, y_n) lazily for n = 1, 2, ...  Keeps O(q) state."""
+    """Yield (n, x_n, y_n) lazily for n = 1, 2, ...  Keeps O(q) state.
+
+    The exact backend generates y_n as y_{n-p} times the coefficient
+    K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
+    z = x y repeats with period 2q (see the module docstring).  Every gcd
+    that reduces a step then pairs a full-size integer with a small one.
+    Both components of x_n and y_n are checked against the bit cap, x_n
+    first.  The signed-log backend runs the literal recurrence so that its
+    float rounding, and the exported logs, stay those of the recurrence.
+    """
     report = validate(spec, "general")
     if not report.ok:
         raise ValueError(f"spec fails general validation: {report.violations}")
     a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
-    window = deque(zip(xs, ys), maxlen=spec.q)
+    q = spec.q
+    back_p = q - spec.p  # window[k] holds index n - q + k
 
-    back_p = spec.q - spec.p  # window[k] holds index n - q + k
-    for n in itertools.count(1):
-        _, y_p = window[back_p]
-        x_q, y_q = window[0]
-        x = a / y_p
-        y = b * y_p / (x_q * y_q)
-        if cap is not None:
-            assert x != 0 and y != 0  # nonzero data cannot produce zero
+    if backend == BACKEND_SIGNEDLOG:
+        window = deque(zip(xs, ys), maxlen=q)
+        for n in itertools.count(1):
+            _, y_p = window[back_p]
+            x_q, y_q = window[0]
+            x = a / y_p
+            y = b * y_p / (x_q * y_q)
+            window.append((x, y))
+            yield n, x, y
+    else:
+        # z[k] is z at index k - q + 1: the initial products, then z_n for n = 1 .. q
+        z = [x * y for x, y in zip(xs, ys)]
+        ab = a * b
+        for k in range(q):
+            z.append(ab / z[k])
+        coefficients = [b / z_k for z_k in z]  # K_n for n = 1 .. 2q
+        window = deque(ys, maxlen=q)
+        for n, coefficient in zip(itertools.count(1), itertools.cycle(coefficients)):
+            y_p = window[back_p]
+            x = a / y_p
+            y = y_p * coefficient
             check_bits(x, cap)
             check_bits(y, cap)
-        window.append((x, y))
-        yield n, x, y
+            window.append(y)
+            yield n, x, y
 
 
 def simulate(spec: SystemSpec, n_steps: int, backend: str = BACKEND_EXACT,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from perisys import SystemSpec
 
 
@@ -33,3 +35,25 @@ def random_signed_spec(rng: random.Random, p: int, q: int,
 def fixed_point_spec(p: int = 2, q: int = 3) -> SystemSpec:
     return SystemSpec(a=1, b=1, p=p, q=q,
                       x_init=(Fraction(1),) * q, y_init=(Fraction(1),) * q)
+
+
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(1, 16) | st.integers(-16, -1),
+    st.integers(1, 16),
+)
+
+
+@st.composite
+def specs(draw):
+    """Signed initial data, p <= q <= 12, with c = 1, b = -a, c = 1/2 and c = 2 all drawn."""
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(1, q))
+    a = draw(nonzero_rationals)
+    kind = draw(st.sampled_from(["c=1", "b=-a", "c=1/2", "c=2", "free"]))
+    b = {"c=1": a, "b=-a": -a, "c=1/2": 2 * a, "c=2": a / 2}.get(kind)
+    if b is None:
+        b = draw(nonzero_rationals)
+    values = st.lists(nonzero_rationals, min_size=q, max_size=q)
+    return SystemSpec(a=a, b=b, p=p, q=q,
+                      x_init=tuple(draw(values)), y_init=tuple(draw(values)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,6 @@ from perisys import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
     NotOddQuotientError,
-    SystemSpec,
     WrongBackendError,
     WrongRegimeError,
     block_ratio_check,
@@ -31,7 +29,7 @@ from perisys import (
     x_relation_check,
 )
 
-from conftest import random_signed_spec
+from conftest import nonzero_rationals, random_signed_spec, specs
 
 
 def _oracle_require_exact(traj) -> None:
@@ -110,28 +108,6 @@ def outcome(check, traj):
         return check(traj)
     except Exception as exc:  # compared by type against the oracle's
         return type(exc)
-
-
-nonzero_rationals = st.builds(
-    Fraction,
-    st.integers(1, 16) | st.integers(-16, -1),
-    st.integers(1, 16),
-)
-
-
-@st.composite
-def specs(draw):
-    """Signed initial data, p <= q <= 12, with c = 1, b = -a, c = 1/2 and c = 2 all drawn."""
-    q = draw(st.integers(1, 12))
-    p = draw(st.integers(1, q))
-    a = draw(nonzero_rationals)
-    kind = draw(st.sampled_from(["c=1", "b=-a", "c=1/2", "c=2", "free"]))
-    b = {"c=1": a, "b=-a": -a, "c=1/2": 2 * a, "c=2": a / 2}.get(kind)
-    if b is None:
-        b = draw(nonzero_rationals)
-    values = st.lists(nonzero_rationals, min_size=q, max_size=q)
-    return SystemSpec(a=a, b=b, p=p, q=q,
-                      x_init=tuple(draw(values)), y_init=tuple(draw(values)))
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from perisys import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
+    DEFAULT_MAX_BITS,
     BitLengthExceededError,
     SystemSpec,
     WrongBackendError,
@@ -29,20 +31,72 @@ from perisys import (
     x_relation_check,
 )
 from perisys.model import parse_spec_obj
+from perisys.numerics import check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
-from conftest import fixed_point_spec, random_signed_spec
+from conftest import fixed_point_spec, random_signed_spec, specs
 
 
-def naive_simulate(spec, n_steps):
-    """Independent reference: explicit index dictionaries, no shared code."""
+def naive_pairs(spec, max_bits=None):
+    """Independent reference: the literal recurrence over explicit index dictionaries.
+
+    With ``max_bits`` it applies ``check_bits`` to x_n and then y_n after
+    each step, as the simulator must.
+    """
     x, y = {}, {}
     for i in range(spec.q):
         x[i - spec.q + 1] = spec.x_init[i]
         y[i - spec.q + 1] = spec.y_init[i]
-    for n in range(1, n_steps + 1):
+    for n in itertools.count(1):
         x[n] = spec.a / y[n - spec.p]
         y[n] = spec.b * y[n - spec.p] / (x[n - spec.q] * y[n - spec.q])
+        if max_bits is not None:
+            check_bits(x[n], max_bits)
+            check_bits(y[n], max_bits)
+        yield n, x[n], y[n]
+
+
+def naive_simulate(spec, n_steps):
+    """The reference values at indices -q+1 .. n_steps, as index dictionaries."""
+    x = dict(zip(range(-spec.q + 1, 1), spec.x_init))
+    y = dict(zip(range(-spec.q + 1, 1), spec.y_init))
+    for n, x_n, y_n in itertools.islice(naive_pairs(spec), n_steps):
+        x[n], y[n] = x_n, y_n
+    return x, y
+
+
+def pairs_until_cap(pairs, n_steps):
+    """Up to ``n_steps`` items of ``pairs``, and the message of a bit-cap error that cut them short."""
+    got = []
+    try:
+        for item in itertools.islice(pairs, n_steps):
+            got.append(item)
+    except BitLengthExceededError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def direct_log_simulate(spec, n_steps):
+    """Reference: the literal recurrence on (sign, log|v|) pairs.
+
+    The logs are added and subtracted in the order the recurrence
+    multiplies and divides, so the floats match bit for bit.
+    """
+    def signed_log(value):
+        form = to_signed_log(value)
+        return form.sign, form.logmag
+
+    p, q = spec.p, spec.q
+    sa, la = signed_log(spec.a)
+    sb, lb = signed_log(spec.b)
+    x = {i - q + 1: signed_log(v) for i, v in enumerate(spec.x_init)}
+    y = {i - q + 1: signed_log(v) for i, v in enumerate(spec.y_init)}
+    for n in range(1, n_steps + 1):
+        sy_p, ly_p = y[n - p]
+        sx_q, lx_q = x[n - q]
+        sy_q, ly_q = y[n - q]
+        x[n] = (sa * sy_p, la - ly_p)
+        y[n] = (sb * sy_p * sx_q * sy_q, (lb + ly_p) - (lx_q + ly_q))
     return x, y
 
 
@@ -74,6 +128,31 @@ def test_matches_naive_reference():
         for n in range(-q + 1, 41):
             assert traj.x(n) == x_ref[n]
             assert traj.y(n) == y_ref[n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(), st.integers(1, 300), st.integers(8, 256) | st.just(DEFAULT_MAX_BITS))
+def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
+    want, error = pairs_until_cap(naive_pairs(spec, max_bits), n_steps)
+    assert pairs_until_cap(iter_pairs(spec, max_bits=max_bits), n_steps) == (want, error)
+    if error is None:
+        traj = simulate(spec, n_steps, max_bits=max_bits)
+        assert traj.xs == list(spec.x_init) + [x for _, x, _ in want]
+        assert traj.ys == list(spec.y_init) + [y for _, _, y in want]
+    else:
+        with pytest.raises(BitLengthExceededError) as info:
+            simulate(spec, n_steps, max_bits=max_bits)
+        assert str(info.value) == error
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
+def test_signedlog_backend_is_the_literal_recurrence(p, q):
+    spec = random_signed_spec(random.Random(100 * p + q), p, q)
+    traj = simulate(spec, 500, backend=BACKEND_SIGNEDLOG)
+    x, y = direct_log_simulate(spec, 500)
+    for n in range(-q + 1, 501):
+        assert (traj.x(n).sign, traj.x(n).logmag) == x[n]
+        assert (traj.y(n).sign, traj.y(n).logmag) == y[n]
 
 
 def test_fixed_point_stays_fixed():
