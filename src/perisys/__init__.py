@@ -61,9 +61,11 @@ from .simulator import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
     Trajectory,
+    block_multipliers,
     iter_pairs,
     product_invariant_check,
     simulate,
+    step_coefficients,
     subsequence,
     trajectory_records,
     trajectory_to_obj,

@@ -21,6 +21,21 @@ key is already taken is compared pair by pair with the stored window
 before it counts as a repeat.  A hash collision therefore never produces
 a false positive or hides a repeat, and the first confirmed repeat is the
 minimal one.  Memory is O(horizon) pairs and hashes.
+
+``detect_cycle`` first derives the block multipliers R_r of the exact
+kernel (see ``simulator``): y_{n+M} = R_{n mod d} y_n with M = lcm(p, 2q)
+and d = gcd(p, 2q).  If some |R_r| != 1, |y| is strictly monotone along
+the stride-M subsequences of that class, so no window ever recurs and the
+scan could only end at the horizon.  It then answers without a scan,
+provided the scan could not have hit the bit cap first: since
+y_{n+kM} = R^k y_n and x_n = a / y_{n-p}, and the bits of a product or
+quotient are at most the sum of the operands' bits, every component
+generated within horizon h has at most
+
+    bits(a) + max bits(y_init) + (M/p) max bits(K) + ceil(h/M) max bits(R)
+
+bits.  When that bound exceeds the cap, or every |R_r| = 1, the scan runs
+as before and raises ``BitLengthExceededError`` wherever it would.
 """
 
 from __future__ import annotations
@@ -32,7 +47,15 @@ from dataclasses import dataclass
 from typing import Union
 
 from .model import SystemSpec
-from .simulator import BACKEND_EXACT, Trajectory, iter_pairs
+from .numerics import component_bits, resolve_max_bits
+from .simulator import (
+    BACKEND_EXACT,
+    Trajectory,
+    _require_general,
+    block_multipliers,
+    iter_pairs,
+    step_coefficients,
+)
 
 
 @dataclass(frozen=True)
@@ -131,13 +154,34 @@ def find_cycle(traj: Trajectory) -> CycleResult:
     return _first_repeat(pairs[:spec.q], pairs[spec.q:], max(spec.p, spec.q))
 
 
+def _proves_no_cycle(spec: SystemSpec, horizon: int, cap: int) -> bool:
+    """True if some |R_r| != 1 and the bit bound over ``horizon`` stays within ``cap``."""
+    coefficients = step_coefficients(spec)
+    multipliers = block_multipliers(spec.p, coefficients)
+    if all(abs(r) == 1 for r in multipliers):
+        return False
+    block = math.lcm(spec.p, 2 * spec.q)
+    bound = (component_bits(spec.a) + max(map(component_bits, spec.y_init))
+             + block // spec.p * max(map(component_bits, coefficients))
+             + -(-horizon // block) * max(map(component_bits, multipliers)))
+    return bound <= cap
+
+
 def detect_cycle(spec: SystemSpec, horizon: int | None = None,
                  max_bits: int | None = None) -> CycleResult:
-    """Simulate up to ``horizon`` generated pairs, stopping at the first repeat."""
+    """Simulate up to ``horizon`` generated pairs, stopping at the first repeat.
+
+    A spec with some block multiplier |R_r| != 1 has no cycle at all; it
+    is answered without generating a pair when the bit bound of the
+    module docstring stays within the cap.
+    """
     if horizon is None:
         horizon = default_horizon(spec.p, spec.q)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _require_general(spec)
+    if _proves_no_cycle(spec, horizon, resolve_max_bits(max_bits)):
+        return NoCycleWithinHorizon(horizon=horizon)
     generated = itertools.islice(iter_pairs(spec, BACKEND_EXACT, max_bits), horizon)
     return _first_repeat(tuple(zip(spec.x_init, spec.y_init)),
                          ((x, y) for _, x, y in generated), max(spec.p, spec.q))

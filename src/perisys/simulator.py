@@ -26,14 +26,37 @@ so z_{n+2q} = z_n: the product takes at most 2q values, z at indices
 
     y_n = y_{n-p} * K_n,   K_n = b / z_{n-q},
 
-where K_n repeats with period 2q in n.  An exact step is one division of
-the constant a by y_{n-p} and one product of y_{n-p} with a small
-coefficient.  ``Fraction`` reduces a product or quotient by gcds of cross
-pairs of numerators and denominators, so every gcd pairs a full-size
-integer with a small one and costs time linear in its bit length; the
-literal recurrence forms x_{n-q} y_{n-q} and divides by it, which takes
-gcds of two full-size integers.  A canonical ``Fraction`` is unique, so
-both forms give identical values.
+where K_n repeats with period 2q in n.  Only the q initial products are
+needed: K_n = b / z_{n-q} for n = 1 .. q, and for n = q+1 .. 2q,
+z_{n-q} = ab / z_{n-2q} gives K_n = z_{n-2q} / a.  An exact step is one
+division of the constant a by y_{n-p} and one product of y_{n-p} with a
+small coefficient.  ``Fraction`` reduces a product or quotient by gcds
+of cross pairs of numerators and denominators, so every gcd pairs a
+full-size integer with a small one and costs time linear in its bit
+length; the literal recurrence forms x_{n-q} y_{n-q} and divides by it,
+which takes gcds of two full-size integers.  A canonical ``Fraction`` is
+unique, so both forms give identical values.
+
+Block multipliers.  Unrolling y_n = y_{n-p} K_n over one block of
+M = lcm(p, 2q) steps multiplies M/p = 2q/d coefficients, d = gcd(p, 2q),
+whose indices n + p, n + 2p, ..., n + M, taken modulo 2q, run once
+through the coset of n modulo the subgroup of Z_2q generated by p, that
+is, through the residues congruent to n modulo d.  Hence
+
+    y_{n+M} = R_{n mod d} y_n   for n >= 1 - p,
+    R_r = product of K_n over the n in 1 .. 2q with n = r (mod d),
+
+and, since x_n = a / y_{n-p} and d divides p, x_{n+M} = x_n / R_{n mod d}
+for n >= 1.  So the d multipliers settle the long-run behaviour:
+
+* every R_r = 1: the pairs from n = 1 on repeat with period M;
+* every R_r = +-1: they repeat with period 2M;
+* some |R_r| != 1: |y| grows or shrinks geometrically along a stride-M
+  subsequence, so no pair, and no window of pairs, ever recurs.
+
+The exact backend uses the first two cases to stop computing: after one
+period it replays the stored pairs, each of which already passed the bit
+cap.  ``cycle.detect_cycle`` uses the third to return without a scan.
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
@@ -44,8 +67,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,21 +122,52 @@ def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tupl
     return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init)), None
 
 
+def _require_general(spec: SystemSpec) -> None:
+    """Raise ``ValueError`` unless the spec passes general validation."""
+    report = validate(spec, "general")
+    if not report.ok:
+        raise ValueError(f"spec fails general validation: {report.violations}")
+
+
+def step_coefficients(spec: SystemSpec) -> list[Fraction]:
+    """K_n = b / z_{n-q} for n = 1 .. 2q, at list offset n - 1 (module docstring)."""
+    z = [x * y for x, y in zip(spec.x_init, spec.y_init)]  # z at indices -q+1 .. 0
+    return [spec.b / z_k for z_k in z] + [z_k / spec.a for z_k in z]
+
+
+def block_multipliers(p: int, coefficients: Sequence[Fraction]) -> list[Fraction]:
+    """R_r for r = 0 .. d-1, so that y_{n+M} = R_{n mod d} y_n (module docstring).
+
+    ``coefficients`` are the 2q values of :func:`step_coefficients`;
+    d = gcd(p, 2q) and M = lcm(p, 2q).  Each R_r is reduced once from the
+    integer products of its members' numerators and denominators.
+    """
+    d = math.gcd(p, len(coefficients))
+    multipliers = []
+    for r in range(d):
+        members = coefficients[(r - 1) % d::d]  # offset k holds K_{k+1}
+        multipliers.append(Fraction(math.prod(k.numerator for k in members),
+                                    math.prod(k.denominator for k in members)))
+    return multipliers
+
+
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
                max_bits: int | None = None) -> Iterator[tuple]:
-    """Yield (n, x_n, y_n) lazily for n = 1, 2, ...  Keeps O(q) state.
+    """Yield (n, x_n, y_n) lazily for n = 1, 2, ...
 
     The exact backend generates y_n as y_{n-p} times the coefficient
     K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
     z = x y repeats with period 2q (see the module docstring).  Every gcd
     that reduces a step then pairs a full-size integer with a small one.
     Both components of x_n and y_n are checked against the bit cap, x_n
-    first.  The signed-log backend runs the literal recurrence so that its
-    float rounding, and the exported logs, stay those of the recurrence.
+    first.  When every block multiplier is 1 (or +-1) the pairs repeat
+    with period M = lcm(p, 2q) (or 2M): the first period is computed and
+    stored, and later pairs replay it.  Memory is then O(M) pairs, and
+    O(q) otherwise.  The signed-log backend runs the literal recurrence so
+    that its float rounding, and the exported logs, stay those of the
+    recurrence.
     """
-    report = validate(spec, "general")
-    if not report.ok:
-        raise ValueError(f"spec fails general validation: {report.violations}")
+    _require_general(spec)
     a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
     q = spec.q
     back_p = q - spec.p  # window[k] holds index n - q + k
@@ -127,20 +182,25 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
             window.append((x, y))
             yield n, x, y
     else:
-        # z[k] is z at index k - q + 1: the initial products, then z_n for n = 1 .. q
-        z = [x * y for x, y in zip(xs, ys)]
-        ab = a * b
-        for k in range(q):
-            z.append(ab / z[k])
-        coefficients = [b / z_k for z_k in z]  # K_n for n = 1 .. 2q
+        coefficients = step_coefficients(spec)
+        multipliers = block_multipliers(spec.p, coefficients)
+        period = None  # no replay: islice(steps, None) runs forever
+        if all(abs(r) == 1 for r in multipliers):
+            period = math.lcm(spec.p, 2 * q) * (1 if all(r == 1 for r in multipliers) else 2)
+        block = []
         window = deque(ys, maxlen=q)
-        for n, coefficient in zip(itertools.count(1), itertools.cycle(coefficients)):
+        steps = zip(itertools.count(1), itertools.cycle(coefficients))
+        for n, coefficient in itertools.islice(steps, period):
             y_p = window[back_p]
             x = a / y_p
             y = y_p * coefficient
             check_bits(x, cap)
             check_bits(y, cap)
             window.append(y)
+            if period:
+                block.append((x, y))
+            yield n, x, y
+        for n, (x, y) in zip(itertools.count(period + 1), itertools.cycle(block)):
             yield n, x, y
 
 

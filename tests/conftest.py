@@ -1,13 +1,15 @@
-"""Shared helpers for building random system instances."""
+"""Shared helpers: random system instances and the literal-recurrence oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from perisys import SystemSpec
+from perisys.numerics import check_bits
 
 
 def rand_value(rng: random.Random, max_component: int = 16, signed: bool = False) -> Fraction:
@@ -30,6 +32,18 @@ def random_signed_spec(rng: random.Random, p: int, q: int,
         x_init=tuple(rand_value(rng, signed=True) for _ in range(q)),
         y_init=tuple(rand_value(rng, signed=True) for _ in range(q)),
     )
+
+
+def product_family_spec(rng: random.Random, p: int, q: int, a, b) -> SystemSpec:
+    """Signed initial data with x_k y_k = b at every initial index.
+
+    With a = b the product z = x y stays b, so every step coefficient and
+    block multiplier is 1; with a = -b it alternates between b and -b, and
+    they are all +-1.  Such data is periodic in every regime.
+    """
+    ys = tuple(rand_value(rng, signed=True) for _ in range(q))
+    return SystemSpec(a=Fraction(a), b=Fraction(b), p=p, q=q,
+                      x_init=tuple(Fraction(b) / y for y in ys), y_init=ys)
 
 
 def fixed_point_spec(p: int = 2, q: int = 3) -> SystemSpec:
@@ -57,3 +71,22 @@ def specs(draw):
     values = st.lists(nonzero_rationals, min_size=q, max_size=q)
     return SystemSpec(a=a, b=b, p=p, q=q,
                       x_init=tuple(draw(values)), y_init=tuple(draw(values)))
+
+
+def naive_pairs(spec, max_bits=None):
+    """Independent reference: the literal recurrence over explicit index dictionaries.
+
+    With ``max_bits`` it applies ``check_bits`` to x_n and then y_n after
+    each step, as the simulator must.
+    """
+    x, y = {}, {}
+    for i in range(spec.q):
+        x[i - spec.q + 1] = spec.x_init[i]
+        y[i - spec.q + 1] = spec.y_init[i]
+    for n in itertools.count(1):
+        x[n] = spec.a / y[n - spec.p]
+        y[n] = spec.b * y[n - spec.p] / (x[n - spec.q] * y[n - spec.q])
+        if max_bits is not None:
+            check_bits(x[n], max_bits)
+            check_bits(y[n], max_bits)
+        yield n, x[n], y[n]

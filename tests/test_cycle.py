@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perisys import (
+    DEFAULT_MAX_BITS,
     BitLengthExceededError,
     NoCycleWithinHorizon,
     Periodic,
     Regime,
     SystemSpec,
+    block_multipliers,
     classify,
     confirm_periodic,
     default_horizon,
@@ -23,10 +27,11 @@ from perisys import (
     find_window_cycle,
     random_positive_spec,
     simulate,
+    step_coefficients,
 )
 from perisys import cycle
 
-from conftest import fixed_point_spec
+from conftest import fixed_point_spec, naive_pairs, product_family_spec, specs
 
 SMALL_VALUES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -200,3 +205,56 @@ def test_hash_collisions_are_confirmed_exactly(monkeypatch):
         spec = random_positive_spec(rng, p, q)
         traj = simulate(spec, 120)
         assert find_cycle(traj) == detect_cycle(spec, 120) == oracle_cycle(traj)
+
+
+def scanned_cycle(spec, horizon, max_bits):
+    """The detector without the no-cycle proof: a scan of the literal recurrence."""
+    generated = itertools.islice(naive_pairs(spec, max_bits), horizon)
+    return cycle._first_repeat(tuple(zip(spec.x_init, spec.y_init)),
+                               ((x, y) for _, x, y in generated), max(spec.p, spec.q))
+
+
+def outcome(run):
+    """The result object's ``to_obj()``, or the exception type and message."""
+    try:
+        return run().to_obj()
+    except (BitLengthExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.integers(1, 600), st.integers(8, 256) | st.none())
+def test_no_cycle_proof_matches_scan(spec, horizon, max_bits):
+    want = outcome(lambda: scanned_cycle(spec, horizon, max_bits or DEFAULT_MAX_BITS))
+    assert outcome(lambda: detect_cycle(spec, horizon, max_bits)) == want
+
+
+def test_no_cycle_proof_skips_the_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("iter_pairs called")
+
+    spec = random_positive_spec(random.Random(3), 2, 3)
+    monkeypatch.setattr(cycle, "iter_pairs", no_scan)
+    assert detect_cycle(spec, 100000) == NoCycleWithinHorizon(100000)
+
+
+def test_plus_minus_one_multipliers_are_scanned():
+    rng = random.Random(41)
+    for q in range(2, 13):
+        for p in range(1, q + 1):
+            if classify(p, q).regime is Regime.EVENTUALLY_PERIODIC:
+                continue
+            m = math.lcm(p, 2 * q)
+            for a in (3, -3):
+                spec = product_family_spec(rng, p, q, a, 3)
+                multipliers = block_multipliers(p, step_coefficients(spec))
+                assert set(multipliers) <= {1, -1}
+                result = detect_cycle(spec)
+                assert isinstance(result, Periodic), (p, q, a)
+                assert (m if a == 3 else 2 * m) % result.period == 0
+
+
+def test_detect_cycle_rejects_oversized_p():
+    spec = SystemSpec(a=1, b=2, p=4, q=3, x_init=(1, 2, 3), y_init=(3, 2, 1))
+    with pytest.raises(ValueError, match="spec fails general validation"):
+        detect_cycle(spec)

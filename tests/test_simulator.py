@@ -19,11 +19,16 @@ from perisys import (
     BitLengthExceededError,
     SystemSpec,
     WrongBackendError,
+    block_multipliers,
+    component_bits,
+    drift,
+    has_repeated_root,
     iter_pairs,
     parse_spec,
     product_invariant_check,
     random_positive_spec,
     simulate,
+    step_coefficients,
     subsequence,
     to_signed_log,
     trajectory_to_obj,
@@ -31,29 +36,15 @@ from perisys import (
     x_relation_check,
 )
 from perisys.model import parse_spec_obj
-from perisys.numerics import check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
-from conftest import fixed_point_spec, random_signed_spec, specs
-
-
-def naive_pairs(spec, max_bits=None):
-    """Independent reference: the literal recurrence over explicit index dictionaries.
-
-    With ``max_bits`` it applies ``check_bits`` to x_n and then y_n after
-    each step, as the simulator must.
-    """
-    x, y = {}, {}
-    for i in range(spec.q):
-        x[i - spec.q + 1] = spec.x_init[i]
-        y[i - spec.q + 1] = spec.y_init[i]
-    for n in itertools.count(1):
-        x[n] = spec.a / y[n - spec.p]
-        y[n] = spec.b * y[n - spec.p] / (x[n - spec.q] * y[n - spec.q])
-        if max_bits is not None:
-            check_bits(x[n], max_bits)
-            check_bits(y[n], max_bits)
-        yield n, x[n], y[n]
+from conftest import (
+    fixed_point_spec,
+    naive_pairs,
+    product_family_spec,
+    random_signed_spec,
+    specs,
+)
 
 
 def naive_simulate(spec, n_steps):
@@ -143,6 +134,76 @@ def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
         with pytest.raises(BitLengthExceededError) as info:
             simulate(spec, n_steps, max_bits=max_bits)
         assert str(info.value) == error
+
+
+def multipliers_of(spec):
+    return block_multipliers(spec.p, step_coefficients(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs())
+def test_block_law_on_literal_recurrence(spec):
+    p, q = spec.p, spec.q
+    m, d = math.lcm(p, 2 * q), math.gcd(p, 2 * q)
+    multipliers = multipliers_of(spec)
+    assert len(multipliers) == d
+    x, y = naive_simulate(spec, 2 * m + q)
+    for n in range(1 - p, m + q + 1):
+        assert y[n + m] == multipliers[n % d] * y[n]
+        if n >= 1:
+            assert x[n + m] * multipliers[n % d] == x[n]
+
+
+def test_block_multipliers_structure_through_q_64():
+    rng = random.Random(64)
+    a, b = Fraction(3), Fraction(5)
+    for q in range(1, 65):
+        for p in range(1, q + 1):
+            spec = random_signed_spec(rng, p, q, a=a, b=b)
+            d = math.gcd(p, 2 * q)
+            closed = q % d == 0
+            assert closed == (not has_repeated_root(p, q)), (p, q)
+            if closed:
+                multipliers = multipliers_of(spec)
+                assert multipliers == [(b / a) ** (q // d)] * d, (p, q)
+                # p/gcd(p, q) is odd here, and x_{n+M} = x_n / R
+                assert all(drift(spec).block_ratio == 1 / r for r in multipliers)
+
+
+def replay_specs():
+    """c = 1 and b = -a specs in periodic regimes, and the x y = b family anywhere."""
+    rng = random.Random(77)
+    for q in range(1, 11):
+        for p in range(1, q + 1):
+            if has_repeated_root(p, q):
+                yield product_family_spec(rng, p, q, 2, 2)
+                yield product_family_spec(rng, p, q, -3, 3)
+            else:
+                yield random_signed_spec(rng, p, q, a=1, b=1)
+                yield random_signed_spec(rng, p, q, a=2, b=-2)
+
+
+def test_replayed_blocks_match_literal_recurrence():
+    for spec in replay_specs():
+        assert all(abs(r) == 1 for r in multipliers_of(spec))
+        n_max = 4 * math.lcm(spec.p, 2 * spec.q) + spec.q
+        traj = simulate(spec, n_max)
+        x, y = naive_simulate(spec, n_max)
+        assert traj.xs == [x[n] for n in range(1 - spec.q, n_max + 1)]
+        assert traj.ys == [y[n] for n in range(1 - spec.q, n_max + 1)]
+
+
+def test_bit_cap_inside_first_block_matches_literal_recurrence():
+    rng = random.Random(78)
+    for p, q in [(1, 2), (2, 4), (3, 5), (6, 10), (5, 12)]:
+        spec = random_signed_spec(rng, p, q, a=1, b=1)
+        m = math.lcm(p, 2 * q)
+        first_block = [max(component_bits(v) for v in pair[1:])
+                       for pair in itertools.islice(naive_pairs(spec), m)]
+        cap = max(first_block) - 1  # trips where the block first reaches its largest value
+        want, error = pairs_until_cap(naive_pairs(spec, cap), 4 * m)
+        assert error is not None and len(want) < m
+        assert pairs_until_cap(iter_pairs(spec, max_bits=cap), 4 * m) == (want, error)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
