@@ -24,11 +24,17 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 
 from .errors import NotOddQuotientError, TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
-from .simulator import BACKEND_EXACT, Trajectory, _require_exact, subsequence, to_signed_log
+from .simulator import (
+    BACKEND_EXACT,
+    Trajectory,
+    _matches_reference_cycle,
+    _require_exact,
+    subsequence,
+    to_signed_log,
+)
 
 
 @dataclass(frozen=True)
@@ -88,10 +94,11 @@ def drift(spec: SystemSpec) -> DriftReport:
 def block_ratio_check(traj: Trajectory) -> bool:
     """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n.
 
-    With r = c^(q/g), compared cross-multiplied over numerators (N) and
-    denominators (D), as xmN xD rD == rN xN xmD.  Canonical rationals
-    have positive denominators, so u/v = r/s holds exactly when
-    u*s = r*v, signs included: a sign flip alone fails the check.
+    The reference cycle is the one constant c^(q/g), so no step of the
+    comparison divides by a stored value.  It is compared cross-multiplied
+    over numerators and denominators (see
+    :func:`perisys.simulator._matches_reference_cycle`), signs included: a
+    sign flip alone fails the check.
     """
     _require_exact(traj)
     spec = traj.spec
@@ -103,12 +110,8 @@ def block_ratio_check(traj: Trajectory) -> bool:
     if traj.n_max < m + 1:
         raise ValueError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
     ratio = spec.c ** (spec.q // math.gcd(spec.p, spec.q))
-    r_num, r_den = ratio.numerator, ratio.denominator
-    q, xs = spec.q, traj.xs  # list offset q holds x_1
-    return all(
-        x_m.numerator * x.denominator * r_den == r_num * x.numerator * x_m.denominator
-        for x, x_m in zip(islice(xs, q, None), islice(xs, q + m, None))
-    )
+    # list offset q holds x_1, so offset q + m holds x_{m+1}
+    return _matches_reference_cycle(traj.xs, m, spec.q + m, [ratio])
 
 
 def second_difference_check(traj: Trajectory) -> bool:
@@ -117,10 +120,21 @@ def second_difference_check(traj: Trajectory) -> bool:
     Holds for |b| = |a| regardless of periodicity; a repeated root only
     adds a linear log term, which the second difference kills.
 
-    Compared cross-multiplied over numerators (N) and denominators (D), as
-    x2mN xN xmD^2 == xmN^2 x2mD xD.  Canonical rationals have positive
-    denominators, so this holds exactly when the Fraction identity does,
-    signs included.
+    With sigma_n = x_{n+m} / x_n the law reads sigma_{n+m} = sigma_n, for
+    n = 1 .. n_max - 2m.  It is checked as x_{n+m} = sigma_r x_n for
+    n = m + 1 .. n_max - m, where r = n (mod m) lies in 1 .. m and the
+    reference sigma_r is the reduced ratio of two stored values.  By
+    induction along the stride m, both forms say that sigma is constant on
+    each residue class of n = 1 .. n_max - m modulo m, so no literal head
+    is needed.  The equivalence uses that every stored value is nonzero:
+    sigma is a quotient of stored values, and the law becomes
+    sigma_{n+m} = sigma_n by dividing it by x_n x_{n+m}.  A trajectory from
+    ``simulate`` has no zero value (see
+    :func:`perisys.simulator.x_relation_check`).
+
+    The comparison is cross-multiplied over numerators and denominators
+    (see :func:`perisys.simulator._matches_reference_cycle`), signs
+    included.
     """
     _require_exact(traj)
     spec = traj.spec
@@ -132,13 +146,8 @@ def second_difference_check(traj: Trajectory) -> bool:
     if traj.n_max < 2 * m + 1:
         raise ValueError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
     q, xs = spec.q, traj.xs  # list offset q holds x_1
-    return all(
-        x_2m.numerator * x.numerator * x_m.denominator ** 2
-        == x_m.numerator ** 2 * x_2m.denominator * x.denominator
-        for x, x_m, x_2m in zip(
-            islice(xs, q, None), islice(xs, q + m, None), islice(xs, q + 2 * m, None),
-        )
-    )
+    references = [x_m / x for x, x_m in zip(xs[q:q + m], xs[q + m:q + 2 * m])]
+    return _matches_reference_cycle(xs, m, q + 2 * m, references)
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:

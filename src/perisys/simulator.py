@@ -221,28 +221,72 @@ def _require_exact(traj: Trajectory) -> None:
         raise WrongBackendError(f"exact backend required, got {traj.backend!r}")
 
 
+def _matches_reference_cycle(values: list, lag: int, first: int,
+                             references: Sequence[Fraction]) -> bool:
+    """True iff values[k] == references[j] * values[k - lag] for every list offset k >= first.
+
+    j = (k - first) mod len(references): the references repeat along the
+    offsets.  Each comparison is cross-multiplied over numerators (N) and
+    denominators (D), as vN wD rD == rN wN vD with w = values[k - lag].
+    Canonical rationals have positive denominators, so u/v = r/s holds
+    exactly when u*s = r*v, signs included.  The exact checks take their
+    references from the stored values themselves: small reduced rationals
+    in a correct trajectory, so an offset costs two products of
+    value-sized integers and two by a small one.
+    """
+    return all(
+        v.numerator * w.denominator * r_den == r_num * w.numerator * v.denominator
+        for v, w, (r_num, r_den) in zip(
+            itertools.islice(values, first, None), itertools.islice(values, first - lag, None),
+            itertools.cycle([(r.numerator, r.denominator) for r in references]),
+        )
+    )
+
+
 def product_invariant_check(traj: Trajectory) -> bool:
     """True iff (x_n y_n)(x_{n-q} y_{n-q}) = ab exactly at every generated n.
 
-    Compared cross-multiplied over numerators (N) and denominators (D):
+    With z_n = x_n y_n the law reads z_n z_{n-q} = ab.  It is checked
+    literally for n = 1 .. 2q, and for n > 2q as z_n = z_r, where
+    r = n (mod 2q) lies in 1 .. 2q and the reference z_r is the reduced
+    product of two stored values.  The two forms are equivalent:
 
-        xN yN xqN yqN abD == abN xD yD xqD yqD
+    * If the law holds at n and at n - q >= 1, then
+      z_n z_{n-q} = ab = z_{n-q} z_{n-2q}.  Since a and b are nonzero, so
+      is z_{n-q}, hence z_n = z_{n-2q}, and by induction z_n = z_r.
+    * Conversely, for n > 2q, z_n = z_r and z_{n-q} = z_s with s in
+      1 .. 2q and s = r - q (mod 2q) (s = n - q when n - q <= 2q).  Then
+      {r, s} = {t, t + q} for some t in 1 .. q, and z_n z_{n-q} =
+      z_{t+q} z_t = ab is the literal check at t + q.
 
-    Canonical rationals have positive denominators, so u/v = r/s holds
-    exactly when u*s = r*v, signs included.  The test stays exact and
-    zero-tolerance without forming a Fraction product or its gcd.
+    The proof divides only by z_{n-q}, which the law itself makes nonzero,
+    so unlike the ratio checks it holds even if a stored value is zero.
+
+    Both forms are compared cross-multiplied over numerators (N) and
+    denominators (D): xN yN xqN yqN abD == abN xD yD xqD yqD on the head,
+    xN yN zD == zN xD yD after it.  Canonical rationals have positive
+    denominators, so u/v = r/s holds exactly when u*s = r*v, signs
+    included.
     """
     _require_exact(traj)
     spec = traj.spec
     ab = spec.a * spec.b
     ab_num, ab_den = ab.numerator, ab.denominator
     q, xs, ys = spec.q, traj.xs, traj.ys
-    # list offset k holds index k - q + 1, so x_n for n = 1 sits at offset q
-    return all(
+    # list offset k holds index k - q + 1: offsets q .. 3q - 1 hold n = 1 .. 2q
+    head_x, head_y = xs[q:3 * q], ys[q:3 * q]
+    if not all(
         x.numerator * y.numerator * x_q.numerator * y_q.numerator * ab_den
         == ab_num * x.denominator * y.denominator * x_q.denominator * y_q.denominator
-        for x, y, x_q, y_q in zip(
-            itertools.islice(xs, q, None), itertools.islice(ys, q, None), xs, ys,
+        for x, y, x_q, y_q in zip(head_x, head_y, xs, ys)
+    ):
+        return False
+    references = [x * y for x, y in zip(head_x, head_y)]
+    return all(
+        x.numerator * y.numerator * z_den == z_num * x.denominator * y.denominator
+        for x, y, (z_num, z_den) in zip(
+            itertools.islice(xs, 3 * q, None), itertools.islice(ys, 3 * q, None),
+            itertools.cycle([(z.numerator, z.denominator) for z in references]),
         )
     )
 
@@ -250,15 +294,38 @@ def product_invariant_check(traj: Trajectory) -> bool:
 def x_relation_check(traj: Trajectory) -> bool:
     """True iff x_n x_{n-q} = (a/b) x_{n-p} x_{n-p-q} exactly wherever it must hold.
 
-    The relation first links generated values at n = max(p, q) + 1.  For
-    smaller n it would tie together unconstrained initial data (the x and y
-    initial values are independent of each other), and it fails there for
-    generic specs.
+    The relation first links generated values at n = s = max(p, q) + 1.
+    For smaller n it would tie together unconstrained initial data (the x
+    and y initial values are independent of each other), and it fails there
+    for generic specs.
 
-    With c = a/b it is compared cross-multiplied over numerators (N) and
-    denominators (D), as xN xqN xpD xpqD cD == cN xpN xpqN xD xqD.  The
-    denominators of canonical rationals are positive, so this holds
-    exactly when the Fraction identity does, signs included.
+    With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c.
+    It is checked literally for n in s .. s + 2q - 1, and for n >= s + 2q
+    as x_n = rho_r x_{n-p}, where r = n (mod 2q) lies in s .. s + 2q - 1
+    and the reference rho_r is the reduced ratio of two stored values.
+    The two forms are equivalent:
+
+    * If the relation holds at n and at n - q >= s, then
+      rho_n rho_{n-q} = c = rho_{n-q} rho_{n-2q}.  Since c is nonzero, so
+      is rho_{n-q}, hence rho_n = rho_{n-2q}, and by induction
+      rho_n = rho_r.
+    * Conversely, for n >= s + 2q, rho_n = rho_r and rho_{n-q} = rho_t with
+      t in s .. s + 2q - 1 and t = r - q (mod 2q).  Then {r, t} =
+      {u, u + q} for some u in s .. s + q - 1, and rho_n rho_{n-q} =
+      rho_{u+q} rho_u = c is the literal check at u + q.
+
+    Here the proof uses that every stored value is nonzero: rho is a
+    quotient of stored values, and the relation becomes
+    rho_n rho_{n-q} = c by dividing it by x_{n-p} x_{n-p-q}.  A trajectory
+    from ``simulate`` has no zero value: the spec's a, b and initial values
+    are validated nonzero, and each step divides or multiplies nonzero
+    values.
+
+    Both forms are compared cross-multiplied over numerators (N) and
+    denominators (D): xN xqN xpD xpqD cD == cN xpN xpqN xD xqD on the head,
+    then as in :func:`_matches_reference_cycle`.  Canonical rationals have
+    positive denominators, so this holds exactly when the Fraction
+    identity does, signs included.
     """
     _require_exact(traj)
     spec = traj.spec
@@ -269,14 +336,16 @@ def x_relation_check(traj: Trajectory) -> bool:
     c_num, c_den = c.numerator, c.denominator
     p, q, xs = spec.p, spec.q, traj.xs
     first = start + q - 1  # list offset of x_start
-    return all(
+    end = first + 2 * q  # list offset of x_{start+2q}, where the references take over
+    head, head_p = xs[first:end], xs[first - p:end - p]
+    if not all(
         x.numerator * x_q.numerator * x_p.denominator * x_pq.denominator * c_den
         == c_num * x_p.numerator * x_pq.numerator * x.denominator * x_q.denominator
-        for x, x_q, x_p, x_pq in zip(
-            itertools.islice(xs, first, None), itertools.islice(xs, first - q, None),
-            itertools.islice(xs, first - p, None), itertools.islice(xs, first - p - q, None),
-        )
-    )
+        for x, x_q, x_p, x_pq in zip(head, itertools.islice(xs, first - q, None), head_p,
+                                     itertools.islice(xs, first - p - q, None))
+    ):
+        return False
+    return _matches_reference_cycle(xs, p, end, [x / x_p for x, x_p in zip(head, head_p)])
 
 
 def subsequence(traj: Trajectory, m: int, t: int, which: str = "x") -> list:

@@ -1,10 +1,15 @@
 """The four exact conservation checks against naive Fraction oracles.
 
-The checks in perisys compare integer cross products of numerators and
-denominators.  The ``oracle_*`` functions below are the reference: they
-form the Fraction products of each law directly and read every value
-through the bounds-checked ``Trajectory.x()``/``y()`` accessors.  They
-exist only for the differential tests here.
+Each check in perisys proves its law literally over one period and then
+compares every later stored value with a small reduced reference taken
+from the trajectory itself, cross-multiplied over numerators and
+denominators: z_r = x_r y_r for the product invariant, the ratios
+x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second difference,
+and the constant c^(q/g) for the block ratio.  The ``oracle_*`` functions
+below are the reference: they form the Fraction products of each law
+directly at every index and read every value through the bounds-checked
+``Trajectory.x()``/``y()`` accessors.  They exist only for the
+differential tests here.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +32,10 @@ from perisys import (
     random_positive_spec,
     second_difference_check,
     simulate,
+    simulator,
     x_relation_check,
 )
+from perisys.numerics import component_bits
 
 from conftest import nonzero_rationals, random_signed_spec, specs
 
@@ -112,10 +120,11 @@ def outcome(check, traj):
 
 @st.composite
 def trajectories(draw):
-    """Clean trajectories, and ones with one generated x or y corrupted.
+    """Clean trajectories, and ones with one stored x or y corrupted.
 
     A corruption scales the value by a rational other than 1, or only
-    flips its sign.
+    flips its sign.  It can land on an initial entry as well as on a
+    generated one.
     """
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
@@ -126,7 +135,7 @@ def trajectories(draw):
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
         values = traj.xs if draw(st.booleans()) else traj.ys
-        k = spec.q + draw(st.integers(0, n - 1))  # list offset of a generated index
+        k = draw(st.integers(0, spec.q + n - 1))  # list offset; below q is an initial entry
         if corruption == "sign":
             values[k] = -values[k]
         else:
@@ -156,3 +165,78 @@ def test_sign_flip_of_x_fails_block_ratio():
     traj.xs[100] = -traj.xs[100]
     assert not block_ratio_check(traj)
     assert not oracle_block_ratio(traj)
+
+
+# Pinned corruptions on long trajectories with values of several hundred
+# bits: c = 1/2 on (3, 5) (q = 5, s = max(p, q) + 1 = 6, m = 30), and, for
+# the second difference, which needs |b| = |a|, c = 1 on (2, 3) (m = 6).
+DRIFT = random_signed_spec(random.Random(1), 3, 5, a=1, b=2)
+UNBOUNDED = random_signed_spec(random.Random(1), 2, 3, a=1, b=1)
+LONG = 2000
+
+PINNED = [  # check, oracle, spec, corrupted list, index n, factor
+    # literal head: y_{-4} enters only z_1 z_{-4}; reference: z_10 = z_{2q}; tail
+    (product_invariant_check, oracle_product_invariant, DRIFT, "ys", -4, -1),
+    (product_invariant_check, oracle_product_invariant, DRIFT, "xs", 10, 3),
+    (product_invariant_check, oracle_product_invariant, DRIFT, "ys", 1999, -1),
+    # literal head: x_{-2} enters only at n = s; reference: rho_15 = x_15 / x_12; tail
+    (x_relation_check, oracle_x_relation, DRIFT, "xs", -2, -1),
+    (x_relation_check, oracle_x_relation, DRIFT, "xs", 15, 3),
+    (x_relation_check, oracle_x_relation, DRIFT, "xs", 1990, -1),
+    # x_1, the first value compared; x_31 = x_{m+1}, compared with it; tail
+    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 1, -1),
+    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 31, 3),
+    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 1995, -1),
+    # references: x_1 in sigma_1 = x_7 / x_1, x_12 in sigma_6 = x_12 / x_6; tail
+    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 1, -1),
+    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 12, 3),
+    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 1990, -1),
+]
+
+
+@pytest.mark.parametrize(
+    "check, oracle, spec, which, n, factor", PINNED,
+    ids=[f"{row[0].__name__}-{row[3]}[{row[4]}]*{row[5]}" for row in PINNED],
+)
+def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n, factor):
+    traj = simulate(spec, LONG)
+    assert max(map(component_bits, traj.xs)) >= 300
+    assert check(traj)
+    getattr(traj, which)[n + spec.q - 1] *= factor
+    assert not check(traj)
+    assert not oracle(traj)
+
+
+@pytest.mark.parametrize("check, oracle, n", [
+    (product_invariant_check, oracle_product_invariant, 2 * DRIFT.q),
+    (x_relation_check, oracle_x_relation, max(DRIFT.p, DRIFT.q) + 2 * DRIFT.q),
+])
+def test_corruption_at_the_end_of_the_literal_head(check, oracle, n):
+    """A trajectory that ends on the last literal index has no tail to catch it."""
+    traj = simulate(DRIFT, n)
+    assert check(traj)
+    traj.xs[-1] *= 3
+    assert not check(traj)
+    assert not oracle(traj)
+
+
+def test_checks_do_not_derive_the_kernel(monkeypatch):
+    """The references come from stored values, not from the kernel under test."""
+    periodic = simulate(random_signed_spec(random.Random(7), 6, 10, a=1, b=1), 400)
+    drifting = simulate(DRIFT, 400)
+    unbounded = simulate(UNBOUNDED, 400)
+
+    def kernel(*args):
+        raise AssertionError("an exact check derived the step kernel")
+
+    monkeypatch.setattr(simulator, "step_coefficients", kernel)
+    monkeypatch.setattr(simulator, "block_multipliers", kernel)
+    for check in (product_invariant_check, x_relation_check, second_difference_check,
+                  block_ratio_check):
+        assert check(periodic), check.__name__
+    for check in (product_invariant_check, x_relation_check, block_ratio_check):
+        assert check(drifting), check.__name__
+    for check in (product_invariant_check, x_relation_check, second_difference_check):
+        assert check(unbounded), check.__name__
+    with pytest.raises(NotOddQuotientError):  # no block ratio in this regime
+        block_ratio_check(unbounded)
