@@ -67,7 +67,7 @@ from .simulator import (
     simulate,
     step_coefficients,
     subsequence,
-    trajectory_records,
+    trajectory_rows,
     trajectory_to_obj,
     write_trajectory_csv,
     x_relation_check,

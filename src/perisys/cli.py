@@ -21,10 +21,11 @@ from fractions import Fraction
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
 from .cycle import CycleResult, Periodic, default_horizon, detect_cycle
 from .errors import PerisysError
-from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj, validate
+from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
 from .simulator import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
+    _require_general,
     product_invariant_check,
     simulate,
     trajectory_to_obj,
@@ -48,16 +49,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
-
-
-def _load_validated_spec(path) -> SystemSpec:
-    """Load a spec file; raises PerisysError or ValueError with a printable message."""
-    spec = load_spec(path)
-    report = validate(spec, "general")
-    if not report.ok:
-        lines = "\n".join(f"  {rule}: {message}" for rule, message in report.violations)
-        raise ValueError(f"spec fails general validation:\n{lines}")
-    return spec
 
 
 def classification_line(result: Classification) -> str:
@@ -243,7 +234,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_validated_spec(args.config)
+    spec = load_spec(args.config)
+    _require_general(spec)
     traj = simulate(spec, args.n, backend=_BACKEND_ALIASES[args.backend])
     with _open_out(args.out) as stream:
         if args.format == "csv":
@@ -255,14 +247,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect_period(args) -> int:
-    spec = _load_validated_spec(args.config)
+    spec = load_spec(args.config)
+    _require_general(spec)
     result = detect_cycle(spec, args.horizon)
     print(json.dumps(result.to_obj()))
     return 0
 
 
 def cmd_verify(args) -> int:
-    spec = _load_validated_spec(args.config)
+    spec = load_spec(args.config)
+    _require_general(spec)
     report = build_run_report(spec, args.n, args.horizon)
     print(json.dumps(report, indent=2))
     failing = sorted(name for name, value in report["checks"].items() if value == "fail")

@@ -51,6 +51,7 @@ from .numerics import component_bits, resolve_max_bits
 from .simulator import (
     BACKEND_EXACT,
     Trajectory,
+    _require_exact,
     _require_general,
     block_multipliers,
     iter_pairs,
@@ -147,8 +148,7 @@ def find_window_cycle(items: Sequence[Hashable], window: int) -> tuple[int, int]
 
 def find_cycle(traj: Trajectory) -> CycleResult:
     """Scan an existing exact trajectory for its first repeated window."""
-    if traj.backend != BACKEND_EXACT:
-        raise ValueError("cycle detection needs hashable exact states")
+    _require_exact(traj)
     spec = traj.spec
     pairs = traj.pairs()
     return _first_repeat(pairs[:spec.q], pairs[spec.q:], max(spec.p, spec.q))

@@ -75,7 +75,7 @@ from fractions import Fraction
 
 from .errors import WrongBackendError
 from .model import SystemSpec, spec_to_obj, validate
-from .numerics import SignedLog, check_bits, format_rational, resolve_max_bits, to_signed_log
+from .numerics import check_bits, format_rational, resolve_max_bits, to_signed_log
 
 BACKEND_EXACT = "exact"
 BACKEND_SIGNEDLOG = "signedlog"
@@ -124,9 +124,10 @@ def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tupl
 
 def _require_general(spec: SystemSpec) -> None:
     """Raise ``ValueError`` unless the spec passes general validation."""
-    report = validate(spec, "general")
-    if not report.ok:
-        raise ValueError(f"spec fails general validation: {report.violations}")
+    violations = validate(spec, "general").violations
+    if violations:
+        raise ValueError("spec fails general validation:\n"
+                         + "\n".join(f"  {rule}: {message}" for rule, message in violations))
 
 
 def step_coefficients(spec: SystemSpec) -> list[Fraction]:
@@ -246,47 +247,35 @@ def _matches_reference_cycle(values: list, lag: int, first: int,
 def product_invariant_check(traj: Trajectory) -> bool:
     """True iff (x_n y_n)(x_{n-q} y_{n-q}) = ab exactly at every generated n.
 
-    With z_n = x_n y_n the law reads z_n z_{n-q} = ab.  It is checked
-    literally for n = 1 .. 2q, and for n > 2q as z_n = z_r, where
-    r = n (mod 2q) lies in 1 .. 2q and the reference z_r is the reduced
-    product of two stored values.  The two forms are equivalent:
+    With z_n = x_n y_n the law reads z_n z_{n-q} = ab.  The products z at
+    indices -q+1 .. 2q are formed once as reduced rationals, and the law is
+    checked on them for n = 1 .. 2q.  For n > 2q it is checked as z_n = z_r,
+    where r = n (mod 2q) lies in 1 .. 2q: if the law holds at n and at
+    n - q >= 1, then z_n z_{n-q} = ab = z_{n-q} z_{n-2q}, and since ab is
+    nonzero, so is z_{n-q}, hence z_n = z_{n-2q}.  Conversely z_n = z_r and
+    z_{n-q} = z_s with {r, s} = {t, t + q} for some t in 1 .. q, so
+    z_n z_{n-q} = z_{t+q} z_t = ab.  The proof divides only by z_{n-q},
+    which the law itself makes nonzero, so unlike the ratio checks it holds
+    even if a stored value is zero.
 
-    * If the law holds at n and at n - q >= 1, then
-      z_n z_{n-q} = ab = z_{n-q} z_{n-2q}.  Since a and b are nonzero, so
-      is z_{n-q}, hence z_n = z_{n-2q}, and by induction z_n = z_r.
-    * Conversely, for n > 2q, z_n = z_r and z_{n-q} = z_s with s in
-      1 .. 2q and s = r - q (mod 2q) (s = n - q when n - q <= 2q).  Then
-      {r, s} = {t, t + q} for some t in 1 .. q, and z_n z_{n-q} =
-      z_{t+q} z_t = ab is the literal check at t + q.
-
-    The proof divides only by z_{n-q}, which the law itself makes nonzero,
-    so unlike the ratio checks it holds even if a stored value is zero.
-
-    Both forms are compared cross-multiplied over numerators (N) and
-    denominators (D): xN yN xqN yqN abD == abN xD yD xqD yqD on the head,
-    xN yN zD == zN xD yD after it.  Canonical rationals have positive
-    denominators, so u/v = r/s holds exactly when u*s = r*v, signs
-    included.
+    The later values are compared cross-multiplied over numerators (N) and
+    denominators (D), as xN yN zD == zN xD yD.  Canonical rationals have
+    positive denominators, so u/v = r/s holds exactly when u*s = r*v,
+    signs included.
     """
     _require_exact(traj)
     spec = traj.spec
     ab = spec.a * spec.b
-    ab_num, ab_den = ab.numerator, ab.denominator
     q, xs, ys = spec.q, traj.xs, traj.ys
-    # list offset k holds index k - q + 1: offsets q .. 3q - 1 hold n = 1 .. 2q
-    head_x, head_y = xs[q:3 * q], ys[q:3 * q]
-    if not all(
-        x.numerator * y.numerator * x_q.numerator * y_q.numerator * ab_den
-        == ab_num * x.denominator * y.denominator * x_q.denominator * y_q.denominator
-        for x, y, x_q, y_q in zip(head_x, head_y, xs, ys)
-    ):
+    # list offset k holds index k - q + 1: offsets 0 .. 3q - 1 hold n = -q+1 .. 2q
+    z = [x * y for x, y in zip(xs[:3 * q], ys[:3 * q])]
+    if not all(z_n * z_nq == ab for z_n, z_nq in zip(z[q:], z)):
         return False
-    references = [x * y for x, y in zip(head_x, head_y)]
     return all(
         x.numerator * y.numerator * z_den == z_num * x.denominator * y.denominator
         for x, y, (z_num, z_den) in zip(
             itertools.islice(xs, 3 * q, None), itertools.islice(ys, 3 * q, None),
-            itertools.cycle([(z.numerator, z.denominator) for z in references]),
+            itertools.cycle([(z_r.numerator, z_r.denominator) for z_r in z[q:]]),
         )
     )
 
@@ -300,52 +289,33 @@ def x_relation_check(traj: Trajectory) -> bool:
     for generic specs.
 
     With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c.
-    It is checked literally for n in s .. s + 2q - 1, and for n >= s + 2q
-    as x_n = rho_r x_{n-p}, where r = n (mod 2q) lies in s .. s + 2q - 1
-    and the reference rho_r is the reduced ratio of two stored values.
-    The two forms are equivalent:
+    The ratios rho at n = s - q .. s + 2q - 1 are formed once as reduced
+    rationals, and the law is checked on them for n = s .. s + 2q - 1.  For
+    n >= s + 2q it is checked as x_n = rho_r x_{n-p}, where r = n (mod 2q)
+    lies in s .. s + 2q - 1, by the argument of
+    :func:`product_invariant_check` with rho for z, s for 1 and c for ab.
 
-    * If the relation holds at n and at n - q >= s, then
-      rho_n rho_{n-q} = c = rho_{n-q} rho_{n-2q}.  Since c is nonzero, so
-      is rho_{n-q}, hence rho_n = rho_{n-2q}, and by induction
-      rho_n = rho_r.
-    * Conversely, for n >= s + 2q, rho_n = rho_r and rho_{n-q} = rho_t with
-      t in s .. s + 2q - 1 and t = r - q (mod 2q).  Then {r, t} =
-      {u, u + q} for some u in s .. s + q - 1, and rho_n rho_{n-q} =
-      rho_{u+q} rho_u = c is the literal check at u + q.
-
-    Here the proof uses that every stored value is nonzero: rho is a
-    quotient of stored values, and the relation becomes
-    rho_n rho_{n-q} = c by dividing it by x_{n-p} x_{n-p-q}.  A trajectory
+    The two forms agree because every stored value is nonzero: rho is a
+    quotient of stored values, and the relation becomes rho_n rho_{n-q} = c
+    by dividing it by x_{n-p} x_{n-p-q}.  A zero stored x among
+    x_{s-q-p} .. x_{s+2q-1-p} raises ``ZeroDivisionError``.  A trajectory
     from ``simulate`` has no zero value: the spec's a, b and initial values
     are validated nonzero, and each step divides or multiplies nonzero
-    values.
-
-    Both forms are compared cross-multiplied over numerators (N) and
-    denominators (D): xN xqN xpD xpqD cD == cN xpN xpqN xD xqD on the head,
-    then as in :func:`_matches_reference_cycle`.  Canonical rationals have
-    positive denominators, so this holds exactly when the Fraction
-    identity does, signs included.
+    values.  The later values are compared as in
+    :func:`_matches_reference_cycle`.
     """
     _require_exact(traj)
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
         raise ValueError(f"need a trajectory through at least n={start}, have {traj.n_max}")
-    c = spec.c
-    c_num, c_den = c.numerator, c.denominator
-    p, q, xs = spec.p, spec.q, traj.xs
-    first = start + q - 1  # list offset of x_start
-    end = first + 2 * q  # list offset of x_{start+2q}, where the references take over
-    head, head_p = xs[first:end], xs[first - p:end - p]
-    if not all(
-        x.numerator * x_q.numerator * x_p.denominator * x_pq.denominator * c_den
-        == c_num * x_p.numerator * x_pq.numerator * x.denominator * x_q.denominator
-        for x, x_q, x_p, x_pq in zip(head, itertools.islice(xs, first - q, None), head_p,
-                                     itertools.islice(xs, first - p - q, None))
-    ):
+    c, p, q, xs = spec.c, spec.p, spec.q, traj.xs
+    first = start - 1  # list offset of x_{start-q}
+    end = first + 3 * q  # list offset of x_{start+2q}, where the references take over
+    rho = [x / x_p for x, x_p in zip(xs[first:end], xs[first - p:end - p])]
+    if not all(rho_n * rho_nq == c for rho_n, rho_nq in zip(rho[q:], rho)):
         return False
-    return _matches_reference_cycle(xs, p, end, [x / x_p for x, x_p in zip(head, head_p)])
+    return _matches_reference_cycle(xs, p, end, rho[q:])
 
 
 def subsequence(traj: Trajectory, m: int, t: int, which: str = "x") -> list:
@@ -363,14 +333,8 @@ def subsequence(traj: Trajectory, m: int, t: int, which: str = "x") -> list:
     return values[t + traj.spec.q - 1::m]
 
 
-def _signed_log_of(traj: Trajectory, value) -> SignedLog:
-    if traj.backend == BACKEND_EXACT:
-        return to_signed_log(value)
-    return value
-
-
-def trajectory_records(traj: Trajectory) -> Iterator[dict]:
-    """One export record per generated index n = 1 .. n_max.
+def trajectory_rows(traj: Trajectory) -> Iterator[tuple]:
+    """One export row per generated index n = 1 .. n_max, in TRAJECTORY_CSV_HEADER order.
 
     Exact values are rendered as rational literals; the signed-log backend
     has no exact form, so its x and y columns are empty.
@@ -378,35 +342,26 @@ def trajectory_records(traj: Trajectory) -> Iterator[dict]:
     exact = traj.backend == BACKEND_EXACT
     q = traj.spec.q
     generated = zip(itertools.islice(traj.xs, q, None), itertools.islice(traj.ys, q, None))
-    for n, (xv, yv) in enumerate(generated, 1):
-        sx, sy = _signed_log_of(traj, xv), _signed_log_of(traj, yv)
-        yield {
-            "n": n,
-            "x": format_rational(xv) if exact else "",
-            "y": format_rational(yv) if exact else "",
-            "sign_x": sx.sign,
-            "log_abs_x": sx.logmag,
-            "sign_y": sy.sign,
-            "log_abs_y": sy.logmag,
-        }
+    for n, (x, y) in enumerate(generated, 1):
+        if exact:
+            sx, sy = to_signed_log(x), to_signed_log(y)
+            yield n, format_rational(x), format_rational(y), sx.sign, sx.logmag, sy.sign, sy.logmag
+        else:
+            yield n, "", "", x.sign, x.logmag, y.sign, y.logmag
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     writer = csv.writer(stream)
     writer.writerow(TRAJECTORY_CSV_HEADER)
-    for rec in trajectory_records(traj):
-        writer.writerow([
-            rec["n"], rec["x"], rec["y"],
-            rec["sign_x"], f"{rec['log_abs_x']:.17g}",
-            rec["sign_y"], f"{rec['log_abs_y']:.17g}",
-        ])
+    for n, x, y, sign_x, log_x, sign_y, log_y in trajectory_rows(traj):
+        writer.writerow((n, x, y, sign_x, f"{log_x:.17g}", sign_y, f"{log_y:.17g}"))
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:
-    """JSON-ready export: spec echo plus the same records as the CSV."""
+    """JSON-ready export: spec echo plus the same rows as the CSV."""
     return {
         "spec": spec_to_obj(traj.spec),
         "backend": traj.backend,
         "n": traj.n_max,
-        "rows": list(trajectory_records(traj)),
+        "rows": [dict(zip(TRAJECTORY_CSV_HEADER, row)) for row in trajectory_rows(traj)],
     }

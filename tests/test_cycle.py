@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perisys import (
+    BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
     NoCycleWithinHorizon,
     Periodic,
     Regime,
     SystemSpec,
+    WrongBackendError,
     block_multipliers,
     classify,
     confirm_periodic,
@@ -97,6 +99,12 @@ def test_find_cycle_matches_detect_cycle():
 def test_find_cycle_reports_trajectory_horizon():
     spec = random_positive_spec(random.Random(17), 4, 6)
     assert find_cycle(simulate(spec, 800)) == NoCycleWithinHorizon(800)
+
+
+def test_find_cycle_rejects_signedlog_trajectory():
+    spec = random_positive_spec(random.Random(13), 6, 10)
+    with pytest.raises(WrongBackendError, match="exact backend required"):
+        find_cycle(simulate(spec, 100, backend=BACKEND_SIGNEDLOG))
 
 
 def test_default_horizon_covers_periodic_regimes():

@@ -1,8 +1,8 @@
 """The four exact conservation checks against naive Fraction oracles.
 
-Each check in perisys proves its law literally over one period and then
-compares every later stored value with a small reduced reference taken
-from the trajectory itself, cross-multiplied over numerators and
+Each check in perisys checks its law on small reduced references taken
+from the trajectory itself over one period, then compares every later
+stored value with its reference, cross-multiplied over numerators and
 denominators: z_r = x_r y_r for the product invariant, the ratios
 x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second difference,
 and the constant c^(q/g) for the block ratio.  The ``oracle_*`` functions
@@ -175,11 +175,11 @@ UNBOUNDED = random_signed_spec(random.Random(1), 2, 3, a=1, b=1)
 LONG = 2000
 
 PINNED = [  # check, oracle, spec, corrupted list, index n, factor
-    # literal head: y_{-4} enters only z_1 z_{-4}; reference: z_10 = z_{2q}; tail
+    # head: y_{-4} enters only z_1 z_{-4}; reference: z_10 = z_{2q}; tail
     (product_invariant_check, oracle_product_invariant, DRIFT, "ys", -4, -1),
     (product_invariant_check, oracle_product_invariant, DRIFT, "xs", 10, 3),
     (product_invariant_check, oracle_product_invariant, DRIFT, "ys", 1999, -1),
-    # literal head: x_{-2} enters only at n = s; reference: rho_15 = x_15 / x_12; tail
+    # head: x_{-2} enters only at n = s; reference: rho_15 = x_15 / x_12; tail
     (x_relation_check, oracle_x_relation, DRIFT, "xs", -2, -1),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 15, 3),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 1990, -1),
@@ -212,12 +212,53 @@ def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n,
     (x_relation_check, oracle_x_relation, max(DRIFT.p, DRIFT.q) + 2 * DRIFT.q),
 ])
 def test_corruption_at_the_end_of_the_literal_head(check, oracle, n):
-    """A trajectory that ends on the last literal index has no tail to catch it."""
+    """A trajectory that ends on the last index of the head has no tail to catch it."""
     traj = simulate(DRIFT, n)
     assert check(traj)
     traj.xs[-1] *= 3
     assert not check(traj)
     assert not oracle(traj)
+
+
+@pytest.mark.parametrize("r", range(DRIFT.q + 1, 2 * DRIFT.q + 1))
+@pytest.mark.parametrize("check, oracle, first", [
+    (product_invariant_check, oracle_product_invariant, 1),
+    (x_relation_check, oracle_x_relation, max(DRIFT.p, DRIFT.q) + 1 - DRIFT.q),
+], ids=["product_invariant", "x_relation"])
+def test_tail_consistent_corruption_fails_check_and_oracle(check, oracle, first, r):
+    """Every stored x_n with n = r (mod 2q), n >= first, scaled by 3.
+
+    ``first`` is where the check's references begin (z from n = 1, rho from
+    s - q), so each later value still matches its reference and only the
+    law on the references fails.  For the product invariant it fails only
+    at n = r, in the second half of the period.
+    """
+    traj = simulate(DRIFT, LONG)
+    assert check(traj)
+    period = 2 * DRIFT.q
+    for n in range(first + (r - first) % period, traj.n_max + 1, period):
+        traj.xs[n + DRIFT.q - 1] *= 3
+    assert not check(traj)
+    assert not oracle(traj)
+
+
+@pytest.mark.parametrize("r", [max(DRIFT.p, DRIFT.q) + 1 + DRIFT.q + i for i in range(DRIFT.q)])
+def test_tail_consistent_ratio_corruption_fails_x_relation(r):
+    """rho_n = x_n / x_{n-p} scaled by 3 for every n = r (mod 2q), n >= r.
+
+    r lies in s + q .. s + 2q - 1.  Each x_n takes the product of the
+    scalings along its stride-p chain, so each later value still matches
+    its reference rho, and the law fails only at n = r, in the second half
+    of the period.
+    """
+    traj = simulate(DRIFT, LONG)
+    p, q = DRIFT.p, DRIFT.q
+    scale = [1] * len(traj.xs)  # by list offset
+    for k in range(r + q - 1, len(traj.xs)):  # list offset k holds n = k - q + 1
+        scale[k] = scale[k - p] * (3 if (k - q + 1 - r) % (2 * q) == 0 else 1)
+        traj.xs[k] *= scale[k]
+    assert not x_relation_check(traj)
+    assert not oracle_x_relation(traj)
 
 
 def test_checks_do_not_derive_the_kernel(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import math
@@ -366,6 +367,25 @@ def test_csv_export_signedlog_has_no_literals():
     row = buffer.getvalue().splitlines()[1].split(",")
     assert row[1] == "" and row[2] == ""
     assert row[3] in ("1", "-1")
+
+
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_SIGNEDLOG])
+def test_csv_and_json_exports_carry_the_same_rows(backend):
+    traj = simulate(random_signed_spec(random.Random(5), 3, 5, a=1, b=2), 120, backend=backend)
+    buffer = io.StringIO()
+    write_trajectory_csv(traj, buffer)
+    buffer.seek(0)
+    csv_rows = list(csv.DictReader(buffer))
+    json_rows = trajectory_to_obj(traj)["rows"]
+    assert len(csv_rows) == len(json_rows) == 120
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert list(csv_row) == list(json_row) == list(TRAJECTORY_CSV_HEADER)
+        for field in ("n", "sign_x", "sign_y"):
+            assert int(csv_row[field]) == json_row[field]
+        for field in ("x", "y"):
+            assert csv_row[field] == json_row[field]
+        for field in ("log_abs_x", "log_abs_y"):
+            assert float(csv_row[field]) == json_row[field]
 
 
 def test_trajectory_obj_spec_round_trips():
