@@ -70,6 +70,7 @@ from .simulator import (
     trajectory_rows,
     trajectory_to_obj,
     write_trajectory_csv,
+    write_trajectory_json,
     x_relation_check,
 )
 from .spectral import (

@@ -28,8 +28,8 @@ from .simulator import (
     _require_general,
     product_invariant_check,
     simulate,
-    trajectory_to_obj,
     write_trajectory_csv,
+    write_trajectory_json,
     x_relation_check,
 )
 from .spectral import Classification, Regime, classify
@@ -241,8 +241,7 @@ def cmd_simulate(args) -> int:
         if args.format == "csv":
             write_trajectory_csv(traj, stream)
         else:
-            json.dump(trajectory_to_obj(traj), stream, indent=2)
-            stream.write("\n")
+            write_trajectory_json(traj, stream)
     return 0
 
 

@@ -65,8 +65,8 @@ it the exported log magnitudes.
 
 from __future__ import annotations
 
-import csv
 import itertools
+import json
 import math
 from collections import deque
 from collections.abc import Iterator, Sequence
@@ -351,17 +351,53 @@ def trajectory_rows(traj: Trajectory) -> Iterator[tuple]:
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(TRAJECTORY_CSV_HEADER)
+    """Write the header, then each row as one CRLF-terminated line and one ``write``.
+
+    The bytes are those of ``csv.writer``'s default dialect: no field ever
+    needs quoting, since literals hold only digits, ``-`` and ``/``, the
+    other fields are ints or ``.17g`` floats, and no row is a lone empty
+    field.  Each row is written as soon as it is formatted, so a literal
+    that fails to format leaves the rows before it written.
+    """
+    stream.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
     for n, x, y, sign_x, log_x, sign_y, log_y in trajectory_rows(traj):
-        writer.writerow((n, x, y, sign_x, f"{log_x:.17g}", sign_y, f"{log_y:.17g}"))
+        stream.write(f"{n},{x},{y},{sign_x},{log_x:.17g},{sign_y},{log_y:.17g}\r\n")
+
+
+def _export_obj(traj: Trajectory, rows: list) -> dict:
+    return {"spec": spec_to_obj(traj.spec), "backend": traj.backend, "n": traj.n_max, "rows": rows}
 
 
 def trajectory_to_obj(traj: Trajectory) -> dict:
-    """JSON-ready export: spec echo plus the same rows as the CSV."""
-    return {
-        "spec": spec_to_obj(traj.spec),
-        "backend": traj.backend,
-        "n": traj.n_max,
-        "rows": [dict(zip(TRAJECTORY_CSV_HEADER, row)) for row in trajectory_rows(traj)],
-    }
+    """JSON-ready export: spec echo plus the same rows as the CSV, one dict per row.
+
+    :func:`write_trajectory_json` writes ``json.dump(trajectory_to_obj(traj),
+    indent=2)`` without building these dicts.
+    """
+    rows = [dict(zip(TRAJECTORY_CSV_HEADER, row)) for row in trajectory_rows(traj)]
+    return _export_obj(traj, rows)
+
+
+# One row object at the indent of json.dump(..., indent=2), preceded by the
+# "[" or "," before it.  Literals are JSON strings that need no escaping;
+# ints and the finite log floats render with repr, as json renders them.
+_JSON_ROW = "{}\n    {{\n" + ",\n".join(
+    f'      "{name}": ' + ('"{}"' if name in ("x", "y") else "{!r}")
+    for name in TRAJECTORY_CSV_HEADER
+) + "\n    }}"
+
+
+def write_trajectory_json(traj: Trajectory, stream) -> None:
+    """Write ``json.dump(trajectory_to_obj(traj), stream, indent=2)`` and a newline.
+
+    Every row is formatted before the first byte is written, so a literal
+    that fails to format writes nothing; the rows are then written one
+    ``write`` each, never joined into one string.
+    """
+    head, tail = json.dumps(_export_obj(traj, []), indent=2).rsplit("[]", 1)
+    separators = itertools.chain("[", itertools.repeat(","))
+    rows = [_JSON_ROW.format(sep, *row) for sep, row in zip(separators, trajectory_rows(traj))]
+    stream.write(head)
+    for row in rows:
+        stream.write(row)
+    stream.write(("\n  ]" if rows else "[]") + tail + "\n")

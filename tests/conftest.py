@@ -1,7 +1,8 @@
-"""Shared helpers: random system instances and the literal-recurrence oracle."""
+"""Shared helpers: random system instances and the literal-recurrence and export oracles."""
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from perisys import SystemSpec
 from perisys.numerics import check_bits
+from perisys.simulator import TRAJECTORY_CSV_HEADER, trajectory_rows
 
 
 def rand_value(rng: random.Random, max_component: int = 16, signed: bool = False) -> Fraction:
@@ -90,3 +92,15 @@ def naive_pairs(spec, max_bits=None):
             check_bits(x[n], max_bits)
             check_bits(y[n], max_bits)
         yield n, x[n], y[n]
+
+
+def csv_writer_export(traj, stream):
+    """Test oracle: the ``csv.writer`` loop that ``write_trajectory_csv`` replaced.
+
+    ``csv.writer`` writes each row as soon as it is formatted, so on a
+    failing literal it leaves the header and the rows before it written.
+    """
+    writer = csv.writer(stream)
+    writer.writerow(TRAJECTORY_CSV_HEADER)
+    for n, x, y, sign_x, log_x, sign_y, log_y in trajectory_rows(traj):
+        writer.writerow((n, x, y, sign_x, f"{log_x:.17g}", sign_y, f"{log_y:.17g}"))

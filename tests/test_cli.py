@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from perisys import (
     detect_cycle,
     parse_spec,
     random_positive_spec,
+    simulate,
     spec_to_json,
 )
 from perisys.cli import (
@@ -30,7 +32,7 @@ from perisys.cli import (
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
-from conftest import fixed_point_spec
+from conftest import csv_writer_export, fixed_point_spec
 
 
 @pytest.fixture
@@ -135,6 +137,23 @@ def test_failed_export_leaves_no_out_file(periodic_config, tmp_path, capsys, mon
                  "--out", str(out)]) == 1
     assert "4300 digits" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_export_to_stdout_prints_what_stdlib_writers_print(periodic_config, capsys,
+                                                                   monkeypatch, fmt):
+    """CSV: the header and row 1, as csv.writer printed them; JSON: nothing."""
+    path, spec = periodic_config
+    expected = ""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv_writer_export(simulate(spec, 1), buffer)
+        expected = buffer.getvalue()
+    _fail_mid_export(monkeypatch)
+    assert main(["simulate", "--config", path, "-n", "5", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert "4300 digits" in captured.err
 
 
 def test_out_dev_null_is_never_removed(periodic_config, capsys, monkeypatch):

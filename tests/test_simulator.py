@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from perisys import (
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
     SystemSpec,
+    Trajectory,
     WrongBackendError,
     block_multipliers,
     component_bits,
@@ -34,12 +36,14 @@ from perisys import (
     to_signed_log,
     trajectory_to_obj,
     write_trajectory_csv,
+    write_trajectory_json,
     x_relation_check,
 )
 from perisys.model import parse_spec_obj
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
 from conftest import (
+    csv_writer_export,
     fixed_point_spec,
     naive_pairs,
     product_family_spec,
@@ -386,6 +390,52 @@ def test_csv_and_json_exports_carry_the_same_rows(backend):
             assert csv_row[field] == json_row[field]
         for field in ("log_abs_x", "log_abs_y"):
             assert float(csv_row[field]) == json_row[field]
+
+
+def assert_exports_match_stdlib_writers(traj):
+    """CSV bytes equal the csv.writer oracle; JSON bytes equal json.dumps(..., indent=2).
+
+    Lines are compared as lists: pytest reports the first differing line,
+    where a string diff of lines with thousands of digits takes minutes.
+    """
+    written, expected = io.StringIO(), io.StringIO()
+    write_trajectory_csv(traj, written)
+    csv_writer_export(traj, expected)
+    assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
+    written = io.StringIO()
+    write_trajectory_json(traj, written)
+    expected = json.dumps(trajectory_to_obj(traj), indent=2) + "\n"
+    assert written.getvalue().splitlines(True) == expected.splitlines(True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.integers(1, 150), st.sampled_from([BACKEND_EXACT, BACKEND_SIGNEDLOG]))
+def test_exports_match_stdlib_writers(spec, n_steps, backend):
+    assert_exports_match_stdlib_writers(simulate(spec, n_steps, backend=backend))
+
+
+def test_exports_of_a_trajectory_without_rows():
+    traj = Trajectory(spec=HAND_SPEC, backend=BACKEND_EXACT,
+                      xs=list(HAND_SPEC.x_init), ys=list(HAND_SPEC.y_init))
+    assert_exports_match_stdlib_writers(traj)
+    written = io.StringIO()
+    write_trajectory_json(traj, written)
+    assert '"rows": []' in written.getvalue()
+    assert json.loads(written.getvalue())["rows"] == []
+
+
+def test_exports_of_long_negative_literals():
+    big = Fraction(-(10 ** 3999 + 7), 3)
+    traj = Trajectory(spec=HAND_SPEC, backend=BACKEND_EXACT,
+                      xs=list(HAND_SPEC.x_init) + [big, Fraction(-2, 7)],
+                      ys=list(HAND_SPEC.y_init) + [Fraction(-5), 1 / big])
+    assert_exports_match_stdlib_writers(traj)
+    written = io.StringIO()
+    write_trajectory_csv(traj, written)
+    rows = list(csv.reader(io.StringIO(written.getvalue())))
+    assert [Fraction(row[1]) for row in rows[1:]] == [big, Fraction(-2, 7)]
+    assert [Fraction(row[2]) for row in rows[1:]] == [Fraction(-5), 1 / big]
+    assert len(rows[1][1]) == 4003  # "-", 4000 digits, "/3"
 
 
 def test_trajectory_obj_spec_round_trips():
