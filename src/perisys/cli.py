@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
-from .cycle import CycleResult, Periodic, default_horizon, detect_cycle
+from .cycle import CycleResult, Periodic, detect_cycle
 from .errors import PerisysError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
 from .simulator import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
-    _require_general,
     product_invariant_check,
     simulate,
     write_trajectory_csv,
@@ -175,12 +174,11 @@ def sweep_grid(p_max: int, q_max: int, trials: int, horizon: int | None = None,
     for p in range(p_min, p_max + 1):
         for q in range(p + 1, q_max + 1):
             classification = classify(p, q)
-            row_horizon = default_horizon(p, q) if horizon is None else horizon
             outcomes, agreements = [], set()
             for trial in range(trials):
                 rng = random.Random(f"{seed}:{p}:{q}:{trial}")
                 spec = random_positive_spec(rng, p, q)
-                result = detect_cycle(spec, row_horizon)
+                result = detect_cycle(spec, horizon)
                 outcomes.append(result)
                 agreements.add(agreement(classification, spec.c, result))
             rows.append(SweepRow(
@@ -235,7 +233,6 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_spec(args.config)
-    _require_general(spec)
     traj = simulate(spec, args.n, backend=_BACKEND_ALIASES[args.backend])
     with _open_out(args.out) as stream:
         if args.format == "csv":
@@ -247,7 +244,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect_period(args) -> int:
     spec = load_spec(args.config)
-    _require_general(spec)
     result = detect_cycle(spec, args.horizon)
     print(json.dumps(result.to_obj()))
     return 0
@@ -255,7 +251,6 @@ def cmd_detect_period(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.config)
-    _require_general(spec)
     report = build_run_report(spec, args.n, args.horizon)
     print(json.dumps(report, indent=2))
     failing = sorted(name for name, value in report["checks"].items() if value == "fail")

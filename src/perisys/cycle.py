@@ -1,7 +1,8 @@
 """Minimal-period detection for the joint (x, y) sequence.
 
 The next pair depends only on the trailing window of max(p, q) consecutive
-pairs, so the sequence of windows is the orbit of a deterministic map.
+pairs (q of them, since every spec has p <= q), so the sequence of windows
+is the orbit of a deterministic map.
 Scanning windows for the first one that recurs therefore gives both the
 minimal cycle length and the minimal window preperiod: window i recurring
 first at window j > i means the orbit has tail length i and cycle length
@@ -52,7 +53,6 @@ from .simulator import (
     BACKEND_EXACT,
     Trajectory,
     _require_exact,
-    _require_general,
     block_multipliers,
     iter_pairs,
     step_coefficients,
@@ -173,13 +173,13 @@ def detect_cycle(spec: SystemSpec, horizon: int | None = None,
 
     A spec with some block multiplier |R_r| != 1 has no cycle at all; it
     is answered without generating a pair when the bit bound of the
-    module docstring stays within the cap.
+    module docstring stays within the cap.  ``horizon`` defaults to
+    :func:`default_horizon`.
     """
     if horizon is None:
         horizon = default_horizon(spec.p, spec.q)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    _require_general(spec)
     if _proves_no_cycle(spec, horizon, resolve_max_bits(max_bits)):
         return NoCycleWithinHorizon(horizon=horizon)
     generated = itertools.islice(iter_pairs(spec, BACKEND_EXACT, max_bits), horizon)

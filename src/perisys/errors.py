@@ -14,7 +14,7 @@ class SpecSyntaxError(PerisysError):
 
 
 class ShapeError(PerisysError):
-    """Structurally wrong spec: bad types, wrong list lengths, non-positive delays."""
+    """Structurally wrong spec: bad types, wrong list lengths, non-positive delays, p > q."""
 
 
 class BitLengthExceededError(PerisysError):

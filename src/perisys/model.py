@@ -1,9 +1,11 @@
 """System specification, admissibility checks, and the on-disk spec format.
 
-A spec fixes the constants a, b, the delays p, q, and the 2q nonzero
+A spec fixes the constants a, b, the delays p <= q, and the 2q nonzero
 initial values occupying indices -q+1 .. 0.  Generation starts at n = 1:
 a step at n = 0 would read x and y at index -q, which is outside the
 given data, so index 0 is treated as the last piece of initial data.
+With p <= q every later read falls on given or generated data, so any
+spec that can be constructed can be run.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ class SystemSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {value!r}")
+        if self.p > self.q:
+            raise ShapeError(f"insufficient-history: p={self.p} exceeds q={self.q}; "
+                             "only q pairs of initial data exist")
         object.__setattr__(self, "a", _as_nonzero_fraction(self.a, "a"))
         object.__setattr__(self, "b", _as_nonzero_fraction(self.b, "b"))
         for name in ("x_init", "y_init"):
@@ -78,19 +83,14 @@ class ValidationReport:
 def validate(spec: SystemSpec, mode: str = "strict") -> ValidationReport:
     """Check delay hypotheses.
 
-    ``strict`` enforces p < q and p not dividing q.  ``general`` admits any
-    delays the simulator can actually run, which requires p <= q: the spec
-    carries exactly q pairs of history, and a step with p > q would read
-    older values than were provided.
+    ``strict`` enforces the classical p < q and p not dividing q.
+    ``general`` adds no rule beyond the spec's own: every ``SystemSpec``
+    already has p <= q, which is all the simulator needs, so a general
+    report is always ok.
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"mode must be one of {VALIDATION_MODES}, got {mode!r}")
     violations: list[tuple[str, str]] = []
-    if spec.p > spec.q:
-        violations.append(
-            ("insufficient-history",
-             f"p={spec.p} exceeds q={spec.q}; only q pairs of initial data exist")
-        )
     if mode == "strict":
         if spec.p >= spec.q:
             violations.append(("p-not-less-than-q", f"require p < q, got p={spec.p}, q={spec.q}"))
@@ -106,9 +106,6 @@ def parse_spec_obj(obj) -> SystemSpec:
     missing = [key for key in _SPEC_KEYS if key not in obj]
     if missing:
         raise ShapeError(f"spec document is missing keys: {', '.join(missing)}")
-    for name in ("p", "q"):
-        if isinstance(obj[name], bool) or not isinstance(obj[name], int):
-            raise ShapeError(f"{name} must be a JSON integer, got {obj[name]!r}")
     for name in ("x_init", "y_init"):
         if not isinstance(obj[name], list):
             raise ShapeError(f"{name} must be a JSON array, got {obj[name]!r}")

@@ -6,7 +6,7 @@ Each step n >= 1 computes
     y_n = b * y_{n-p} / (x_{n-q} * y_{n-q})
 
 on top of initial data at indices -q+1 .. 0, so every read stays inside
-known values as long as p <= q (enforced by general-mode validation).
+known values as long as p <= q, which every ``SystemSpec`` guarantees.
 
 Backends:
 
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WrongBackendError
-from .model import SystemSpec, spec_to_obj, validate
+from .model import SystemSpec, spec_to_obj
 from .numerics import check_bits, format_rational, resolve_max_bits, to_signed_log
 
 BACKEND_EXACT = "exact"
@@ -122,14 +122,6 @@ def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tupl
     return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init)), None
 
 
-def _require_general(spec: SystemSpec) -> None:
-    """Raise ``ValueError`` unless the spec passes general validation."""
-    violations = validate(spec, "general").violations
-    if violations:
-        raise ValueError("spec fails general validation:\n"
-                         + "\n".join(f"  {rule}: {message}" for rule, message in violations))
-
-
 def step_coefficients(spec: SystemSpec) -> list[Fraction]:
     """K_n = b / z_{n-q} for n = 1 .. 2q, at list offset n - 1 (module docstring)."""
     z = [x * y for x, y in zip(spec.x_init, spec.y_init)]  # z at indices -q+1 .. 0
@@ -168,7 +160,6 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
     that its float rounding, and the exported logs, stay those of the
     recurrence.
     """
-    _require_general(spec)
     a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
     q = spec.q
     back_p = q - spec.p  # window[k] holds index n - q + k

@@ -7,8 +7,11 @@ reproducible.
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from perisys import (
     NoCycleWithinHorizon,
     Periodic,
     Monotonicity,
+    Regime,
     block_ratio_check,
     classify,
     detect_cycle,
@@ -33,9 +37,9 @@ from perisys import (
     two_adic_valuation,
     x_relation_check,
 )
-from perisys.cli import VERDICT_INCONSISTENT, sweep_grid
+from perisys.cli import VERDICT_INCONSISTENT, agreement, sweep_grid
 
-from conftest import random_signed_spec
+from conftest import product_family_spec, random_signed_spec
 
 
 def _finish(name: str, ok: bool, detail: str) -> None:
@@ -218,3 +222,50 @@ def test_criterion_8_backend_agreement():
                     ok = False
         checked += 1
     _finish("criterion-8 backends", ok, f"{checked}/20 specs, N=500, signs + 1e-9 logs")
+
+
+def test_criterion_9_periodic_data_in_every_regime():
+    """2 <= p < q <= 24, b = 3, a = +-3, initial products x_k y_k = b.
+
+    Every block multiplier is 1 (a = b) or +-1 (a = -b), so every spec
+    must be periodic with a period dividing M = lcm(p, 2q) or 2M; the
+    classifier agrees ("pass") in periodic regimes and reads the cycle as
+    degenerate data ("pass-degenerate") in generically unbounded ones.
+    """
+    rng = random.Random(1009)
+    started = time.perf_counter()
+    checked = mismatches = 0
+    for p in range(2, 24):
+        for q in range(p + 1, 25):
+            classification = classify(p, q)
+            expected = ("pass" if classification.regime is Regime.EVENTUALLY_PERIODIC
+                        else "pass-degenerate")
+            for a in (3, -3):
+                spec = product_family_spec(rng, p, q, a, 3)
+                result = detect_cycle(spec)
+                bound = math.lcm(p, 2 * q) * (1 if a == 3 else 2)
+                checked += 1
+                mismatches += not (isinstance(result, Periodic)
+                                   and bound % result.period == 0
+                                   and agreement(classification, spec.c, result) == expected)
+    elapsed = time.perf_counter() - started
+    _finish("criterion-9 periodic data",
+            checked == 506 and mismatches == 0,
+            f"{checked} specs, {mismatches} mismatches, {elapsed:.1f}s")
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package names a standard-library module."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "perisys"
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside

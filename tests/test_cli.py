@@ -171,12 +171,22 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
-def test_simulate_reports_validation_failure(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["simulate", "-n", "5"],
+    ["simulate", "-n", "5", "--out", "OUT"],
+    ["detect-period"],
+    ["verify"],
+], ids=["simulate", "simulate-out", "detect-period", "verify"])
+def test_simulate_reports_validation_failure(command, tmp_path, capsys):
+    """A p > q spec fails while loading, before any --out file is opened."""
     deep = tmp_path / "deep.json"
     deep.write_text('{"a": "1", "b": "1", "p": 5, "q": 3, "x_init": ["1","1","1"], "y_init": ["1","1","1"]}')
-    assert main(["simulate", "--config", str(deep), "-n", "5"]) == 1
-    err = capsys.readouterr().err
-    assert "insufficient-history" in err
+    out = tmp_path / "out.csv"
+    argv = [str(out) if arg == "OUT" else arg for arg in command]
+    assert main(argv + ["--config", str(deep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "insufficient-history" in captured.err
+    assert not out.exists()
 
 
 def test_detect_period_periodic(periodic_config, capsys):

@@ -18,6 +18,7 @@ from perisys import (
     NoCycleWithinHorizon,
     Periodic,
     Regime,
+    ShapeError,
     SystemSpec,
     WrongBackendError,
     block_multipliers,
@@ -263,6 +264,6 @@ def test_plus_minus_one_multipliers_are_scanned():
 
 
 def test_detect_cycle_rejects_oversized_p():
-    spec = SystemSpec(a=1, b=2, p=4, q=3, x_init=(1, 2, 3), y_init=(3, 2, 1))
-    with pytest.raises(ValueError, match="spec fails general validation"):
-        detect_cycle(spec)
+    """A p > q spec never reaches detect_cycle: construction refuses it."""
+    with pytest.raises(ShapeError, match="insufficient-history"):
+        detect_cycle(SystemSpec(a=1, b=2, p=4, q=3, x_init=(1, 2, 3), y_init=(3, 2, 1)))

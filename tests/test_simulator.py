@@ -19,6 +19,7 @@ from perisys import (
     BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
+    ShapeError,
     SystemSpec,
     Trajectory,
     WrongBackendError,
@@ -342,11 +343,12 @@ def test_bit_length_cap_enforced():
 
 
 def test_iter_pairs_rejects_oversized_p():
-    spec = SystemSpec(a=1, b=1, p=4, q=3, x_init=(1, 1, 1), y_init=(1, 1, 1))
-    with pytest.raises(ValueError):
-        next(iter_pairs(spec))
-    with pytest.raises(ValueError):
-        simulate(spec, 5)
+    """A p > q spec never reaches iter_pairs or simulate: it cannot be built or parsed."""
+    with pytest.raises(ShapeError, match="insufficient-history"):
+        next(iter_pairs(SystemSpec(a=1, b=1, p=4, q=3, x_init=(1, 1, 1), y_init=(1, 1, 1))))
+    doc = {"a": "1", "b": "1", "p": 4, "q": 3, "x_init": ["1", "1", "1"], "y_init": ["1", "1", "1"]}
+    with pytest.raises(ShapeError, match="insufficient-history"):
+        simulate(parse_spec(json.dumps(doc)), 5)
 
 
 def test_csv_export_contract():
