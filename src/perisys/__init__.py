@@ -19,11 +19,8 @@ from .cycle import (
     CycleResult,
     NoCycleWithinHorizon,
     Periodic,
-    confirm_periodic,
     default_horizon,
     detect_cycle,
-    find_cycle,
-    find_window_cycle,
 )
 from .errors import (
     BitLengthExceededError,

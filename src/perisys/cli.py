@@ -86,8 +86,7 @@ def agreement(classification: Classification, c: Fraction, result: CycleResult) 
     return "pass-degenerate" if periodic else "pass"
 
 
-def build_run_report(spec: SystemSpec, n: int | None = None,
-                     horizon: int | None = None) -> dict:
+def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
     """Bundle every applicable exact check plus classifier/detector agreement.
 
     Check values are "pass" / "fail", and "pass-degenerate" for agreement
@@ -124,7 +123,7 @@ def build_run_report(spec: SystemSpec, n: int | None = None,
     else:
         checks["block_ratio"] = "pass" if block_ratio_check(traj) else "fail"
 
-    cycle_result = detect_cycle(spec, horizon)
+    cycle_result = detect_cycle(spec)
     checks["classifier_detector_agreement"] = agreement(classification, spec.c, cycle_result)
 
     slopes = []
@@ -161,8 +160,8 @@ class SweepRow:
         }
 
 
-def sweep_grid(p_max: int, q_max: int, trials: int, horizon: int | None = None,
-               seed: int = 0, p_min: int = 1) -> list[SweepRow]:
+def sweep_grid(p_max: int, q_max: int, trials: int, seed: int = 0,
+               p_min: int = 1) -> list[SweepRow]:
     """Classify every 1 <= p < q <= bounds and confront `trials` random specs each.
 
     Each trial spec (a = b = 1, positive initial data) gets its own PRNG
@@ -178,7 +177,7 @@ def sweep_grid(p_max: int, q_max: int, trials: int, horizon: int | None = None,
             for trial in range(trials):
                 rng = random.Random(f"{seed}:{p}:{q}:{trial}")
                 spec = random_positive_spec(rng, p, q)
-                result = detect_cycle(spec, horizon)
+                result = detect_cycle(spec)
                 outcomes.append(result)
                 agreements.add(agreement(classification, spec.c, result))
             rows.append(SweepRow(
@@ -244,14 +243,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect_period(args) -> int:
     spec = load_spec(args.config)
-    result = detect_cycle(spec, args.horizon)
+    result = detect_cycle(spec)
     print(json.dumps(result.to_obj()))
     return 0
 
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.config)
-    report = build_run_report(spec, args.n, args.horizon)
+    report = build_run_report(spec, args.n)
     print(json.dumps(report, indent=2))
     failing = sorted(name for name, value in report["checks"].items() if value == "fail")
     if failing:
@@ -262,7 +261,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows = sweep_grid(args.p_max, args.q_max, args.trials or args.trials_arg,
-                      horizon=args.horizon, seed=args.seed, p_min=args.p_min)
+                      seed=args.seed, p_min=args.p_min)
     with _open_out(args.out) as stream:
         if args.format == "json":
             json.dump([row.to_obj() for row in rows], stream, indent=2)
@@ -299,13 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect-period", help="find minimal preperiod and period")
     det.add_argument("--config", required=True)
-    det.add_argument("--horizon", type=_positive_int, default=None)
     det.set_defaults(handler=cmd_detect_period)
 
     ver = sub.add_parser("verify", help="run all exact checks and report")
     ver.add_argument("--config", required=True)
     ver.add_argument("-n", type=_positive_int, default=None)
-    ver.add_argument("--horizon", type=_positive_int, default=None)
     ver.set_defaults(handler=cmd_verify)
 
     swp = sub.add_parser("sweep", help="classifier-vs-detector grid over p < q")
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--trials", type=_positive_int, default=None,
                      help="random specs per (p, q); default 3")
     swp.add_argument("--p-min", type=_positive_int, default=1)
-    swp.add_argument("--horizon", type=_positive_int, default=None)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--out", help="output path (default: stdout)")

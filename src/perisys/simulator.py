@@ -56,7 +56,21 @@ for n >= 1.  So the d multipliers settle the long-run behaviour:
 
 The exact backend uses the first two cases to stop computing: after one
 period it replays the stored pairs, each of which already passed the bit
-cap.  ``cycle.detect_cycle`` uses the third to return without a scan.
+cap.  ``cycle.detect_cycle`` decides from the multipliers: no cycle in the
+third case, and otherwise the minimal period among the divisors of M or 2M.
+
+Which case generic data reaches depends on p and q alone.  K_n and
+K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
+other pair of coefficients shares a z.  When d | q the two lie in one
+class, every z cancels, and R_r = (b/a)^(q/d); otherwise every R_r is a
+product of distinct z^(+-1), so |R_r| != 1 for generic data.  And d | q
+is the negation of the repeated-root test of ``spectral``:
+
+    d | q  <=>  v2(d) <= v2(q)       (the odd part of d divides that of q)
+    v2(d) = min(v2(p), v2(q) + 1)    (d = gcd(p, 2q))
+
+so d | q iff v2(p) <= v2(q), iff the characteristic polynomial
+(L^p - 1)(L^q + 1) has no repeated root.
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
@@ -106,10 +120,6 @@ class Trajectory:
 
     def y(self, n: int):
         return self.ys[self._offset(n)]
-
-    def pairs(self) -> list[tuple]:
-        """All stored (x, y) pairs in index order, starting at -q+1."""
-        return list(zip(self.xs, self.ys))
 
 
 def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tuple:

@@ -1,4 +1,4 @@
-"""Shared helpers: random system instances and the literal-recurrence and export oracles."""
+"""Shared helpers: random system instances and the literal-recurrence, cycle-scan and export oracles."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from perisys import SystemSpec
+from perisys import NoCycleWithinHorizon, Periodic, SystemSpec
 from perisys.numerics import check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER, trajectory_rows
 
@@ -92,6 +92,75 @@ def naive_pairs(spec, max_bits=None):
             check_bits(x[n], max_bits)
             check_bits(y[n], max_bits)
         yield n, x[n], y[n]
+
+
+_MODULUS = (1 << 61) - 1
+_BASE = 1_181_783_497_276_652_981
+
+
+def pair_hash(pair):
+    x, y = pair
+    # Canonical rationals are equal iff their components are.  Keys do
+    # collide on small data (hash(-1) == hash(-2)), hence the exact
+    # confirmation in first_repeat.
+    return hash((x.numerator, x.denominator, y.numerator, y.denominator))
+
+
+def first_repeat(initial_pairs, generated_pairs, w):
+    """Test oracle: the first recurring length-``w`` window, by a rolling-hash scan.
+
+    Window k ends at the k-th generated pair; window 0 is the last ``w``
+    initial pairs.  Window keys are a polynomial rolling hash of the pair
+    hashes modulo 2**61 - 1, and a window whose key is taken is compared
+    pair by pair with the stored one, so a collision never yields a false
+    repeat or hides a true one.  Without a repeat the horizon is the
+    number of generated pairs.
+    """
+    pairs = list(initial_pairs)
+    hashes = [pair_hash(pair) for pair in pairs]
+    key = 0
+    for h in hashes[-w:]:
+        key = (key * _BASE + h) % _MODULUS
+    drop = pow(_BASE, w, _MODULUS)
+    end0 = len(pairs)  # pairs[k + end0 - w : k + end0] is window k
+    seen = {key: 0}
+    k = 0
+    for k, pair in enumerate(generated_pairs, 1):
+        h = pair_hash(pair)
+        key = (key * _BASE + h - hashes[-w] * drop) % _MODULUS
+        pairs.append(pair)
+        hashes.append(h)
+        slot = key
+        while (j := seen.setdefault(slot, k)) != k:
+            if pairs[j + end0 - w:j + end0] == pairs[-w:]:
+                return Periodic(preperiod=j, period=k - j)
+            slot += 1  # a different window holds this slot: probe the next one
+    return NoCycleWithinHorizon(horizon=k)
+
+
+def scan_cycle(spec, horizon, max_bits=None):
+    """Test oracle: :func:`first_repeat` over ``horizon`` pairs of :func:`naive_pairs`."""
+    generated = itertools.islice(naive_pairs(spec, max_bits), horizon)
+    return first_repeat(tuple(zip(spec.x_init, spec.y_init)),
+                        ((x, y) for _, x, y in generated), spec.q)
+
+
+def find_window_cycle(items, window):
+    """Test oracle: first repeated length-``window`` window of ``items``.
+
+    Builds and hashes a fresh tuple per window, O(window) per item.
+    Returns (first_occurrence, distance) in window-start indices, or None
+    if every window is distinct.
+    """
+    if window < 1 or len(items) < window:
+        return None
+    seen = {}
+    for k in range(len(items) - window + 1):
+        state = tuple(items[k:k + window])
+        if state in seen:
+            return seen[state], k - seen[state]
+        seen[state] = k
+    return None
 
 
 def csv_writer_export(traj, stream):

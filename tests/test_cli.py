@@ -15,6 +15,7 @@ from perisys import (
     NoCycleWithinHorizon,
     Periodic,
     classify,
+    default_horizon,
     detect_cycle,
     parse_spec,
     random_positive_spec,
@@ -198,8 +199,9 @@ def test_detect_period_periodic(periodic_config, capsys):
 
 def test_detect_period_no_cycle(growing_config, capsys):
     path, _ = growing_config
-    assert main(["detect-period", "--config", path, "--horizon", "500"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"status": "no-cycle", "horizon": 500}
+    assert main(["detect-period", "--config", path]) == 0
+    horizon = default_horizon(2, 3)
+    assert json.loads(capsys.readouterr().out) == {"status": "no-cycle", "horizon": horizon}
 
 
 def test_verify_all_pass(periodic_config, capsys):
@@ -242,7 +244,7 @@ def test_verify_alternating_sign_system(tmp_path, capsys):
 
 def test_verify_skips_inapplicable_checks(growing_config, capsys):
     path, _ = growing_config
-    assert main(["verify", "--config", path, "-n", "100", "--horizon", "400"]) == 0
+    assert main(["verify", "--config", path, "-n", "100"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert "block_ratio" in report["skipped"]
     assert report["checks"]["classifier_detector_agreement"] == "pass"
@@ -260,7 +262,7 @@ def test_verify_failure_exits_1(periodic_config, capsys, monkeypatch):
 def test_verify_degenerate_inside_unbounded_regime(tmp_path, capsys):
     path = tmp_path / "ones.json"
     path.write_text(spec_to_json(fixed_point_spec(2, 3)))
-    assert main(["verify", "--config", str(path), "-n", "80", "--horizon", "200"]) == 0
+    assert main(["verify", "--config", str(path), "-n", "80"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["classifier_detector_agreement"] == "pass-degenerate"
     assert report["cycle"] == {"status": "periodic", "n0": 0, "period": 1}
@@ -292,9 +294,9 @@ def test_sweep_grid_degenerate_verdict(monkeypatch):
     assert len(rows) == 1
     # inject the all-ones fixed point by hand: a periodic trajectory inside
     # the generically unbounded (2, 3) regime is degenerate, not inconsistent
-    result = detect_cycle(fixed_point_spec(2, 3), 100)
+    result = detect_cycle(fixed_point_spec(2, 3))
     assert agreement(classify(2, 3), Fraction(1), result) == "pass-degenerate"
-    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec, horizon: result)
+    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec: result)
     assert sweep_grid(2, 3, 1, seed=0, p_min=2)[0].verdict == VERDICT_DEGENERATE
 
 
@@ -327,7 +329,7 @@ def test_sweep_verdict_from_trial_agreements(monkeypatch):
         Periodic(0, 8), NoCycleWithinHorizon(9),   # pass + fail
         NoCycleWithinHorizon(9), NoCycleWithinHorizon(9),
     ])
-    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec, horizon: next(outcomes))
+    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec: next(outcomes))
     rows = sweep_grid(2, 5, 2, p_min=2)
     assert [(row.q, row.verdict) for row in rows] == [
         (3, VERDICT_DEGENERATE), (4, VERDICT_INCONSISTENT), (5, VERDICT_CONSISTENT),
@@ -347,6 +349,38 @@ def test_env_var_overrides_bit_cap(growing_config, capsys, monkeypatch):
     monkeypatch.delenv("PERISYS_MAX_BITS")
     assert main(["simulate", "--config", path, "-n", "3000", "--backend", "log",
                  "--out", "/dev/null"]) == 0
+
+
+@pytest.mark.parametrize("command", ["detect-period", "verify"])
+def test_malformed_cap_fails_on_an_unbounded_spec(command, growing_config, capsys, monkeypatch):
+    """The cap is resolved even where the answer needs no exact step."""
+    path, _ = growing_config
+    monkeypatch.setenv("PERISYS_MAX_BITS", "bogus")
+    assert main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PERISYS_MAX_BITS must be an integer" in captured.err
+
+
+def test_unbounded_spec_never_reaches_a_small_cap(growing_config, capsys, monkeypatch):
+    path, _ = growing_config
+    monkeypatch.setenv("PERISYS_MAX_BITS", "64")
+    assert main(["detect-period", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "no-cycle"
+
+
+@pytest.mark.parametrize("command", [
+    ["detect-period", "--config", "CONFIG"],
+    ["verify", "--config", "CONFIG"],
+    ["sweep", "3", "3"],
+])
+def test_horizon_flag_is_gone(command, growing_config, capsys):
+    path, _ = growing_config
+    argv = [path if arg == "CONFIG" else arg for arg in command]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--horizon", "500"])
+    assert exited.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
 
 
 def test_signedlog_long_run_witness_becomes_monotone(growing_config, capsys):

@@ -17,7 +17,6 @@ from perisys import (
     WrongRegimeError,
     block_ratio_check,
     drift,
-    find_window_cycle,
     growth_slope,
     monotone_check,
     random_positive_spec,
@@ -27,7 +26,7 @@ from perisys import (
     to_signed_log,
 )
 
-from conftest import fixed_point_spec, random_signed_spec
+from conftest import find_window_cycle, fixed_point_spec, random_signed_spec
 
 
 def test_drift_homogeneous():
@@ -239,7 +238,7 @@ def test_alternating_sign_dynamics():
     # obey the drift-free laws
     spec = random_signed_spec(random.Random(15), 6, 10, a=2, b=-2)
     traj = simulate(spec, 400)
-    signs = [(1 if x > 0 else -1, 1 if y > 0 else -1) for x, y in traj.pairs()]
+    signs = [(1 if x > 0 else -1, 1 if y > 0 else -1) for x, y in zip(traj.xs, traj.ys)]
     assert find_window_cycle(signs, 10) is not None
     assert {abs(traj.x(n + 60) / traj.x(n)) for n in range(1, 301)} == {Fraction(1)}
     assert second_difference_check(traj)

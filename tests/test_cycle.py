@@ -1,8 +1,7 @@
-"""Window-state cycle detection: minimality, replay confirmation, agreement."""
+"""Cycle decision from the block multipliers: minimality, replay, agreement with a scan."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perisys import (
-    BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
     NoCycleWithinHorizon,
@@ -20,21 +18,24 @@ from perisys import (
     Regime,
     ShapeError,
     SystemSpec,
-    WrongBackendError,
     block_multipliers,
     classify,
-    confirm_periodic,
     default_horizon,
     detect_cycle,
-    find_cycle,
-    find_window_cycle,
     random_positive_spec,
     simulate,
     step_coefficients,
 )
 from perisys import cycle
 
-from conftest import fixed_point_spec, naive_pairs, product_family_spec, specs
+import conftest
+from conftest import (
+    find_window_cycle,
+    fixed_point_spec,
+    product_family_spec,
+    scan_cycle,
+    specs,
+)
 
 SMALL_VALUES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -47,8 +48,14 @@ def window_differs(traj, n, period):
     return left != right
 
 
+def replays(traj, preperiod, period, cycles=2):
+    """Pairs at n and n + period agree for preperiod <= n <= preperiod + cycles*period."""
+    return all(traj.x(n) == traj.x(n + period) and traj.y(n) == traj.y(n + period)
+               for n in range(preperiod, preperiod + cycles * period + 1))
+
+
 def test_fixed_point_is_periodic_from_zero():
-    assert detect_cycle(fixed_point_spec(2, 3), 100) == Periodic(preperiod=0, period=1)
+    assert detect_cycle(fixed_point_spec(2, 3)) == Periodic(preperiod=0, period=1)
 
 
 def test_window_cycle_on_plain_sequences():
@@ -62,15 +69,15 @@ def test_period_60_with_replay_and_minimality():
     rng = random.Random(42)
     for _ in range(5):
         spec = random_positive_spec(rng, 6, 10)
-        result = detect_cycle(spec, 5000)
+        result = detect_cycle(spec)
         assert isinstance(result, Periodic)
         assert 60 % result.period == 0
         assert result.period == 60  # generic initial data
         traj = simulate(spec, result.preperiod + 3 * result.period)
-        assert confirm_periodic(traj, result.preperiod, result.period)
+        assert replays(traj, result.preperiod, result.period)
         # no proper divisor of the period passes the replay check
         for d in (2, 3, 5):
-            assert not confirm_periodic(traj, result.preperiod, result.period // d)
+            assert not replays(traj, result.preperiod, result.period // d)
         # the preperiod is minimal at window level
         if result.preperiod > 0:
             assert window_differs(traj, result.preperiod - 1, result.period)
@@ -78,7 +85,7 @@ def test_period_60_with_replay_and_minimality():
 
 def test_period_840_spot_check():
     spec = random_positive_spec(random.Random(4), 60, 84)
-    result = detect_cycle(spec, 20000)
+    result = detect_cycle(spec)
     assert isinstance(result, Periodic)
     assert 840 % result.period == 0 and result.period == 840
 
@@ -87,25 +94,7 @@ def test_no_cycle_when_q_odd_and_p_even():
     rng = random.Random(11)
     for _ in range(3):
         spec = random_positive_spec(rng, 2, 3)
-        assert detect_cycle(spec, 3000) == NoCycleWithinHorizon(3000)
-
-
-def test_find_cycle_matches_detect_cycle():
-    spec = random_positive_spec(random.Random(13), 6, 10)
-    detected = detect_cycle(spec, 1000)
-    scanned = find_cycle(simulate(spec, 1000))
-    assert detected == scanned
-
-
-def test_find_cycle_reports_trajectory_horizon():
-    spec = random_positive_spec(random.Random(17), 4, 6)
-    assert find_cycle(simulate(spec, 800)) == NoCycleWithinHorizon(800)
-
-
-def test_find_cycle_rejects_signedlog_trajectory():
-    spec = random_positive_spec(random.Random(13), 6, 10)
-    with pytest.raises(WrongBackendError, match="exact backend required"):
-        find_cycle(simulate(spec, 100, backend=BACKEND_SIGNEDLOG))
+        assert detect_cycle(spec) == NoCycleWithinHorizon(default_horizon(2, 3))
 
 
 def test_default_horizon_covers_periodic_regimes():
@@ -131,32 +120,29 @@ def test_detector_agrees_with_classifier_on_grid():
 
 
 def test_detect_cycle_propagates_bit_cap():
-    spec = random_positive_spec(random.Random(29), 2, 3)
-    with pytest.raises(BitLengthExceededError):
-        detect_cycle(spec, 5000, max_bits=64)
+    """A periodic spec whose first block outgrows the cap fails as the recurrence does."""
+    spec = random_positive_spec(random.Random(29), 6, 10)
+    assert isinstance(detect_cycle(spec), Periodic)
+    with pytest.raises(BitLengthExceededError) as literal:
+        scan_cycle(spec, default_horizon(6, 10), max_bits=8)
+    with pytest.raises(BitLengthExceededError) as decided:
+        detect_cycle(spec, max_bits=8)
+    assert str(decided.value) == str(literal.value)
 
 
 def test_detect_cycle_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        detect_cycle(fixed_point_spec(), 0)
-
-
-def test_confirm_periodic_needs_enough_data():
-    traj = simulate(fixed_point_spec(2, 3), 10)
-    assert confirm_periodic(traj, 0, 1, cycles=2)
-    with pytest.raises(ValueError):
-        confirm_periodic(traj, 0, 5, cycles=2)
-    with pytest.raises(ValueError):
-        confirm_periodic(traj, 0, 0)
-    with pytest.raises(ValueError):
-        confirm_periodic(traj, 0, 1, cycles=-1)
+    """No horizon is taken, by position or by name."""
+    with pytest.raises(TypeError):
+        detect_cycle(fixed_point_spec(), 100)
+    with pytest.raises(TypeError):
+        detect_cycle(fixed_point_spec(), horizon=100)
 
 
 def oracle_cycle(traj):
     """The naive window-tuple scan, as Periodic / NoCycleWithinHorizon."""
     spec = traj.spec
     w = max(spec.p, spec.q)
-    hit = find_window_cycle(traj.pairs(), w)
+    hit = find_window_cycle(list(zip(traj.xs, traj.ys)), w)
     if hit is None:
         return NoCycleWithinHorizon(traj.n_max)
     # pairs begin at index -q+1, so the window starting at offset k ends at k + w - q
@@ -189,10 +175,33 @@ def small_alphabet_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_alphabet_specs(), st.integers(1, 300))
 def test_rolling_detector_matches_naive_oracle(spec, horizon):
-    traj = simulate(spec, horizon)
-    expected = oracle_cycle(traj)
-    assert detect_cycle(spec, horizon) == expected
-    assert find_cycle(traj) == expected
+    """The rolling-hash scan oracle agrees with the window-tuple oracle at any horizon."""
+    assert scan_cycle(spec, horizon) == oracle_cycle(simulate(spec, horizon))
+
+
+def outcome(run):
+    """The result object's ``to_obj()``, or the exception type and message."""
+    try:
+        return run().to_obj()
+    except BitLengthExceededError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs() | small_alphabet_specs(), st.integers(8, 256) | st.none())
+def test_decision_matches_naive_scan(spec, max_bits):
+    """The decision equals a scan of the literal recurrence over the default horizon.
+
+    The one difference allowed: on a spec without a cycle the scan can
+    outgrow a small cap, while the decision answers without a step.
+    """
+    horizon = default_horizon(spec.p, spec.q)
+    want = outcome(lambda: scan_cycle(spec, horizon, max_bits or DEFAULT_MAX_BITS))
+    got = outcome(lambda: detect_cycle(spec, max_bits=max_bits))
+    if isinstance(want, tuple) and got != want:  # the scan outgrew the cap
+        assert got == scan_cycle(spec, horizon).to_obj() == NoCycleWithinHorizon(horizon).to_obj()
+    else:
+        assert got == want
 
 
 def test_rolling_detector_on_plus_minus_one_data_63_64():
@@ -202,40 +211,19 @@ def test_rolling_detector_on_plus_minus_one_data_63_64():
                       y_init=tuple(rng.choice((1, -1)) for _ in range(64)))
     result = detect_cycle(spec)
     assert isinstance(result, Periodic)
-    traj = simulate(spec, result.preperiod + result.period)
-    assert find_cycle(traj) == oracle_cycle(traj) == result
+    n = result.preperiod + result.period
+    assert scan_cycle(spec, n) == oracle_cycle(simulate(spec, n)) == result
 
 
 def test_hash_collisions_are_confirmed_exactly(monkeypatch):
-    # every pair gets the same hash, so every window key collides
-    monkeypatch.setattr(cycle, "_pair_hash", lambda pair: 0)
+    """The scan oracle stays exact when every pair hashes alike, so every window key collides."""
+    monkeypatch.setattr(conftest, "pair_hash", lambda pair: 0)
     rng = random.Random(31)
     for p, q in ((1, 2), (2, 3), (2, 4), (3, 5)):
         spec = random_positive_spec(rng, p, q)
-        traj = simulate(spec, 120)
-        assert find_cycle(traj) == detect_cycle(spec, 120) == oracle_cycle(traj)
-
-
-def scanned_cycle(spec, horizon, max_bits):
-    """The detector without the no-cycle proof: a scan of the literal recurrence."""
-    generated = itertools.islice(naive_pairs(spec, max_bits), horizon)
-    return cycle._first_repeat(tuple(zip(spec.x_init, spec.y_init)),
-                               ((x, y) for _, x, y in generated), max(spec.p, spec.q))
-
-
-def outcome(run):
-    """The result object's ``to_obj()``, or the exception type and message."""
-    try:
-        return run().to_obj()
-    except (BitLengthExceededError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(specs(), st.integers(1, 600), st.integers(8, 256) | st.none())
-def test_no_cycle_proof_matches_scan(spec, horizon, max_bits):
-    want = outcome(lambda: scanned_cycle(spec, horizon, max_bits or DEFAULT_MAX_BITS))
-    assert outcome(lambda: detect_cycle(spec, horizon, max_bits)) == want
+        horizon = default_horizon(p, q)
+        assert (scan_cycle(spec, horizon) == detect_cycle(spec)
+                == oracle_cycle(simulate(spec, horizon)))
 
 
 def test_no_cycle_proof_skips_the_scan(monkeypatch):
@@ -244,7 +232,7 @@ def test_no_cycle_proof_skips_the_scan(monkeypatch):
 
     spec = random_positive_spec(random.Random(3), 2, 3)
     monkeypatch.setattr(cycle, "iter_pairs", no_scan)
-    assert detect_cycle(spec, 100000) == NoCycleWithinHorizon(100000)
+    assert detect_cycle(spec) == NoCycleWithinHorizon(default_horizon(2, 3))
 
 
 def test_plus_minus_one_multipliers_are_scanned():

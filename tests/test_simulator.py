@@ -160,6 +160,15 @@ def test_block_law_on_literal_recurrence(spec):
             assert x[n + m] * multipliers[n % d] == x[n]
 
 
+def v2(n):
+    """Exponent of 2 in a positive integer, by repeated halving."""
+    exponent = 0
+    while n % 2 == 0:
+        n //= 2
+        exponent += 1
+    return exponent
+
+
 def test_block_multipliers_structure_through_q_64():
     rng = random.Random(64)
     a, b = Fraction(3), Fraction(5)
@@ -174,6 +183,11 @@ def test_block_multipliers_structure_through_q_64():
                 assert multipliers == [(b / a) ** (q // d)] * d, (p, q)
                 # p/gcd(p, q) is odd here, and x_{n+M} = x_n / R
                 assert all(drift(spec).block_ratio == 1 / r for r in multipliers)
+    # the regime rule alone, arithmetic only, further out (simulator docstring)
+    for q in range(1, 257):
+        for p in range(1, q + 1):
+            closed = q % math.gcd(p, 2 * q) == 0
+            assert closed == (v2(p) <= v2(q)) == (not has_repeated_root(p, q)), (p, q)
 
 
 def replay_specs():
