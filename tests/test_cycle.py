@@ -187,10 +187,20 @@ def outcome(run):
         return type(exc), str(exc)
 
 
+def test_find_cycle_matches_detect_cycle():
+    """The decision equals the window-tuple scan of a stored trajectory."""
+    spec = random_positive_spec(random.Random(13), 6, 10)
+    horizon = default_horizon(6, 10)
+    detected = detect_cycle(spec)
+    assert isinstance(detected, Periodic)
+    assert detected == oracle_cycle(simulate(spec, horizon))
+
+
 @settings(max_examples=200, deadline=None)
 @given(specs() | small_alphabet_specs(), st.integers(8, 256) | st.none())
-def test_decision_matches_naive_scan(spec, max_bits):
-    """The decision equals a scan of the literal recurrence over the default horizon.
+def test_no_cycle_proof_matches_scan(spec, max_bits):
+    """The decision, the no-cycle proof from the multipliers included, equals a
+    scan of the literal recurrence over the default horizon.
 
     The one difference allowed: on a spec without a cycle the scan can
     outgrow a small cap, while the decision answers without a step.
