@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
 from .cycle import CycleResult, Periodic, detect_cycle
-from .errors import PerisysError
+from .errors import NotOddQuotientError, PerisysError, TooFewPointsError, WrongRegimeError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
 from .simulator import (
     BACKEND_EXACT,
@@ -90,45 +90,34 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
     """Bundle every applicable exact check plus classifier/detector agreement.
 
     Check values are "pass" / "fail", and "pass-degenerate" for agreement
-    (see :func:`agreement`).  Checks that do not apply to the spec's
-    regime are listed under "skipped" with the reason.
+    (see :func:`agreement`).  A law that refuses the trajectory, because
+    it is too short or the spec lies outside the law's regime, is listed
+    under "skipped" with the law's own reason.
     """
     classification = classify(spec.p, spec.q)
-    m = math.lcm(spec.p, 2 * spec.q)
     stride = classification.predicted_period or classification.witness_modulus
     if n is None:
-        n = max(2 * m + 2 * spec.q, 3 * stride + spec.q)
+        n = max(2 * math.lcm(spec.p, 2 * spec.q) + 2 * spec.q, 3 * stride + spec.q)
     traj = simulate(spec, n)
 
     checks: dict[str, str] = {}
     skipped: dict[str, str] = {}
-    checks["product_invariant"] = "pass" if product_invariant_check(traj) else "fail"
-    if n >= max(spec.p, spec.q) + 1:
-        checks["x_relation"] = "pass" if x_relation_check(traj) else "fail"
-    else:
-        skipped["x_relation"] = f"needs n >= {max(spec.p, spec.q) + 1}"
-
-    if abs(spec.a) != abs(spec.b):
-        skipped["second_difference"] = "needs |b| = |a|"
-    elif n < 2 * m + 1:
-        skipped["second_difference"] = f"needs n >= {2 * m + 1}"
-    else:
-        checks["second_difference"] = "pass" if second_difference_check(traj) else "fail"
-
-    drift_report = drift(spec)
-    if drift_report.block_ratio is None:
-        skipped["block_ratio"] = "needs p/gcd(p, q) odd"
-    elif n < m + 1:
-        skipped["block_ratio"] = f"needs n >= {m + 1}"
-    else:
-        checks["block_ratio"] = "pass" if block_ratio_check(traj) else "fail"
+    # looked up per call, so a rebound module attribute takes effect
+    laws = (("product_invariant", product_invariant_check), ("x_relation", x_relation_check),
+            ("second_difference", second_difference_check), ("block_ratio", block_ratio_check))
+    for name, law in laws:
+        try:
+            checks[name] = "pass" if law(traj) else "fail"
+        except (TooFewPointsError, WrongRegimeError, NotOddQuotientError) as exc:
+            skipped[name] = str(exc)
 
     cycle_result = detect_cycle(spec)
     checks["classifier_detector_agreement"] = agreement(classification, spec.c, cycle_result)
 
-    slopes = []
-    if n >= 2 * stride:
-        slopes.append((stride, 0, growth_slope(traj, stride, 0)))
+    try:
+        slopes = [(stride, 0, growth_slope(traj, stride, 0))]
+    except TooFewPointsError:
+        slopes = []
 
     return {
         "spec": spec_to_obj(spec),
@@ -137,7 +126,7 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
         "cycle": cycle_result.to_obj(),
         "checks": checks,
         "skipped": skipped,
-        "drift": drift_report.to_obj(),
+        "drift": drift(spec).to_obj(),
         "slopes": slopes,
     }
 

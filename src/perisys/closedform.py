@@ -66,8 +66,10 @@ def _block_steps(spec: SystemSpec) -> int:
     return math.lcm(spec.p, 2 * spec.q)
 
 
-def _odd_quotient(spec: SystemSpec) -> bool:
-    return (spec.p // math.gcd(spec.p, spec.q)) % 2 == 1
+def _block_ratio(spec: SystemSpec) -> Fraction | None:
+    """c^(q/g), g = gcd(p, q), or ``None`` when p/g is even (module docstring)."""
+    g = math.gcd(spec.p, spec.q)
+    return spec.c ** (spec.q // g) if (spec.p // g) % 2 == 1 else None
 
 
 def drift(spec: SystemSpec) -> DriftReport:
@@ -78,16 +80,11 @@ def drift(spec: SystemSpec) -> DriftReport:
     otherwise the block exponent m/(2p) is not an integer and the field is
     omitted.
     """
-    c = spec.c
-    per_step = to_signed_log(c).logmag / (2 * spec.p)
-    ratio = None
-    if _odd_quotient(spec):
-        ratio = c ** (spec.q // math.gcd(spec.p, spec.q))
     return DriftReport(
-        c=c,
-        drift_per_step=per_step,
+        c=spec.c,
+        drift_per_step=to_signed_log(spec.c).logmag / (2 * spec.p),
         steps_per_block=_block_steps(spec),
-        block_ratio=ratio,
+        block_ratio=_block_ratio(spec),
     )
 
 
@@ -98,18 +95,17 @@ def block_ratio_check(traj: Trajectory) -> bool:
     comparison divides by a stored value.  It is compared cross-multiplied
     over numerators and denominators (see
     :func:`perisys.simulator._matches_reference_cycle`), signs included: a
-    sign flip alone fails the check.
+    sign flip alone fails the check.  It refuses an even p/g with
+    ``NotOddQuotientError`` and n_max < m + 1 with ``TooFewPointsError``.
     """
     _require_exact(traj)
     spec = traj.spec
-    if not _odd_quotient(spec):
-        raise NotOddQuotientError(
-            f"p/gcd(p, q) is even for (p, q) = ({spec.p}, {spec.q}); no exact block ratio"
-        )
+    ratio = _block_ratio(spec)
+    if ratio is None:
+        raise NotOddQuotientError("needs p/gcd(p, q) odd")
     m = _block_steps(spec)
     if traj.n_max < m + 1:
-        raise ValueError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
-    ratio = spec.c ** (spec.q // math.gcd(spec.p, spec.q))
+        raise TooFewPointsError(f"needs n >= {m + 1}")
     # list offset q holds x_1, so offset q + m holds x_{m+1}
     return _matches_reference_cycle(traj.xs, m, spec.q + m, [ratio])
 
@@ -134,17 +130,16 @@ def second_difference_check(traj: Trajectory) -> bool:
 
     The comparison is cross-multiplied over numerators and denominators
     (see :func:`perisys.simulator._matches_reference_cycle`), signs
-    included.
+    included.  It refuses |b| != |a| with ``WrongRegimeError`` and
+    n_max < 2m + 1 with ``TooFewPointsError``.
     """
     _require_exact(traj)
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):
-        raise WrongRegimeError(
-            f"second-difference law needs |b| = |a|, got a={spec.a}, b={spec.b}"
-        )
+        raise WrongRegimeError("needs |b| = |a|")
     m = _block_steps(spec)
     if traj.n_max < 2 * m + 1:
-        raise ValueError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
+        raise TooFewPointsError(f"needs n >= {2 * m + 1}")
     q, xs = spec.q, traj.xs  # list offset q holds x_1
     references = [x_m / x for x, x_m in zip(xs[q:q + m], xs[q + m:q + 2 * m])]
     return _matches_reference_cycle(xs, m, q + 2 * m, references)
@@ -152,7 +147,7 @@ def second_difference_check(traj: Trajectory) -> bool:
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:
     """Least-squares slope of ln|x_{mn+t}| against the block counter n."""
-    values = subsequence(traj, m, t, "x")
+    values = subsequence(traj, m, t)
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
     if traj.backend == BACKEND_EXACT:
@@ -171,7 +166,7 @@ def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     comparisons.
     """
     _require_exact(traj)
-    values = [abs(v) for v in subsequence(traj, m, t, "x")]
+    values = [abs(v) for v in subsequence(traj, m, t)]
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
     directions = [

@@ -3,16 +3,18 @@
 The exact kernel (see ``simulator``) gives, with M = lcm(p, 2q) and
 d = gcd(p, 2q), the block law y_{n+M} = R_{n mod d} y_n and
 x_{n+M} = x_n / R_{n mod d} for n >= 1, so the d block multipliers R
-decide the answer:
+decide the answer.  ``simulator.block_period`` owns the rule:
 
 * some |R_r| != 1: |y| is strictly monotone along a stride-M subsequence,
-  so no pair, and no window of pairs, ever recurs.  The answer is
-  ``NoCycleWithinHorizon`` without generating a pair.
+  so no pair, and no window of pairs, ever recurs.  ``block_period`` is
+  ``None``, and the answer is ``NoCycleWithinHorizon`` without generating
+  a pair.
 * every R_r = +-1: the pairs from n = 1 on repeat with period P = M, or
-  2M when some R_r = -1.  The first P pairs are generated, each checked
-  against the bit cap.  The minimal period T divides P, and it is the
-  smallest divisor t of P for which the block equals itself shifted by t:
-  a P-periodic sequence whose first block is t-periodic is t-periodic.
+  2M when some R_r = -1, which ``block_period`` returns.  The first P
+  pairs are generated, each checked against the bit cap.  The minimal
+  period T divides P, and it is the smallest divisor t of P for which the
+  block equals itself shifted by t: a P-periodic sequence whose first
+  block is t-periodic is t-periodic.
 
 The preperiod is reported at window level.  The next pair depends only on
 the trailing window of max(p, q) = q pairs (every spec has p <= q).
@@ -39,7 +41,7 @@ from typing import Union
 
 from .model import SystemSpec
 from .numerics import resolve_max_bits
-from .simulator import BACKEND_EXACT, block_multipliers, iter_pairs, step_coefficients
+from .simulator import BACKEND_EXACT, block_period, iter_pairs, step_coefficients
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,11 @@ def detect_cycle(spec: SystemSpec, *, max_bits: int | None = None) -> CycleResul
     malformed ``PERISYS_MAX_BITS`` fails on every spec.
     """
     cap = resolve_max_bits(max_bits)
-    p, q = spec.p, spec.q
-    multipliers = block_multipliers(p, step_coefficients(spec))
-    if any(abs(r) != 1 for r in multipliers):
-        return NoCycleWithinHorizon(horizon=default_horizon(p, q))
-    size = math.lcm(p, 2 * q) * (1 if all(r == 1 for r in multipliers) else 2)
+    size = block_period(spec.p, step_coefficients(spec))
+    if size is None:
+        return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
     block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec, BACKEND_EXACT, cap), size)]
     period = next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])
     pairs = list(zip(spec.x_init, spec.y_init)) + block
-    preperiod = next((i + 1 for i in reversed(range(q)) if pairs[i] != pairs[i + period]), 0)
+    preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)
     return Periodic(preperiod=preperiod, period=period)

@@ -37,5 +37,5 @@ class WrongRegimeError(PerisysError):
     """A check was applied outside the parameter regime where it holds."""
 
 
-class TooFewPointsError(PerisysError):
-    """A subsequence statistic needs more points than the trajectory provides."""
+class TooFewPointsError(PerisysError, ValueError):
+    """A law ("needs n >= N") or statistic needs a longer trajectory; also a ValueError."""

@@ -161,17 +161,17 @@ def random_positive_spec(
     q: int,
     a: Fraction | int = 1,
     b: Fraction | int = 1,
-    max_component: int = 16,
 ) -> SystemSpec:
     """Random generic spec with positive initial values.
 
-    Numerators and denominators are drawn uniformly from 1..max_component;
-    small magnitudes keep exact arithmetic fast while staying generic with
+    Numerators and denominators are drawn uniformly from 1..16, as
+    perfbench's ``positive_spec(rng, p, q, 1, 16)`` draws them; small
+    magnitudes keep exact arithmetic fast while staying generic with
     overwhelming probability.
     """
 
     def value() -> Fraction:
-        return Fraction(rng.randint(1, max_component), rng.randint(1, max_component))
+        return Fraction(rng.randint(1, 16), rng.randint(1, 16))
 
     return SystemSpec(
         a=Fraction(a),

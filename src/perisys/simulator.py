@@ -54,10 +54,11 @@ for n >= 1.  So the d multipliers settle the long-run behaviour:
 * some |R_r| != 1: |y| grows or shrinks geometrically along a stride-M
   subsequence, so no pair, and no window of pairs, ever recurs.
 
-The exact backend uses the first two cases to stop computing: after one
-period it replays the stored pairs, each of which already passed the bit
-cap.  ``cycle.detect_cycle`` decides from the multipliers: no cycle in the
-third case, and otherwise the minimal period among the divisors of M or 2M.
+:func:`block_period` owns this rule: it gives the period P = M or 2M, or
+``None`` in the third case.  The exact backend uses P to stop computing:
+after one period it replays the stored pairs, each of which already passed
+the bit cap.  ``cycle.detect_cycle`` decides from P: no cycle without one,
+and otherwise the minimal period among the divisors of P.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -87,7 +88,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WrongBackendError
+from .errors import TooFewPointsError, WrongBackendError
 from .model import SystemSpec, spec_to_obj
 from .numerics import check_bits, format_rational, resolve_max_bits, to_signed_log
 
@@ -154,6 +155,17 @@ def block_multipliers(p: int, coefficients: Sequence[Fraction]) -> list[Fraction
     return multipliers
 
 
+def block_period(p: int, coefficients: Sequence[Fraction]) -> int | None:
+    """M = lcm(p, 2q) if every R_r = 1, 2M if every R_r = +-1, else ``None`` (module docstring).
+
+    ``coefficients`` are the 2q values of :func:`step_coefficients`.
+    """
+    multipliers = block_multipliers(p, coefficients)
+    if any(abs(r) != 1 for r in multipliers):
+        return None
+    return math.lcm(p, len(coefficients)) * (1 if all(r == 1 for r in multipliers) else 2)
+
+
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
                max_bits: int | None = None) -> Iterator[tuple]:
     """Yield (n, x_n, y_n) lazily for n = 1, 2, ...
@@ -163,12 +175,11 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
     z = x y repeats with period 2q (see the module docstring).  Every gcd
     that reduces a step then pairs a full-size integer with a small one.
     Both components of x_n and y_n are checked against the bit cap, x_n
-    first.  When every block multiplier is 1 (or +-1) the pairs repeat
-    with period M = lcm(p, 2q) (or 2M): the first period is computed and
-    stored, and later pairs replay it.  Memory is then O(M) pairs, and
-    O(q) otherwise.  The signed-log backend runs the literal recurrence so
-    that its float rounding, and the exported logs, stay those of the
-    recurrence.
+    first.  When the pairs repeat with a :func:`block_period` P, the first
+    P pairs are computed and stored, and later pairs replay them.  Memory
+    is then O(P) pairs, and O(q) otherwise.  The signed-log backend runs
+    the literal recurrence so that its float rounding, and the exported
+    logs, stay those of the recurrence.
     """
     a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
     q = spec.q
@@ -185,10 +196,7 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
             yield n, x, y
     else:
         coefficients = step_coefficients(spec)
-        multipliers = block_multipliers(spec.p, coefficients)
-        period = None  # no replay: islice(steps, None) runs forever
-        if all(abs(r) == 1 for r in multipliers):
-            period = math.lcm(spec.p, 2 * q) * (1 if all(r == 1 for r in multipliers) else 2)
+        period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
         block = []
         window = deque(ys, maxlen=q)
         steps = zip(itertools.count(1), itertools.cycle(coefficients))
@@ -287,7 +295,7 @@ def x_relation_check(traj: Trajectory) -> bool:
     The relation first links generated values at n = s = max(p, q) + 1.
     For smaller n it would tie together unconstrained initial data (the x
     and y initial values are independent of each other), and it fails there
-    for generic specs.
+    for generic specs, so n_max < s raises ``TooFewPointsError``.
 
     With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c.
     The ratios rho at n = s - q .. s + 2q - 1 are formed once as reduced
@@ -309,7 +317,7 @@ def x_relation_check(traj: Trajectory) -> bool:
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
-        raise ValueError(f"need a trajectory through at least n={start}, have {traj.n_max}")
+        raise TooFewPointsError(f"needs n >= {start}")
     c, p, q, xs = spec.c, spec.p, spec.q, traj.xs
     first = start - 1  # list offset of x_{start-q}
     end = first + 3 * q  # list offset of x_{start+2q}, where the references take over
@@ -319,19 +327,13 @@ def x_relation_check(traj: Trajectory) -> bool:
     return _matches_reference_cycle(xs, p, end, rho[q:])
 
 
-def subsequence(traj: Trajectory, m: int, t: int, which: str = "x") -> list:
-    """Values at indices t, t+m, t+2m, ... up to n_max, in order."""
+def subsequence(traj: Trajectory, m: int, t: int) -> list:
+    """x values at indices t, t+m, t+2m, ... up to n_max, in order."""
     if m < 1:
         raise ValueError(f"stride m must be >= 1, got {m}")
     if not 0 <= t < m:
         raise ValueError(f"offset t must lie in 0..{m - 1}, got {t}")
-    if which == "x":
-        values = traj.xs
-    elif which == "y":
-        values = traj.ys
-    else:
-        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
-    return values[t + traj.spec.q - 1::m]
+    return traj.xs[t + traj.spec.q - 1::m]
 
 
 def trajectory_rows(traj: Trajectory) -> Iterator[tuple]:

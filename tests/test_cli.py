@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import random
 import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from perisys import (
     NoCycleWithinHorizon,
@@ -27,13 +29,14 @@ from perisys.cli import (
     VERDICT_DEGENERATE,
     VERDICT_INCONSISTENT,
     agreement,
+    build_run_report,
     main,
     sweep_grid,
 )
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
-from conftest import csv_writer_export, fixed_point_spec
+from conftest import csv_writer_export, fixed_point_spec, specs
 
 
 @pytest.fixture
@@ -249,6 +252,53 @@ def test_verify_skips_inapplicable_checks(growing_config, capsys):
     assert "block_ratio" in report["skipped"]
     assert report["checks"]["classifier_detector_agreement"] == "pass"
     assert report["cycle"]["status"] == "no-cycle"
+
+
+def guard_table(spec, n):
+    """Test oracle: the applicability guards ``build_run_report`` once tested itself.
+
+    Returns the ``checks`` keys, the ``skipped`` items and whether a slope
+    is reported, from p, q, a, b and n alone, with the reason strings the
+    report prints.
+    """
+    p, q = spec.p, spec.q
+    m = math.lcm(p, 2 * q)
+    classification = classify(p, q)
+    stride = classification.predicted_period or classification.witness_modulus
+    checks, skipped = ["product_invariant"], {}
+    if n >= max(p, q) + 1:
+        checks.append("x_relation")
+    else:
+        skipped["x_relation"] = f"needs n >= {max(p, q) + 1}"
+    if abs(spec.a) != abs(spec.b):
+        skipped["second_difference"] = "needs |b| = |a|"
+    elif n < 2 * m + 1:
+        skipped["second_difference"] = f"needs n >= {2 * m + 1}"
+    else:
+        checks.append("second_difference")
+    if (p // math.gcd(p, q)) % 2 == 0:
+        skipped["block_ratio"] = "needs p/gcd(p, q) odd"
+    elif n < m + 1:
+        skipped["block_ratio"] = f"needs n >= {m + 1}"
+    else:
+        checks.append("block_ratio")
+    checks.append("classifier_detector_agreement")
+    return checks, list(skipped.items()), n >= 2 * stride
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs())
+def test_skipped_laws_match_the_guard_table(spec):
+    """Each law's own refusal gives the report the guard table's keys and reasons."""
+    m = math.lcm(spec.p, 2 * spec.q)
+    s = max(spec.p, spec.q) + 1
+    classification = classify(spec.p, spec.q)
+    stride = classification.predicted_period or classification.witness_modulus
+    boundaries = {1, s - 1, s, m, m + 1, 2 * m, 2 * m + 1, 2 * stride - 1, 2 * stride}
+    for n in sorted(k for k in boundaries if k >= 1):
+        report = build_run_report(spec, n)
+        got = list(report["checks"]), list(report["skipped"].items()), bool(report["slopes"])
+        assert got == guard_table(spec, n), n
 
 
 def test_verify_failure_exits_1(periodic_config, capsys, monkeypatch):

@@ -27,12 +27,14 @@ from perisys import (
     step_coefficients,
 )
 from perisys import cycle
+from perisys.simulator import block_period
 
 import conftest
 from conftest import (
     find_window_cycle,
     fixed_point_spec,
     product_family_spec,
+    random_signed_spec,
     scan_cycle,
     specs,
 )
@@ -246,6 +248,7 @@ def test_no_cycle_proof_skips_the_scan(monkeypatch):
 
 
 def test_plus_minus_one_multipliers_are_scanned():
+    """In repeated-root regimes x y = b data has a block period; generic data has none."""
     rng = random.Random(41)
     for q in range(2, 13):
         for p in range(1, q + 1):
@@ -256,9 +259,15 @@ def test_plus_minus_one_multipliers_are_scanned():
                 spec = product_family_spec(rng, p, q, a, 3)
                 multipliers = block_multipliers(p, step_coefficients(spec))
                 assert set(multipliers) <= {1, -1}
+                period = block_period(p, step_coefficients(spec))
+                assert period == (2 * m if -1 in multipliers else m), (p, q, a)
                 result = detect_cycle(spec)
                 assert isinstance(result, Periodic), (p, q, a)
+                assert period % result.period == 0
                 assert (m if a == 3 else 2 * m) % result.period == 0
+            generic = random_signed_spec(rng, p, q)
+            assert block_period(p, step_coefficients(generic)) is None, (p, q)
+            assert detect_cycle(generic) == NoCycleWithinHorizon(default_horizon(p, q))
 
 
 def test_detect_cycle_rejects_oversized_p():

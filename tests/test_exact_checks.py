@@ -25,6 +25,7 @@ from perisys import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
     NotOddQuotientError,
+    TooFewPointsError,
     WrongBackendError,
     WrongRegimeError,
     block_ratio_check,
@@ -62,7 +63,7 @@ def oracle_x_relation(traj) -> bool:
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
-        raise ValueError(f"need a trajectory through at least n={start}, have {traj.n_max}")
+        raise TooFewPointsError(f"need a trajectory through at least n={start}, have {traj.n_max}")
     c = spec.c
     return all(
         traj.x(n) * traj.x(n - spec.q) == c * traj.x(n - spec.p) * traj.x(n - spec.p - spec.q)
@@ -79,7 +80,7 @@ def oracle_block_ratio(traj) -> bool:
         raise NotOddQuotientError(f"p/gcd(p, q) is even for (p, q) = ({spec.p}, {spec.q})")
     m = math.lcm(spec.p, 2 * spec.q)
     if traj.n_max < m + 1:
-        raise ValueError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
+        raise TooFewPointsError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
     ratio = spec.c ** (spec.q // g)
     return all(
         traj.x(n + m) == ratio * traj.x(n)
@@ -95,7 +96,7 @@ def oracle_second_difference(traj) -> bool:
         raise WrongRegimeError(f"needs |b| = |a|, got a={spec.a}, b={spec.b}")
     m = math.lcm(spec.p, 2 * spec.q)
     if traj.n_max < 2 * m + 1:
-        raise ValueError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
+        raise TooFewPointsError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
     return all(
         traj.x(n + 2 * m) * traj.x(n) == traj.x(n + m) ** 2
         for n in range(1, traj.n_max - 2 * m + 1)

@@ -41,7 +41,7 @@ from perisys import (
     x_relation_check,
 )
 from perisys.model import parse_spec_obj
-from perisys.simulator import TRAJECTORY_CSV_HEADER
+from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period
 
 from conftest import (
     csv_writer_export,
@@ -204,11 +204,17 @@ def replay_specs():
 
 
 def test_replayed_blocks_match_literal_recurrence():
+    """P is M, or 2M iff some R_r = -1, and the literal pairs repeat with period P."""
     for spec in replay_specs():
-        assert all(abs(r) == 1 for r in multipliers_of(spec))
-        n_max = 4 * math.lcm(spec.p, 2 * spec.q) + spec.q
+        multipliers = multipliers_of(spec)
+        assert all(abs(r) == 1 for r in multipliers)
+        m = math.lcm(spec.p, 2 * spec.q)
+        period = block_period(spec.p, step_coefficients(spec))
+        assert period == (2 * m if -1 in multipliers else m)
+        n_max = 4 * m + spec.q
         traj = simulate(spec, n_max)
         x, y = naive_simulate(spec, n_max)
+        assert all((x[n + period], y[n + period]) == (x[n], y[n]) for n in range(1, period + 1))
         assert traj.xs == [x[n] for n in range(1 - spec.q, n_max + 1)]
         assert traj.ys == [y[n] for n in range(1 - spec.q, n_max + 1)]
 
@@ -340,14 +346,10 @@ def test_subsequence():
     eleven = subsequence(fixed, 12, 0)
     assert len(eleven) == 11
     assert set(eleven) == {Fraction(1)}
-    ys = subsequence(traj, 5, 3, which="y")
-    assert ys == [traj.y(3), traj.y(8), traj.y(13), traj.y(18)]
     with pytest.raises(ValueError):
         subsequence(traj, 0, 0)
     with pytest.raises(ValueError):
         subsequence(traj, 5, 5)
-    with pytest.raises(ValueError):
-        subsequence(traj, 5, 1, which="z")
 
 
 def test_bit_length_cap_enforced():
