@@ -24,8 +24,6 @@ from .cycle import (
 )
 from .errors import (
     BitLengthExceededError,
-    NotOddQuotientError,
-    NotPeriodicRegimeError,
     PerisysError,
     ShapeError,
     SpecSyntaxError,
@@ -40,7 +38,6 @@ from .model import (
     load_spec,
     parse_spec,
     random_positive_spec,
-    spec_to_json,
     spec_to_obj,
     validate,
 )

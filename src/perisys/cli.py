@@ -1,9 +1,9 @@
 """Command-line surface: classify, simulate, detect-period, verify, sweep.
 
 Every command is deterministic given its flags (sweep additionally takes a
-seed).  Exit codes: 0 success / all checks pass, 1 bad spec or failed
-checks, 2 usage errors.  The environment variable PERISYS_MAX_BITS
-overrides the cap on exact-value bit length.
+seed).  Exit codes: 0 success / all checks pass, 1 bad spec, failed
+checks or a closed stdout, 2 usage errors.  The environment variable
+PERISYS_MAX_BITS sets the cap on exact-value bit length.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
 from .cycle import CycleResult, Periodic, detect_cycle
-from .errors import NotOddQuotientError, PerisysError, TooFewPointsError, WrongRegimeError
+from .errors import PerisysError, TooFewPointsError, WrongRegimeError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
 from .simulator import (
     BACKEND_EXACT,
@@ -108,7 +108,7 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
     for name, law in laws:
         try:
             checks[name] = "pass" if law(traj) else "fail"
-        except (TooFewPointsError, WrongRegimeError, NotOddQuotientError) as exc:
+        except (TooFewPointsError, WrongRegimeError) as exc:
             skipped[name] = str(exc)
 
     cycle_result = detect_cycle(spec)
@@ -249,8 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = sweep_grid(args.p_max, args.q_max, args.trials or args.trials_arg,
-                      seed=args.seed, p_min=args.p_min)
+    rows = sweep_grid(args.p_max, args.q_max, args.trials, seed=args.seed, p_min=args.p_min)
     with _open_out(args.out) as stream:
         if args.format == "json":
             json.dump([row.to_obj() for row in rows], stream, indent=2)
@@ -297,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="classifier-vs-detector grid over p < q")
     swp.add_argument("p_max", type=_positive_int)
     swp.add_argument("q_max", type=_positive_int)
-    swp.add_argument("trials_arg", type=_positive_int, nargs="?", default=3,
-                     metavar="trials")
-    swp.add_argument("--trials", type=_positive_int, default=None,
+    swp.add_argument("--trials", type=_positive_int, default=3,
                      help="random specs per (p, q); default 3")
     swp.add_argument("--p-min", type=_positive_int, default=1)
     swp.add_argument("--seed", type=int, default=0)
@@ -314,7 +311,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, so the output is incomplete: exit 1,
+        # quietly.  fd 1 goes to devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PerisysError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

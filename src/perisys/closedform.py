@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NotOddQuotientError, TooFewPointsError, WrongRegimeError
+from .errors import TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
 from .simulator import (
     BACKEND_EXACT,
@@ -96,13 +96,13 @@ def block_ratio_check(traj: Trajectory) -> bool:
     over numerators and denominators (see
     :func:`perisys.simulator._matches_reference_cycle`), signs included: a
     sign flip alone fails the check.  It refuses an even p/g with
-    ``NotOddQuotientError`` and n_max < m + 1 with ``TooFewPointsError``.
+    ``WrongRegimeError`` and n_max < m + 1 with ``TooFewPointsError``.
     """
     _require_exact(traj)
     spec = traj.spec
     ratio = _block_ratio(spec)
     if ratio is None:
-        raise NotOddQuotientError("needs p/gcd(p, q) odd")
+        raise WrongRegimeError("needs p/gcd(p, q) odd")
     m = _block_steps(spec)
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"needs n >= {m + 1}")

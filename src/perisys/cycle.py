@@ -41,7 +41,7 @@ from typing import Union
 
 from .model import SystemSpec
 from .numerics import resolve_max_bits
-from .simulator import BACKEND_EXACT, block_period, iter_pairs, step_coefficients
+from .simulator import block_period, iter_pairs, step_coefficients
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,18 @@ def default_horizon(p: int, q: int) -> int:
     return 4 * math.lcm(p, 2 * q) + 4 * max(p, q)
 
 
-def detect_cycle(spec: SystemSpec, *, max_bits: int | None = None) -> CycleResult:
+def detect_cycle(spec: SystemSpec) -> CycleResult:
     """Minimal window preperiod and period, or no cycle when some |R_r| != 1.
 
     Generates at most 2 lcm(p, 2q) exact pairs, and none for an unbounded
     spec (module docstring).  The bit cap is resolved first, so a
     malformed ``PERISYS_MAX_BITS`` fails on every spec.
     """
-    cap = resolve_max_bits(max_bits)
+    resolve_max_bits()
     size = block_period(spec.p, step_coefficients(spec))
     if size is None:
         return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
-    block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec, BACKEND_EXACT, cap), size)]
+    block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
     period = next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])
     pairs = list(zip(spec.x_init, spec.y_init)) + block
     preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)

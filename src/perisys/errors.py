@@ -25,16 +25,8 @@ class WrongBackendError(PerisysError):
     """An exact-only operation was applied to the wrong trajectory backend."""
 
 
-class NotPeriodicRegimeError(PerisysError):
-    """A period was requested for parameters whose solutions are not periodic."""
-
-
-class NotOddQuotientError(PerisysError):
-    """The exact block-ratio law needs p/gcd(p, q) odd."""
-
-
 class WrongRegimeError(PerisysError):
-    """A check was applied outside the parameter regime where it holds."""
+    """A check or period was requested outside the parameter regime where it holds."""
 
 
 class TooFewPointsError(PerisysError, ValueError):

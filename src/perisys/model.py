@@ -146,23 +146,13 @@ def spec_to_obj(spec: SystemSpec) -> dict:
     }
 
 
-def spec_to_json(spec: SystemSpec, indent: int | None = None) -> str:
-    return json.dumps(spec_to_obj(spec), indent=indent)
-
-
 def load_spec(path) -> SystemSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_spec(handle.read())
 
 
-def random_positive_spec(
-    rng: random.Random,
-    p: int,
-    q: int,
-    a: Fraction | int = 1,
-    b: Fraction | int = 1,
-) -> SystemSpec:
-    """Random generic spec with positive initial values.
+def random_positive_spec(rng: random.Random, p: int, q: int) -> SystemSpec:
+    """Random generic spec with a = b = 1 and positive initial values.
 
     Numerators and denominators are drawn uniformly from 1..16, as
     perfbench's ``positive_spec(rng, p, q, 1, 16)`` draws them; small
@@ -174,8 +164,8 @@ def random_positive_spec(
         return Fraction(rng.randint(1, 16), rng.randint(1, 16))
 
     return SystemSpec(
-        a=Fraction(a),
-        b=Fraction(b),
+        a=1,
+        b=1,
         p=p,
         q=q,
         x_init=tuple(value() for _ in range(q)),

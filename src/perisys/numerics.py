@@ -78,21 +78,17 @@ def component_bits(value: Fraction) -> int:
     return max(value.numerator.bit_length(), value.denominator.bit_length())
 
 
-def check_bits(value: Fraction, max_bits: int) -> None:
+def check_bits(value: Fraction, cap: int) -> None:
     """Raise :class:`BitLengthExceededError` if either component exceeds the cap."""
     bits = component_bits(value)
-    if bits > max_bits:
+    if bits > cap:
         raise BitLengthExceededError(
-            f"rational component reached {bits} bits (cap {max_bits})"
+            f"rational component reached {bits} bits (cap {cap})"
         )
 
 
-def resolve_max_bits(override: int | None = None) -> int:
-    """Effective bit cap: explicit override, else the environment, else the default."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"max_bits must be positive, got {override}")
-        return override
+def resolve_max_bits() -> int:
+    """Effective bit cap: ``PERISYS_MAX_BITS`` if set, else the default."""
     env = os.environ.get(ENV_MAX_BITS)
     if env is not None:
         try:

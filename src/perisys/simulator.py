@@ -123,14 +123,14 @@ class Trajectory:
         return self.ys[self._offset(n)]
 
 
-def _initial_state(spec: SystemSpec, backend: str, max_bits: int | None) -> tuple:
-    """(a, b, initial xs, initial ys, bit cap) in the backend's number form."""
+def _initial_state(spec: SystemSpec, backend: str) -> tuple:
+    """(a, b, initial xs, initial ys) in the backend's number form."""
     if backend == BACKEND_EXACT:
-        return spec.a, spec.b, list(spec.x_init), list(spec.y_init), resolve_max_bits(max_bits)
+        return spec.a, spec.b, list(spec.x_init), list(spec.y_init)
     if backend != BACKEND_SIGNEDLOG:
         raise WrongBackendError(f"unknown backend {backend!r}")
     a, b = to_signed_log(spec.a), to_signed_log(spec.b)
-    return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init)), None
+    return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init))
 
 
 def step_coefficients(spec: SystemSpec) -> list[Fraction]:
@@ -166,22 +166,22 @@ def block_period(p: int, coefficients: Sequence[Fraction]) -> int | None:
     return math.lcm(p, len(coefficients)) * (1 if all(r == 1 for r in multipliers) else 2)
 
 
-def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
-               max_bits: int | None = None) -> Iterator[tuple]:
+def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
     """Yield (n, x_n, y_n) lazily for n = 1, 2, ...
 
     The exact backend generates y_n as y_{n-p} times the coefficient
     K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
     z = x y repeats with period 2q (see the module docstring).  Every gcd
     that reduces a step then pairs a full-size integer with a small one.
-    Both components of x_n and y_n are checked against the bit cap, x_n
-    first.  When the pairs repeat with a :func:`block_period` P, the first
-    P pairs are computed and stored, and later pairs replay them.  Memory
-    is then O(P) pairs, and O(q) otherwise.  The signed-log backend runs
-    the literal recurrence so that its float rounding, and the exported
-    logs, stay those of the recurrence.
+    Both components of x_n and y_n are checked against the bit cap of
+    :func:`resolve_max_bits`, x_n first.  When the pairs repeat with a
+    :func:`block_period` P, the first P pairs are computed and stored, and
+    later pairs replay them.  Memory is then O(P) pairs, and O(q)
+    otherwise.  The signed-log backend runs the literal recurrence so that
+    its float rounding, and the exported logs, stay those of the
+    recurrence; it has no bit cap.
     """
-    a, b, xs, ys, cap = _initial_state(spec, backend, max_bits)
+    a, b, xs, ys = _initial_state(spec, backend)
     q = spec.q
     back_p = q - spec.p  # window[k] holds index n - q + k
 
@@ -195,6 +195,7 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
             window.append((x, y))
             yield n, x, y
     else:
+        cap = resolve_max_bits()
         coefficients = step_coefficients(spec)
         period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
         block = []
@@ -214,13 +215,12 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT,
             yield n, x, y
 
 
-def simulate(spec: SystemSpec, n_steps: int, backend: str = BACKEND_EXACT,
-             max_bits: int | None = None) -> Trajectory:
+def simulate(spec: SystemSpec, n_steps: int, backend: str = BACKEND_EXACT) -> Trajectory:
     """Generate the trajectory through index ``n_steps`` (deterministic)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _, _, xs, ys, _ = _initial_state(spec, backend, max_bits)
-    for _, x, y in itertools.islice(iter_pairs(spec, backend, max_bits), n_steps):
+    _, _, xs, ys = _initial_state(spec, backend)
+    for _, x, y in itertools.islice(iter_pairs(spec, backend), n_steps):
         xs.append(x)
         ys.append(y)
     return Trajectory(spec=spec, backend=backend, xs=xs, ys=ys)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NotPeriodicRegimeError
+from .errors import WrongRegimeError
 
 
 def _require_positive(p: int, q: int) -> None:
@@ -132,7 +132,7 @@ def has_repeated_root(p: int, q: int) -> bool:
 def predicted_period(p: int, q: int) -> int:
     """Eventual period lcm(p, 2q) in the all-simple-roots regime."""
     if has_repeated_root(p, q):
-        raise NotPeriodicRegimeError(
+        raise WrongRegimeError(
             f"(p, q) = ({p}, {q}) has a repeated characteristic root; no period exists"
         )
     return math.lcm(p, 2 * q)

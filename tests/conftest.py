@@ -2,16 +2,39 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
+import os
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from perisys import NoCycleWithinHorizon, Periodic, SystemSpec
-from perisys.numerics import check_bits
+from perisys.numerics import ENV_MAX_BITS, check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER, trajectory_rows
+
+
+@contextlib.contextmanager
+def bit_cap(bits):
+    """Set ``PERISYS_MAX_BITS`` to ``bits``, or unset it for ``None``; restore it on exit.
+
+    A context manager rather than the ``monkeypatch`` fixture, so that a
+    hypothesis test can set a drawn cap for each example.
+    """
+    old = os.environ.get(ENV_MAX_BITS)
+    try:
+        if bits is None:
+            os.environ.pop(ENV_MAX_BITS, None)
+        else:
+            os.environ[ENV_MAX_BITS] = str(bits)
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(ENV_MAX_BITS, None)
+        else:
+            os.environ[ENV_MAX_BITS] = old
 
 
 def rand_value(rng: random.Random, max_component: int = 16, signed: bool = False) -> Fraction:

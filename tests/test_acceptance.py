@@ -13,6 +13,7 @@ import pathlib
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from perisys import (
@@ -182,7 +183,7 @@ def test_criterion_7_drift_block_ratio_and_monotonicity():
     """c=1/2 on (6,10): ratio exactly 1/32 through n=240, all classes decreasing;
     mirrored c=2: ratio 32, all classes increasing."""
     rng = random.Random(1007)
-    halving = random_positive_spec(rng, 6, 10, a=1, b=2)
+    halving = replace(random_positive_spec(rng, 6, 10), a=1, b=2)
     traj = simulate(halving, 300)
     ratio = Fraction(1, 32)
     ratio_exact = all(traj.x(n + 60) / traj.x(n) == ratio for n in range(1, 241))
@@ -190,7 +191,7 @@ def test_criterion_7_drift_block_ratio_and_monotonicity():
     decreasing = sum(
         monotone_check(traj, 60, t) is Monotonicity.DECREASING for t in range(60)
     )
-    doubling = random_positive_spec(rng, 6, 10, a=2, b=1)
+    doubling = replace(random_positive_spec(rng, 6, 10), a=2, b=1)
     traj_up = simulate(doubling, 300)
     ratio_up = all(traj_up.x(n + 60) / traj_up.x(n) == Fraction(32) for n in range(1, 241))
     increasing = sum(

@@ -8,6 +8,9 @@ import math
 import os
 import random
 import stat
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,7 @@ from perisys import (
     parse_spec,
     random_positive_spec,
     simulate,
-    spec_to_json,
+    spec_to_obj,
 )
 from perisys.cli import (
     VERDICT_CONSISTENT,
@@ -43,7 +46,7 @@ from conftest import csv_writer_export, fixed_point_spec, specs
 def periodic_config(tmp_path):
     spec = random_positive_spec(random.Random(60), 6, 10)
     path = tmp_path / "periodic.json"
-    path.write_text(spec_to_json(spec))
+    path.write_text(json.dumps(spec_to_obj(spec)))
     return str(path), spec
 
 
@@ -51,7 +54,7 @@ def periodic_config(tmp_path):
 def growing_config(tmp_path):
     spec = random_positive_spec(random.Random(61), 2, 3)
     path = tmp_path / "growing.json"
-    path.write_text(spec_to_json(spec))
+    path.write_text(json.dumps(spec_to_obj(spec)))
     return str(path), spec
 
 
@@ -89,7 +92,7 @@ def test_simulate_csv_row_count(periodic_config, capsys):
 
 def test_simulate_fixed_point_rows(tmp_path, capsys):
     path = tmp_path / "fp.json"
-    path.write_text(spec_to_json(fixed_point_spec(2, 3)))
+    path.write_text(json.dumps(spec_to_obj(fixed_point_spec(2, 3))))
     assert main(["simulate", "--config", str(path), "-n", "8"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert all(row.split(",")[1:3] == ["1", "1"] for row in rows)
@@ -221,9 +224,9 @@ def test_verify_all_pass(periodic_config, capsys):
 
 
 def test_verify_reports_drifting_block_ratio(tmp_path, capsys):
-    spec = random_positive_spec(random.Random(62), 6, 10, a=1, b=2)
+    spec = replace(random_positive_spec(random.Random(62), 6, 10), a=1, b=2)
     path = tmp_path / "halving.json"
-    path.write_text(spec_to_json(spec))
+    path.write_text(json.dumps(spec_to_obj(spec)))
     assert main(["verify", "--config", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["block_ratio"] == "pass"
@@ -235,9 +238,9 @@ def test_verify_reports_drifting_block_ratio(tmp_path, capsys):
 
 
 def test_verify_alternating_sign_system(tmp_path, capsys):
-    spec = random_positive_spec(random.Random(63), 6, 10, a=1, b=-1)
+    spec = replace(random_positive_spec(random.Random(63), 6, 10), a=1, b=-1)
     path = tmp_path / "alternating.json"
-    path.write_text(spec_to_json(spec))
+    path.write_text(json.dumps(spec_to_obj(spec)))
     assert main(["verify", "--config", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(value == "pass" for value in report["checks"].values())
@@ -311,7 +314,7 @@ def test_verify_failure_exits_1(periodic_config, capsys, monkeypatch):
 
 def test_verify_degenerate_inside_unbounded_regime(tmp_path, capsys):
     path = tmp_path / "ones.json"
-    path.write_text(spec_to_json(fixed_point_spec(2, 3)))
+    path.write_text(json.dumps(spec_to_obj(fixed_point_spec(2, 3))))
     assert main(["verify", "--config", str(path), "-n", "80"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"]["classifier_detector_agreement"] == "pass-degenerate"
@@ -319,9 +322,9 @@ def test_verify_degenerate_inside_unbounded_regime(tmp_path, capsys):
 
 
 def test_sweep_rows_and_determinism(capsys):
-    assert main(["sweep", "6", "6", "2", "--seed", "9"]) == 0
+    assert main(["sweep", "6", "6", "--trials", "2", "--seed", "9"]) == 0
     first = capsys.readouterr().out
-    assert main(["sweep", "6", "6", "2", "--seed", "9"]) == 0
+    assert main(["sweep", "6", "6", "--trials", "2", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
     lines = first.splitlines()
     assert lines[0] == "p,q,regime,modulus,verdict,outcomes"
@@ -333,10 +336,20 @@ def test_sweep_rows_and_determinism(capsys):
 
 
 def test_sweep_json_format(capsys):
-    assert main(["sweep", "4", "4", "1", "--format", "json", "--seed", "3"]) == 0
+    assert main(["sweep", "4", "4", "--trials", "1", "--format", "json", "--seed", "3"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [(row["p"], row["q"]) for row in rows] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert all(row["verdict"].startswith("CONSISTENT") for row in rows)
+
+
+def test_sweep_trials_only_through_the_flag(capsys):
+    assert main(["sweep", "3", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [len(row["outcomes"]) for row in rows] == [3, 3, 3]  # the default
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "6", "6", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: 2" in capsys.readouterr().err
 
 
 def test_sweep_grid_degenerate_verdict(monkeypatch):
@@ -384,6 +397,18 @@ def test_sweep_verdict_from_trial_agreements(monkeypatch):
     assert [(row.q, row.verdict) for row in rows] == [
         (3, VERDICT_DEGENERATE), (4, VERDICT_INCONSISTENT), (5, VERDICT_CONSISTENT),
     ]
+
+
+def test_closed_stdout_exits_1_quietly(periodic_config):
+    """A reader that stops early leaves the run incomplete: exit 1, nothing on stderr."""
+    path, _ = periodic_config
+    proc = subprocess.Popen([sys.executable, "-m", "perisys.cli", "simulate", "--config", path,
+                             "-n", "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"n,x,y,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_missing_config_exits_1(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from perisys import (
     BACKEND_SIGNEDLOG,
     Monotonicity,
-    NotOddQuotientError,
     TooFewPointsError,
     WrongBackendError,
     WrongRegimeError,
@@ -41,7 +41,7 @@ def test_drift_homogeneous():
 
 
 def test_drift_halving_system():
-    spec = random_positive_spec(random.Random(0), 6, 10, a=1, b=2)
+    spec = replace(random_positive_spec(random.Random(0), 6, 10), a=1, b=2)
     report = drift(spec)
     assert report.c == Fraction(1, 2)
     assert report.drift_per_step == -math.log(2) / 12
@@ -54,7 +54,7 @@ def test_drift_halving_system():
 
 
 def test_drift_large_doubling_system():
-    spec = random_positive_spec(random.Random(1), 60, 84, a=2, b=1)
+    spec = replace(random_positive_spec(random.Random(1), 60, 84), a=2, b=1)
     report = drift(spec)
     assert report.block_ratio == Fraction(128)
     assert report.steps_per_block == 840
@@ -66,7 +66,7 @@ def test_drift_large_doubling_system():
 def test_drift_omits_ratio_for_even_quotient():
     spec = fixed_point_spec(4, 6)
     assert drift(spec).block_ratio is None
-    with pytest.raises(NotOddQuotientError):
+    with pytest.raises(WrongRegimeError, match=r"^needs p/gcd\(p, q\) odd$"):
         block_ratio_check(simulate(spec, 40))
 
 
@@ -104,7 +104,7 @@ def test_growth_slope_exactly_zero_on_periodic_balanced_system():
 
 
 def test_block_ratio_detects_corruption():
-    spec = random_positive_spec(random.Random(4), 6, 10, a=1, b=2)
+    spec = replace(random_positive_spec(random.Random(4), 6, 10), a=1, b=2)
     traj = simulate(spec, 150)
     assert block_ratio_check(traj)
     traj.xs[100] *= 3
@@ -147,8 +147,8 @@ def test_second_difference_trivial_on_periodic():
 
 
 def test_second_difference_guards():
-    spec = random_positive_spec(random.Random(8), 2, 3, a=1, b=2)
-    with pytest.raises(WrongRegimeError):
+    spec = replace(random_positive_spec(random.Random(8), 2, 3), a=1, b=2)
+    with pytest.raises(WrongRegimeError, match=r"^needs \|b\| = \|a\|$"):
         second_difference_check(simulate(spec, 30))
     balanced = random_positive_spec(random.Random(8), 2, 3)
     with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ def test_growth_slope_matches_exact_block_increment():
 
 
 def test_growth_slope_periodic_with_drift():
-    spec = random_positive_spec(random.Random(10), 6, 10, a=1, b=2)
+    spec = replace(random_positive_spec(random.Random(10), 6, 10), a=1, b=2)
     traj = simulate(spec, 250)
     slope = growth_slope(traj, 60, 0)
     assert math.isclose(slope, -5 * math.log(2), rel_tol=0, abs_tol=1e-6)
@@ -205,10 +205,10 @@ def test_monotone_constant_on_periodic():
 
 
 def test_monotone_decreasing_and_increasing():
-    halving = random_positive_spec(random.Random(12), 6, 10, a=1, b=2)
+    halving = replace(random_positive_spec(random.Random(12), 6, 10), a=1, b=2)
     traj = simulate(halving, 400)
     assert monotone_check(traj, 60, 0) is Monotonicity.DECREASING
-    doubling = random_positive_spec(random.Random(12), 6, 10, a=2, b=1)
+    doubling = replace(random_positive_spec(random.Random(12), 6, 10), a=2, b=1)
     traj = simulate(doubling, 400)
     assert monotone_check(traj, 60, 5) is Monotonicity.INCREASING
 

@@ -31,6 +31,7 @@ from perisys.simulator import block_period
 
 import conftest
 from conftest import (
+    bit_cap,
     find_window_cycle,
     fixed_point_spec,
     product_family_spec,
@@ -127,8 +128,8 @@ def test_detect_cycle_propagates_bit_cap():
     assert isinstance(detect_cycle(spec), Periodic)
     with pytest.raises(BitLengthExceededError) as literal:
         scan_cycle(spec, default_horizon(6, 10), max_bits=8)
-    with pytest.raises(BitLengthExceededError) as decided:
-        detect_cycle(spec, max_bits=8)
+    with bit_cap(8), pytest.raises(BitLengthExceededError) as decided:
+        detect_cycle(spec)
     assert str(decided.value) == str(literal.value)
 
 
@@ -209,7 +210,8 @@ def test_no_cycle_proof_matches_scan(spec, max_bits):
     """
     horizon = default_horizon(spec.p, spec.q)
     want = outcome(lambda: scan_cycle(spec, horizon, max_bits or DEFAULT_MAX_BITS))
-    got = outcome(lambda: detect_cycle(spec, max_bits=max_bits))
+    with bit_cap(max_bits):
+        got = outcome(lambda: detect_cycle(spec))
     if isinstance(want, tuple) and got != want:  # the scan outgrew the cap
         assert got == scan_cycle(spec, horizon).to_obj() == NoCycleWithinHorizon(horizon).to_obj()
     else:

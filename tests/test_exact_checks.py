@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 from perisys import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
-    NotOddQuotientError,
     TooFewPointsError,
     WrongBackendError,
     WrongRegimeError,
@@ -77,7 +77,7 @@ def oracle_block_ratio(traj) -> bool:
     spec = traj.spec
     g = math.gcd(spec.p, spec.q)
     if (spec.p // g) % 2 == 0:
-        raise NotOddQuotientError(f"p/gcd(p, q) is even for (p, q) = ({spec.p}, {spec.q})")
+        raise WrongRegimeError(f"p/gcd(p, q) is even for (p, q) = ({spec.p}, {spec.q})")
     m = math.lcm(spec.p, 2 * spec.q)
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"need a trajectory through n={m + 1}, have {traj.n_max}")
@@ -160,7 +160,7 @@ def test_corrupted_y_fails_product_invariant():
 
 
 def test_sign_flip_of_x_fails_block_ratio():
-    spec = random_positive_spec(random.Random(4), 6, 10, a=1, b=2)
+    spec = replace(random_positive_spec(random.Random(4), 6, 10), a=1, b=2)
     traj = simulate(spec, 150)
     assert block_ratio_check(traj)
     traj.xs[100] = -traj.xs[100]
@@ -280,5 +280,5 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
         assert check(drifting), check.__name__
     for check in (product_invariant_check, x_relation_check, second_difference_check):
         assert check(unbounded), check.__name__
-    with pytest.raises(NotOddQuotientError):  # no block ratio in this regime
-        block_ratio_check(unbounded)
+    with pytest.raises(WrongRegimeError, match=r"^needs p/gcd\(p, q\) odd$"):
+        block_ratio_check(unbounded)  # no block ratio in this regime

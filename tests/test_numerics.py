@@ -174,12 +174,11 @@ def test_component_bits_and_cap():
 def test_resolve_max_bits(monkeypatch):
     monkeypatch.delenv(ENV_MAX_BITS, raising=False)
     assert resolve_max_bits() == DEFAULT_MAX_BITS
-    assert resolve_max_bits(512) == 512
     monkeypatch.setenv(ENV_MAX_BITS, "4096")
     assert resolve_max_bits() == 4096
-    assert resolve_max_bits(100) == 100  # explicit beats environment
     monkeypatch.setenv(ENV_MAX_BITS, "bogus")
     with pytest.raises(ValueError):
         resolve_max_bits()
+    monkeypatch.setenv(ENV_MAX_BITS, "0")
     with pytest.raises(ValueError):
-        resolve_max_bits(0)
+        resolve_max_bits()

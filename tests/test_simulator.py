@@ -44,6 +44,7 @@ from perisys.model import parse_spec_obj
 from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period
 
 from conftest import (
+    bit_cap,
     csv_writer_export,
     fixed_point_spec,
     naive_pairs,
@@ -131,15 +132,16 @@ def test_matches_naive_reference():
 @given(specs(), st.integers(1, 300), st.integers(8, 256) | st.just(DEFAULT_MAX_BITS))
 def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
     want, error = pairs_until_cap(naive_pairs(spec, max_bits), n_steps)
-    assert pairs_until_cap(iter_pairs(spec, max_bits=max_bits), n_steps) == (want, error)
-    if error is None:
-        traj = simulate(spec, n_steps, max_bits=max_bits)
-        assert traj.xs == list(spec.x_init) + [x for _, x, _ in want]
-        assert traj.ys == list(spec.y_init) + [y for _, _, y in want]
-    else:
-        with pytest.raises(BitLengthExceededError) as info:
-            simulate(spec, n_steps, max_bits=max_bits)
-        assert str(info.value) == error
+    with bit_cap(max_bits):
+        assert pairs_until_cap(iter_pairs(spec), n_steps) == (want, error)
+        if error is None:
+            traj = simulate(spec, n_steps)
+            assert traj.xs == list(spec.x_init) + [x for _, x, _ in want]
+            assert traj.ys == list(spec.y_init) + [y for _, _, y in want]
+        else:
+            with pytest.raises(BitLengthExceededError) as info:
+                simulate(spec, n_steps)
+            assert str(info.value) == error
 
 
 def multipliers_of(spec):
@@ -229,7 +231,8 @@ def test_bit_cap_inside_first_block_matches_literal_recurrence():
         cap = max(first_block) - 1  # trips where the block first reaches its largest value
         want, error = pairs_until_cap(naive_pairs(spec, cap), 4 * m)
         assert error is not None and len(want) < m
-        assert pairs_until_cap(iter_pairs(spec, max_bits=cap), 4 * m) == (want, error)
+        with bit_cap(cap):
+            assert pairs_until_cap(iter_pairs(spec), 4 * m) == (want, error)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
@@ -354,8 +357,8 @@ def test_subsequence():
 
 def test_bit_length_cap_enforced():
     spec = random_signed_spec(random.Random(10), 2, 3, a=1, b=1)
-    with pytest.raises(BitLengthExceededError):
-        simulate(spec, 2000, max_bits=64)
+    with bit_cap(64), pytest.raises(BitLengthExceededError):
+        simulate(spec, 2000)
 
 
 def test_iter_pairs_rejects_oversized_p():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from perisys import (
-    NotPeriodicRegimeError,
     Reason,
     Regime,
     classify,
@@ -22,6 +21,7 @@ from perisys import (
     turn,
     two_adic_valuation,
     unit_root_turns,
+    WrongRegimeError,
 )
 
 
@@ -110,7 +110,8 @@ def test_predicted_period(p, q, period):
 
 
 def test_predicted_period_refuses_repeated_roots():
-    with pytest.raises(NotPeriodicRegimeError):
+    with pytest.raises(WrongRegimeError, match=r"^\(p, q\) = \(2, 3\) has a repeated "
+                                               r"characteristic root; no period exists$"):
         predicted_period(2, 3)
 
 
