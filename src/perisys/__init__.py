@@ -8,11 +8,9 @@ analysis (spectral).  The CLI ties them together and cross-checks them.
 
 from .closedform import (
     DriftReport,
-    Monotonicity,
     block_ratio_check,
     drift,
     growth_slope,
-    monotone_check,
     second_difference_check,
 )
 from .cycle import (
@@ -69,21 +67,9 @@ from .simulator import (
 )
 from .spectral import (
     Classification,
-    Decomposition,
     Reason,
     Regime,
-    SpectrumReport,
     classify,
-    decompose,
-    enumerate_roots,
-    has_repeated_root,
-    negation_root_turns,
-    predicted_period,
-    repeated_root_by_condition,
-    repeated_root_by_intersection,
-    turn,
-    two_adic_valuation,
-    unit_root_turns,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongRegimeError
@@ -53,13 +52,6 @@ class DriftReport:
             "steps_per_block": self.steps_per_block,
             "block_ratio": None if self.block_ratio is None else str(self.block_ratio),
         }
-
-
-class Monotonicity(Enum):
-    INCREASING = "Increasing"
-    DECREASING = "Decreasing"
-    CONSTANT = "Constant"
-    NON_MONOTONE = "NonMonotone"
 
 
 def _block_steps(spec: SystemSpec) -> int:
@@ -155,34 +147,3 @@ def growth_slope(traj: Trajectory, m: int, t: int) -> float:
     else:
         logs = [v.logmag for v in values]
     return statistics.linear_regression(range(len(logs)), logs).slope
-
-
-def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
-    """Eventual strict monotonicity of |x_{mn+t}|, by exact comparison.
-
-    Classifies the longest suffix of the subsequence on which consecutive
-    comparisons all agree; the suffix must span at least 3 points, so a
-    preperiod is skipped but the verdict is never read off fewer than two
-    comparisons.
-    """
-    _require_exact(traj)
-    values = [abs(v) for v in subsequence(traj, m, t)]
-    if len(values) < 3:
-        raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
-    directions = [
-        (second > first) - (second < first)
-        for first, second in zip(values, values[1:])
-    ]
-    tail = directions[-1]
-    span = 0
-    for step in reversed(directions):
-        if step != tail:
-            break
-        span += 1
-    if span < 2:
-        return Monotonicity.NON_MONOTONE
-    if tail > 0:
-        return Monotonicity.INCREASING
-    if tail < 0:
-        return Monotonicity.DECREASING
-    return Monotonicity.CONSTANT

@@ -125,11 +125,20 @@ def parse_spec_obj(obj) -> SystemSpec:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecSyntaxError(f"invalid JSON: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_spec(text: str) -> SystemSpec:
-    """Parse a spec document (JSON with rationals as literal strings)."""
+    """Parse a spec document (JSON with rationals as literal strings, no repeated key)."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecSyntaxError(f"invalid JSON: {exc}") from exc
     return parse_spec_obj(obj)
 

@@ -65,13 +65,13 @@ K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
 other pair of coefficients shares a z.  When d | q the two lie in one
 class, every z cancels, and R_r = (b/a)^(q/d); otherwise every R_r is a
 product of distinct z^(+-1), so |R_r| != 1 for generic data.  And d | q
-is the negation of the repeated-root test of ``spectral``:
+is the periodic regime of ``spectral.classify``, p/gcd(p, q) odd:
 
     d | q  <=>  v2(d) <= v2(q)       (the odd part of d divides that of q)
     v2(d) = min(v2(p), v2(q) + 1)    (d = gcd(p, 2q))
 
-so d | q iff v2(p) <= v2(q), iff the characteristic polynomial
-(L^p - 1)(L^q + 1) has no repeated root.
+so d | q iff v2(p) <= v2(q), iff (L^p - 1)(L^q + 1) has no repeated root
+(the test oracle ``has_repeated_root`` in ``tests/oracles.py``).
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with

@@ -1,0 +1,171 @@
+"""Test oracles that no command runs: characteristic roots and subsequence monotonicity.
+
+Taking logs of the pure-x relation linearizes the system; the resulting
+linear recurrence has characteristic polynomial
+
+    (lambda^p - 1) * (lambda^q + 1)
+
+whose roots are all roots of unity.  Each root is represented exactly as a
+reduced "turn" fraction k/d in [0, 1) standing for exp(2*pi*i*k/d): the
+first factor contributes turns l/p, the second turns (2k+1)/(2q).  A root
+is repeated exactly when it solves both factors, which happens iff
+v2(p) > v2(q) where v2 is the 2-adic valuation.  A repeated root forces a
+linear-in-n term in log space, hence an exponentially growing or decaying
+subsequence and no periodicity; all-simple roots give eventual periodicity
+with period lcm(p, 2q).
+
+The root enumeration is the reference that :func:`perisys.spectral.classify`
+is tested against; :func:`monotone_check` reads the growing or decaying
+witness subsequence exactly (acceptance criterion 7).
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+
+from perisys.errors import TooFewPointsError, WrongRegimeError
+from perisys.simulator import Trajectory, _require_exact, subsequence
+from perisys.spectral import _require_positive
+
+
+def two_adic_valuation(n: int) -> int:
+    """Exponent of 2 in the factorization of a positive integer."""
+    if n < 1:
+        raise ValueError(f"need a positive integer, got {n}")
+    return (n & -n).bit_length() - 1
+
+
+def turn(k: int, d: int) -> Fraction:
+    """The root exp(2*pi*i*k/d) as a reduced fraction of a full turn in [0, 1)."""
+    if d < 1:
+        raise ValueError(f"turn denominator must be positive, got {d}")
+    return Fraction(k % d, d)
+
+
+def unit_root_turns(p: int) -> list[Fraction]:
+    """Turns of the p solutions of lambda^p = 1 (test oracle)."""
+    return [turn(l, p) for l in range(p)]
+
+
+def negation_root_turns(q: int) -> list[Fraction]:
+    """Turns of the q solutions of lambda^q = -1 (test oracle)."""
+    return [turn(2 * k + 1, 2 * q) for k in range(q)]
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """p = 2^r * u * s and q = 2^r * u * t with u odd and gcd(s, t) = 1."""
+
+    g: int
+    r: int
+    u: int
+    s: int
+    t: int
+
+
+def decompose(p: int, q: int) -> Decomposition:
+    """Split p and q as in :class:`Decomposition` (test oracle)."""
+    _require_positive(p, q)
+    g = math.gcd(p, q)
+    r = two_adic_valuation(g)
+    return Decomposition(g=g, r=r, u=g >> r, s=p // g, t=q // g)
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """All roots as (turn, multiplicity), sorted by turn."""
+
+    roots: tuple[tuple[Fraction, int], ...]
+
+    @property
+    def degree(self) -> int:
+        return sum(mult for _, mult in self.roots)
+
+    def repeated_turns(self) -> tuple[Fraction, ...]:
+        return tuple(t for t, mult in self.roots if mult > 1)
+
+
+def enumerate_roots(p: int, q: int) -> SpectrumReport:
+    """Multiset union of the two explicit root families (test oracle)."""
+    _require_positive(p, q)
+    counts = Counter(unit_root_turns(p))
+    counts.update(negation_root_turns(q))
+    return SpectrumReport(roots=tuple(sorted(counts.items())))
+
+
+def repeated_root_by_condition(p: int, q: int) -> bool:
+    """Repeated-root test via the coincidence condition (2k+1) s = 2 l t (test oracle).
+
+    Scans the q odd-multiple candidates; a solution in integers l is a
+    shared root of the two factors (the implied l always lands in 0..p-1).
+    """
+    dec = decompose(p, q)
+    s, t = dec.s, dec.t
+    for k in range(q):
+        value = (2 * k + 1) * s
+        if value % (2 * t) == 0 and value // (2 * t) < p:
+            return True
+    return False
+
+
+def repeated_root_by_intersection(p: int, q: int) -> bool:
+    """Repeated-root test via intersecting the two exact turn sets (test oracle)."""
+    _require_positive(p, q)
+    return not set(unit_root_turns(p)).isdisjoint(negation_root_turns(q))
+
+
+def has_repeated_root(p: int, q: int) -> bool:
+    """Closed-form repeated-root test: v2(p) > v2(q)."""
+    _require_positive(p, q)
+    return two_adic_valuation(p) > two_adic_valuation(q)
+
+
+def predicted_period(p: int, q: int) -> int:
+    """Eventual period lcm(p, 2q) in the all-simple-roots regime."""
+    if has_repeated_root(p, q):
+        raise WrongRegimeError(
+            f"(p, q) = ({p}, {q}) has a repeated characteristic root; no period exists"
+        )
+    return math.lcm(p, 2 * q)
+
+
+class Monotonicity(Enum):
+    INCREASING = "Increasing"
+    DECREASING = "Decreasing"
+    CONSTANT = "Constant"
+    NON_MONOTONE = "NonMonotone"
+
+
+def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
+    """Eventual strict monotonicity of |x_{mn+t}|, by exact comparison.
+
+    Classifies the longest suffix of the subsequence on which consecutive
+    comparisons all agree; the suffix must span at least 3 points, so a
+    preperiod is skipped but the verdict is never read off fewer than two
+    comparisons.
+    """
+    _require_exact(traj)
+    values = [abs(v) for v in subsequence(traj, m, t)]
+    if len(values) < 3:
+        raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
+    directions = [
+        (second > first) - (second < first)
+        for first, second in zip(values, values[1:])
+    ]
+    tail = directions[-1]
+    span = 0
+    for step in reversed(directions):
+        if step != tail:
+            break
+        span += 1
+    if span < 2:
+        return Monotonicity.NON_MONOTONE
+    if tail > 0:
+        return Monotonicity.INCREASING
+    if tail < 0:
+        return Monotonicity.DECREASING
+    return Monotonicity.CONSTANT

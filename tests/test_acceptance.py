@@ -19,27 +19,29 @@ from fractions import Fraction
 from perisys import (
     NoCycleWithinHorizon,
     Periodic,
-    Monotonicity,
     Regime,
     block_ratio_check,
     classify,
     detect_cycle,
     growth_slope,
-    has_repeated_root,
-    monotone_check,
     product_invariant_check,
     random_positive_spec,
-    repeated_root_by_condition,
-    repeated_root_by_intersection,
     second_difference_check,
     simulate,
     to_signed_log,
-    two_adic_valuation,
     x_relation_check,
 )
 from perisys.cli import VERDICT_INCONSISTENT, agreement, sweep_grid
 
 from conftest import first_repeat, product_family_spec, random_signed_spec
+from oracles import (
+    Monotonicity,
+    has_repeated_root,
+    monotone_check,
+    repeated_root_by_condition,
+    repeated_root_by_intersection,
+    two_adic_valuation,
+)
 
 
 def _finish(name: str, ok: bool, detail: str) -> None:

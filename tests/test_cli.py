@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import io
+import itertools
 import json
 import math
 import os
+import pkgutil
 import random
 import stat
 import subprocess
@@ -36,6 +39,7 @@ from perisys.cli import (
     main,
     sweep_grid,
 )
+import perisys
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
@@ -193,6 +197,32 @@ def test_simulate_reports_validation_failure(command, tmp_path, capsys):
     assert main(argv + ["--config", str(deep)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "insufficient-history" in captured.err
+    assert not out.exists()
+
+
+DEEP_DOC = "[" * 100_000 + "]" * 100_000
+DUPLICATE_KEY_DOC = ('{"a": "1", "a": "2", "b": "1", "p": 1, "q": 1, '
+                     '"x_init": ["1"], "y_init": ["1"]}')
+
+
+@pytest.mark.parametrize("doc, message", [
+    (DEEP_DOC, "invalid JSON"),
+    (DUPLICATE_KEY_DOC, "duplicate key 'a'"),
+], ids=["nested", "duplicate-key"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "-n", "5", "--out", "OUT"],
+    ["detect-period"],
+    ["verify"],
+], ids=["simulate-out", "detect-period", "verify"])
+def test_malformed_document_is_one_line_error(command, doc, message, tmp_path, capsys):
+    config = tmp_path / "spec.json"
+    config.write_text(doc)
+    out = tmp_path / "out.csv"
+    argv = [str(out) if arg == "OUT" else arg for arg in command]
+    assert main(argv + ["--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
     assert not out.exists()
 
 
@@ -468,3 +498,67 @@ def test_signedlog_long_run_witness_becomes_monotone(growing_config, capsys):
     tail = logs[-100:]
     climbs = {second > first for first, second in zip(tail, tail[1:])}
     assert len(climbs) == 1
+
+
+# Package functions that no command runs, each with the reason it stays in src/.
+NOT_RUN_BY_COMMANDS = {
+    "model.validate": "bound by perfbench/run.py SETUP_CODE and by tracing.COARSE",
+    "model.ValidationReport.ok": "bound by perfbench/run.py SETUP_CODE",
+    "simulator.trajectory_to_obj": "bound by perfbench tracing.COARSE",
+    "simulator.Trajectory.x": "library accessor",
+    "simulator.Trajectory.y": "library accessor",
+    "simulator.Trajectory._offset": "the bounds check of the library accessors",
+}
+
+
+def package_functions():
+    """Code object of each module-level function and method under src/perisys, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(perisys.__path__):
+        module = importlib.import_module(f"perisys.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [(name, value)]
+            if isinstance(value, type):
+                members = [(f"{name}.{attr}", member) for attr, member in vars(value).items()]
+            for qualname, member in members:
+                # a property runs its getter; a classmethod or staticmethod its function
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                code = getattr(member, "__code__", None)
+                # dataclass-generated methods are compiled from strings, not from the module
+                if code is not None and code.co_filename == module.__file__:
+                    found[f"{info.name}.{qualname}"] = code
+    return found
+
+
+def test_every_package_function_runs_from_a_command(periodic_config, growing_config,
+                                                    tmp_path, capsys):
+    """Code that only tests run belongs in tests/, not in the package."""
+    out = str(tmp_path / "out")
+    commands = [["classify", "-p", "6", "-q", "10"], ["classify", "-p", "2", "-q", "3", "--json"],
+                ["sweep", "4", "4", "--trials", "2"],
+                ["sweep", "4", "4", "--trials", "2", "--format", "json", "--out", out]]
+    for path, _ in (periodic_config, growing_config):
+        for backend, fmt in itertools.product(("exact", "log"), ("csv", "json")):
+            simulate_argv = ["simulate", "--config", path, "-n", "40",
+                             "--backend", backend, "--format", fmt]
+            commands += [simulate_argv, simulate_argv + ["--out", out]]
+        commands += [["detect-period", "--config", path], ["verify", "--config", path],
+                     ["verify", "--config", path, "-n", "5"]]
+
+    executed = set()
+
+    def record_call(frame, event, arg):
+        executed.add(frame.f_code)  # returns None: no line events inside the frame
+
+    previous = sys.gettrace()
+    sys.settrace(record_call)
+    try:
+        codes = [main(argv) for argv in commands]
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
+    not_run = {name for name, code in package_functions().items() if code not in executed}
+    assert sorted(not_run) == sorted(NOT_RUN_BY_COMMANDS)

@@ -11,14 +11,12 @@ import pytest
 
 from perisys import (
     BACKEND_SIGNEDLOG,
-    Monotonicity,
     TooFewPointsError,
     WrongBackendError,
     WrongRegimeError,
     block_ratio_check,
     drift,
     growth_slope,
-    monotone_check,
     random_positive_spec,
     second_difference_check,
     simulate,
@@ -27,6 +25,7 @@ from perisys import (
 )
 
 from conftest import find_window_cycle, fixed_point_spec, random_signed_spec
+from oracles import Monotonicity, monotone_check
 
 
 def test_drift_homogeneous():

@@ -77,6 +77,27 @@ def test_parse_non_json_and_non_object():
         parse_spec("[1, 2, 3]")
 
 
+@pytest.mark.parametrize("doc", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"a": ' * 100_000 + "1" + "}" * 100_000,
+], ids=["arrays", "objects"])
+def test_parse_deeply_nested_document(doc):
+    """Nesting past the decoder's recursion limit is a syntax error, not a RecursionError."""
+    with pytest.raises(SpecSyntaxError, match="invalid JSON"):
+        parse_spec(doc)
+
+
+def test_parse_rejects_duplicate_keys():
+    """The last value would win: a = 2 here would turn a fixed point into no cycle."""
+    doc = ('{"a": "1", "a": "2", "b": "1", "p": 1, "q": 1, '
+           '"x_init": ["1"], "y_init": ["1"]}')
+    with pytest.raises(SpecSyntaxError, match="duplicate key 'a'"):
+        parse_spec(doc)
+    with pytest.raises(SpecSyntaxError, match="duplicate key 'k'"):
+        parse_spec(doc.replace('"a": "1", "a": "2"', '"a": "1", "m": {"k": 1, "k": 1}'))
+    assert parse_spec(doc.replace('"a": "1", ', "")).a == 2
+
+
 def test_spec_constructor_checks():
     with pytest.raises(ShapeError):
         SystemSpec(a=1, b=1, p=2, q=3, x_init=(1, 1), y_init=(1, 1, 1))

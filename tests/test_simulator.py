@@ -26,7 +26,6 @@ from perisys import (
     block_multipliers,
     component_bits,
     drift,
-    has_repeated_root,
     iter_pairs,
     parse_spec,
     product_invariant_check,
@@ -52,6 +51,7 @@ from conftest import (
     random_signed_spec,
     specs,
 )
+from oracles import has_repeated_root
 
 
 def naive_simulate(spec, n_steps):

@@ -1,4 +1,4 @@
-"""Root enumeration, repeated-root tests, and the regime classifier."""
+"""The regime classifier against the root-enumeration and repeated-root oracles."""
 
 from __future__ import annotations
 
@@ -11,6 +11,10 @@ from perisys import (
     Reason,
     Regime,
     classify,
+    WrongRegimeError,
+)
+
+from oracles import (
     decompose,
     enumerate_roots,
     has_repeated_root,
@@ -21,7 +25,6 @@ from perisys import (
     turn,
     two_adic_valuation,
     unit_root_turns,
-    WrongRegimeError,
 )
 
 
