@@ -221,12 +221,9 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_spec(args.config)
-    traj = simulate(spec, args.n, backend=_BACKEND_ALIASES[args.backend])
+    write = write_trajectory_csv if args.format == "csv" else write_trajectory_json
     with _open_out(args.out) as stream:
-        if args.format == "csv":
-            write_trajectory_csv(traj, stream)
-        else:
-            write_trajectory_json(traj, stream)
+        write(spec, args.n, _BACKEND_ALIASES[args.backend], stream)
     return 0
 
 

@@ -26,14 +26,7 @@ from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
-from .simulator import (
-    BACKEND_EXACT,
-    Trajectory,
-    _matches_reference_cycle,
-    _require_exact,
-    subsequence,
-    to_signed_log,
-)
+from .simulator import Trajectory, _matches_reference_cycle, subsequence, to_signed_log
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ def block_ratio_check(traj: Trajectory) -> bool:
     sign flip alone fails the check.  It refuses an even p/g with
     ``WrongRegimeError`` and n_max < m + 1 with ``TooFewPointsError``.
     """
-    _require_exact(traj)
     spec = traj.spec
     ratio = _block_ratio(spec)
     if ratio is None:
@@ -125,7 +117,6 @@ def second_difference_check(traj: Trajectory) -> bool:
     included.  It refuses |b| != |a| with ``WrongRegimeError`` and
     n_max < 2m + 1 with ``TooFewPointsError``.
     """
-    _require_exact(traj)
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):
         raise WrongRegimeError("needs |b| = |a|")
@@ -142,8 +133,5 @@ def growth_slope(traj: Trajectory, m: int, t: int) -> float:
     values = subsequence(traj, m, t)
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
-    if traj.backend == BACKEND_EXACT:
-        logs = [to_signed_log(v).logmag for v in values]
-    else:
-        logs = [v.logmag for v in values]
+    logs = [to_signed_log(v).logmag for v in values]
     return statistics.linear_regression(range(len(logs)), logs).slope

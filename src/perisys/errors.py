@@ -22,7 +22,7 @@ class BitLengthExceededError(PerisysError):
 
 
 class WrongBackendError(PerisysError):
-    """An exact-only operation was applied to the wrong trajectory backend."""
+    """An unknown backend name was given to ``iter_pairs``."""
 
 
 class WrongRegimeError(PerisysError):

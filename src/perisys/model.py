@@ -138,7 +138,7 @@ def parse_spec(text: str) -> SystemSpec:
     """Parse a spec document (JSON with rationals as literal strings, no repeated key)."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over 4300 digits
         raise SpecSyntaxError(f"invalid JSON: {exc}") from exc
     return parse_spec_obj(obj)
 

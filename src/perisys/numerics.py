@@ -12,7 +12,8 @@ This module adds what ``Fraction`` does not have:
 * a bit-length cap so trajectories in growing regimes abort with a typed
   error instead of exhausting memory,
 * :class:`SignedLog`, a (sign, log-magnitude) representation of nonzero
-  reals whose multiply/divide are float add/subtract and cannot overflow.
+  reals; a product or quotient of two is a product of signs and a float
+  sum or difference of logs, which cannot overflow.
 
 Log magnitudes of huge integers are computed from the integer directly,
 as (bit_length - 53) * ln 2 plus the log of the top 53 bits; the full
@@ -122,12 +123,6 @@ class SignedLog:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        return SignedLog(self.sign * other.sign, self.logmag + other.logmag)
-
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        return SignedLog(self.sign * other.sign, self.logmag - other.logmag)
 
 
 def to_signed_log(value: Fraction | int) -> SignedLog:

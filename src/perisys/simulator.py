@@ -8,13 +8,13 @@ Each step n >= 1 computes
 on top of initial data at indices -q+1 .. 0, so every read stays inside
 known values as long as p <= q, which every ``SystemSpec`` guarantees.
 
-Backends:
+Backends.  :func:`iter_pairs` generates pairs on two backends:
 
-* ``exact`` stores ``Fraction`` values; all zero-tolerance identity checks
-  live on this backend.
-* ``signedlog`` stores :class:`SignedLog` values whose log magnitudes track
+* ``exact`` yields ``Fraction`` values; :func:`simulate` stores them as a
+  :class:`Trajectory`, which every zero-tolerance law reads.
+* ``signedlog`` yields :class:`SignedLog` values whose log magnitudes track
   the exact trajectory to float precision and cannot overflow, which makes
-  very long runs in growing regimes cheap.
+  very long exports in growing regimes cheap; no ``Trajectory`` holds them.
 
 The exact backend does not run the second equation literally.  The product
 of the two equations is
@@ -90,7 +90,7 @@ from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongBackendError
 from .model import SystemSpec, spec_to_obj
-from .numerics import check_bits, format_rational, resolve_max_bits, to_signed_log
+from .numerics import SignedLog, check_bits, format_rational, resolve_max_bits, to_signed_log
 
 BACKEND_EXACT = "exact"
 BACKEND_SIGNEDLOG = "signedlog"
@@ -100,10 +100,9 @@ TRAJECTORY_CSV_HEADER = ("n", "x", "y", "sign_x", "log_abs_x", "sign_y", "log_ab
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Generated values for indices -q+1 .. n_max, plus their spec."""
+    """Exact values for indices -q+1 .. n_max, plus their spec."""
 
     spec: SystemSpec
-    backend: str
     xs: list
     ys: list
 
@@ -121,16 +120,6 @@ class Trajectory:
 
     def y(self, n: int):
         return self.ys[self._offset(n)]
-
-
-def _initial_state(spec: SystemSpec, backend: str) -> tuple:
-    """(a, b, initial xs, initial ys) in the backend's number form."""
-    if backend == BACKEND_EXACT:
-        return spec.a, spec.b, list(spec.x_init), list(spec.y_init)
-    if backend != BACKEND_SIGNEDLOG:
-        raise WrongBackendError(f"unknown backend {backend!r}")
-    a, b = to_signed_log(spec.a), to_signed_log(spec.b)
-    return a, b, list(map(to_signed_log, spec.x_init)), list(map(to_signed_log, spec.y_init))
 
 
 def step_coefficients(spec: SystemSpec) -> list[Fraction]:
@@ -167,68 +156,76 @@ def block_period(p: int, coefficients: Sequence[Fraction]) -> int | None:
 
 
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
-    """Yield (n, x_n, y_n) lazily for n = 1, 2, ...
+    """An iterator of (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
 
     The exact backend generates y_n as y_{n-p} times the coefficient
     K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
     z = x y repeats with period 2q (see the module docstring).  Every gcd
     that reduces a step then pairs a full-size integer with a small one.
     Both components of x_n and y_n are checked against the bit cap of
-    :func:`resolve_max_bits`, x_n first.  When the pairs repeat with a
+    :func:`resolve_max_bits`, x_n first; the cap is resolved by this call,
+    before any pair is taken.  When the pairs repeat with a
     :func:`block_period` P, the first P pairs are computed and stored, and
     later pairs replay them.  Memory is then O(P) pairs, and O(q)
     otherwise.  The signed-log backend runs the literal recurrence so that
     its float rounding, and the exported logs, stay those of the
-    recurrence; it has no bit cap.
+    recurrence; it has no bit cap.  Any other backend name raises
+    ``WrongBackendError``.
     """
-    a, b, xs, ys = _initial_state(spec, backend)
-    q = spec.q
-    back_p = q - spec.p  # window[k] holds index n - q + k
-
     if backend == BACKEND_SIGNEDLOG:
-        window = deque(zip(xs, ys), maxlen=q)
-        for n in itertools.count(1):
-            _, y_p = window[back_p]
-            x_q, y_q = window[0]
-            x = a / y_p
-            y = b * y_p / (x_q * y_q)
-            window.append((x, y))
-            yield n, x, y
-    else:
-        cap = resolve_max_bits()
-        coefficients = step_coefficients(spec)
-        period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
-        block = []
-        window = deque(ys, maxlen=q)
-        steps = zip(itertools.count(1), itertools.cycle(coefficients))
-        for n, coefficient in itertools.islice(steps, period):
-            y_p = window[back_p]
-            x = a / y_p
-            y = y_p * coefficient
-            check_bits(x, cap)
-            check_bits(y, cap)
-            window.append(y)
-            if period:
-                block.append((x, y))
-            yield n, x, y
-        for n, (x, y) in zip(itertools.count(period + 1), itertools.cycle(block)):
-            yield n, x, y
+        return _log_pairs(spec)
+    if backend != BACKEND_EXACT:
+        raise WrongBackendError(f"unknown backend {backend!r}")
+    return _exact_pairs(spec, resolve_max_bits())
 
 
-def simulate(spec: SystemSpec, n_steps: int, backend: str = BACKEND_EXACT) -> Trajectory:
-    """Generate the trajectory through index ``n_steps`` (deterministic)."""
+def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
+    a, q = spec.a, spec.q
+    back_p = q - spec.p  # window[k] holds y_{n-q+k}
+    coefficients = step_coefficients(spec)
+    period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
+    block = []
+    window = deque(spec.y_init, maxlen=q)
+    steps = zip(itertools.count(1), itertools.cycle(coefficients))
+    for n, coefficient in itertools.islice(steps, period):
+        y_p = window[back_p]
+        x = a / y_p
+        y = y_p * coefficient
+        check_bits(x, cap)
+        check_bits(y, cap)
+        window.append(y)
+        if period:
+            block.append((x, y))
+        yield n, x, y
+    for n, (x, y) in zip(itertools.count(period + 1), itertools.cycle(block)):
+        yield n, x, y
+
+
+def _log_pairs(spec: SystemSpec) -> Iterator[tuple]:
+    """The literal recurrence on signs and log magnitudes, in its order of operations."""
+    a, b = to_signed_log(spec.a), to_signed_log(spec.b)
+    back_p = spec.q - spec.p  # window[k] holds the pair at n - q + k
+    window = deque(zip(map(to_signed_log, spec.x_init), map(to_signed_log, spec.y_init)),
+                   maxlen=spec.q)
+    for n in itertools.count(1):
+        _, y_p = window[back_p]
+        x_q, y_q = window[0]
+        x = SignedLog(a.sign * y_p.sign, a.logmag - y_p.logmag)
+        y = SignedLog(b.sign * y_p.sign * x_q.sign * y_q.sign,
+                      (b.logmag + y_p.logmag) - (x_q.logmag + y_q.logmag))
+        window.append((x, y))
+        yield n, x, y
+
+
+def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
+    """Generate the exact trajectory through index ``n_steps`` (deterministic)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _, _, xs, ys = _initial_state(spec, backend)
-    for _, x, y in itertools.islice(iter_pairs(spec, backend), n_steps):
+    xs, ys = list(spec.x_init), list(spec.y_init)
+    for _, x, y in itertools.islice(iter_pairs(spec), n_steps):
         xs.append(x)
         ys.append(y)
-    return Trajectory(spec=spec, backend=backend, xs=xs, ys=ys)
-
-
-def _require_exact(traj: Trajectory) -> None:
-    if traj.backend != BACKEND_EXACT:
-        raise WrongBackendError(f"exact backend required, got {traj.backend!r}")
+    return Trajectory(spec=spec, xs=xs, ys=ys)
 
 
 def _matches_reference_cycle(values: list, lag: int, first: int,
@@ -272,7 +269,6 @@ def product_invariant_check(traj: Trajectory) -> bool:
     positive denominators, so u/v = r/s holds exactly when u*s = r*v,
     signs included.
     """
-    _require_exact(traj)
     spec = traj.spec
     ab = spec.a * spec.b
     q, xs, ys = spec.q, traj.xs, traj.ys
@@ -313,7 +309,6 @@ def x_relation_check(traj: Trajectory) -> bool:
     values.  The later values are compared as in
     :func:`_matches_reference_cycle`.
     """
-    _require_exact(traj)
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
@@ -336,49 +331,53 @@ def subsequence(traj: Trajectory, m: int, t: int) -> list:
     return traj.xs[t + traj.spec.q - 1::m]
 
 
-def trajectory_rows(traj: Trajectory) -> Iterator[tuple]:
-    """One export row per generated index n = 1 .. n_max, in TRAJECTORY_CSV_HEADER order.
+def _row(n: int, x, y) -> tuple:
+    if isinstance(x, SignedLog):  # no exact form: the literal columns stay empty
+        return n, "", "", x.sign, x.logmag, y.sign, y.logmag
+    sx, sy = to_signed_log(x), to_signed_log(y)
+    return n, format_rational(x), format_rational(y), sx.sign, sx.logmag, sy.sign, sy.logmag
 
-    Exact values are rendered as rational literals; the signed-log backend
-    has no exact form, so its x and y columns are empty.
+
+def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tuple]:
+    """One export row per index n = 1 .. n_steps, in TRAJECTORY_CSV_HEADER order.
+
+    The rows are drawn lazily from ``iter_pairs(spec, backend)``, which is
+    called, and so resolves the bit cap, before this returns.  Exact
+    values are rendered as rational literals; the signed-log backend has
+    no exact form, so its x and y columns are empty.
     """
-    exact = traj.backend == BACKEND_EXACT
-    q = traj.spec.q
-    generated = zip(itertools.islice(traj.xs, q, None), itertools.islice(traj.ys, q, None))
-    for n, (x, y) in enumerate(generated, 1):
-        if exact:
-            sx, sy = to_signed_log(x), to_signed_log(y)
-            yield n, format_rational(x), format_rational(y), sx.sign, sx.logmag, sy.sign, sy.logmag
-        else:
-            yield n, "", "", x.sign, x.logmag, y.sign, y.logmag
+    return itertools.starmap(_row, itertools.islice(iter_pairs(spec, backend), n_steps))
 
 
-def write_trajectory_csv(traj: Trajectory, stream) -> None:
+def write_trajectory_csv(spec: SystemSpec, n_steps: int, backend: str, stream) -> None:
     """Write the header, then each row as one CRLF-terminated line and one ``write``.
 
     The bytes are those of ``csv.writer``'s default dialect: no field ever
     needs quoting, since literals hold only digits, ``-`` and ``/``, the
     other fields are ints or ``.17g`` floats, and no row is a lone empty
-    field.  Each row is written as soon as it is formatted, so a literal
-    that fails to format leaves the rows before it written.
+    field.  A malformed bit cap fails before the header; a value over the
+    cap, or a literal that fails to format, leaves the header and the rows
+    before it written, since each row is written as soon as it is made.
     """
+    rows = trajectory_rows(spec, n_steps, backend)
     stream.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")
-    for n, x, y, sign_x, log_x, sign_y, log_y in trajectory_rows(traj):
+    for n, x, y, sign_x, log_x, sign_y, log_y in rows:
         stream.write(f"{n},{x},{y},{sign_x},{log_x:.17g},{sign_y},{log_y:.17g}\r\n")
 
 
-def _export_obj(traj: Trajectory, rows: list) -> dict:
-    return {"spec": spec_to_obj(traj.spec), "backend": traj.backend, "n": traj.n_max, "rows": rows}
+def _export_obj(spec: SystemSpec, n_steps: int, backend: str, rows: list) -> dict:
+    return {"spec": spec_to_obj(spec), "backend": backend, "n": n_steps, "rows": rows}
 
 
-def trajectory_to_obj(traj: Trajectory) -> dict:
+def trajectory_to_obj(spec: SystemSpec, n_steps: int, backend: str) -> dict:
     """JSON-ready export: spec echo plus the same rows as the CSV, one dict per row.
 
-    :func:`write_trajectory_json` writes ``json.dump(trajectory_to_obj(traj),
-    indent=2)`` without building these dicts.
+    :func:`write_trajectory_json` writes ``json.dump(trajectory_to_obj(spec,
+    n_steps, backend), indent=2)`` without building these dicts.
     """
-    rows = [dict(zip(TRAJECTORY_CSV_HEADER, row)) for row in trajectory_rows(traj)]
-    return _export_obj(traj, rows)
+    rows = [dict(zip(TRAJECTORY_CSV_HEADER, row))
+            for row in trajectory_rows(spec, n_steps, backend)]
+    return _export_obj(spec, n_steps, backend, rows)
 
 
 # One row object at the indent of json.dump(..., indent=2), preceded by the
@@ -390,16 +389,18 @@ _JSON_ROW = "{}\n    {{\n" + ",\n".join(
 ) + "\n    }}"
 
 
-def write_trajectory_json(traj: Trajectory, stream) -> None:
-    """Write ``json.dump(trajectory_to_obj(traj), stream, indent=2)`` and a newline.
+def write_trajectory_json(spec: SystemSpec, n_steps: int, backend: str, stream) -> None:
+    """Write ``json.dump(trajectory_to_obj(...), stream, indent=2)`` and a newline.
 
-    Every row is formatted before the first byte is written, so a literal
-    that fails to format writes nothing; the rows are then written one
-    ``write`` each, never joined into one string.
+    Every row is generated and formatted before the first byte is written,
+    so a failed export writes nothing; memory is then O(n_steps) formatted
+    rows.  The rows are written one ``write`` each, never joined into one
+    string.
     """
-    head, tail = json.dumps(_export_obj(traj, []), indent=2).rsplit("[]", 1)
+    head, tail = json.dumps(_export_obj(spec, n_steps, backend, []), indent=2).rsplit("[]", 1)
     separators = itertools.chain("[", itertools.repeat(","))
-    rows = [_JSON_ROW.format(sep, *row) for sep, row in zip(separators, trajectory_rows(traj))]
+    rows = [_JSON_ROW.format(sep, *row)
+            for sep, row in zip(separators, trajectory_rows(spec, n_steps, backend))]
     stream.write(head)
     for row in rows:
         stream.write(row)

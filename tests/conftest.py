@@ -5,15 +5,25 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from perisys import NoCycleWithinHorizon, Periodic, SystemSpec
+from perisys import (
+    BACKEND_SIGNEDLOG,
+    NoCycleWithinHorizon,
+    Periodic,
+    SystemSpec,
+    iter_pairs,
+    simulate,
+    spec_to_obj,
+    to_signed_log,
+)
 from perisys.numerics import ENV_MAX_BITS, check_bits
-from perisys.simulator import TRAJECTORY_CSV_HEADER, trajectory_rows
+from perisys.simulator import TRAJECTORY_CSV_HEADER
 
 
 @contextlib.contextmanager
@@ -186,13 +196,43 @@ def find_window_cycle(items, window):
     return None
 
 
-def csv_writer_export(traj, stream):
-    """Test oracle: the ``csv.writer`` loop that ``write_trajectory_csv`` replaced.
+def stored_pairs(spec, n_steps, backend):
+    """Test oracle: the (n, x_n, y_n) the exports must carry, from a stored sequence.
 
-    ``csv.writer`` writes each row as soon as it is formatted, so on a
-    failing literal it leaves the header and the rows before it written.
+    Exact pairs come from a ``simulate`` trajectory, log pairs from a list
+    of the ``signedlog`` iterator; neither reads the exports' own rows.
     """
+    if backend == BACKEND_SIGNEDLOG:
+        return list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), n_steps))
+    if n_steps == 0:
+        return []
+    traj = simulate(spec, n_steps)
+    return [(n, traj.x(n), traj.y(n)) for n in range(1, n_steps + 1)]
+
+
+def export_rows(spec, n_steps, backend):
+    """Test oracle: the export rows of :func:`stored_pairs`, in TRAJECTORY_CSV_HEADER order."""
+    rows = []
+    for n, x, y in stored_pairs(spec, n_steps, backend):
+        if backend == BACKEND_SIGNEDLOG:
+            rows.append((n, "", "", x.sign, x.logmag, y.sign, y.logmag))
+        else:
+            sx, sy = to_signed_log(x), to_signed_log(y)
+            rows.append((n, str(x), str(y), sx.sign, sx.logmag, sy.sign, sy.logmag))
+    return rows
+
+
+def csv_writer_export(spec, n_steps, backend, stream):
+    """Test oracle: the ``csv.writer`` loop that ``write_trajectory_csv`` replaced."""
     writer = csv.writer(stream)
     writer.writerow(TRAJECTORY_CSV_HEADER)
-    for n, x, y, sign_x, log_x, sign_y, log_y in trajectory_rows(traj):
+    for n, x, y, sign_x, log_x, sign_y, log_y in export_rows(spec, n_steps, backend):
         writer.writerow((n, x, y, sign_x, f"{log_x:.17g}", sign_y, f"{log_y:.17g}"))
+
+
+def json_dump_export(spec, n_steps, backend):
+    """Test oracle: ``json.dumps(..., indent=2)`` of the export document, plus a newline."""
+    doc = {"spec": spec_to_obj(spec), "backend": backend, "n": n_steps,
+           "rows": [dict(zip(TRAJECTORY_CSV_HEADER, row))
+                    for row in export_rows(spec, n_steps, backend)]}
+    return json.dumps(doc, indent=2) + "\n"

@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from perisys.errors import TooFewPointsError, WrongRegimeError
-from perisys.simulator import Trajectory, _require_exact, subsequence
+from perisys.simulator import Trajectory, subsequence
 from perisys.spectral import _require_positive
 
 
@@ -148,7 +148,6 @@ def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     preperiod is skipped but the verdict is never read off fewer than two
     comparisons.
     """
-    _require_exact(traj)
     values = [abs(v) for v in subsequence(traj, m, t)]
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import io
 import itertools
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from perisys import (
+    BitLengthExceededError,
     NoCycleWithinHorizon,
     Periodic,
     classify,
@@ -27,7 +29,6 @@ from perisys import (
     detect_cycle,
     parse_spec,
     random_positive_spec,
-    simulate,
     spec_to_obj,
 )
 from perisys.cli import (
@@ -43,7 +44,7 @@ import perisys
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
-from conftest import csv_writer_export, fixed_point_spec, specs
+from conftest import csv_writer_export, fixed_point_spec, naive_pairs, specs
 
 
 @pytest.fixture
@@ -158,7 +159,7 @@ def test_failed_export_to_stdout_prints_what_stdlib_writers_print(periodic_confi
     expected = ""
     if fmt == "csv":
         buffer = io.StringIO()
-        csv_writer_export(simulate(spec, 1), buffer)
+        csv_writer_export(spec, 1, "exact", buffer)
         expected = buffer.getvalue()
     _fail_mid_export(monkeypatch)
     assert main(["simulate", "--config", path, "-n", "5", "--format", fmt]) == 1
@@ -203,12 +204,14 @@ def test_simulate_reports_validation_failure(command, tmp_path, capsys):
 DEEP_DOC = "[" * 100_000 + "]" * 100_000
 DUPLICATE_KEY_DOC = ('{"a": "1", "a": "2", "b": "1", "p": 1, "q": 1, '
                      '"x_init": ["1"], "y_init": ["1"]}')
+LONG_INT_DOC = DUPLICATE_KEY_DOC.replace('"a": "1", ', "").replace('"p": 1', '"p": 1' + "0" * 5000)
 
 
 @pytest.mark.parametrize("doc, message", [
     (DEEP_DOC, "invalid JSON"),
     (DUPLICATE_KEY_DOC, "duplicate key 'a'"),
-], ids=["nested", "duplicate-key"])
+    (LONG_INT_DOC, "invalid JSON: Exceeds the limit (4300 digits)"),
+], ids=["nested", "duplicate-key", "5001-digit-integer"])
 @pytest.mark.parametrize("command", [
     ["simulate", "-n", "5", "--out", "OUT"],
     ["detect-period"],
@@ -447,21 +450,35 @@ def test_missing_config_exits_1(capsys):
 
 
 def test_env_var_overrides_bit_cap(growing_config, capsys, monkeypatch):
-    path, _ = growing_config
+    """A streamed CSV export prints the header and every row before the value over the cap."""
+    path, spec = growing_config
+    pairs = []
+    with contextlib.suppress(BitLengthExceededError):
+        pairs.extend(naive_pairs(spec, 64))
+    expected = io.StringIO()
+    csv_writer_export(spec, len(pairs), "exact", expected)
     monkeypatch.setenv("PERISYS_MAX_BITS", "64")
     assert main(["simulate", "--config", path, "-n", "3000"]) == 1
-    assert "bits" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == expected.getvalue()
+    assert len(captured.out.splitlines()) == len(pairs) + 1 > 2
+    assert "(cap 64)" in captured.err and len(captured.err.splitlines()) == 1
     monkeypatch.delenv("PERISYS_MAX_BITS")
     assert main(["simulate", "--config", path, "-n", "3000", "--backend", "log",
                  "--out", "/dev/null"]) == 0
 
 
-@pytest.mark.parametrize("command", ["detect-period", "verify"])
+@pytest.mark.parametrize("command", [
+    ["detect-period"],
+    ["verify"],
+    ["simulate", "-n", "20"],
+    ["simulate", "-n", "20", "--format", "json"],
+], ids=["detect-period", "verify", "simulate-csv", "simulate-json"])
 def test_malformed_cap_fails_on_an_unbounded_spec(command, growing_config, capsys, monkeypatch):
-    """The cap is resolved even where the answer needs no exact step."""
+    """The cap is resolved even where the answer needs no exact step, and before any output."""
     path, _ = growing_config
     monkeypatch.setenv("PERISYS_MAX_BITS", "bogus")
-    assert main([command, "--config", path]) == 1
+    assert main(command + ["--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PERISYS_MAX_BITS must be an integer" in captured.err

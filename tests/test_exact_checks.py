@@ -23,10 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perisys import (
-    BACKEND_EXACT,
-    BACKEND_SIGNEDLOG,
     TooFewPointsError,
-    WrongBackendError,
     WrongRegimeError,
     block_ratio_check,
     product_invariant_check,
@@ -41,14 +38,8 @@ from perisys.numerics import component_bits
 from conftest import nonzero_rationals, random_signed_spec, specs
 
 
-def _oracle_require_exact(traj) -> None:
-    if traj.backend != BACKEND_EXACT:
-        raise WrongBackendError(f"exact backend required, got {traj.backend!r}")
-
-
 def oracle_product_invariant(traj) -> bool:
     """Oracle: (x_n y_n)(x_{n-q} y_{n-q}) == ab as Fraction products."""
-    _oracle_require_exact(traj)
     spec = traj.spec
     ab = spec.a * spec.b
     return all(
@@ -59,7 +50,6 @@ def oracle_product_invariant(traj) -> bool:
 
 def oracle_x_relation(traj) -> bool:
     """Oracle: x_n x_{n-q} == c x_{n-p} x_{n-p-q} as Fraction products."""
-    _oracle_require_exact(traj)
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
@@ -73,7 +63,6 @@ def oracle_x_relation(traj) -> bool:
 
 def oracle_block_ratio(traj) -> bool:
     """Oracle: x_{n+m} == c^(q/g) x_n as Fraction products."""
-    _oracle_require_exact(traj)
     spec = traj.spec
     g = math.gcd(spec.p, spec.q)
     if (spec.p // g) % 2 == 0:
@@ -90,7 +79,6 @@ def oracle_block_ratio(traj) -> bool:
 
 def oracle_second_difference(traj) -> bool:
     """Oracle: x_{n+2m} x_n == x_{n+m}^2 as Fraction products."""
-    _oracle_require_exact(traj)
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):
         raise WrongRegimeError(f"needs |b| = |a|, got a={spec.a}, b={spec.b}")
@@ -130,8 +118,6 @@ def trajectories(draw):
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
     n = draw(st.integers(1, 3 * m + spec.q))
-    if draw(st.integers(0, 9)) == 0:
-        return simulate(spec, n, backend=BACKEND_SIGNEDLOG)
     traj = simulate(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":

@@ -87,6 +87,13 @@ def test_parse_deeply_nested_document(doc):
         parse_spec(doc)
 
 
+def test_parse_integer_past_the_digit_limit():
+    """The decoder raises a plain ValueError for a 5001-digit integer; it is a syntax error."""
+    doc = FIXED_POINT_DOC.replace('"p": 2', '"p": 1' + "0" * 5000)
+    with pytest.raises(SpecSyntaxError, match="^invalid JSON: Exceeds the limit"):
+        parse_spec(doc)
+
+
 def test_parse_rejects_duplicate_keys():
     """The last value would win: a = 2 here would turn a fixed point into no cycle."""
     doc = ('{"a": "1", "a": "2", "b": "1", "p": 1, "q": 1, '

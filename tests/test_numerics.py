@@ -144,11 +144,12 @@ def test_signed_log_rejects_zero():
 
 
 def test_signed_log_combine():
-    assert SignedLog(1, 2.0) * SignedLog(-1, 3.0) == SignedLog(-1, 5.0)
-    assert SignedLog(1, 2.0) / SignedLog(1, 2.0) == SignedLog(1, 0.0)
-    product = to_signed_log(Fraction(3, 2)) * to_signed_log(Fraction(2, 3))
-    assert product.sign == 1
-    assert abs(product.logmag) < 1e-12
+    """A product combines as the log loop does: signs multiply, logs add."""
+    r, s = to_signed_log(Fraction(3, 2)), to_signed_log(Fraction(2, 3))
+    assert r.sign * s.sign == to_signed_log(Fraction(1)).sign == 1
+    assert abs(r.logmag + s.logmag) < 1e-12
+    r, s = to_signed_log(Fraction(-8)), to_signed_log(Fraction(-1, 8))
+    assert SignedLog(r.sign * s.sign, r.logmag + s.logmag) == SignedLog(1, 0.0)
 
 
 def test_signed_log_rejects_bad_sign():
@@ -159,9 +160,9 @@ def test_signed_log_rejects_bad_sign():
 @given(nonzero_fractions, nonzero_fractions)
 def test_signed_log_product_round_trip(r, s):
     lhs = to_signed_log(r * s)
-    rhs = to_signed_log(r) * to_signed_log(s)
-    assert lhs.sign == rhs.sign
-    assert math.isclose(lhs.logmag, rhs.logmag, rel_tol=1e-9, abs_tol=1e-9)
+    r_log, s_log = to_signed_log(r), to_signed_log(s)
+    assert lhs.sign == r_log.sign * s_log.sign
+    assert math.isclose(lhs.logmag, r_log.logmag + s_log.logmag, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_component_bits_and_cap():

@@ -7,7 +7,9 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,6 @@ from perisys import (
     BitLengthExceededError,
     ShapeError,
     SystemSpec,
-    Trajectory,
     WrongBackendError,
     block_multipliers,
     component_bits,
@@ -46,6 +47,7 @@ from conftest import (
     bit_cap,
     csv_writer_export,
     fixed_point_spec,
+    json_dump_export,
     naive_pairs,
     product_family_spec,
     random_signed_spec,
@@ -238,11 +240,12 @@ def test_bit_cap_inside_first_block_matches_literal_recurrence():
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
 def test_signedlog_backend_is_the_literal_recurrence(p, q):
     spec = random_signed_spec(random.Random(100 * p + q), p, q)
-    traj = simulate(spec, 500, backend=BACKEND_SIGNEDLOG)
+    logged = list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), 500))
     x, y = direct_log_simulate(spec, 500)
-    for n in range(-q + 1, 501):
-        assert (traj.x(n).sign, traj.x(n).logmag) == x[n]
-        assert (traj.y(n).sign, traj.y(n).logmag) == y[n]
+    assert [n for n, _, _ in logged] == list(range(1, 501))
+    for n, x_n, y_n in logged:
+        assert (x_n.sign, x_n.logmag) == x[n]
+        assert (y_n.sign, y_n.logmag) == y[n]
 
 
 def test_fixed_point_stays_fixed():
@@ -277,10 +280,8 @@ def test_backend_agreement_signs_and_logs():
     rng = random.Random(31)
     spec = random_positive_spec(rng, 6, 10)
     exact = simulate(spec, 200)
-    logged = simulate(spec, 200, backend=BACKEND_SIGNEDLOG)
-    for n in range(-9, 201):
+    for n, got, _ in itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), 200):
         want = to_signed_log(exact.x(n))
-        got = logged.x(n)
         assert got.sign == want.sign
         assert math.isclose(got.logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -331,14 +332,13 @@ def test_x_relation_needs_enough_steps():
         x_relation_check(simulate(fixed_point_spec(2, 3), 3))
 
 
-def test_checks_require_exact_backend():
-    logged = simulate(fixed_point_spec(), 30, backend=BACKEND_SIGNEDLOG)
+def test_iter_pairs_rejects_unknown_backend():
+    with pytest.raises(WrongBackendError, match="unknown backend 'floats'"):
+        iter_pairs(fixed_point_spec(), "floats")  # raised by the call, before any pair
+    buffer = io.StringIO()
     with pytest.raises(WrongBackendError):
-        product_invariant_check(logged)
-    with pytest.raises(WrongBackendError):
-        x_relation_check(logged)
-    with pytest.raises(WrongBackendError):
-        simulate(fixed_point_spec(), 5, backend="floats")
+        write_trajectory_csv(fixed_point_spec(), 5, "floats", buffer)
+    assert buffer.getvalue() == ""
 
 
 def test_subsequence():
@@ -373,7 +373,7 @@ def test_iter_pairs_rejects_oversized_p():
 def test_csv_export_contract():
     traj = simulate(HAND_SPEC, 25)
     buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
+    write_trajectory_csv(HAND_SPEC, 25, BACKEND_EXACT, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == ",".join(TRAJECTORY_CSV_HEADER)
     assert len(lines) == 26  # header + one row per generated index
@@ -386,9 +386,8 @@ def test_csv_export_contract():
 
 
 def test_csv_export_signedlog_has_no_literals():
-    traj = simulate(HAND_SPEC, 4, backend=BACKEND_SIGNEDLOG)
     buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
+    write_trajectory_csv(HAND_SPEC, 4, BACKEND_SIGNEDLOG, buffer)
     row = buffer.getvalue().splitlines()[1].split(",")
     assert row[1] == "" and row[2] == ""
     assert row[3] in ("1", "-1")
@@ -396,12 +395,12 @@ def test_csv_export_signedlog_has_no_literals():
 
 @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_SIGNEDLOG])
 def test_csv_and_json_exports_carry_the_same_rows(backend):
-    traj = simulate(random_signed_spec(random.Random(5), 3, 5, a=1, b=2), 120, backend=backend)
+    spec = random_signed_spec(random.Random(5), 3, 5, a=1, b=2)
     buffer = io.StringIO()
-    write_trajectory_csv(traj, buffer)
+    write_trajectory_csv(spec, 120, backend, buffer)
     buffer.seek(0)
     csv_rows = list(csv.DictReader(buffer))
-    json_rows = trajectory_to_obj(traj)["rows"]
+    json_rows = trajectory_to_obj(spec, 120, backend)["rows"]
     assert len(csv_rows) == len(json_rows) == 120
     for csv_row, json_row in zip(csv_rows, json_rows):
         assert list(csv_row) == list(json_row) == list(TRAJECTORY_CSV_HEADER)
@@ -413,55 +412,68 @@ def test_csv_and_json_exports_carry_the_same_rows(backend):
             assert float(csv_row[field]) == json_row[field]
 
 
-def assert_exports_match_stdlib_writers(traj):
-    """CSV bytes equal the csv.writer oracle; JSON bytes equal json.dumps(..., indent=2).
+def assert_exports_match_stdlib_writers(spec, n_steps, backend):
+    """CSV bytes equal the csv.writer oracle; JSON bytes and ``trajectory_to_obj`` equal json.dumps.
 
-    Lines are compared as lists: pytest reports the first differing line,
-    where a string diff of lines with thousands of digits takes minutes.
+    The oracles build their rows from a stored sequence (conftest), not
+    from the writers' own rows.  Lines are compared as lists: pytest
+    reports the first differing line, where a string diff of lines with
+    thousands of digits takes minutes.
     """
     written, expected = io.StringIO(), io.StringIO()
-    write_trajectory_csv(traj, written)
-    csv_writer_export(traj, expected)
+    write_trajectory_csv(spec, n_steps, backend, written)
+    csv_writer_export(spec, n_steps, backend, expected)
     assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
     written = io.StringIO()
-    write_trajectory_json(traj, written)
-    expected = json.dumps(trajectory_to_obj(traj), indent=2) + "\n"
-    assert written.getvalue().splitlines(True) == expected.splitlines(True)
+    write_trajectory_json(spec, n_steps, backend, written)
+    expected = json_dump_export(spec, n_steps, backend).splitlines(True)
+    assert written.getvalue().splitlines(True) == expected
+    obj = trajectory_to_obj(spec, n_steps, backend)
+    assert (json.dumps(obj, indent=2) + "\n").splitlines(True) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs(), st.integers(1, 150), st.sampled_from([BACKEND_EXACT, BACKEND_SIGNEDLOG]))
 def test_exports_match_stdlib_writers(spec, n_steps, backend):
-    assert_exports_match_stdlib_writers(simulate(spec, n_steps, backend=backend))
+    assert_exports_match_stdlib_writers(spec, n_steps, backend)
 
 
 def test_exports_of_a_trajectory_without_rows():
-    traj = Trajectory(spec=HAND_SPEC, backend=BACKEND_EXACT,
-                      xs=list(HAND_SPEC.x_init), ys=list(HAND_SPEC.y_init))
-    assert_exports_match_stdlib_writers(traj)
+    assert_exports_match_stdlib_writers(HAND_SPEC, 0, BACKEND_EXACT)
     written = io.StringIO()
-    write_trajectory_json(traj, written)
+    write_trajectory_json(HAND_SPEC, 0, BACKEND_EXACT, written)
     assert '"rows": []' in written.getvalue()
     assert json.loads(written.getvalue())["rows"] == []
 
 
 def test_exports_of_long_negative_literals():
     big = Fraction(-(10 ** 3999 + 7), 3)
-    traj = Trajectory(spec=HAND_SPEC, backend=BACKEND_EXACT,
-                      xs=list(HAND_SPEC.x_init) + [big, Fraction(-2, 7)],
-                      ys=list(HAND_SPEC.y_init) + [Fraction(-5), 1 / big])
-    assert_exports_match_stdlib_writers(traj)
+    # p = q = 1: x_1 = a / y_0, y_1 = b / x_0, x_2 = a / y_1, y_2 = b / x_1
+    spec = SystemSpec(a=big, b=-5, p=1, q=1, x_init=(1,), y_init=(1,))
+    assert_exports_match_stdlib_writers(spec, 2, BACKEND_EXACT)
     written = io.StringIO()
-    write_trajectory_csv(traj, written)
+    write_trajectory_csv(spec, 2, BACKEND_EXACT, written)
     rows = list(csv.reader(io.StringIO(written.getvalue())))
-    assert [Fraction(row[1]) for row in rows[1:]] == [big, Fraction(-2, 7)]
-    assert [Fraction(row[2]) for row in rows[1:]] == [Fraction(-5), 1 / big]
+    assert [Fraction(row[1]) for row in rows[1:]] == [big, big / -5]
+    assert [Fraction(row[2]) for row in rows[1:]] == [Fraction(-5), -5 / big]
     assert len(rows[1][1]) == 4003  # "-", 4000 digits, "/3"
 
 
+def test_signedlog_csv_export_streams():
+    """50000 log rows to devnull in O(q) memory: no trajectory is stored."""
+    spec = random_positive_spec(random.Random(61), 2, 3)
+    with open(os.devnull, "w", encoding="utf-8", newline="") as stream:
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(spec, 50_000, BACKEND_SIGNEDLOG, stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_trajectory_obj_spec_round_trips():
-    traj = simulate(HAND_SPEC, 6)
-    obj = trajectory_to_obj(traj)
+    obj = trajectory_to_obj(HAND_SPEC, 6, BACKEND_EXACT)
     assert parse_spec_obj(obj["spec"]) == HAND_SPEC
     assert obj["n"] == 6 and len(obj["rows"]) == 6
 
