@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
+from .numerics import format_rational
 from .simulator import Trajectory, _matches_reference_cycle, subsequence, to_signed_log
 
 
@@ -40,10 +41,10 @@ class DriftReport:
 
     def to_obj(self) -> dict:
         return {
-            "c": str(self.c),
+            "c": format_rational(self.c),
             "drift_per_step": self.drift_per_step,
             "steps_per_block": self.steps_per_block,
-            "block_ratio": None if self.block_ratio is None else str(self.block_ratio),
+            "block_ratio": None if self.block_ratio is None else format_rational(self.block_ratio),
         }
 
 

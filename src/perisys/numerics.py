@@ -13,7 +13,13 @@ This module adds what ``Fraction`` does not have:
   error instead of exhausting memory,
 * :class:`SignedLog`, a (sign, log-magnitude) representation of nonzero
   reals; a product or quotient of two is a product of signs and a float
-  sum or difference of logs, which cannot overflow.
+  sum or difference of logs, which cannot overflow,
+* :data:`EXACT`, the one ``decimal`` context of the package, in which
+  integers of any length are exact ``Decimal`` values.  ``str`` of an int
+  takes time quadratic in its length and refuses more than
+  ``sys.get_int_max_str_digits()`` digits (4300 by default); ``str`` of a
+  ``Decimal`` takes linear time and has no limit.  The limit itself is
+  never changed, since it belongs to the host program.
 
 Log magnitudes of huge integers are computed from the integer directly,
 as (bit_length - 53) * ln 2 plus the log of the top 53 bits; the full
@@ -40,6 +46,14 @@ _LN2 = math.log(2)
 _MANTISSA_BITS = 53
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+# Every result below MAX_PREC digits is exact, and any rounding, inexact
+# division or division by zero raises instead of rounding silently.  Only
+# integers go through it, so no exponent ever leaves 0.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero],
+)
 
 
 def _parse_int(digits: str) -> int:
@@ -70,8 +84,28 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render ``value`` in the literal syntax accepted by :func:`parse_rational`."""
-    return str(value)
+    """Render ``value`` in the literal syntax accepted by :func:`parse_rational`.
+
+    Components longer than ``sys.get_int_max_str_digits()`` digits, which
+    ``str`` refuses, are rendered through :data:`EXACT`, as
+    :func:`_parse_int` parses them.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return decimal_literal(EXACT.create_decimal(value.numerator),
+                               EXACT.create_decimal(value.denominator))
+
+
+def decimal_literal(numerator: decimal.Decimal, denominator: decimal.Decimal) -> str:
+    """The literal of a reduced rational from the exact images of its components.
+
+    The text is that of ``str(Fraction)``: "num" when the denominator is 1,
+    else "num/den".
+    """
+    if denominator == 1:
+        return str(numerator)
+    return f"{numerator}/{denominator}"
 
 
 def component_bits(value: Fraction) -> int:
@@ -131,8 +165,8 @@ def to_signed_log(value: Fraction | int) -> SignedLog:
     The log magnitude is the difference of the integer logs of numerator
     and denominator, each computed via the bit-length decomposition above.
     """
-    value = Fraction(value)
-    if value == 0:
+    numerator = value.numerator  # an int is its own numerator, over 1
+    if numerator == 0:
         raise ZeroValueError("signed-log form exists only for nonzero values")
-    sign = 1 if value > 0 else -1
-    return SignedLog(sign, log_abs_int(value.numerator) - log_abs_int(value.denominator))
+    sign = 1 if numerator > 0 else -1
+    return SignedLog(sign, log_abs_int(numerator) - log_abs_int(value.denominator))

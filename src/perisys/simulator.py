@@ -73,6 +73,30 @@ is the periodic regime of ``spectral.classify``, p/gcd(p, q) odd:
 so d | q iff v2(p) <= v2(q), iff (L^p - 1)(L^q + 1) has no repeated root
 (the test oracle ``has_repeated_root`` in ``tests/oracles.py``).
 
+Rendering.  An exact export writes x_n and y_n as literals "num/den" of
+their reduced forms, which ``str(Fraction)`` would give.  ``str`` of an
+int takes time quadratic in its length and refuses more than
+``sys.get_int_max_str_digits()`` digits, so the export never converts a
+component: it keeps exact ``Decimal`` images (``numerics.EXACT``) of the
+components of y_{n-p} .. y_{n-1} and steps them by the kernel's own
+relations, y_n = y_{n-p} K_n and x_n = a / y_{n-p}.  Both are products
+u v of a reduced u = N/D with a reduced v = N'/D'.  With g1 = gcd(N, D')
+and g2 = gcd(N', D),
+
+    u v = ((N/g1) (N'/g2)) / ((D/g2) (D'/g1)),
+
+and no prime divides both sides: N/g1 is prime to D/g2 since u is
+reduced and to D'/g1 by the choice of g1, and N'/g2 is prime to D'/g1
+since v is reduced and to D/g2 by the choice of g2.  The denominator is
+positive, and a reduced rational with a positive denominator is unique,
+so these are the components of the canonical ``Fraction`` and the
+literal is byte for byte ``str(Fraction)``.  For y_n, u = y_{n-p} and
+v = K_n; for x_n, u = 1/y_{n-p}, whose components are those of y_{n-p}
+swapped, both negated when y_{n-p} < 0, and v = a.  The gcds are taken on
+the ints of the kernel's ``Fraction`` values, a full-size int against a
+small one, and each image is divided by one small int and multiplied by
+another, so a literal costs time linear in its length.
+
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
 it the exported log magnitudes.
@@ -80,6 +104,7 @@ it the exported log magnitudes.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import json
 import math
@@ -90,7 +115,14 @@ from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongBackendError
 from .model import SystemSpec, spec_to_obj
-from .numerics import SignedLog, check_bits, format_rational, resolve_max_bits, to_signed_log
+from .numerics import (
+    EXACT,
+    SignedLog,
+    check_bits,
+    decimal_literal,
+    resolve_max_bits,
+    to_signed_log,
+)
 
 BACKEND_EXACT = "exact"
 BACKEND_SIGNEDLOG = "signedlog"
@@ -331,11 +363,53 @@ def subsequence(traj: Trajectory, m: int, t: int) -> list:
     return traj.xs[t + traj.spec.q - 1::m]
 
 
-def _row(n: int, x, y) -> tuple:
-    if isinstance(x, SignedLog):  # no exact form: the literal columns stay empty
-        return n, "", "", x.sign, x.logmag, y.sign, y.logmag
-    sx, sy = to_signed_log(x), to_signed_log(y)
-    return n, format_rational(x), format_rational(y), sx.sign, sx.logmag, sy.sign, sy.logmag
+def _log_row(n: int, x: SignedLog, y: SignedLog) -> tuple:
+    return n, "", "", x.sign, x.logmag, y.sign, y.logmag  # no exact form: no literals
+
+
+def _scaled(num: int, den: int, images: tuple, factor: Fraction) -> tuple:
+    """The images of the reduced components of (num/den) * factor (module docstring).
+
+    ``num/den`` is reduced and ``images`` holds its components as exact
+    ``Decimal`` values; each is divided by one cross gcd and multiplied by
+    the other side's reduced factor component.
+    """
+    g1 = _gcd(num, factor.denominator)
+    g2 = _gcd(den, factor.numerator)
+    num_image, den_image = images
+    return (_divide_multiply(num_image, g1, factor.numerator // g2),
+            _divide_multiply(den_image, g2, factor.denominator // g1))
+
+
+def _gcd(large: int, small: int) -> int:
+    """gcd(large, small); one with +-1 is 1 without a pass over ``large``."""
+    return 1 if small in (1, -1) else math.gcd(large, small)
+
+
+def _divide_multiply(image: decimal.Decimal, divisor: int, factor: int) -> decimal.Decimal:
+    """image / divisor * factor, exactly; a step by 1 is skipped."""
+    if divisor != 1:
+        image = EXACT.divide(image, divisor)
+    return image if factor == 1 else EXACT.multiply(image, factor)
+
+
+def _exact_rows(spec: SystemSpec, pairs: Iterator[tuple]) -> Iterator[tuple]:
+    """Export rows of exact pairs, with literals rendered from Decimal images (module docstring).
+
+    ``window`` holds y_{n-p} .. y_{n-1} with the images of their components.
+    """
+    window = deque(((y, (EXACT.create_decimal(y.numerator), EXACT.create_decimal(y.denominator)))
+                    for y in spec.y_init[-spec.p:]), maxlen=spec.p)
+    for (n, x, y), coefficient in zip(pairs, itertools.cycle(step_coefficients(spec))):
+        y_p, images = window[0]
+        x_images = _scaled(y_p.denominator, y_p.numerator, images[::-1], spec.a)
+        if y_p.numerator < 0:  # the sign of 1/y_{n-p} moves to its numerator
+            x_images = tuple(map(EXACT.minus, x_images))
+        y_images = _scaled(y_p.numerator, y_p.denominator, images, coefficient)
+        window.append((y, y_images))
+        sx, sy = to_signed_log(x), to_signed_log(y)
+        yield (n, decimal_literal(*x_images), decimal_literal(*y_images),
+               sx.sign, sx.logmag, sy.sign, sy.logmag)
 
 
 def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tuple]:
@@ -343,10 +417,14 @@ def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tu
 
     The rows are drawn lazily from ``iter_pairs(spec, backend)``, which is
     called, and so resolves the bit cap, before this returns.  Exact
-    values are rendered as rational literals; the signed-log backend has
+    values are rendered as rational literals, of any length and in time
+    linear in it (module docstring, Rendering); the signed-log backend has
     no exact form, so its x and y columns are empty.
     """
-    return itertools.starmap(_row, itertools.islice(iter_pairs(spec, backend), n_steps))
+    pairs = itertools.islice(iter_pairs(spec, backend), n_steps)
+    if backend == BACKEND_SIGNEDLOG:
+        return itertools.starmap(_log_row, pairs)
+    return _exact_rows(spec, pairs)
 
 
 def write_trajectory_csv(spec: SystemSpec, n_steps: int, backend: str, stream) -> None:
@@ -356,8 +434,8 @@ def write_trajectory_csv(spec: SystemSpec, n_steps: int, backend: str, stream) -
     needs quoting, since literals hold only digits, ``-`` and ``/``, the
     other fields are ints or ``.17g`` floats, and no row is a lone empty
     field.  A malformed bit cap fails before the header; a value over the
-    cap, or a literal that fails to format, leaves the header and the rows
-    before it written, since each row is written as soon as it is made.
+    cap leaves the header and the rows before it written, since each row
+    is written as soon as it is made.
     """
     rows = trajectory_rows(spec, n_steps, backend)
     stream.write(",".join(TRAJECTORY_CSV_HEADER) + "\r\n")

@@ -20,10 +20,11 @@ from perisys import (
     iter_pairs,
     simulate,
     spec_to_obj,
-    to_signed_log,
 )
 from perisys.numerics import ENV_MAX_BITS, check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
+
+from oracles import str_fraction_row
 
 
 @contextlib.contextmanager
@@ -212,14 +213,10 @@ def stored_pairs(spec, n_steps, backend):
 
 def export_rows(spec, n_steps, backend):
     """Test oracle: the export rows of :func:`stored_pairs`, in TRAJECTORY_CSV_HEADER order."""
-    rows = []
-    for n, x, y in stored_pairs(spec, n_steps, backend):
-        if backend == BACKEND_SIGNEDLOG:
-            rows.append((n, "", "", x.sign, x.logmag, y.sign, y.logmag))
-        else:
-            sx, sy = to_signed_log(x), to_signed_log(y)
-            rows.append((n, str(x), str(y), sx.sign, sx.logmag, sy.sign, sy.logmag))
-    return rows
+    pairs = stored_pairs(spec, n_steps, backend)
+    if backend == BACKEND_SIGNEDLOG:
+        return [(n, "", "", x.sign, x.logmag, y.sign, y.logmag) for n, x, y in pairs]
+    return list(itertools.starmap(str_fraction_row, pairs))
 
 
 def csv_writer_export(spec, n_steps, backend, stream):

@@ -1,4 +1,4 @@
-"""Test oracles that no command runs: characteristic roots and subsequence monotonicity.
+"""Test oracles that no command runs: characteristic roots, subsequence monotonicity, literals.
 
 Taking logs of the pure-x relation linearizes the system; the resulting
 linear recurrence has characteristic polynomial
@@ -16,7 +16,8 @@ with period lcm(p, 2q).
 
 The root enumeration is the reference that :func:`perisys.spectral.classify`
 is tested against; :func:`monotone_check` reads the growing or decaying
-witness subsequence exactly (acceptance criterion 7).
+witness subsequence exactly (acceptance criterion 7).  The literal
+renderers at the end are the references for the exact export's rows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from enum import Enum
 from fractions import Fraction
 
 from perisys.errors import TooFewPointsError, WrongRegimeError
+from perisys.numerics import to_signed_log
 from perisys.simulator import Trajectory, subsequence
 from perisys.spectral import _require_positive
 
@@ -168,3 +170,35 @@ def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     if tail < 0:
         return Monotonicity.DECREASING
     return Monotonicity.CONSTANT
+
+
+def str_fraction_row(n: int, x: Fraction, y: Fraction) -> tuple:
+    """The export row of an exact pair, its literals rendered by ``str(Fraction)`` (test oracle).
+
+    The direct rendering that the export's Decimal images replace: ``str``
+    of an int takes time quadratic in its length and refuses more than
+    ``sys.get_int_max_str_digits()`` digits.
+    """
+    sx, sy = to_signed_log(x), to_signed_log(y)
+    return n, str(x), str(y), sx.sign, sx.logmag, sy.sign, sy.logmag
+
+
+_CHUNK_DIGITS = 1000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def chunked_decimal(n: int) -> str:
+    """Decimal text of an int of any length, from ``str`` of chunks under the limit (test oracle)."""
+    if n < 0:
+        return "-" + chunked_decimal(-n)
+    if n < _CHUNK:
+        return str(n)
+    high, low = divmod(n, _CHUNK)
+    return chunked_decimal(high) + str(low).zfill(_CHUNK_DIGITS)
+
+
+def chunked_literal(value: Fraction) -> str:
+    """The literal of ``str(value)``, for components of any length (test oracle)."""
+    if value.denominator == 1:
+        return chunked_decimal(value.numerator)
+    return f"{chunked_decimal(value.numerator)}/{chunked_decimal(value.denominator)}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import importlib
 import io
 import itertools
@@ -127,8 +128,12 @@ def test_simulate_out_file(periodic_config, tmp_path, capsys):
 
 
 def _fail_mid_export(monkeypatch):
-    """Make the third exact literal of an export raise, as the 4300-digit fault does."""
-    original = simulator_module.format_rational
+    """Make an exact export fail on its second row, as the old 4300-digit fault did.
+
+    Each exact row converts x_n, then y_n, to signed-log form, so the third
+    conversion is that of x_2.
+    """
+    original = simulator_module.to_signed_log
     calls = []
 
     def failing(value):
@@ -136,7 +141,7 @@ def _fail_mid_export(monkeypatch):
         if len(calls) == 3:
             raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
         return original(value)
-    monkeypatch.setattr(simulator_module, "format_rational", failing)
+    monkeypatch.setattr(simulator_module, "to_signed_log", failing)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -174,6 +179,35 @@ def test_out_dev_null_is_never_removed(periodic_config, capsys, monkeypatch):
     _fail_mid_export(monkeypatch)
     assert main(["simulate", "--config", path, "-n", "5", "--out", os.devnull]) == 1
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+LONG = "1" + "0" * 4400  # past the 4300-digit default of sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("doc,key,literal", [
+    # y_1 = y_{-1} b / (x_{-2} y_{-2})
+    ({"a": "1", "b": "1", "p": 2, "q": 3, "x_init": [LONG, "2", "3"], "y_init": ["3", "1", "2"]},
+     "y", "1/3" + "0" * 4400),
+    # x_1 = a / y_0; c = a/b and its block ratio c^(q/g) are LONG as well
+    ({"a": LONG, "b": "1", "p": 1, "q": 1, "x_init": ["2"], "y_init": ["3"]}, "x", LONG + "/3"),
+], ids=["long-initial-value", "long-a"])
+def test_literals_past_the_int_string_limit_are_echoed_and_exported(doc, key, literal, tmp_path,
+                                                                     capsys):
+    """A 4401-digit spec literal loads, and every command that renders it exits 0."""
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "-n", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["spec"] == doc
+    assert report["drift"]["c"] == doc["a"] and report["drift"]["block_ratio"] in (None, doc["a"])
+    assert main(["simulate", "--config", str(path), "-n", "5", "--format", "json"]) == 0
+    export = json.loads(capsys.readouterr().out)
+    assert export["spec"] == doc and export["rows"][0][key] == literal
+    assert main(["simulate", "--config", str(path), "-n", "5"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 5 and rows[0][key] == literal
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):

@@ -27,6 +27,8 @@ from perisys import (
 )
 from perisys.numerics import check_bits, log_abs_int
 
+from oracles import chunked_literal
+
 nonzero_fractions = st.fractions(max_denominator=60).filter(lambda f: f != 0)
 
 
@@ -60,6 +62,20 @@ def test_parse_rational_rejects(text):
 @given(st.fractions(max_denominator=10**6))
 def test_literal_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(-(10 ** 4400 + 7), 3 ** 9100),  # both components past 4300 digits
+    Fraction(10 ** 4400 + 7, 3),
+    Fraction(5, 3 ** 9100),
+    Fraction(-(10 ** 4400 + 7)),
+])
+def test_format_rational_past_the_int_string_limit(value):
+    limit = sys.get_int_max_str_digits()
+    text = format_rational(value)
+    assert sys.get_int_max_str_digits() == limit
+    assert text == chunked_literal(value)
+    assert parse_rational(text) == value
 
 
 def decimal_text(n: int) -> str:

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from perisys import (
     x_relation_check,
 )
 from perisys.model import parse_spec_obj
-from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period
+from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period, trajectory_rows
 
 from conftest import (
     bit_cap,
@@ -50,10 +51,11 @@ from conftest import (
     json_dump_export,
     naive_pairs,
     product_family_spec,
+    rand_value,
     random_signed_spec,
     specs,
 )
-from oracles import has_repeated_root
+from oracles import chunked_literal, has_repeated_root, str_fraction_row
 
 
 def naive_simulate(spec, n_steps):
@@ -457,6 +459,72 @@ def test_exports_of_long_negative_literals():
     assert [Fraction(row[1]) for row in rows[1:]] == [big, big / -5]
     assert [Fraction(row[2]) for row in rows[1:]] == [Fraction(-5), -5 / big]
     assert len(rows[1][1]) == 4003  # "-", 4000 digits, "/3"
+
+
+def _non_unit(rng: random.Random) -> Fraction:
+    """A random signed value other than +-1."""
+    while True:
+        value = rand_value(rng, 5, signed=True)
+        if abs(value) != 1:
+            return value
+
+
+def _str_fraction_rows(spec, n_steps):
+    return list(itertools.starmap(str_fraction_row, itertools.islice(iter_pairs(spec), n_steps)))
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_exact_rows_match_the_str_fraction_rendering(seed):
+    """Rows rendered from Decimal images equal those of ``str(Fraction)``, a != +-1.
+
+    The seeds run through p = 1, p = q and a random p <= q, and every
+    fourth spec has b = -a.
+    """
+    rng = random.Random(seed)
+    q = rng.randint(1, 9)
+    p = (1, q, rng.randint(1, q))[seed % 3]
+    a = _non_unit(rng)
+    b = -a if seed % 4 == 0 else rand_value(rng, 5, signed=True)
+    spec = random_signed_spec(rng, p, q, a=a, b=b)
+    n_steps = rng.randint(1, 300)
+    assert list(trajectory_rows(spec, n_steps, BACKEND_EXACT)) == _str_fraction_rows(spec, n_steps)
+
+
+@pytest.mark.parametrize("p,q,sign", [(1, 1, -1), (1, 4, 1), (2, 3, -1), (3, 3, 1), (4, 6, -1),
+                                      (5, 7, 1)])
+def test_exact_rows_match_the_str_fraction_rendering_in_block_replay(p, q, sign):
+    """Past the block period P the kernel replays stored pairs; the images go on stepping."""
+    rng = random.Random(100 * p + q)
+    a = _non_unit(rng)
+    spec = product_family_spec(rng, p, q, a, sign * a)
+    period = block_period(p, step_coefficients(spec))
+    assert period is not None
+    n_steps = 3 * period + q
+    assert list(trajectory_rows(spec, n_steps, BACKEND_EXACT)) == _str_fraction_rows(spec, n_steps)
+
+
+# (2, 3) with initial components of about 20 bits: the literals pass
+# 4300 digits near n = 820 and reach about 7400 digits at n = 1200.
+WIDE_SPEC = SystemSpec(
+    a=Fraction(1), b=Fraction(1), p=2, q=3,
+    x_init=(Fraction(1048573, 1234567), Fraction(1299709, 1048583), Fraction(1505117, 1676543)),
+    y_init=(Fraction(1162261, 1594319), Fraction(1398269, 1111111), Fraction(2015177, 1815157)),
+)
+
+
+def test_exact_rows_past_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    rows = list(trajectory_rows(WIDE_SPEC, 1200, BACKEND_EXACT))
+    assert sys.get_int_max_str_digits() == limit
+    pairs = itertools.islice(iter_pairs(WIDE_SPEC), 1200)
+    # compared row by row: a failing comparison of whole lists of such
+    # literals would take pytest minutes to report
+    wrong = [n for (n, x, y), row in zip(pairs, rows)
+             if row[1:3] != (chunked_literal(x), chunked_literal(y))]
+    assert len(rows) == 1200 and wrong == []
+    longest = max(len(part.lstrip("-")) for row in rows for literal in row[1:3]
+                  for part in literal.split("/"))
+    assert longest > 7000
 
 
 def test_signedlog_csv_export_streams():
