@@ -42,6 +42,7 @@ from .model import (
 from .numerics import (
     DEFAULT_MAX_BITS,
     ENV_MAX_BITS,
+    Rational,
     SignedLog,
     component_bits,
     format_rational,

@@ -27,7 +27,13 @@ from fractions import Fraction
 from .errors import TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
 from .numerics import format_rational
-from .simulator import Trajectory, _matches_reference_cycle, subsequence, to_signed_log
+from .simulator import (
+    Trajectory,
+    _fractions,
+    _matches_reference_cycle,
+    subsequence,
+    to_signed_log,
+)
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,7 @@ def block_ratio_check(traj: Trajectory) -> bool:
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"needs n >= {m + 1}")
     # list offset q holds x_1, so offset q + m holds x_{m+1}
-    return _matches_reference_cycle(traj.xs, m, spec.q + m, [ratio])
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, spec.q + m, [ratio])
 
 
 def second_difference_check(traj: Trajectory) -> bool:
@@ -124,13 +130,18 @@ def second_difference_check(traj: Trajectory) -> bool:
     m = _block_steps(spec)
     if traj.n_max < 2 * m + 1:
         raise TooFewPointsError(f"needs n >= {2 * m + 1}")
-    q, xs = spec.q, traj.xs  # list offset q holds x_1
-    references = [x_m / x for x, x_m in zip(xs[q:q + m], xs[q + m:q + 2 * m])]
-    return _matches_reference_cycle(xs, m, q + 2 * m, references)
+    q = spec.q  # list offset q holds x_1
+    xs = _fractions(traj.x_nums, traj.x_dens, q, q + 2 * m)
+    references = [x_m / x for x, x_m in zip(xs, xs[m:])]
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, q + 2 * m, references)
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:
-    """Least-squares slope of ln|x_{mn+t}| against the block counter n."""
+    """Least-squares slope of ln|x_{mn+t}| against the block counter n.
+
+    The logs come from the stored components, through ``to_signed_log`` of
+    each ``Rational`` pair; no ``Fraction`` is built.
+    """
     values = subsequence(traj, m, t)
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .model import SystemSpec
-from .numerics import resolve_max_bits
+from .numerics import Rational, resolve_max_bits
 from .simulator import block_period, iter_pairs, step_coefficients
 
 
@@ -82,6 +82,9 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
         return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
     block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
     period = next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])
-    pairs = list(zip(spec.x_init, spec.y_init)) + block
+    # exact pairs are canonical Rational pairs, so equal values are equal pairs
+    initial = [(Rational(*x.as_integer_ratio()), Rational(*y.as_integer_ratio()))
+               for x, y in zip(spec.x_init, spec.y_init)]
+    pairs = initial + block
     preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)
     return Periodic(preperiod=preperiod, period=period)

@@ -6,6 +6,12 @@ already guarantees the canonical form the rest of the package relies on
 as 0/1) and its arithmetic is closed, exact, and rejects division by zero.
 This module adds what ``Fraction`` does not have:
 
+* :class:`Rational`, the canonical components of a rational as a named
+  pair of ints.  The exact kernel reduces its own products and yields
+  these, since building a ``Fraction`` costs more per step than the
+  arithmetic on the ints.  :func:`component_bits`, :func:`check_bits` and
+  :func:`to_signed_log` read only ``numerator`` and ``denominator``, so
+  they accept either type,
 * a strict literal syntax shared by every text format ("-3/7", "2":
   optional sign, decimal integer, optional "/" plus positive decimal
   integer, no whitespace),
@@ -36,6 +42,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BitLengthExceededError, SpecSyntaxError, ZeroValueError
 
@@ -54,6 +61,17 @@ EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero],
 )
+
+
+class Rational(NamedTuple):
+    """A rational in canonical form: ``gcd(|numerator|, denominator) == 1``, ``denominator > 0``.
+
+    Nothing checks or restores the form; whoever builds one guarantees it,
+    and then equality of values is equality of pairs.
+    """
+
+    numerator: int
+    denominator: int
 
 
 def _parse_int(digits: str) -> int:
@@ -108,12 +126,12 @@ def decimal_literal(numerator: decimal.Decimal, denominator: decimal.Decimal) ->
     return f"{numerator}/{denominator}"
 
 
-def component_bits(value: Fraction) -> int:
+def component_bits(value: Fraction | Rational) -> int:
     """Bit length of the larger of numerator magnitude and denominator."""
     return max(value.numerator.bit_length(), value.denominator.bit_length())
 
 
-def check_bits(value: Fraction, cap: int) -> None:
+def check_bits(value: Fraction | Rational, cap: int) -> None:
     """Raise :class:`BitLengthExceededError` if either component exceeds the cap."""
     bits = component_bits(value)
     if bits > cap:
@@ -159,7 +177,7 @@ class SignedLog:
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
-def to_signed_log(value: Fraction | int) -> SignedLog:
+def to_signed_log(value: Fraction | Rational | int) -> SignedLog:
     """Convert a nonzero rational to its signed-log form.
 
     The log magnitude is the difference of the integer logs of numerator

@@ -10,8 +10,10 @@ known values as long as p <= q, which every ``SystemSpec`` guarantees.
 
 Backends.  :func:`iter_pairs` generates pairs on two backends:
 
-* ``exact`` yields ``Fraction`` values; :func:`simulate` stores them as a
-  :class:`Trajectory`, which every zero-tolerance law reads.
+* ``exact`` yields :class:`numerics.Rational` values, the canonical
+  (numerator, denominator) int pairs; :func:`simulate` stores their
+  components as the four int columns of a :class:`Trajectory`, which every
+  zero-tolerance law reads.
 * ``signedlog`` yields :class:`SignedLog` values whose log magnitudes track
   the exact trajectory to float precision and cannot overflow, which makes
   very long exports in growing regimes cheap; no ``Trajectory`` holds them.
@@ -29,13 +31,29 @@ so z_{n+2q} = z_n: the product takes at most 2q values, z at indices
 where K_n repeats with period 2q in n.  Only the q initial products are
 needed: K_n = b / z_{n-q} for n = 1 .. q, and for n = q+1 .. 2q,
 z_{n-q} = ab / z_{n-2q} gives K_n = z_{n-2q} / a.  An exact step is one
-division of the constant a by y_{n-p} and one product of y_{n-p} with a
-small coefficient.  ``Fraction`` reduces a product or quotient by gcds
-of cross pairs of numerators and denominators, so every gcd pairs a
-full-size integer with a small one and costs time linear in its bit
-length; the literal recurrence forms x_{n-q} y_{n-q} and divides by it,
-which takes gcds of two full-size integers.  A canonical ``Fraction`` is
-unique, so both forms give identical values.
+product of the constant a with 1/y_{n-p} and one product of y_{n-p} with a
+small coefficient; the literal recurrence forms x_{n-q} y_{n-q} and
+divides by it, which takes gcds of two full-size integers.
+
+Reduction.  The kernel works on the components of canonical rationals,
+:class:`numerics.Rational` pairs, and reduces each product itself, by the
+cross gcds that ``Fraction`` multiplication uses.  Let u = N/D and
+v = N'/D' be reduced with positive denominators.  With g1 = gcd(N, D') and
+g2 = gcd(N', D),
+
+    u v = ((N/g1) (N'/g2)) / ((D/g2) (D'/g1)),
+
+and no prime divides both sides: N/g1 is prime to D/g2 since u is
+reduced and to D'/g1 by the choice of g1, and N'/g2 is prime to D'/g1
+since v is reduced and to D/g2 by the choice of g2.  The denominator is
+positive, and a reduced rational with a positive denominator is unique,
+so these are the components of the canonical product, those ``Fraction``
+would give.  For y_n, u = y_{n-p} and v = K_n; for x_n, u = 1/y_{n-p},
+whose components are those of y_{n-p} swapped, both negated when
+y_{n-p} < 0, and v = a.  Each gcd pairs a full-size component of u with a
+small one of v, and one with v's component +-1 is 1 without a pass over
+the full-size int, so x_n = 1/y_{n-p} costs no gcd at all when a = +-1.
+A full-size component is divided only by a gcd other than 1.
 
 Block multipliers.  Unrolling y_n = y_{n-p} K_n over one block of
 M = lcm(p, 2q) steps multiplies M/p = 2q/d coefficients, d = gcd(p, 2q),
@@ -79,23 +97,12 @@ int takes time quadratic in its length and refuses more than
 ``sys.get_int_max_str_digits()`` digits, so the export never converts a
 component: it keeps exact ``Decimal`` images (``numerics.EXACT``) of the
 components of y_{n-p} .. y_{n-1} and steps them by the kernel's own
-relations, y_n = y_{n-p} K_n and x_n = a / y_{n-p}.  Both are products
-u v of a reduced u = N/D with a reduced v = N'/D'.  With g1 = gcd(N, D')
-and g2 = gcd(N', D),
-
-    u v = ((N/g1) (N'/g2)) / ((D/g2) (D'/g1)),
-
-and no prime divides both sides: N/g1 is prime to D/g2 since u is
-reduced and to D'/g1 by the choice of g1, and N'/g2 is prime to D'/g1
-since v is reduced and to D/g2 by the choice of g2.  The denominator is
-positive, and a reduced rational with a positive denominator is unique,
-so these are the components of the canonical ``Fraction`` and the
-literal is byte for byte ``str(Fraction)``.  For y_n, u = y_{n-p} and
-v = K_n; for x_n, u = 1/y_{n-p}, whose components are those of y_{n-p}
-swapped, both negated when y_{n-p} < 0, and v = a.  The gcds are taken on
-the ints of the kernel's ``Fraction`` values, a full-size int against a
-small one, and each image is divided by one small int and multiplied by
-another, so a literal costs time linear in its length.
+relations, y_n = y_{n-p} K_n and x_n = a / y_{n-p}: each image is divided
+by the cross gcd and multiplied by the other side's reduced component that
+the kernel's Reduction uses, so the literal is byte for byte
+``str(Fraction)``.  The gcds pair a full-size int with a small one, and
+each image is divided by one small int and multiplied by another, so a
+literal costs time linear in its length.
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
@@ -117,6 +124,7 @@ from .errors import TooFewPointsError, WrongBackendError
 from .model import SystemSpec, spec_to_obj
 from .numerics import (
     EXACT,
+    Rational,
     SignedLog,
     check_bits,
     decimal_literal,
@@ -132,26 +140,34 @@ TRAJECTORY_CSV_HEADER = ("n", "x", "y", "sign_x", "log_abs_x", "sign_y", "log_ab
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Exact values for indices -q+1 .. n_max, plus their spec."""
+    """Exact values for indices -q+1 .. n_max, plus their spec.
+
+    The values are stored as four int columns, the canonical numerators
+    and denominators of x and of y; list offset k holds index k - q + 1.
+    """
 
     spec: SystemSpec
-    xs: list
-    ys: list
+    x_nums: list
+    x_dens: list
+    y_nums: list
+    y_dens: list
 
     @property
     def n_max(self) -> int:
-        return len(self.xs) - self.spec.q
+        return len(self.x_nums) - self.spec.q
 
     def _offset(self, n: int) -> int:
         if not -self.spec.q + 1 <= n <= self.n_max:
             raise IndexError(f"index {n} outside stored range -{self.spec.q - 1} .. {self.n_max}")
         return n + self.spec.q - 1
 
-    def x(self, n: int):
-        return self.xs[self._offset(n)]
+    def x(self, n: int) -> Fraction:
+        k = self._offset(n)
+        return Fraction(self.x_nums[k], self.x_dens[k])
 
-    def y(self, n: int):
-        return self.ys[self._offset(n)]
+    def y(self, n: int) -> Fraction:
+        k = self._offset(n)
+        return Fraction(self.y_nums[k], self.y_dens[k])
 
 
 def step_coefficients(spec: SystemSpec) -> list[Fraction]:
@@ -190,11 +206,13 @@ def block_period(p: int, coefficients: Sequence[Fraction]) -> int | None:
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
     """An iterator of (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
 
-    The exact backend generates y_n as y_{n-p} times the coefficient
+    The exact backend yields x_n and y_n as :class:`numerics.Rational`
+    pairs.  It generates y_n as y_{n-p} times the coefficient
     K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
-    z = x y repeats with period 2q (see the module docstring).  Every gcd
-    that reduces a step then pairs a full-size integer with a small one.
-    Both components of x_n and y_n are checked against the bit cap of
+    z = x y repeats with period 2q, and x_n as a times 1/y_{n-p}; it
+    reduces both products itself, and every gcd pairs a full-size integer
+    with a small one (module docstring, Reduction).  Both components of
+    x_n and y_n are checked against the bit cap of
     :func:`resolve_max_bits`, x_n first; the cap is resolved by this call,
     before any pair is taken.  When the pairs repeat with a
     :func:`block_period` P, the first P pairs are computed and stored, and
@@ -211,18 +229,43 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple
     return _exact_pairs(spec, resolve_max_bits())
 
 
+def _gcd(large: int, small: int) -> int:
+    """gcd(large, small); one with +-1 is 1 without a pass over ``large``."""
+    return 1 if small in (1, -1) else math.gcd(large, small)
+
+
+def _product(num: int, den: int, factor_num: int, factor_den: int) -> Rational:
+    """(num/den) * (factor_num/factor_den) of two canonical rationals, canonical (module docstring).
+
+    ``num/den`` is the full-size operand and the factor the small one, so
+    each gcd pairs a full-size int with a small one.
+    """
+    g1 = _gcd(num, factor_den)
+    if g1 != 1:
+        num //= g1
+        factor_den //= g1
+    g2 = _gcd(den, factor_num)
+    if g2 != 1:
+        den //= g2
+        factor_num //= g2
+    return Rational(num * factor_num, den * factor_den)
+
+
 def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
-    a, q = spec.a, spec.q
-    back_p = q - spec.p  # window[k] holds y_{n-q+k}
+    a_num, a_den = spec.a.as_integer_ratio()
+    back_p = spec.q - spec.p  # window[k] holds y_{n-q+k}
     coefficients = step_coefficients(spec)
     period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
     block = []
-    window = deque(spec.y_init, maxlen=q)
-    steps = zip(itertools.count(1), itertools.cycle(coefficients))
-    for n, coefficient in itertools.islice(steps, period):
-        y_p = window[back_p]
-        x = a / y_p
-        y = y_p * coefficient
+    window = deque((y.as_integer_ratio() for y in spec.y_init), maxlen=spec.q)
+    steps = zip(itertools.count(1), itertools.cycle([k.as_integer_ratio() for k in coefficients]))
+    for n, (k_num, k_den) in itertools.islice(steps, period):
+        y_num, y_den = window[back_p]
+        if y_num > 0:  # 1/y_{n-p}, with its sign on the numerator
+            x = _product(y_den, y_num, a_num, a_den)
+        else:
+            x = _product(-y_den, -y_num, a_num, a_den)
+        y = _product(y_num, y_den, k_num, k_den)
         check_bits(x, cap)
         check_bits(y, cap)
         window.append(y)
@@ -253,31 +296,41 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     """Generate the exact trajectory through index ``n_steps`` (deterministic)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    xs, ys = list(spec.x_init), list(spec.y_init)
-    for _, x, y in itertools.islice(iter_pairs(spec), n_steps):
-        xs.append(x)
-        ys.append(y)
-    return Trajectory(spec=spec, xs=xs, ys=ys)
+    x_nums, x_dens = [x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init]
+    y_nums, y_dens = [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init]
+    for _, (x_num, x_den), (y_num, y_den) in itertools.islice(iter_pairs(spec), n_steps):
+        x_nums.append(x_num)
+        x_dens.append(x_den)
+        y_nums.append(y_num)
+        y_dens.append(y_den)
+    return Trajectory(spec=spec, x_nums=x_nums, x_dens=x_dens, y_nums=y_nums, y_dens=y_dens)
 
 
-def _matches_reference_cycle(values: list, lag: int, first: int,
+def _fractions(nums: list, dens: list, start: int, stop: int) -> list[Fraction]:
+    """The stored values at list offsets start .. stop - 1 of two columns, as ``Fraction``s."""
+    return list(map(Fraction, nums[start:stop], dens[start:stop]))
+
+
+def _matches_reference_cycle(nums: list, dens: list, lag: int, first: int,
                              references: Sequence[Fraction]) -> bool:
-    """True iff values[k] == references[j] * values[k - lag] for every list offset k >= first.
+    """True iff v_k == references[j] * v_{k - lag} for every list offset k >= first.
 
-    j = (k - first) mod len(references): the references repeat along the
-    offsets.  Each comparison is cross-multiplied over numerators (N) and
-    denominators (D), as vN wD rD == rN wN vD with w = values[k - lag].
-    Canonical rationals have positive denominators, so u/v = r/s holds
-    exactly when u*s = r*v, signs included.  The exact checks take their
-    references from the stored values themselves: small reduced rationals
-    in a correct trajectory, so an offset costs two products of
-    value-sized integers and two by a small one.
+    v_k is nums[k]/dens[k], and j = (k - first) mod len(references): the
+    references repeat along the offsets.  Each comparison is
+    cross-multiplied over numerators (N) and denominators (D), as
+    vN wD rD == rN wN vD with w = v_{k - lag}.  Canonical rationals have
+    positive denominators, so u/v = r/s holds exactly when u*s = r*v, signs
+    included.  The exact checks take their references from the stored
+    values themselves: small reduced rationals in a correct trajectory, so
+    an offset costs two products of value-sized integers and two by a
+    small one.
     """
     return all(
-        v.numerator * w.denominator * r_den == r_num * w.numerator * v.denominator
-        for v, w, (r_num, r_den) in zip(
-            itertools.islice(values, first, None), itertools.islice(values, first - lag, None),
-            itertools.cycle([(r.numerator, r.denominator) for r in references]),
+        v_num * w_den * r_den == r_num * w_num * v_den
+        for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
+            itertools.islice(nums, first, None), itertools.islice(dens, first, None),
+            itertools.islice(nums, first - lag, None), itertools.islice(dens, first - lag, None),
+            itertools.cycle([r.as_integer_ratio() for r in references]),
         )
     )
 
@@ -303,16 +356,18 @@ def product_invariant_check(traj: Trajectory) -> bool:
     """
     spec = traj.spec
     ab = spec.a * spec.b
-    q, xs, ys = spec.q, traj.xs, traj.ys
+    q = spec.q
     # list offset k holds index k - q + 1: offsets 0 .. 3q - 1 hold n = -q+1 .. 2q
-    z = [x * y for x, y in zip(xs[:3 * q], ys[:3 * q])]
+    z = [x * y for x, y in zip(_fractions(traj.x_nums, traj.x_dens, 0, 3 * q),
+                               _fractions(traj.y_nums, traj.y_dens, 0, 3 * q))]
     if not all(z_n * z_nq == ab for z_n, z_nq in zip(z[q:], z)):
         return False
+    tails = (itertools.islice(column, 3 * q, None)
+             for column in (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens))
     return all(
-        x.numerator * y.numerator * z_den == z_num * x.denominator * y.denominator
-        for x, y, (z_num, z_den) in zip(
-            itertools.islice(xs, 3 * q, None), itertools.islice(ys, 3 * q, None),
-            itertools.cycle([(z_r.numerator, z_r.denominator) for z_r in z[q:]]),
+        x_num * y_num * z_den == z_num * x_den * y_den
+        for x_num, x_den, y_num, y_den, (z_num, z_den) in zip(
+            *tails, itertools.cycle([z_r.as_integer_ratio() for z_r in z[q:]]),
         )
     )
 
@@ -345,22 +400,24 @@ def x_relation_check(traj: Trajectory) -> bool:
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
         raise TooFewPointsError(f"needs n >= {start}")
-    c, p, q, xs = spec.c, spec.p, spec.q, traj.xs
+    c, p, q = spec.c, spec.p, spec.q
     first = start - 1  # list offset of x_{start-q}
     end = first + 3 * q  # list offset of x_{start+2q}, where the references take over
-    rho = [x / x_p for x, x_p in zip(xs[first:end], xs[first - p:end - p])]
+    xs = _fractions(traj.x_nums, traj.x_dens, first - p, end)
+    rho = [x / x_p for x, x_p in zip(xs[p:], xs)]
     if not all(rho_n * rho_nq == c for rho_n, rho_nq in zip(rho[q:], rho)):
         return False
-    return _matches_reference_cycle(xs, p, end, rho[q:])
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, p, end, rho[q:])
 
 
-def subsequence(traj: Trajectory, m: int, t: int) -> list:
-    """x values at indices t, t+m, t+2m, ... up to n_max, in order."""
+def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
+    """x values at indices t, t+m, t+2m, ... up to n_max, in order, as ``Rational`` pairs."""
     if m < 1:
         raise ValueError(f"stride m must be >= 1, got {m}")
     if not 0 <= t < m:
         raise ValueError(f"offset t must lie in 0..{m - 1}, got {t}")
-    return traj.xs[t + traj.spec.q - 1::m]
+    offset = t + traj.spec.q - 1
+    return list(map(Rational, traj.x_nums[offset::m], traj.x_dens[offset::m]))
 
 
 def _log_row(n: int, x: SignedLog, y: SignedLog) -> tuple:
@@ -379,11 +436,6 @@ def _scaled(num: int, den: int, images: tuple, factor: Fraction) -> tuple:
     num_image, den_image = images
     return (_divide_multiply(num_image, g1, factor.numerator // g2),
             _divide_multiply(den_image, g2, factor.denominator // g1))
-
-
-def _gcd(large: int, small: int) -> int:
-    """gcd(large, small); one with +-1 is 1 without a pass over ``large``."""
-    return 1 if small in (1, -1) else math.gcd(large, small)
 
 
 def _divide_multiply(image: decimal.Decimal, divisor: int, factor: int) -> decimal.Decimal:

@@ -16,6 +16,7 @@ from perisys import (
     BACKEND_SIGNEDLOG,
     NoCycleWithinHorizon,
     Periodic,
+    Rational,
     SystemSpec,
     iter_pairs,
     simulate,
@@ -126,6 +127,21 @@ def naive_pairs(spec, max_bits=None):
             check_bits(x[n], max_bits)
             check_bits(y[n], max_bits)
         yield n, x[n], y[n]
+
+
+def components(value) -> Rational:
+    """The canonical pair of a ``Fraction`` or int, the form exact pairs take."""
+    return Rational(*value.as_integer_ratio())
+
+
+def canonical_triples(triples) -> list:
+    """(n, x_n, y_n) triples of ``Fraction``s, with x_n and y_n as canonical pairs."""
+    return [(n, components(x), components(y)) for n, x, y in triples]
+
+
+def columns(values) -> tuple[list, list]:
+    """The numerator and denominator columns of a sequence of ``Fraction``s."""
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 _MODULUS = (1 << 61) - 1

@@ -148,14 +148,15 @@ def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     Classifies the longest suffix of the subsequence on which consecutive
     comparisons all agree; the suffix must span at least 3 points, so a
     preperiod is skipped but the verdict is never read off fewer than two
-    comparisons.
+    comparisons.  Magnitudes are compared cross-multiplied over their
+    components: |u|/v < |r|/s iff |u| s < |r| v for positive v and s.
     """
-    values = [abs(v) for v in subsequence(traj, m, t)]
+    values = [(abs(num), den) for num, den in subsequence(traj, m, t)]
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
     directions = [
-        (second > first) - (second < first)
-        for first, second in zip(values, values[1:])
+        (num2 * den1 > num1 * den2) - (num2 * den1 < num1 * den2)
+        for (num1, den1), (num2, den2) in zip(values, values[1:])
     ]
     tail = directions[-1]
     span = 0

@@ -20,6 +20,7 @@ from fractions import Fraction
 from perisys import (
     NoCycleWithinHorizon,
     Periodic,
+    Rational,
     Regime,
     block_ratio_check,
     classify,
@@ -100,7 +101,8 @@ def test_criterion_3_nonperiodic_regimes_grow():
         for _ in range(10):
             spec = random_positive_spec(rng, p, q)
             traj = simulate(spec, 10000)
-            pairs = list(zip(traj.xs, traj.ys))
+            pairs = list(zip(map(Rational, traj.x_nums, traj.x_dens),
+                             map(Rational, traj.y_nums, traj.y_dens)))
             if first_repeat(pairs[:q], pairs[q:], q) == NoCycleWithinHorizon(10000):
                 no_cycle += 1
             if abs(growth_slope(traj, witness, 0)) > 1e-6:

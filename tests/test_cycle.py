@@ -145,7 +145,9 @@ def oracle_cycle(traj):
     """The naive window-tuple scan, as Periodic / NoCycleWithinHorizon."""
     spec = traj.spec
     w = max(spec.p, spec.q)
-    hit = find_window_cycle(list(zip(traj.xs, traj.ys)), w)
+    # stored components are canonical, so equal pairs have equal components
+    pairs = zip(zip(traj.x_nums, traj.x_dens), zip(traj.y_nums, traj.y_dens))
+    hit = find_window_cycle(list(pairs), w)
     if hit is None:
         return NoCycleWithinHorizon(traj.n_max)
     # pairs begin at index -q+1, so the window starting at offset k ends at k + w - q

@@ -33,7 +33,7 @@ from perisys import (
     simulator,
     x_relation_check,
 )
-from perisys.numerics import component_bits
+from perisys.numerics import Rational, component_bits
 
 from conftest import nonzero_rationals, random_signed_spec, specs
 
@@ -112,8 +112,8 @@ def trajectories(draw):
     """Clean trajectories, and ones with one stored x or y corrupted.
 
     A corruption scales the value by a rational other than 1, or only
-    flips its sign.  It can land on an initial entry as well as on a
-    generated one.
+    flips its sign, through its numerator and denominator columns.  It can
+    land on an initial entry as well as on a generated one.
     """
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
@@ -121,12 +121,17 @@ def trajectories(draw):
     traj = simulate(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
-        values = traj.xs if draw(st.booleans()) else traj.ys
+        if draw(st.booleans()):
+            nums, dens = traj.x_nums, traj.x_dens
+        else:
+            nums, dens = traj.y_nums, traj.y_dens
         k = draw(st.integers(0, spec.q + n - 1))  # list offset; below q is an initial entry
         if corruption == "sign":
-            values[k] = -values[k]
+            nums[k] = -nums[k]
         else:
-            values[k] *= draw(nonzero_rationals.filter(lambda r: r != 1))
+            factor = draw(nonzero_rationals.filter(lambda r: r != 1))
+            nums[k] *= factor.numerator
+            dens[k] *= factor.denominator
     return traj
 
 
@@ -140,7 +145,7 @@ def test_checks_match_fraction_oracles(traj):
 def test_corrupted_y_fails_product_invariant():
     traj = simulate(random_signed_spec(random.Random(11), 6, 10, a=1, b=1), 200)
     assert product_invariant_check(traj)
-    traj.ys[10 + 50] *= 3
+    traj.y_nums[10 + 50] *= 3
     assert not product_invariant_check(traj)
     assert not oracle_product_invariant(traj)
 
@@ -149,7 +154,7 @@ def test_sign_flip_of_x_fails_block_ratio():
     spec = replace(random_positive_spec(random.Random(4), 6, 10), a=1, b=2)
     traj = simulate(spec, 150)
     assert block_ratio_check(traj)
-    traj.xs[100] = -traj.xs[100]
+    traj.x_nums[100] = -traj.x_nums[100]
     assert not block_ratio_check(traj)
     assert not oracle_block_ratio(traj)
 
@@ -161,7 +166,7 @@ DRIFT = random_signed_spec(random.Random(1), 3, 5, a=1, b=2)
 UNBOUNDED = random_signed_spec(random.Random(1), 2, 3, a=1, b=1)
 LONG = 2000
 
-PINNED = [  # check, oracle, spec, corrupted list, index n, factor
+PINNED = [  # check, oracle, spec, corrupted value (its numerator column), index n, factor
     # head: y_{-4} enters only z_1 z_{-4}; reference: z_10 = z_{2q}; tail
     (product_invariant_check, oracle_product_invariant, DRIFT, "ys", -4, -1),
     (product_invariant_check, oracle_product_invariant, DRIFT, "xs", 10, 3),
@@ -187,9 +192,10 @@ PINNED = [  # check, oracle, spec, corrupted list, index n, factor
 )
 def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n, factor):
     traj = simulate(spec, LONG)
-    assert max(map(component_bits, traj.xs)) >= 300
+    assert max(map(component_bits, map(Rational, traj.x_nums, traj.x_dens))) >= 300
     assert check(traj)
-    getattr(traj, which)[n + spec.q - 1] *= factor
+    nums = traj.x_nums if which == "xs" else traj.y_nums
+    nums[n + spec.q - 1] *= factor
     assert not check(traj)
     assert not oracle(traj)
 
@@ -202,7 +208,7 @@ def test_corruption_at_the_end_of_the_literal_head(check, oracle, n):
     """A trajectory that ends on the last index of the head has no tail to catch it."""
     traj = simulate(DRIFT, n)
     assert check(traj)
-    traj.xs[-1] *= 3
+    traj.x_nums[-1] *= 3
     assert not check(traj)
     assert not oracle(traj)
 
@@ -224,7 +230,7 @@ def test_tail_consistent_corruption_fails_check_and_oracle(check, oracle, first,
     assert check(traj)
     period = 2 * DRIFT.q
     for n in range(first + (r - first) % period, traj.n_max + 1, period):
-        traj.xs[n + DRIFT.q - 1] *= 3
+        traj.x_nums[n + DRIFT.q - 1] *= 3
     assert not check(traj)
     assert not oracle(traj)
 
@@ -240,10 +246,10 @@ def test_tail_consistent_ratio_corruption_fails_x_relation(r):
     """
     traj = simulate(DRIFT, LONG)
     p, q = DRIFT.p, DRIFT.q
-    scale = [1] * len(traj.xs)  # by list offset
-    for k in range(r + q - 1, len(traj.xs)):  # list offset k holds n = k - q + 1
+    scale = [1] * len(traj.x_nums)  # by list offset
+    for k in range(r + q - 1, len(traj.x_nums)):  # list offset k holds n = k - q + 1
         scale[k] = scale[k - p] * (3 if (k - q + 1 - r) % (2 * q) == 0 else 1)
-        traj.xs[k] *= scale[k]
+        traj.x_nums[k] *= scale[k]
     assert not x_relation_check(traj)
     assert not oracle_x_relation(traj)
 

@@ -22,6 +22,7 @@ from perisys import (
     BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
+    Rational,
     ShapeError,
     SystemSpec,
     WrongBackendError,
@@ -46,6 +47,9 @@ from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period, trajectory_ro
 
 from conftest import (
     bit_cap,
+    canonical_triples,
+    columns,
+    components,
     csv_writer_export,
     fixed_point_spec,
     json_dump_export,
@@ -137,15 +141,53 @@ def test_matches_naive_reference():
 def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
     want, error = pairs_until_cap(naive_pairs(spec, max_bits), n_steps)
     with bit_cap(max_bits):
-        assert pairs_until_cap(iter_pairs(spec), n_steps) == (want, error)
+        assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
         if error is None:
             traj = simulate(spec, n_steps)
-            assert traj.xs == list(spec.x_init) + [x for _, x, _ in want]
-            assert traj.ys == list(spec.y_init) + [y for _, _, y in want]
+            assert (traj.x_nums, traj.x_dens) == columns(list(spec.x_init) + [x for _, x, _ in want])
+            assert (traj.y_nums, traj.y_dens) == columns(list(spec.y_init) + [y for _, _, y in want])
         else:
             with pytest.raises(BitLengthExceededError) as info:
                 simulate(spec, n_steps)
             assert str(info.value) == error
+
+
+def is_canonical(num, den):
+    return den > 0 and math.gcd(num, den) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(), st.sampled_from(["drawn", "x y = b", "x y = b, b = -a"]),
+       st.randoms(use_true_random=False), st.integers(1, 300),
+       st.integers(8, 256) | st.just(DEFAULT_MAX_BITS))
+def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bits):
+    """Every exact pair and column entry is canonical and has the literal recurrence's components.
+
+    Nothing normalises the kernel's pairs after it reduces them, and
+    ``detect_cycle`` compares them as pairs, which is sound only on
+    canonical forms.  ``specs`` draws signed data, p = q, b = -a and
+    a != +-1; the x y = b family is periodic in every regime, and its steps
+    run past the block period P into the replay.  A small cap can stop
+    them inside the first block.
+    """
+    if data != "drawn":
+        spec = product_family_spec(rng, spec.p, spec.q, spec.a,
+                                   spec.a if data == "x y = b" else -spec.a)
+    period = block_period(spec.p, step_coefficients(spec))
+    if period is not None:
+        n_steps += 2 * period
+    want, error = pairs_until_cap(naive_pairs(spec, max_bits), n_steps)
+    with bit_cap(max_bits):
+        got, got_error = pairs_until_cap(iter_pairs(spec), n_steps)
+        traj = simulate(spec, n_steps) if error is None else None
+    assert got_error == error
+    assert all(type(v) is Rational and is_canonical(*v) for _, x, y in got for v in (x, y))
+    assert got == canonical_triples(want)
+    if traj is not None:
+        for nums, dens in ((traj.x_nums, traj.x_dens), (traj.y_nums, traj.y_dens)):
+            assert all(map(is_canonical, nums, dens))
+        assert (traj.x_nums, traj.x_dens) == columns(list(spec.x_init) + [x for _, x, _ in want])
+        assert (traj.y_nums, traj.y_dens) == columns(list(spec.y_init) + [y for _, _, y in want])
 
 
 def multipliers_of(spec):
@@ -221,8 +263,8 @@ def test_replayed_blocks_match_literal_recurrence():
         traj = simulate(spec, n_max)
         x, y = naive_simulate(spec, n_max)
         assert all((x[n + period], y[n + period]) == (x[n], y[n]) for n in range(1, period + 1))
-        assert traj.xs == [x[n] for n in range(1 - spec.q, n_max + 1)]
-        assert traj.ys == [y[n] for n in range(1 - spec.q, n_max + 1)]
+        assert (traj.x_nums, traj.x_dens) == columns([x[n] for n in range(1 - spec.q, n_max + 1)])
+        assert (traj.y_nums, traj.y_dens) == columns([y[n] for n in range(1 - spec.q, n_max + 1)])
 
 
 def test_bit_cap_inside_first_block_matches_literal_recurrence():
@@ -236,7 +278,7 @@ def test_bit_cap_inside_first_block_matches_literal_recurrence():
         want, error = pairs_until_cap(naive_pairs(spec, cap), 4 * m)
         assert error is not None and len(want) < m
         with bit_cap(cap):
-            assert pairs_until_cap(iter_pairs(spec), 4 * m) == (want, error)
+            assert pairs_until_cap(iter_pairs(spec), 4 * m) == (canonical_triples(want), error)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
@@ -260,7 +302,8 @@ def test_determinism():
     spec = random_signed_spec(rng, 2, 3)
     one = simulate(spec, 60)
     two = simulate(spec, 60)
-    assert one.xs == two.xs and one.ys == two.ys
+    assert (one.x_nums, one.x_dens) == (two.x_nums, two.x_dens)
+    assert (one.y_nums, one.y_dens) == (two.y_nums, two.y_dens)
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,7 +318,7 @@ def test_no_zero_ever_appears(p, q, n_steps, rng):
         p, q = q, p
     spec = random_signed_spec(rng, p, q)
     traj = simulate(spec, n_steps)
-    assert all(v != 0 for v in traj.xs + traj.ys)
+    assert all(num != 0 for num in traj.x_nums + traj.y_nums)  # a value is 0 iff its numerator is
 
 
 def test_backend_agreement_signs_and_logs():
@@ -310,7 +353,7 @@ def test_conservation_laws_random_grid():
 def test_product_invariant_detects_corruption():
     traj = simulate(random_signed_spec(random.Random(6), 2, 3), 50)
     assert product_invariant_check(traj)
-    traj.xs[20] += 1
+    traj.x_nums[20] += traj.x_dens[20]  # x at list offset 20 plus 1
     assert not product_invariant_check(traj)
 
 
@@ -325,7 +368,7 @@ def test_x_relation_homogeneous_and_with_ratio():
 def test_x_relation_detects_corruption():
     traj = simulate(random_signed_spec(random.Random(9), 2, 3), 60)
     assert x_relation_check(traj)
-    traj.xs[40] *= 2
+    traj.x_nums[40] *= 2
     assert not x_relation_check(traj)
 
 
@@ -346,11 +389,11 @@ def test_iter_pairs_rejects_unknown_backend():
 def test_subsequence():
     traj = simulate(HAND_SPEC, 20)
     full = subsequence(traj, 1, 0)
-    assert full[0] == traj.x(0) and len(full) == 21
+    assert full[0] == components(traj.x(0)) and len(full) == 21
     fixed = simulate(fixed_point_spec(2, 3), 120)
     eleven = subsequence(fixed, 12, 0)
     assert len(eleven) == 11
-    assert set(eleven) == {Fraction(1)}
+    assert set(eleven) == {components(1)}
     with pytest.raises(ValueError):
         subsequence(traj, 0, 0)
     with pytest.raises(ValueError):
@@ -470,7 +513,8 @@ def _non_unit(rng: random.Random) -> Fraction:
 
 
 def _str_fraction_rows(spec, n_steps):
-    return list(itertools.starmap(str_fraction_row, itertools.islice(iter_pairs(spec), n_steps)))
+    return [str_fraction_row(n, Fraction(*x), Fraction(*y))
+            for n, x, y in itertools.islice(iter_pairs(spec), n_steps)]
 
 
 @pytest.mark.parametrize("seed", range(48))
