@@ -17,6 +17,8 @@ Backends.  :func:`iter_pairs` generates pairs on two backends:
 * ``signedlog`` yields :class:`SignedLog` values whose log magnitudes track
   the exact trajectory to float precision and cannot overflow, which makes
   very long exports in growing regimes cheap; no ``Trajectory`` holds them.
+  The recurrence runs on flat export rows, and ``iter_pairs`` builds its
+  ``SignedLog`` values from those rows.
 
 The exact backend does not run the second equation literally.  The product
 of the two equations is
@@ -53,7 +55,14 @@ whose components are those of y_{n-p} swapped, both negated when
 y_{n-p} < 0, and v = a.  Each gcd pairs a full-size component of u with a
 small one of v, and one with v's component +-1 is 1 without a pass over
 the full-size int, so x_n = 1/y_{n-p} costs no gcd at all when a = +-1.
-A full-size component is divided only by a gcd other than 1.
+A full-size component is divided only by a gcd other than 1, and
+multiplied only by a factor other than 1.
+
+The step loop does both reductions inline, with no call per product, and
+builds each ``Rational`` through ``tuple.__new__``.  It tests the bit cap
+inline too, by comparing the ``bit_length()`` of the four new components
+with the cap, and calls ``numerics.check_bits``, which owns the error
+text, only for a value with a component over it, x_n before y_n.
 
 Block multipliers.  Unrolling y_n = y_{n-p} K_n over one block of
 M = lcm(p, 2q) steps multiplies M/p = 2q/d coefficients, d = gcd(p, 2q),
@@ -106,7 +115,10 @@ literal costs time linear in its length.
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
-it the exported log magnitudes.
+it the exported log magnitudes.  Its window holds flat export rows
+(n, "", "", sign_x, log_x, sign_y, log_y), which the log export writes as
+they are, and each step forms a - y_{n-p} and
+(b + y_{n-p}) - (x_{n-q} + y_{n-q}) on the logs, in that order.
 """
 
 from __future__ import annotations
@@ -213,17 +225,20 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple
     reduces both products itself, and every gcd pairs a full-size integer
     with a small one (module docstring, Reduction).  Both components of
     x_n and y_n are checked against the bit cap of
-    :func:`resolve_max_bits`, x_n first; the cap is resolved by this call,
-    before any pair is taken.  When the pairs repeat with a
+    :func:`resolve_max_bits`, x_n first, inline, and a value over it
+    raises through :func:`numerics.check_bits`; the cap is resolved by
+    this call, before any pair is taken.  When the pairs repeat with a
     :func:`block_period` P, the first P pairs are computed and stored, and
     later pairs replay them.  Memory is then O(P) pairs, and O(q)
     otherwise.  The signed-log backend runs the literal recurrence so that
     its float rounding, and the exported logs, stay those of the
-    recurrence; it has no bit cap.  Any other backend name raises
-    ``WrongBackendError``.
+    recurrence; it is an adapter that builds two ``SignedLog`` values from
+    each flat export row of that recurrence, and it has no bit cap.  Any
+    other backend name raises ``WrongBackendError``.
     """
     if backend == BACKEND_SIGNEDLOG:
-        return _log_pairs(spec)
+        return ((n, SignedLog(sign_x, log_x), SignedLog(sign_y, log_y))
+                for n, _, _, sign_x, log_x, sign_y, log_y in _log_rows(spec))
     if backend != BACKEND_EXACT:
         raise WrongBackendError(f"unknown backend {backend!r}")
     return _exact_pairs(spec, resolve_max_bits())
@@ -234,24 +249,8 @@ def _gcd(large: int, small: int) -> int:
     return 1 if small in (1, -1) else math.gcd(large, small)
 
 
-def _product(num: int, den: int, factor_num: int, factor_den: int) -> Rational:
-    """(num/den) * (factor_num/factor_den) of two canonical rationals, canonical (module docstring).
-
-    ``num/den`` is the full-size operand and the factor the small one, so
-    each gcd pairs a full-size int with a small one.
-    """
-    g1 = _gcd(num, factor_den)
-    if g1 != 1:
-        num //= g1
-        factor_den //= g1
-    g2 = _gcd(den, factor_num)
-    if g2 != 1:
-        den //= g2
-        factor_num //= g2
-    return Rational(num * factor_num, den * factor_den)
-
-
 def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
+    """The exact steps, each reduced and tested against ``cap`` inline (module docstring)."""
     a_num, a_den = spec.a.as_integer_ratio()
     back_p = spec.q - spec.p  # window[k] holds y_{n-q+k}
     coefficients = step_coefficients(spec)
@@ -259,15 +258,52 @@ def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
     block = []
     window = deque((y.as_integer_ratio() for y in spec.y_init), maxlen=spec.q)
     steps = zip(itertools.count(1), itertools.cycle([k.as_integer_ratio() for k in coefficients]))
+    gcd, new = math.gcd, tuple.__new__
     for n, (k_num, k_den) in itertools.islice(steps, period):
         y_num, y_den = window[back_p]
-        if y_num > 0:  # 1/y_{n-p}, with its sign on the numerator
-            x = _product(y_den, y_num, a_num, a_den)
+        # x_n = (1/y_{n-p}) * a, the reciprocal's sign on its numerator; the
+        # skips are those of Reduction (a denominator +-1 can only be 1)
+        if y_num > 0:
+            x_num, x_den = y_den, y_num
         else:
-            x = _product(-y_den, -y_num, a_num, a_den)
-        y = _product(y_num, y_den, k_num, k_den)
-        check_bits(x, cap)
-        check_bits(y, cap)
+            x_num, x_den = -y_den, -y_num
+        f_num, f_den = a_num, a_den
+        if f_den != 1:
+            g = gcd(x_num, f_den)
+            if g != 1:
+                x_num //= g
+                f_den //= g
+        if f_num != 1 and f_num != -1:
+            g = gcd(x_den, f_num)
+            if g != 1:
+                x_den //= g
+                f_num //= g
+        if f_num != 1:
+            x_num *= f_num
+        if f_den != 1:
+            x_den *= f_den
+        # y_n = y_{n-p} * K_n
+        if k_den != 1:
+            g = gcd(y_num, k_den)
+            if g != 1:
+                y_num //= g
+                k_den //= g
+        if k_num != 1 and k_num != -1:
+            g = gcd(y_den, k_num)
+            if g != 1:
+                y_den //= g
+                k_num //= g
+        if k_num != 1:
+            y_num *= k_num
+        if k_den != 1:
+            y_den *= k_den
+        x = new(Rational, (x_num, x_den))
+        y = new(Rational, (y_num, y_den))
+        # check_bits owns the error text; it runs only on a value over the cap
+        if x_num.bit_length() > cap or x_den.bit_length() > cap:
+            check_bits(x, cap)
+        if y_num.bit_length() > cap or y_den.bit_length() > cap:
+            check_bits(y, cap)
         window.append(y)
         if period:
             block.append((x, y))
@@ -276,20 +312,29 @@ def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
         yield n, x, y
 
 
-def _log_pairs(spec: SystemSpec) -> Iterator[tuple]:
-    """The literal recurrence on signs and log magnitudes, in its order of operations."""
+def _log_rows(spec: SystemSpec) -> Iterator[tuple]:
+    """Signed-log export rows of the literal recurrence, in its order of operations.
+
+    Each row is (n, "", "", sign_x, log_x, sign_y, log_y): the signed-log
+    backend has no exact form, so the literal columns are empty.  The
+    window holds the rows at n - q .. n - 1, the initial ones included.
+    """
     a, b = to_signed_log(spec.a), to_signed_log(spec.b)
-    back_p = spec.q - spec.p  # window[k] holds the pair at n - q + k
-    window = deque(zip(map(to_signed_log, spec.x_init), map(to_signed_log, spec.y_init)),
+    sign_a, log_a, sign_b, log_b = a.sign, a.logmag, b.sign, b.logmag
+    back_p = spec.q - spec.p  # window[k] holds the row at n - q + k
+    window = deque(((n, "", "", x.sign, x.logmag, y.sign, y.logmag)
+                    for n, x, y in zip(itertools.count(1 - spec.q),
+                                       map(to_signed_log, spec.x_init),
+                                       map(to_signed_log, spec.y_init))),
                    maxlen=spec.q)
     for n in itertools.count(1):
-        _, y_p = window[back_p]
-        x_q, y_q = window[0]
-        x = SignedLog(a.sign * y_p.sign, a.logmag - y_p.logmag)
-        y = SignedLog(b.sign * y_p.sign * x_q.sign * y_q.sign,
-                      (b.logmag + y_p.logmag) - (x_q.logmag + y_q.logmag))
-        window.append((x, y))
-        yield n, x, y
+        _, _, _, _, _, sign_y_p, log_y_p = window[back_p]
+        _, _, _, sign_x_q, log_x_q, sign_y_q, log_y_q = window[0]
+        row = (n, "", "", sign_a * sign_y_p, log_a - log_y_p,
+               sign_b * sign_y_p * sign_x_q * sign_y_q,
+               (log_b + log_y_p) - (log_x_q + log_y_q))
+        window.append(row)
+        yield row
 
 
 def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
@@ -420,10 +465,6 @@ def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
     return list(map(Rational, traj.x_nums[offset::m], traj.x_dens[offset::m]))
 
 
-def _log_row(n: int, x: SignedLog, y: SignedLog) -> tuple:
-    return n, "", "", x.sign, x.logmag, y.sign, y.logmag  # no exact form: no literals
-
-
 def _scaled(num: int, den: int, images: tuple, factor: Fraction) -> tuple:
     """The images of the reduced components of (num/den) * factor (module docstring).
 
@@ -467,16 +508,16 @@ def _exact_rows(spec: SystemSpec, pairs: Iterator[tuple]) -> Iterator[tuple]:
 def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tuple]:
     """One export row per index n = 1 .. n_steps, in TRAJECTORY_CSV_HEADER order.
 
-    The rows are drawn lazily from ``iter_pairs(spec, backend)``, which is
-    called, and so resolves the bit cap, before this returns.  Exact
-    values are rendered as rational literals, of any length and in time
-    linear in it (module docstring, Rendering); the signed-log backend has
-    no exact form, so its x and y columns are empty.
+    The rows are drawn lazily.  Exact rows come from ``iter_pairs(spec)``,
+    which is called, and so resolves the bit cap, before this returns;
+    their values are rendered as rational literals, of any length and in
+    time linear in it (module docstring, Rendering).  Signed-log rows are
+    those of the log recurrence itself, with no ``SignedLog`` in between;
+    that backend has no exact form, so its x and y columns are empty.
     """
-    pairs = itertools.islice(iter_pairs(spec, backend), n_steps)
     if backend == BACKEND_SIGNEDLOG:
-        return itertools.starmap(_log_row, pairs)
-    return _exact_rows(spec, pairs)
+        return itertools.islice(_log_rows(spec), n_steps)
+    return _exact_rows(spec, itertools.islice(iter_pairs(spec, backend), n_steps))
 
 
 def write_trajectory_csv(spec: SystemSpec, n_steps: int, backend: str, stream) -> None:

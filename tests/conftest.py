@@ -18,14 +18,13 @@ from perisys import (
     Periodic,
     Rational,
     SystemSpec,
-    iter_pairs,
     simulate,
     spec_to_obj,
 )
 from perisys.numerics import ENV_MAX_BITS, check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
-from oracles import str_fraction_row
+from oracles import log_pairs, str_fraction_row
 
 
 @contextlib.contextmanager
@@ -216,11 +215,12 @@ def find_window_cycle(items, window):
 def stored_pairs(spec, n_steps, backend):
     """Test oracle: the (n, x_n, y_n) the exports must carry, from a stored sequence.
 
-    Exact pairs come from a ``simulate`` trajectory, log pairs from a list
-    of the ``signedlog`` iterator; neither reads the exports' own rows.
+    Exact pairs come from a ``simulate`` trajectory, log pairs from the
+    ``SignedLog`` recurrence ``oracles.log_pairs``; neither reads the
+    exports' own rows.
     """
     if backend == BACKEND_SIGNEDLOG:
-        return list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), n_steps))
+        return list(itertools.islice(log_pairs(spec), n_steps))
     if n_steps == 0:
         return []
     traj = simulate(spec, n_steps)

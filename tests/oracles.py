@@ -1,4 +1,4 @@
-"""Test oracles that no command runs: characteristic roots, subsequence monotonicity, literals.
+"""Test oracles that no command runs: roots, subsequence monotonicity, literals, signed logs.
 
 Taking logs of the pure-x relation linearizes the system; the resulting
 linear recurrence has characteristic polynomial
@@ -17,19 +17,21 @@ with period lcm(p, 2q).
 The root enumeration is the reference that :func:`perisys.spectral.classify`
 is tested against; :func:`monotone_check` reads the growing or decaying
 witness subsequence exactly (acceptance criterion 7).  The literal
-renderers at the end are the references for the exact export's rows.
+renderers and the ``SignedLog`` recurrence at the end are the references
+for the export's exact and signed-log rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from perisys.errors import TooFewPointsError, WrongRegimeError
-from perisys.numerics import to_signed_log
+from perisys.numerics import SignedLog, to_signed_log
 from perisys.simulator import Trajectory, subsequence
 from perisys.spectral import _require_positive
 
@@ -203,3 +205,24 @@ def chunked_literal(value: Fraction) -> str:
     if value.denominator == 1:
         return chunked_decimal(value.numerator)
     return f"{chunked_decimal(value.numerator)}/{chunked_decimal(value.denominator)}"
+
+
+def log_pairs(spec):
+    """(n, x_n, y_n) of the literal recurrence on ``SignedLog`` values (test oracle).
+
+    The signed-log route as it was before the export's flat rows replaced
+    it: a window of ``SignedLog`` pairs, stepped in the recurrence's order
+    of operations, a - y_p and (b + y_p) - (x_q + y_q) on the logs.
+    """
+    a, b = to_signed_log(spec.a), to_signed_log(spec.b)
+    back_p = spec.q - spec.p  # window[k] holds the pair at n - q + k
+    window = deque(zip(map(to_signed_log, spec.x_init), map(to_signed_log, spec.y_init)),
+                   maxlen=spec.q)
+    for n in itertools.count(1):
+        _, y_p = window[back_p]
+        x_q, y_q = window[0]
+        x = SignedLog(a.sign * y_p.sign, a.logmag - y_p.logmag)
+        y = SignedLog(b.sign * y_p.sign * x_q.sign * y_q.sign,
+                      (b.logmag + y_p.logmag) - (x_q.logmag + y_q.logmag))
+        window.append((x, y))
+        yield n, x, y

@@ -584,8 +584,13 @@ def package_functions():
 
 
 def test_every_package_function_runs_from_a_command(periodic_config, growing_config,
-                                                    tmp_path, capsys):
-    """Code that only tests run belongs in tests/, not in the package."""
+                                                    tmp_path, capsys, monkeypatch):
+    """Code that only tests run belongs in tests/, not in the package.
+
+    The exact kernel calls ``check_bits``, and ``component_bits`` under it,
+    only for a value over the bit cap, so one more command runs the growing
+    spec under a 64-bit cap and must exit 1.
+    """
     out = str(tmp_path / "out")
     commands = [["classify", "-p", "6", "-q", "10"], ["classify", "-p", "2", "-q", "3", "--json"],
                 ["sweep", "4", "4", "--trials", "2"],
@@ -603,13 +608,18 @@ def test_every_package_function_runs_from_a_command(periodic_config, growing_con
     def record_call(frame, event, arg):
         executed.add(frame.f_code)  # returns None: no line events inside the frame
 
+    capped = ["simulate", "--config", growing_config[0], "-n", "2000"]
+
     previous = sys.gettrace()
     sys.settrace(record_call)
     try:
         codes = [main(argv) for argv in commands]
+        monkeypatch.setenv("PERISYS_MAX_BITS", "64")
+        capped_code = main(capped)
     finally:
         sys.settrace(previous)
-    capsys.readouterr()
+    assert "(cap 64)" in capsys.readouterr().err
     assert codes == [0] * len(commands)
+    assert capped_code == 1
     not_run = {name for name, code in package_functions().items() if code not in executed}
     assert sorted(not_run) == sorted(NOT_RUN_BY_COMMANDS)

@@ -24,6 +24,7 @@ from perisys import (
     BitLengthExceededError,
     Rational,
     ShapeError,
+    SignedLog,
     SystemSpec,
     WrongBackendError,
     block_multipliers,
@@ -59,7 +60,7 @@ from conftest import (
     random_signed_spec,
     specs,
 )
-from oracles import chunked_literal, has_repeated_root, str_fraction_row
+from oracles import chunked_literal, has_repeated_root, log_pairs, str_fraction_row
 
 
 def naive_simulate(spec, n_steps):
@@ -290,6 +291,54 @@ def test_signedlog_backend_is_the_literal_recurrence(p, q):
     for n, x_n, y_n in logged:
         assert (x_n.sign, x_n.logmag) == x[n]
         assert (y_n.sign, y_n.logmag) == y[n]
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.integers(0, 300))
+def test_log_rows_match_the_signed_log_recurrence(spec, n_steps):
+    """The flat log rows, their ``SignedLog`` adapter and both exports are the oracle's, exactly.
+
+    Floats are compared with ``==``, not approximately, and the exports
+    byte for byte with ``csv.writer`` and ``json.dumps`` renderings of the
+    oracle's rows (conftest ``stored_pairs``).
+    """
+    want = list(itertools.islice(log_pairs(spec), n_steps))
+    rows = [(n, "", "", x.sign, x.logmag, y.sign, y.logmag) for n, x, y in want]
+    assert list(trajectory_rows(spec, n_steps, BACKEND_SIGNEDLOG)) == rows
+    got = list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), n_steps))
+    assert all(type(v) is SignedLog for _, x, y in got for v in (x, y))
+    assert [(n, x.sign, x.logmag, y.sign, y.logmag) for n, x, y in got] == [
+        row[:1] + row[3:] for row in rows]
+    assert_exports_match_stdlib_writers(spec, n_steps, BACKEND_SIGNEDLOG)
+
+
+# The first component over the cap is y's denominator: the (2, 3) spec of
+# the CI steps, with x at 62 bits and y = 1/d at 65 bits when n = 117.
+CAP_Y_DENOMINATOR = SystemSpec(a=1, b=1, p=2, q=3, x_init=(1, 2, 3), y_init=(3, 1, 2))
+# The first is x's numerator, with a = -1, whose reduction takes no gcd:
+# x_3 = -1/y_0 = -(2**70 + 3)/5, at 71 bits, while y_3 reaches 73.
+CAP_X_NUMERATOR = SystemSpec(a=-1, b=1, p=3, q=4, x_init=(1, 2, 3, 1),
+                             y_init=(3, 1, 2, Fraction(5, 2 ** 70 + 3)))
+
+
+@pytest.mark.parametrize("spec, cap, n_before, bits", [
+    (CAP_Y_DENOMINATOR, 64, 116, 65),
+    (CAP_X_NUMERATOR, 64, 2, 71),
+], ids=["y-denominator", "x-numerator-a-minus-1"])
+def test_first_component_over_the_cap(spec, cap, n_before, bits):
+    """The inline cap test trips on the right component, with check_bits's text.
+
+    The pairs and the export rows before the error are those of the
+    literal recurrence under the same cap.
+    """
+    want, error = pairs_until_cap(naive_pairs(spec, cap), 1000)
+    assert len(want) == n_before
+    assert error == f"rational component reached {bits} bits (cap {cap})"
+    with bit_cap(cap):
+        assert pairs_until_cap(iter_pairs(spec), 1000) == (canonical_triples(want), error)
+        rows = trajectory_rows(spec, 1000, BACKEND_EXACT)
+        assert pairs_until_cap(rows, 1000) == (list(itertools.starmap(str_fraction_row, want)),
+                                               error)
 
 
 def test_fixed_point_stays_fixed():
