@@ -23,12 +23,20 @@ VALIDATION_MODES = ("strict", "general")
 _SPEC_KEYS = ("a", "b", "p", "q", "x_init", "y_init")
 
 
-def _as_nonzero_fraction(value, what: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ShapeError(f"{what} must be a rational value, got {value!r}")
-    value = Fraction(value)
-    if value == 0:
-        raise ZeroValueError(f"{what} must be nonzero")
+def _as_nonzero_fraction(value, name: str, index: int | None = None) -> Fraction:
+    """``value`` as an exact ``Fraction``; one whose type is exactly ``Fraction`` is kept.
+
+    The error names ``name``, or ``name[index]`` for an array entry; that
+    label is built only to raise.
+    """
+    if type(value) is not Fraction:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            label = name if index is None else f"{name}[{index}]"
+            raise ShapeError(f"{label} must be a rational value, got {value!r}")
+        value = Fraction(value)
+    if not value:
+        label = name if index is None else f"{name}[{index}]"
+        raise ZeroValueError(f"{label} must be nonzero")
     return value
 
 
@@ -57,9 +65,7 @@ class SystemSpec:
             values = getattr(self, name)
             if len(values) != self.q:
                 raise ShapeError(f"{name} must hold exactly q={self.q} values, got {len(values)}")
-            coerced = tuple(
-                _as_nonzero_fraction(v, f"{name}[{i}]") for i, v in enumerate(values)
-            )
+            coerced = tuple(_as_nonzero_fraction(v, name, i) for i, v in enumerate(values))
             object.__setattr__(self, name, coerced)
 
     @property

@@ -9,7 +9,8 @@ This module adds what ``Fraction`` does not have:
 * :class:`Rational`, the canonical components of a rational as a named
   pair of ints.  The exact kernel reduces its own products and yields
   these, since building a ``Fraction`` costs more per step than the
-  arithmetic on the ints.  :func:`component_bits`, :func:`check_bits` and
+  arithmetic on the ints; its step coefficients and block multipliers
+  are these pairs too.  :func:`component_bits`, :func:`check_bits` and
   :func:`to_signed_log` read only ``numerator`` and ``denominator``, so
   they accept either type,
 * a strict literal syntax shared by every text format ("-3/7", "2":

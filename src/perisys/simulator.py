@@ -81,11 +81,22 @@ for n >= 1.  So the d multipliers settle the long-run behaviour:
 * some |R_r| != 1: |y| grows or shrinks geometrically along a stride-M
   subsequence, so no pair, and no window of pairs, ever recurs.
 
+K and R are :class:`numerics.Rational` pairs, like the kernel's values,
+and no ``Fraction`` arithmetic derives them.  :func:`step_coefficients`
+forms each K_n from integer products of the spec's components, with
+z = (xn yn)/(xd yd): b/z is (bn xd yd)/(bd xn yn) and z/a is
+(xn yn ad)/(xd yd an).  :func:`block_multipliers` forms each R_r from the
+products of its members' numerators and of their denominators.  Each
+value is reduced once, by one gcd, with the sign moved to the numerator,
+so it is the canonical pair that ``Fraction`` would give.
+
 :func:`block_period` owns this rule: it gives the period P = M or 2M, or
-``None`` in the third case.  The exact backend uses P to stop computing:
-after one period it replays the stored pairs, each of which already passed
-the bit cap.  ``cycle.detect_cycle`` decides from P: no cycle without one,
-and otherwise the minimal period among the divisors of P.
+``None`` in the third case.  On canonical pairs |R_r| = 1 reads
+denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
+The exact backend uses P to stop computing: after one period it replays
+the stored pairs, each of which already passed the bit cap.
+``cycle.detect_cycle`` decides from P: no cycle without one, and
+otherwise the minimal period among the divisors of P.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -182,37 +193,61 @@ class Trajectory:
         return Fraction(self.y_nums[k], self.y_dens[k])
 
 
-def step_coefficients(spec: SystemSpec) -> list[Fraction]:
-    """K_n = b / z_{n-q} for n = 1 .. 2q, at list offset n - 1 (module docstring)."""
-    z = [x * y for x, y in zip(spec.x_init, spec.y_init)]  # z at indices -q+1 .. 0
-    return [spec.b / z_k for z_k in z] + [z_k / spec.a for z_k in z]
+def _reduced(num: int, den: int) -> Rational:
+    """The canonical pair of num/den (den != 0): one gcd, the sign moved to the numerator.
+
+    The steps of the ``Fraction`` constructor, without its type dispatch.
+    """
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return tuple.__new__(Rational, (num // g, den // g))
 
 
-def block_multipliers(p: int, coefficients: Sequence[Fraction]) -> list[Fraction]:
+def step_coefficients(spec: SystemSpec) -> list[Rational]:
+    """K_n for n = 1 .. 2q, at list offset n - 1, as ``Rational`` pairs (module docstring).
+
+    With z = x y = (xn yn)/(xd yd) at each initial index, K_n = b/z for
+    n = 1 .. q and z/a for n = q+1 .. 2q; each is formed from integer
+    products of the spec's components and reduced once.
+    """
+    a_num, a_den = spec.a.numerator, spec.a.denominator
+    b_num, b_den = spec.b.numerator, spec.b.denominator
+    by_b, by_a = [], []
+    for x, y in zip(spec.x_init, spec.y_init):  # z at indices -q+1 .. 0
+        z_num, z_den = x.numerator * y.numerator, x.denominator * y.denominator
+        by_b.append(_reduced(b_num * z_den, b_den * z_num))
+        by_a.append(_reduced(z_num * a_den, z_den * a_num))
+    return by_b + by_a
+
+
+def block_multipliers(p: int, coefficients: Sequence[Rational]) -> list[Rational]:
     """R_r for r = 0 .. d-1, so that y_{n+M} = R_{n mod d} y_n (module docstring).
 
-    ``coefficients`` are the 2q values of :func:`step_coefficients`;
-    d = gcd(p, 2q) and M = lcm(p, 2q).  Each R_r is reduced once from the
-    integer products of its members' numerators and denominators.
+    ``coefficients`` are the 2q pairs of :func:`step_coefficients`;
+    d = gcd(p, 2q) and M = lcm(p, 2q).  Each R_r is a ``Rational`` pair,
+    reduced once from the integer products of its members' numerators and
+    denominators.
     """
     d = math.gcd(p, len(coefficients))
     multipliers = []
     for r in range(d):
         members = coefficients[(r - 1) % d::d]  # offset k holds K_{k+1}
-        multipliers.append(Fraction(math.prod(k.numerator for k in members),
+        multipliers.append(_reduced(math.prod(k.numerator for k in members),
                                     math.prod(k.denominator for k in members)))
     return multipliers
 
 
-def block_period(p: int, coefficients: Sequence[Fraction]) -> int | None:
+def block_period(p: int, coefficients: Sequence[Rational]) -> int | None:
     """M = lcm(p, 2q) if every R_r = 1, 2M if every R_r = +-1, else ``None`` (module docstring).
 
-    ``coefficients`` are the 2q values of :func:`step_coefficients`.
+    ``coefficients`` are the 2q pairs of :func:`step_coefficients`.  On
+    canonical pairs |R_r| = 1 reads denominator 1 and numerator +-1.
     """
     multipliers = block_multipliers(p, coefficients)
-    if any(abs(r) != 1 for r in multipliers):
+    if any(r.denominator != 1 or r.numerator not in (1, -1) for r in multipliers):
         return None
-    return math.lcm(p, len(coefficients)) * (1 if all(r == 1 for r in multipliers) else 2)
+    return math.lcm(p, len(coefficients)) * (1 if all(r.numerator == 1 for r in multipliers) else 2)
 
 
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
@@ -257,7 +292,7 @@ def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
     period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
     block = []
     window = deque((y.as_integer_ratio() for y in spec.y_init), maxlen=spec.q)
-    steps = zip(itertools.count(1), itertools.cycle([k.as_integer_ratio() for k in coefficients]))
+    steps = zip(itertools.count(1), itertools.cycle(coefficients))
     gcd, new = math.gcd, tuple.__new__
     for n, (k_num, k_den) in itertools.islice(steps, period):
         y_num, y_den = window[back_p]
@@ -465,12 +500,13 @@ def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
     return list(map(Rational, traj.x_nums[offset::m], traj.x_dens[offset::m]))
 
 
-def _scaled(num: int, den: int, images: tuple, factor: Fraction) -> tuple:
+def _scaled(num: int, den: int, images: tuple, factor: Fraction | Rational) -> tuple:
     """The images of the reduced components of (num/den) * factor (module docstring).
 
     ``num/den`` is reduced and ``images`` holds its components as exact
     ``Decimal`` values; each is divided by one cross gcd and multiplied by
-    the other side's reduced factor component.
+    the other side's reduced factor component.  Only the components of
+    ``factor`` are read: a is a ``Fraction``, K_n a ``Rational`` pair.
     """
     g1 = _gcd(num, factor.denominator)
     g2 = _gcd(den, factor.numerator)

@@ -17,8 +17,9 @@ with period lcm(p, 2q).
 The root enumeration is the reference that :func:`perisys.spectral.classify`
 is tested against; :func:`monotone_check` reads the growing or decaying
 witness subsequence exactly (acceptance criterion 7).  The literal
-renderers and the ``SignedLog`` recurrence at the end are the references
-for the export's exact and signed-log rows.
+renderers and the ``SignedLog`` recurrence are the references for the
+export's exact and signed-log rows, and the ``Fraction`` forms of K, R
+and the block period at the end are those of the simulator's int pairs.
 """
 
 from __future__ import annotations
@@ -226,3 +227,41 @@ def log_pairs(spec):
                       (b.logmag + y_p.logmag) - (x_q.logmag + y_q.logmag))
         window.append((x, y))
         yield n, x, y
+
+
+def fraction_step_coefficients(spec) -> list[Fraction]:
+    """K_n = b / z_{n-q} for n = 1 .. 2q by ``Fraction`` arithmetic (test oracle).
+
+    The form that ``simulator.step_coefficients`` replaces: the q initial
+    products z = x y, then b / z and z / a, each a ``Fraction`` operation.
+    """
+    z = [x * y for x, y in zip(spec.x_init, spec.y_init)]  # z at indices -q+1 .. 0
+    return [spec.b / z_k for z_k in z] + [z_k / spec.a for z_k in z]
+
+
+def fraction_block_multipliers(p: int, coefficients) -> list[Fraction]:
+    """R_r for r = 0 .. d-1 as ``Fraction``s, d = gcd(p, 2q) (test oracle).
+
+    The form that ``simulator.block_multipliers`` replaces, reduced once
+    by the ``Fraction`` constructor from the integer products of the
+    members' components.
+    """
+    d = math.gcd(p, len(coefficients))
+    multipliers = []
+    for r in range(d):
+        members = coefficients[(r - 1) % d::d]  # offset k holds K_{k+1}
+        multipliers.append(Fraction(math.prod(k.numerator for k in members),
+                                    math.prod(k.denominator for k in members)))
+    return multipliers
+
+
+def fraction_block_period(p: int, coefficients) -> int | None:
+    """M = lcm(p, 2q) if every R_r = 1, 2M if every R_r = +-1, else ``None`` (test oracle).
+
+    The |R| rule on ``Fraction`` multipliers, as ``simulator.block_period``
+    read it before it took canonical pairs.
+    """
+    multipliers = fraction_block_multipliers(p, coefficients)
+    if any(abs(r) != 1 for r in multipliers):
+        return None
+    return math.lcm(p, len(coefficients)) * (1 if all(r == 1 for r in multipliers) else 2)

@@ -261,7 +261,7 @@ def test_plus_minus_one_multipliers_are_scanned():
             m = math.lcm(p, 2 * q)
             for a in (3, -3):
                 spec = product_family_spec(rng, p, q, a, 3)
-                multipliers = block_multipliers(p, step_coefficients(spec))
+                multipliers = [Fraction(*r) for r in block_multipliers(p, step_coefficients(spec))]
                 assert set(multipliers) <= {1, -1}
                 period = block_period(p, step_coefficients(spec))
                 assert period == (2 * m if -1 in multipliers else m), (p, q, a)

@@ -117,6 +117,35 @@ def test_spec_constructor_checks():
     assert spec.c == Fraction(1, 2)
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("make", [int, Fraction, _SubFraction], ids=lambda make: make.__name__)
+def test_spec_fields_are_exact_fractions(make):
+    """Every rational field has type exactly ``Fraction``, whatever rational type it was given."""
+    values = (make(-3), make(5), make(2), make(7))
+    spec = SystemSpec(a=make(2), b=make(-1), p=2, q=4, x_init=values, y_init=values[::-1])
+    fields = (spec.a, spec.b, *spec.x_init, *spec.y_init)
+    assert all(type(v) is Fraction for v in fields)
+    assert fields == (2, -1, -3, 5, 2, 7, 7, 2, 5, -3)
+    assert spec_to_obj(spec)["x_init"] == ["-3", "5", "2", "7"]
+
+
+def test_spec_coercion_errors_name_the_entry():
+    ones = (1, 1, 1, 1)
+    with pytest.raises(ShapeError, match=r"^x_init\[1\] must be a rational value, got True$"):
+        SystemSpec(a=1, b=1, p=2, q=4, x_init=(1, True, 1, 1), y_init=ones)
+    with pytest.raises(ShapeError, match=r"^a must be a rational value, got True$"):
+        SystemSpec(a=True, b=1, p=2, q=4, x_init=ones, y_init=ones)
+    with pytest.raises(ZeroValueError, match=r"^x_init\[3\] must be nonzero$"):
+        SystemSpec(a=1, b=1, p=2, q=4, x_init=(1, 1, 1, 0), y_init=ones)
+    with pytest.raises(ZeroValueError, match=r"^y_init\[0\] must be nonzero$"):
+        SystemSpec(a=1, b=1, p=2, q=4, x_init=ones, y_init=(Fraction(0), 1, 1, 1))
+    with pytest.raises(ZeroValueError, match=r"^b must be nonzero$"):
+        SystemSpec(a=1, b=Fraction(0), p=2, q=4, x_init=ones, y_init=ones)
+
+
 def test_spec_rejects_oversized_p():
     """p > q would read before the q pairs of initial data: no such spec exists."""
     with pytest.raises(ShapeError, match="insufficient-history"):

@@ -60,7 +60,15 @@ from conftest import (
     random_signed_spec,
     specs,
 )
-from oracles import chunked_literal, has_repeated_root, log_pairs, str_fraction_row
+from oracles import (
+    chunked_literal,
+    fraction_block_multipliers,
+    fraction_block_period,
+    fraction_step_coefficients,
+    has_repeated_root,
+    log_pairs,
+    str_fraction_row,
+)
 
 
 def naive_simulate(spec, n_steps):
@@ -192,7 +200,32 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
 
 
 def multipliers_of(spec):
-    return block_multipliers(spec.p, step_coefficients(spec))
+    return [Fraction(*r) for r in block_multipliers(spec.p, step_coefficients(spec))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs(), st.sampled_from(["as drawn", "a, b < 0", "x y = b"]), st.randoms())
+def test_kernel_pairs_match_the_fraction_oracles(spec, data, rng):
+    """K and R are canonical ``Rational`` pairs with the ``Fraction`` oracles' components.
+
+    ``specs`` draws signed a and b; "a, b < 0" makes both negative, so
+    every b/z and z/a with z < 0 has a negative denominator before its
+    sign moves.  The x y = b family has every |R| = 1 in every regime,
+    so ``block_period`` is also compared where it is not ``None``.
+    """
+    if data == "a, b < 0":
+        spec = SystemSpec(a=-abs(spec.a), b=-abs(spec.b), p=spec.p, q=spec.q,
+                          x_init=spec.x_init, y_init=spec.y_init)
+    elif data == "x y = b":
+        spec = product_family_spec(rng, spec.p, spec.q, spec.a, rng.choice([spec.a, -spec.a]))
+    coefficients = step_coefficients(spec)
+    want = fraction_step_coefficients(spec)
+    multipliers = block_multipliers(spec.p, coefficients)
+    want_multipliers = fraction_block_multipliers(spec.p, want)
+    for got, oracle in ((coefficients, want), (multipliers, want_multipliers)):
+        assert all(type(v) is Rational and is_canonical(*v) for v in got)
+        assert got == [components(v) for v in oracle]
+    assert block_period(spec.p, coefficients) == fraction_block_period(spec.p, want)
 
 
 @settings(max_examples=60, deadline=None)
