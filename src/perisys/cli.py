@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
 from .cycle import CycleResult, Periodic, detect_cycle
@@ -63,26 +63,32 @@ def classification_line(result: Classification) -> str:
     )
 
 
-def agreement(classification: Classification, c: Fraction, result: CycleResult) -> str:
+def agreement(classification: Classification, spec: SystemSpec, result: CycleResult) -> str:
     """Classifier/detector agreement: "pass", "fail" or "pass-degenerate".
 
     A detector-found cycle inside a generically unbounded regime counts as
     "pass-degenerate" (special initial data, not a contradiction).
     Agreement accounts for c = a/b: the classifier speaks about the |c| = 1
     magnitude structure, so with drift (|c| != 1) it expects no exact
-    cycle, and with b = -a the joint period bound doubles.
+    cycle.  In a periodic regime with |c| = 1 generic data has the exact
+    period E = predicted_period * (1 if c^(q/g) = 1 else 2), where c^(q/g)
+    is the block ratio of :func:`closedform.drift`: "pass" iff the period
+    is E, "pass-degenerate" iff it is a proper divisor of E (special
+    data), and "fail" otherwise.  E comes from the spec alone, never from
+    the kernel's block multipliers, so the check stays independent of it.
     """
     periodic = isinstance(result, Periodic)
-    if abs(c) != 1:
+    if abs(spec.c) != 1:
         # drift scales magnitudes by |c|^(1/2p) per step, so an exact cycle
         # is impossible for any delays; the block-ratio law is the periodic
         # structure that remains
         return "fail" if periodic else "pass"
     if classification.regime is Regime.EVENTUALLY_PERIODIC:
-        # b = -a flips x by c^(q/g) = +/-1 over each block, doubling the
-        # joint period bound relative to the magnitude period
-        modulus = classification.predicted_period * (1 if c == 1 else 2)
-        return "pass" if periodic and modulus % result.period == 0 else "fail"
+        # c^(q/g) = -1 flips x over each block, doubling the joint period
+        expected = classification.predicted_period * (1 if drift(spec).block_ratio == 1 else 2)
+        if periodic and result.period == expected:
+            return "pass"
+        return "pass-degenerate" if periodic and expected % result.period == 0 else "fail"
     return "pass-degenerate" if periodic else "pass"
 
 
@@ -112,7 +118,7 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
             skipped[name] = str(exc)
 
     cycle_result = detect_cycle(spec)
-    checks["classifier_detector_agreement"] = agreement(classification, spec.c, cycle_result)
+    checks["classifier_detector_agreement"] = agreement(classification, spec, cycle_result)
 
     try:
         slopes = [(stride, 0, growth_slope(traj, stride, 0))]
@@ -168,7 +174,7 @@ def sweep_grid(p_max: int, q_max: int, trials: int, seed: int = 0,
                 spec = random_positive_spec(rng, p, q)
                 result = detect_cycle(spec)
                 outcomes.append(result)
-                agreements.add(agreement(classification, spec.c, result))
+                agreements.add(agreement(classification, spec, result))
             rows.append(SweepRow(
                 p=p, q=q,
                 classification=classification,
@@ -304,9 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first :func:`main` call of a process.
+
+    Parsing leaves a parser unchanged, so one serves every later call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

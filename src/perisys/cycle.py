@@ -14,7 +14,8 @@ decide the answer.  ``simulator.block_period`` owns the rule:
   pairs are generated, each checked against the bit cap.  The minimal
   period T divides P, and it is the smallest divisor t of P for which the
   block equals itself shifted by t: a P-periodic sequence whose first
-  block is t-periodic is t-periodic.
+  block is t-periodic is t-periodic.  A divisor t < P is compared only
+  when pair t equals pair 0, which that equality requires.
 
 The preperiod is reported at window level.  The next pair depends only on
 the trailing window of max(p, q) = q pairs (every spec has p <= q).
@@ -81,7 +82,10 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
     if size is None:
         return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
     block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
-    period = next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])
+    # block[t] == block[0] is necessary, and spares generic data (T = P)
+    # the two slice copies per divisor
+    period = next((t for t in range(1, size) if size % t == 0 and block[t] == block[0]
+                   and block[t:] == block[:-t]), size)
     # exact pairs are canonical Rational pairs, so equal values are equal pairs
     initial = [(Rational(*x.as_integer_ratio()), Rational(*y.as_integer_ratio()))
                for x, y in zip(spec.x_init, spec.y_init)]

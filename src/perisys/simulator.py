@@ -11,9 +11,13 @@ known values as long as p <= q, which every ``SystemSpec`` guarantees.
 Backends.  :func:`iter_pairs` generates pairs on two backends:
 
 * ``exact`` yields :class:`numerics.Rational` values, the canonical
-  (numerator, denominator) int pairs; :func:`simulate` stores their
-  components as the four int columns of a :class:`Trajectory`, which every
-  zero-tolerance law reads.
+  (numerator, denominator) int pairs.  One kernel, :func:`_exact_steps`,
+  runs every exact step: it appends the four int components of x_n and
+  y_n to columns that its caller gives, and reads y_{n-p} back from
+  them.  :func:`simulate` gives it the four int lists of a
+  :class:`Trajectory`, which every zero-tolerance law reads, and builds
+  no pair; ``iter_pairs`` gives it two int deques of the last p values of
+  y, and asks it for pairs.
 * ``signedlog`` yields :class:`SignedLog` values whose log magnitudes track
   the exact trajectory to float precision and cannot overflow, which makes
   very long exports in growing regimes cheap; no ``Trajectory`` holds them.
@@ -59,10 +63,11 @@ A full-size component is divided only by a gcd other than 1, and
 multiplied only by a factor other than 1.
 
 The step loop does both reductions inline, with no call per product, and
-builds each ``Rational`` through ``tuple.__new__``.  It tests the bit cap
-inline too, by comparing the ``bit_length()`` of the four new components
-with the cap, and calls ``numerics.check_bits``, which owns the error
-text, only for a value with a component over it, x_n before y_n.
+builds a ``Rational``, through ``tuple.__new__``, only for the pairs that
+``iter_pairs`` yields.  It tests the bit cap inline too, by comparing the
+``bit_length()`` of the four new components with the cap, and calls
+``numerics.check_bits``, which owns the error text, only for a value with
+a component over it, x_n before y_n.
 
 Block multipliers.  Unrolling y_n = y_{n-p} K_n over one block of
 M = lcm(p, 2q) steps multiplies M/p = 2q/d coefficients, d = gcd(p, 2q),
@@ -93,8 +98,10 @@ so it is the canonical pair that ``Fraction`` would give.
 :func:`block_period` owns this rule: it gives the period P = M or 2M, or
 ``None`` in the third case.  On canonical pairs |R_r| = 1 reads
 denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
-The exact backend uses P to stop computing: after one period it replays
-the stored pairs, each of which already passed the bit cap.
+The exact routes use P to stop computing; each stored value already
+passed the bit cap.  ``iter_pairs`` replays its stored block of P pairs,
+and :func:`simulate` extends each column, whose offsets q .. q + P - 1
+hold indices 1 .. P, by cycling those P values with ``list.extend``.
 ``cycle.detect_cycle`` decides from P: no cycle without one, and
 otherwise the minimal period among the divisors of P.
 
@@ -254,29 +261,39 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple
     """An iterator of (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
 
     The exact backend yields x_n and y_n as :class:`numerics.Rational`
-    pairs.  It generates y_n as y_{n-p} times the coefficient
-    K_n = b / z_{n-q}, one of 2q values fixed by the initial data, where
-    z = x y repeats with period 2q, and x_n as a times 1/y_{n-p}; it
-    reduces both products itself, and every gcd pairs a full-size integer
-    with a small one (module docstring, Reduction).  Both components of
-    x_n and y_n are checked against the bit cap of
-    :func:`resolve_max_bits`, x_n first, inline, and a value over it
-    raises through :func:`numerics.check_bits`; the cap is resolved by
-    this call, before any pair is taken.  When the pairs repeat with a
-    :func:`block_period` P, the first P pairs are computed and stored, and
-    later pairs replay them.  Memory is then O(P) pairs, and O(q)
-    otherwise.  The signed-log backend runs the literal recurrence so that
-    its float rounding, and the exported logs, stay those of the
-    recurrence; it is an adapter that builds two ``SignedLog`` values from
-    each flat export row of that recurrence, and it has no bit cap.  Any
-    other backend name raises ``WrongBackendError``.
+    pairs from the one exact kernel, :func:`_exact_steps`, which keeps the
+    components of y_{n-p} .. y_{n-1} in two int deques.  It generates y_n
+    as y_{n-p} times the coefficient K_n = b / z_{n-q}, one of 2q values
+    fixed by the initial data, where z = x y repeats with period 2q, and
+    x_n as a times 1/y_{n-p}; it reduces both products itself, and every
+    gcd pairs a full-size integer with a small one (module docstring,
+    Reduction).  Both components of x_n and y_n are checked against the
+    bit cap of :func:`resolve_max_bits`, x_n first, inline, and a value
+    over it raises through :func:`numerics.check_bits`; the cap is
+    resolved by this call, before any pair is taken.  When the pairs
+    repeat with a :func:`block_period` P, the first P pairs are computed
+    and stored, and later pairs replay them.  Memory is then O(q) ints
+    plus O(P) pairs, and O(q) otherwise.  The signed-log backend runs the
+    literal recurrence so that its float rounding, and the exported logs,
+    stay those of the recurrence; it is an adapter that builds two
+    ``SignedLog`` values from each flat export row of that recurrence, and
+    it has no bit cap.  Any other backend name raises
+    ``WrongBackendError``.
     """
     if backend == BACKEND_SIGNEDLOG:
         return ((n, SignedLog(sign_x, log_x), SignedLog(sign_y, log_y))
                 for n, _, _, sign_x, log_x, sign_y, log_y in _log_rows(spec))
     if backend != BACKEND_EXACT:
         raise WrongBackendError(f"unknown backend {backend!r}")
-    return _exact_pairs(spec, resolve_max_bits())
+    cap = resolve_max_bits()
+    coefficients = step_coefficients(spec)
+    history = spec.y_init[-spec.p:]
+    x_sink = deque(maxlen=0)  # the pairs carry x_n; no step reads a stored x
+    return _exact_steps(spec, cap, coefficients, block_period(spec.p, coefficients),
+                        x_sink, x_sink,
+                        deque((y.numerator for y in history), maxlen=spec.p),
+                        deque((y.denominator for y in history), maxlen=spec.p),
+                        pairs=True)
 
 
 def _gcd(large: int, small: int) -> int:
@@ -284,18 +301,31 @@ def _gcd(large: int, small: int) -> int:
     return 1 if small in (1, -1) else math.gcd(large, small)
 
 
-def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
-    """The exact steps, each reduced and tested against ``cap`` inline (module docstring)."""
+def _exact_steps(spec: SystemSpec, cap: int, coefficients: Sequence[Rational],
+                 stop: int | None, x_nums, x_dens, y_nums, y_dens,
+                 pairs: bool = False) -> Iterator[tuple]:
+    """The exact steps n = 1 .. ``stop``, each reduced and tested against ``cap`` inline.
+
+    The one exact kernel (module docstring, Reduction).  ``coefficients``
+    are the 2q pairs of :func:`step_coefficients`, and ``stop`` ``None``
+    runs forever.  Step n appends the four int components of x_n and y_n
+    to the given columns, lists or deques, and reads y_{n-p} at offset -p
+    of the y columns, so these must end with y_{n-p} .. y_{n-1}.
+
+    Without ``pairs`` the generator yields nothing: the caller drains it
+    and reads the columns.  With ``pairs`` it yields (n, x_n, y_n) with
+    ``Rational`` values; ``stop`` is then the block period P, or ``None``,
+    and after the first P pairs, which it stores, it replays them forever.
+    """
     a_num, a_den = spec.a.as_integer_ratio()
-    back_p = spec.q - spec.p  # window[k] holds y_{n-q+k}
-    coefficients = step_coefficients(spec)
-    period = block_period(spec.p, coefficients)  # None: islice(steps, None) runs forever
+    back = -spec.p
+    append_x_num, append_x_den = x_nums.append, x_dens.append
+    append_y_num, append_y_den = y_nums.append, y_dens.append
     block = []
-    window = deque((y.as_integer_ratio() for y in spec.y_init), maxlen=spec.q)
     steps = zip(itertools.count(1), itertools.cycle(coefficients))
     gcd, new = math.gcd, tuple.__new__
-    for n, (k_num, k_den) in itertools.islice(steps, period):
-        y_num, y_den = window[back_p]
+    for n, (k_num, k_den) in itertools.islice(steps, stop):
+        y_num, y_den = y_nums[back], y_dens[back]
         # x_n = (1/y_{n-p}) * a, the reciprocal's sign on its numerator; the
         # skips are those of Reduction (a denominator +-1 can only be 1)
         if y_num > 0:
@@ -332,19 +362,24 @@ def _exact_pairs(spec: SystemSpec, cap: int) -> Iterator[tuple]:
             y_num *= k_num
         if k_den != 1:
             y_den *= k_den
-        x = new(Rational, (x_num, x_den))
-        y = new(Rational, (y_num, y_den))
         # check_bits owns the error text; it runs only on a value over the cap
         if x_num.bit_length() > cap or x_den.bit_length() > cap:
-            check_bits(x, cap)
+            check_bits(Rational(x_num, x_den), cap)
         if y_num.bit_length() > cap or y_den.bit_length() > cap:
-            check_bits(y, cap)
-        window.append(y)
-        if period:
-            block.append((x, y))
-        yield n, x, y
-    for n, (x, y) in zip(itertools.count(period + 1), itertools.cycle(block)):
-        yield n, x, y
+            check_bits(Rational(y_num, y_den), cap)
+        append_x_num(x_num)
+        append_x_den(x_den)
+        append_y_num(y_num)
+        append_y_den(y_den)
+        if pairs:
+            x = new(Rational, (x_num, x_den))
+            y = new(Rational, (y_num, y_den))
+            if stop:
+                block.append((x, y))
+            yield n, x, y
+    if block:
+        for n, (x, y) in zip(itertools.count(stop + 1), itertools.cycle(block)):
+            yield n, x, y
 
 
 def _log_rows(spec: SystemSpec) -> Iterator[tuple]:
@@ -373,17 +408,28 @@ def _log_rows(spec: SystemSpec) -> Iterator[tuple]:
 
 
 def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
-    """Generate the exact trajectory through index ``n_steps`` (deterministic)."""
+    """Generate the exact trajectory through index ``n_steps`` (deterministic).
+
+    The exact kernel :func:`_exact_steps` appends its steps straight to the
+    four int columns of the :class:`Trajectory`, with no per-step pair.
+    When the pairs repeat with a :func:`block_period` P < ``n_steps``, it
+    runs only P steps, and each column is extended by cycling its own block
+    of P values.  The bit cap is that of :func:`iter_pairs`, resolved
+    before the first step.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x_nums, x_dens = [x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init]
-    y_nums, y_dens = [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init]
-    for _, (x_num, x_den), (y_num, y_den) in itertools.islice(iter_pairs(spec), n_steps):
-        x_nums.append(x_num)
-        x_dens.append(x_den)
-        y_nums.append(y_num)
-        y_dens.append(y_den)
-    return Trajectory(spec=spec, x_nums=x_nums, x_dens=x_dens, y_nums=y_nums, y_dens=y_dens)
+    cap = resolve_max_bits()
+    columns = ([x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init],
+               [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init])
+    coefficients = step_coefficients(spec)
+    period = block_period(spec.p, coefficients)
+    stop = n_steps if period is None else min(n_steps, period)
+    deque(_exact_steps(spec, cap, coefficients, stop, *columns), maxlen=0)
+    if stop < n_steps:
+        for column in columns:  # offset q holds index 1, so column[q:] is the block
+            column.extend(itertools.islice(itertools.cycle(column[spec.q:]), n_steps - stop))
+    return Trajectory(spec, *columns)
 
 
 def _fractions(nums: list, dens: list, start: int, stop: int) -> list[Fraction]:

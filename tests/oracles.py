@@ -18,8 +18,10 @@ The root enumeration is the reference that :func:`perisys.spectral.classify`
 is tested against; :func:`monotone_check` reads the growing or decaying
 witness subsequence exactly (acceptance criterion 7).  The literal
 renderers and the ``SignedLog`` recurrence are the references for the
-export's exact and signed-log rows, and the ``Fraction`` forms of K, R
-and the block period at the end are those of the simulator's int pairs.
+export's exact and signed-log rows, the ``Fraction`` forms of K, R and
+the block period are those of the simulator's int pairs, and the block
+period scan at the end is the detector's minimal-period search without its
+early-out.
 """
 
 from __future__ import annotations
@@ -265,3 +267,13 @@ def fraction_block_period(p: int, coefficients) -> int | None:
     if any(abs(r) != 1 for r in multipliers):
         return None
     return math.lcm(p, len(coefficients)) * (1 if all(r == 1 for r in multipliers) else 2)
+
+
+def block_min_period(block) -> int:
+    """The smallest divisor t of len(block) with block[t:] == block[:-t] (test oracle).
+
+    The scan ``cycle.detect_cycle`` ran before it compared pair t with
+    pair 0 first: two slice copies for every divisor, len(block) included.
+    """
+    size = len(block)
+    return next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])

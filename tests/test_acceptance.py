@@ -237,30 +237,39 @@ def test_criterion_9_periodic_data_in_every_regime():
     """2 <= p < q <= 24, b = 3, a = +-3, initial products x_k y_k = b.
 
     Every block multiplier is 1 (a = b) or +-1 (a = -b), so every spec
-    must be periodic with a period dividing M = lcm(p, 2q) or 2M; the
-    classifier agrees ("pass") in periodic regimes and reads the cycle as
-    degenerate data ("pass-degenerate") in generically unbounded ones.
+    must be periodic with a period dividing M = lcm(p, 2q) or 2M.  In
+    periodic regimes the classifier's exact period for generic data is
+    E = M * (1 if c^(q/g) = 1 else 2): the reading is "pass" when the
+    period is E and "pass-degenerate" when it is a proper divisor of E.
+    In generically unbounded regimes the cycle reads as degenerate data
+    ("pass-degenerate").
     """
     rng = random.Random(1009)
     started = time.perf_counter()
-    checked = mismatches = 0
+    checked = mismatches = degenerate = 0
     for p in range(2, 24):
         for q in range(p + 1, 25):
             classification = classify(p, q)
-            expected = ("pass" if classification.regime is Regime.EVENTUALLY_PERIODIC
-                        else "pass-degenerate")
+            m = math.lcm(p, 2 * q)
             for a in (3, -3):
                 spec = product_family_spec(rng, p, q, a, 3)
                 result = detect_cycle(spec)
-                bound = math.lcm(p, 2 * q) * (1 if a == 3 else 2)
+                bound = m * (1 if a == 3 else 2)
+                exact = m * (1 if a == 3 or (q // math.gcd(p, q)) % 2 == 0 else 2)
+                periodic_regime = classification.regime is Regime.EVENTUALLY_PERIODIC
+                expected = ("pass" if periodic_regime and result.period == exact
+                            else "pass-degenerate")
                 checked += 1
+                degenerate += periodic_regime and expected == "pass-degenerate"
                 mismatches += not (isinstance(result, Periodic)
                                    and bound % result.period == 0
-                                   and agreement(classification, spec.c, result) == expected)
+                                   and exact % result.period == 0
+                                   and agreement(classification, spec, result) == expected)
     elapsed = time.perf_counter() - started
     _finish("criterion-9 periodic data",
             checked == 506 and mismatches == 0,
-            f"{checked} specs, {mismatches} mismatches, {elapsed:.1f}s")
+            f"{checked} specs, {mismatches} mismatches, {degenerate} proper divisors "
+            f"in periodic regimes, {elapsed:.1f}s")
 
 
 def test_package_imports_only_the_standard_library():

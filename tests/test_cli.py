@@ -25,6 +25,8 @@ from perisys import (
     BitLengthExceededError,
     NoCycleWithinHorizon,
     Periodic,
+    Regime,
+    SystemSpec,
     classify,
     default_horizon,
     detect_cycle,
@@ -45,7 +47,7 @@ import perisys
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
-from conftest import csv_writer_export, fixed_point_spec, naive_pairs, specs
+from conftest import csv_writer_export, fixed_point_spec, naive_pairs, random_signed_spec, specs
 
 
 @pytest.fixture
@@ -425,15 +427,16 @@ def test_sweep_grid_degenerate_verdict(monkeypatch):
     # inject the all-ones fixed point by hand: a periodic trajectory inside
     # the generically unbounded (2, 3) regime is degenerate, not inconsistent
     result = detect_cycle(fixed_point_spec(2, 3))
-    assert agreement(classify(2, 3), Fraction(1), result) == "pass-degenerate"
+    assert agreement(classify(2, 3), fixed_point_spec(2, 3), result) == "pass-degenerate"
     monkeypatch.setattr(cli_module, "detect_cycle", lambda spec: result)
     assert sweep_grid(2, 3, 1, seed=0, p_min=2)[0].verdict == VERDICT_DEGENERATE
 
 
-# classify(6, 10) is periodic with period 60; classify(2, 3) is generically unbounded
+# classify(6, 10) is periodic with period 60 and q/g = 5, so c^(q/g) = c;
+# classify(2, 3) is generically unbounded
 @pytest.mark.parametrize("p, q, c, result, expected", [
     (6, 10, Fraction(1), Periodic(3, 60), "pass"),
-    (6, 10, Fraction(1), Periodic(0, 12), "pass"),             # divides the modulus
+    (6, 10, Fraction(1), Periodic(0, 12), "pass-degenerate"),  # a proper divisor: special data
     (6, 10, Fraction(1), NoCycleWithinHorizon(500), "fail"),   # no cycle, periodic regime
     (6, 10, Fraction(1), Periodic(0, 7), "fail"),              # does not divide 60
     (6, 10, Fraction(1), Periodic(0, 120), "fail"),            # doubling needs b = -a
@@ -447,9 +450,61 @@ def test_sweep_grid_degenerate_verdict(monkeypatch):
     (2, 3, Fraction(1), Periodic(0, 1), "pass-degenerate"),    # special data, unbounded regime
     (2, 3, Fraction(-1), Periodic(4, 2), "pass-degenerate"),
     (2, 3, Fraction(1), NoCycleWithinHorizon(500), "pass"),
+    # classify(3, 4) has period 24 and q/g = 4 even: c = -1 gives c^(q/g) = 1, so E = 24
+    (3, 4, Fraction(-1), Periodic(0, 24), "pass"),
+    (3, 4, Fraction(-1), Periodic(1, 8), "pass-degenerate"),
+    (3, 4, Fraction(-1), Periodic(0, 48), "fail"),
+    (3, 4, Fraction(-1), Periodic(0, 16), "fail"),
 ])
 def test_agreement_table(p, q, c, result, expected):
-    assert agreement(classify(p, q), c, result) == expected
+    spec = SystemSpec(a=c, b=1, p=p, q=q, x_init=(1,) * q, y_init=(1,) * q)
+    assert agreement(classify(p, q), spec, result) == expected
+
+
+def test_agreement_matches_generic_detector_periods():
+    """Generic signed data with |c| = 1 has period exactly E in every periodic regime."""
+    rng = random.Random(645)
+    for q in range(2, 13):
+        for p in range(1, q + 1):
+            classification = classify(p, q)
+            if classification.predicted_period is None:
+                continue
+            for a, b in ((2, 2), (2, -2)):
+                spec = random_signed_spec(rng, p, q, a=a, b=b)
+                assert agreement(classification, spec, detect_cycle(spec)) == "pass", (p, q, a, b)
+
+
+@pytest.mark.parametrize("mutant, verdict", [
+    ("period 1", VERDICT_DEGENERATE),     # 1 properly divides every E: special data, not E
+    ("period 2E", VERDICT_INCONSISTENT),  # a multiple of E is no reading of generic data
+])
+def test_wrong_detector_periods_break_the_ci_sweep(mutant, verdict, monkeypatch, capsys):
+    """The CI sweep, generic data only, reads all 105 rows CONSISTENT with the true detector.
+
+    A detector that answers period 1 or twice E on every periodic spec
+    turns every periodic-regime row to ``verdict``, which the CI gate
+    rejects.
+    """
+    def sweep_verdicts():
+        code = main(["sweep", "16", "16", "--trials", "1", "--p-min", "2", "--seed", "1",
+                     "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 105
+        return {(row["p"], row["q"]): row["verdict"] for row in rows}
+
+    def wrong(spec):
+        result = detect_cycle(spec)
+        if not isinstance(result, Periodic):
+            return result
+        return Periodic(result.preperiod, 1 if mutant == "period 1" else 2 * result.period)
+
+    assert set(sweep_verdicts().values()) == {VERDICT_CONSISTENT}
+    monkeypatch.setattr(cli_module, "detect_cycle", wrong)
+    verdicts = sweep_verdicts()
+    for (p, q), row_verdict in verdicts.items():
+        periodic = classify(p, q).regime is Regime.EVENTUALLY_PERIODIC
+        assert row_verdict == (verdict if periodic else VERDICT_CONSISTENT), (p, q)
 
 
 def test_sweep_verdict_from_trial_agreements(monkeypatch):
@@ -476,6 +531,63 @@ def test_closed_stdout_exits_1_quietly(periodic_config):
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_back_to_back_main_calls_match_separate_processes(periodic_config, growing_config,
+                                                           tmp_path, capsys):
+    """One parser serves every ``main`` call of a process; no call leaks into the next.
+
+    Subcommands, flags, --out and stdout, and a usage error (exit 2) in
+    between, each run once in its own interpreter and then all in this one.
+    """
+    periodic, growing = periodic_config[0], growing_config[0]
+    out = str(tmp_path / "out")
+    commands = [
+        ["sweep", "5", "6", "--trials", "2", "--seed", "3"],
+        ["classify", "-p", "6", "-q", "10", "--json"],
+        ["simulate", "--config", growing, "-n", "30", "--backend", "log", "--format", "json"],
+        ["classify", "-p", "0", "-q", "3"],
+        ["verify", "--config", periodic, "-n", "130"],
+        ["simulate", "--config", periodic, "-n", "25", "--out", out],
+        ["sweep", "4", "5", "--trials", "1", "--format", "json", "--out", out],
+        ["detect-period", "--config", growing],
+        ["classify", "-p", "2", "-q", "3"],
+    ]
+
+    def written():
+        if not os.path.exists(out):
+            return None
+        with open(out, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        os.remove(out)
+        return text
+
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "perisys.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        separate.append((proc.returncode, proc.stdout, proc.stderr, written()))
+    together = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err, written()))
+    assert [entry[0] for entry in separate] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert together == separate
+
+
+def test_rebound_detect_cycle_takes_effect_after_the_parser_is_built(periodic_config,
+                                                                    capsys, monkeypatch):
+    """Handlers look the detector up per call, so a parser built earlier does not pin it."""
+    path, _ = periodic_config
+    assert main(["detect-period", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["period"] == 60
+    monkeypatch.setattr(cli_module, "detect_cycle", lambda spec: Periodic(2, 7))
+    assert main(["detect-period", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": "periodic", "n0": 2, "period": 7}
 
 
 def test_missing_config_exits_1(capsys):
@@ -604,6 +716,7 @@ def test_every_package_function_runs_from_a_command(periodic_config, growing_con
                      ["verify", "--config", path, "-n", "5"]]
 
     executed = set()
+    cli_module._parser.cache_clear()  # a fresh process builds its parser on the first call
 
     def record_call(frame, event, arg):
         executed.add(frame.f_code)  # returns None: no line events inside the frame

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from perisys import (
     step_coefficients,
 )
 from perisys import cycle
-from perisys.simulator import block_period
+from perisys.simulator import block_period, iter_pairs
 
 import conftest
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
     scan_cycle,
     specs,
 )
+from oracles import block_min_period
 
 SMALL_VALUES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -272,6 +274,35 @@ def test_plus_minus_one_multipliers_are_scanned():
             generic = random_signed_spec(rng, p, q)
             assert block_period(p, step_coefficients(generic)) is None, (p, q)
             assert detect_cycle(generic) == NoCycleWithinHorizon(default_horizon(p, q))
+
+
+def test_period_search_matches_full_scan_oracle():
+    """The early-out search gives the oracle's minimal period on every kind of block.
+
+    Generic data (T = P), x y = b data (small periods, every regime),
+    b = -a data (P = 2M), and data from {1, -1, 2}, where pair t often
+    equals pair 0 without the block being t-periodic.
+    """
+    rng = random.Random(2024)
+    checked = 0
+    for q in range(1, 11):
+        for p in range(1, q + 1):
+            periodic = classify(p, q).regime is Regime.EVENTUALLY_PERIODIC
+            candidates = [product_family_spec(rng, p, q, 3, 3), product_family_spec(rng, p, q, -3, 3),
+                          SystemSpec(a=1, b=1, p=p, q=q,
+                                     x_init=tuple(rng.choice((1, -1, 2)) for _ in range(q)),
+                                     y_init=tuple(rng.choice((1, -1, 2)) for _ in range(q)))]
+            if periodic:
+                candidates += [random_signed_spec(rng, p, q, a=2, b=2),
+                               random_signed_spec(rng, p, q, a=2, b=-2)]
+            for spec in candidates:
+                size = block_period(p, step_coefficients(spec))
+                if size is None:
+                    continue
+                block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
+                assert detect_cycle(spec).period == block_min_period(block), spec
+                checked += 1
+    assert checked > 150
 
 
 def test_detect_cycle_rejects_oversized_p():

@@ -315,6 +315,62 @@ def test_bit_cap_inside_first_block_matches_literal_recurrence():
             assert pairs_until_cap(iter_pairs(spec), 4 * m) == (canonical_triples(want), error)
 
 
+def boundary_specs():
+    """R = 1 and R = -1 specs, drift specs, and negative a and b, with a block length each.
+
+    The length is the block period P where the pairs repeat, and
+    M = lcm(p, 2q) where they do not.
+    """
+    rng = random.Random(79)
+    for p, q in [(1, 1), (1, 2), (2, 3), (3, 5), (4, 6), (6, 10), (5, 12)]:
+        candidates = [product_family_spec(rng, p, q, 3, 3), product_family_spec(rng, p, q, -2, 2),
+                      random_signed_spec(rng, p, q, a=1, b=2),
+                      random_signed_spec(rng, p, q, a=-3, b=-1)]
+        if not has_repeated_root(p, q):
+            candidates += [random_signed_spec(rng, p, q, a=-2, b=-2),
+                           random_signed_spec(rng, p, q, a=-2, b=2)]
+        for spec in candidates:
+            yield spec, block_period(p, step_coefficients(spec)) or math.lcm(p, 2 * q)
+
+
+def test_simulate_matches_literal_recurrence_at_replay_boundaries():
+    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then its extension by replay."""
+    periodic = 0
+    for spec, length in boundary_specs():
+        periodic += block_period(spec.p, step_coefficients(spec)) is not None
+        x, y = naive_simulate(spec, 3 * length + 5)
+        for n_steps in (max(length // 2, 1), length - 1 or 1, length, length + 1, 3 * length + 5):
+            traj = simulate(spec, n_steps)
+            indices = range(1 - spec.q, n_steps + 1)
+            assert (traj.x_nums, traj.x_dens) == columns([x[n] for n in indices]), (spec, n_steps)
+            assert (traj.y_nums, traj.y_dens) == columns([y[n] for n in indices]), (spec, n_steps)
+    assert periodic >= 20
+
+
+def test_small_cap_raises_the_literal_recurrences_first_error():
+    """simulate and iter_pairs stop at the oracle's first value over the cap, x_n before y_n.
+
+    Some of these steps have both x_n and y_n over the cap with different
+    bit lengths, so the message tells which was tested first.
+    """
+    both_over = 0
+    for spec, length in boundary_specs():
+        for cap in (3, 5, 8):
+            n_steps = 3 * length + 5
+            want, error = pairs_until_cap(naive_pairs(spec, cap), n_steps)
+            if error is None:
+                continue
+            _, x, y = next(itertools.islice(naive_pairs(spec), len(want), None))
+            x_bits, y_bits = component_bits(x), component_bits(y)
+            both_over += x_bits > cap and y_bits > cap and x_bits != y_bits
+            with bit_cap(cap):
+                assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
+                with pytest.raises(BitLengthExceededError) as info:
+                    simulate(spec, n_steps)
+            assert str(info.value) == error
+    assert both_over >= 5
+
+
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
 def test_signedlog_backend_is_the_literal_recurrence(p, q):
     spec = random_signed_spec(random.Random(100 * p + q), p, q)
