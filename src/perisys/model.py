@@ -63,6 +63,8 @@ class SystemSpec:
         object.__setattr__(self, "b", _as_nonzero_fraction(self.b, "b"))
         for name in ("x_init", "y_init"):
             values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise ShapeError(f"{name} must be a tuple or list of values, got {values!r}")
             if len(values) != self.q:
                 raise ShapeError(f"{name} must hold exactly q={self.q} values, got {len(values)}")
             coerced = tuple(_as_nonzero_fraction(v, name, i) for i, v in enumerate(values))

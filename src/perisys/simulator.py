@@ -8,21 +8,21 @@ Each step n >= 1 computes
 on top of initial data at indices -q+1 .. 0, so every read stays inside
 known values as long as p <= q, which every ``SystemSpec`` guarantees.
 
-Backends.  :func:`iter_pairs` generates pairs on two backends:
+Backends.  Trajectories are generated on two backends:
 
-* ``exact`` yields :class:`numerics.Rational` values, the canonical
+* ``exact`` values are :class:`numerics.Rational`, the canonical
   (numerator, denominator) int pairs.  One kernel, :func:`_exact_steps`,
   runs every exact step: it appends the four int components of x_n and
   y_n to columns that its caller gives, and reads y_{n-p} back from
   them.  :func:`simulate` gives it the four int lists of a
   :class:`Trajectory`, which every zero-tolerance law reads, and builds
-  no pair; ``iter_pairs`` gives it two int deques of the last p values of
-  y, and asks it for pairs.
-* ``signedlog`` yields :class:`SignedLog` values whose log magnitudes track
-  the exact trajectory to float precision and cannot overflow, which makes
-  very long exports in growing regimes cheap; no ``Trajectory`` holds them.
-  The recurrence runs on flat export rows, and ``iter_pairs`` builds its
-  ``SignedLog`` values from those rows.
+  no pair; :func:`iter_pairs` gives it two int deques of the last p
+  values of y, and asks it for pairs.
+* ``signedlog`` values are (sign, log magnitude) pairs that track the
+  exact trajectory to float precision and cannot overflow, which makes
+  very long exports in growing regimes cheap; no ``Trajectory`` holds
+  them.  The recurrence runs on the flat export rows of
+  :func:`trajectory_rows`, and nothing else reads it.
 
 The exact backend does not run the second equation literally.  The product
 of the two equations is
@@ -98,12 +98,14 @@ so it is the canonical pair that ``Fraction`` would give.
 :func:`block_period` owns this rule: it gives the period P = M or 2M, or
 ``None`` in the third case.  On canonical pairs |R_r| = 1 reads
 denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
-The exact routes use P to stop computing; each stored value already
-passed the bit cap.  ``iter_pairs`` replays its stored block of P pairs,
-and :func:`simulate` extends each column, whose offsets q .. q + P - 1
-hold indices 1 .. P, by cycling those P values with ``list.extend``.
-``cycle.detect_cycle`` decides from P: no cycle without one, and
-otherwise the minimal period among the divisors of P.
+Each caller that knows how many steps it needs uses P to stop computing,
+and replays what it has stored; each stored value already passed the bit
+cap.  :func:`simulate` extends each column, whose offsets q .. q + P - 1
+hold indices 1 .. P, by cycling those P values with ``list.extend``;
+:func:`trajectory_rows` cycles its first P rendered rows, with n
+renumbered.  ``cycle.detect_cycle`` decides from P: no cycle without
+one, and otherwise the minimal period among the divisors of P, from the
+first P pairs of ``iter_pairs``, which itself never replays.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -155,7 +157,6 @@ from .model import SystemSpec, spec_to_obj
 from .numerics import (
     EXACT,
     Rational,
-    SignedLog,
     check_bits,
     decimal_literal,
     resolve_max_bits,
@@ -188,7 +189,7 @@ class Trajectory:
 
     def _offset(self, n: int) -> int:
         if not -self.spec.q + 1 <= n <= self.n_max:
-            raise IndexError(f"index {n} outside stored range -{self.spec.q - 1} .. {self.n_max}")
+            raise IndexError(f"index {n} outside stored range {1 - self.spec.q} .. {self.n_max}")
         return n + self.spec.q - 1
 
     def x(self, n: int) -> Fraction:
@@ -258,42 +259,31 @@ def block_period(p: int, coefficients: Sequence[Rational]) -> int | None:
 
 
 def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
-    """An iterator of (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
+    """An endless iterator of exact (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
 
-    The exact backend yields x_n and y_n as :class:`numerics.Rational`
-    pairs from the one exact kernel, :func:`_exact_steps`, which keeps the
-    components of y_{n-p} .. y_{n-1} in two int deques.  It generates y_n
-    as y_{n-p} times the coefficient K_n = b / z_{n-q}, one of 2q values
-    fixed by the initial data, where z = x y repeats with period 2q, and
-    x_n as a times 1/y_{n-p}; it reduces both products itself, and every
-    gcd pairs a full-size integer with a small one (module docstring,
-    Reduction).  Both components of x_n and y_n are checked against the
-    bit cap of :func:`resolve_max_bits`, x_n first, inline, and a value
-    over it raises through :func:`numerics.check_bits`; the cap is
-    resolved by this call, before any pair is taken.  When the pairs
-    repeat with a :func:`block_period` P, the first P pairs are computed
-    and stored, and later pairs replay them.  Memory is then O(q) ints
-    plus O(P) pairs, and O(q) otherwise.  The signed-log backend runs the
-    literal recurrence so that its float rounding, and the exported logs,
-    stay those of the recurrence; it is an adapter that builds two
-    ``SignedLog`` values from each flat export row of that recurrence, and
-    it has no bit cap.  Any other backend name raises
-    ``WrongBackendError``.
+    x_n and y_n are :class:`numerics.Rational` pairs from the one exact
+    kernel, :func:`_exact_steps`, which keeps the components of
+    y_{n-p} .. y_{n-1} in two int deques, so memory is O(q).  It generates
+    y_n as y_{n-p} times the coefficient K_n = b / z_{n-q}, one of 2q
+    values fixed by the initial data, where z = x y repeats with period
+    2q, and x_n as a times 1/y_{n-p}; it reduces both products itself, and
+    every gcd pairs a full-size integer with a small one (module
+    docstring, Reduction).  Both components of x_n and y_n are checked
+    against the bit cap of :func:`resolve_max_bits`, x_n first, inline,
+    and a value over it raises through :func:`numerics.check_bits`; the
+    cap is resolved by this call, before any pair is taken.  Every step is
+    computed, past a :func:`block_period` too, where the values are
+    bounded; a caller that knows how many pairs it needs replays the block
+    itself.  ``backend`` must be ``"exact"``: any other name, the
+    signed-log one included, raises ``WrongBackendError`` from this call.
     """
-    if backend == BACKEND_SIGNEDLOG:
-        return ((n, SignedLog(sign_x, log_x), SignedLog(sign_y, log_y))
-                for n, _, _, sign_x, log_x, sign_y, log_y in _log_rows(spec))
     if backend != BACKEND_EXACT:
-        raise WrongBackendError(f"unknown backend {backend!r}")
-    cap = resolve_max_bits()
-    coefficients = step_coefficients(spec)
+        raise WrongBackendError(f"unknown backend {backend!r} for exact pairs")
     history = spec.y_init[-spec.p:]
     x_sink = deque(maxlen=0)  # the pairs carry x_n; no step reads a stored x
-    return _exact_steps(spec, cap, coefficients, block_period(spec.p, coefficients),
-                        x_sink, x_sink,
+    return _exact_steps(spec, resolve_max_bits(), step_coefficients(spec), None, x_sink, x_sink,
                         deque((y.numerator for y in history), maxlen=spec.p),
-                        deque((y.denominator for y in history), maxlen=spec.p),
-                        pairs=True)
+                        deque((y.denominator for y in history), maxlen=spec.p))
 
 
 def _gcd(large: int, small: int) -> int:
@@ -302,26 +292,24 @@ def _gcd(large: int, small: int) -> int:
 
 
 def _exact_steps(spec: SystemSpec, cap: int, coefficients: Sequence[Rational],
-                 stop: int | None, x_nums, x_dens, y_nums, y_dens,
-                 pairs: bool = False) -> Iterator[tuple]:
+                 stop: int | None, x_nums, x_dens, y_nums, y_dens) -> Iterator[tuple]:
     """The exact steps n = 1 .. ``stop``, each reduced and tested against ``cap`` inline.
 
     The one exact kernel (module docstring, Reduction).  ``coefficients``
-    are the 2q pairs of :func:`step_coefficients`, and ``stop`` ``None``
-    runs forever.  Step n appends the four int components of x_n and y_n
-    to the given columns, lists or deques, and reads y_{n-p} at offset -p
-    of the y columns, so these must end with y_{n-p} .. y_{n-1}.
+    are the 2q pairs of :func:`step_coefficients`.  Step n appends the
+    four int components of x_n and y_n to the given columns, lists or
+    deques, and reads y_{n-p} at offset -p of the y columns, so these must
+    end with y_{n-p} .. y_{n-1}.
 
-    Without ``pairs`` the generator yields nothing: the caller drains it
-    and reads the columns.  With ``pairs`` it yields (n, x_n, y_n) with
-    ``Rational`` values; ``stop`` is then the block period P, or ``None``,
-    and after the first P pairs, which it stores, it replays them forever.
+    With a ``stop`` the generator yields nothing: the caller drains it and
+    reads the columns.  ``stop`` ``None`` runs forever and yields
+    (n, x_n, y_n) with ``Rational`` values.
     """
     a_num, a_den = spec.a.as_integer_ratio()
     back = -spec.p
     append_x_num, append_x_den = x_nums.append, x_dens.append
     append_y_num, append_y_den = y_nums.append, y_dens.append
-    block = []
+    pairs = stop is None
     steps = zip(itertools.count(1), itertools.cycle(coefficients))
     gcd, new = math.gcd, tuple.__new__
     for n, (k_num, k_den) in itertools.islice(steps, stop):
@@ -372,14 +360,7 @@ def _exact_steps(spec: SystemSpec, cap: int, coefficients: Sequence[Rational],
         append_y_num(y_num)
         append_y_den(y_den)
         if pairs:
-            x = new(Rational, (x_num, x_den))
-            y = new(Rational, (y_num, y_den))
-            if stop:
-                block.append((x, y))
-            yield n, x, y
-    if block:
-        for n, (x, y) in zip(itertools.count(stop + 1), itertools.cycle(block)):
-            yield n, x, y
+            yield n, new(Rational, (x_num, x_den)), new(Rational, (y_num, y_den))
 
 
 def _log_rows(spec: SystemSpec) -> Iterator[tuple]:
@@ -568,14 +549,16 @@ def _divide_multiply(image: decimal.Decimal, divisor: int, factor: int) -> decim
     return image if factor == 1 else EXACT.multiply(image, factor)
 
 
-def _exact_rows(spec: SystemSpec, pairs: Iterator[tuple]) -> Iterator[tuple]:
+def _exact_rows(spec: SystemSpec, coefficients: Sequence[Rational],
+                pairs: Iterator[tuple]) -> Iterator[tuple]:
     """Export rows of exact pairs, with literals rendered from Decimal images (module docstring).
 
+    ``coefficients`` are the 2q pairs of :func:`step_coefficients`, and
     ``window`` holds y_{n-p} .. y_{n-1} with the images of their components.
     """
     window = deque(((y, (EXACT.create_decimal(y.numerator), EXACT.create_decimal(y.denominator)))
                     for y in spec.y_init[-spec.p:]), maxlen=spec.p)
-    for (n, x, y), coefficient in zip(pairs, itertools.cycle(step_coefficients(spec))):
+    for (n, x, y), coefficient in zip(pairs, itertools.cycle(coefficients)):
         y_p, images = window[0]
         x_images = _scaled(y_p.denominator, y_p.numerator, images[::-1], spec.a)
         if y_p.numerator < 0:  # the sign of 1/y_{n-p} moves to its numerator
@@ -591,15 +574,32 @@ def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tu
     """One export row per index n = 1 .. n_steps, in TRAJECTORY_CSV_HEADER order.
 
     The rows are drawn lazily.  Exact rows come from ``iter_pairs(spec)``,
-    which is called, and so resolves the bit cap, before this returns;
-    their values are rendered as rational literals, of any length and in
-    time linear in it (module docstring, Rendering).  Signed-log rows are
-    those of the log recurrence itself, with no ``SignedLog`` in between;
-    that backend has no exact form, so its x and y columns are empty.
+    which is called, and so resolves the bit cap and rejects an unknown
+    backend, before this returns; their values are rendered as rational
+    literals, of any length and in time linear in it (module docstring,
+    Rendering).  When the pairs repeat with a :func:`block_period`
+    P < ``n_steps``, only the first P rows are computed, and stored as
+    they are drawn; the later rows cycle them with ``n`` renumbered.
+    Signed-log rows are those of the log recurrence itself; that backend
+    has no exact form, so its x and y columns are empty.
     """
     if backend == BACKEND_SIGNEDLOG:
         return itertools.islice(_log_rows(spec), n_steps)
-    return _exact_rows(spec, itertools.islice(iter_pairs(spec, backend), n_steps))
+    coefficients = step_coefficients(spec)
+    period = block_period(spec.p, coefficients)
+    stop = n_steps if period is None else min(n_steps, period)
+    rows = itertools.islice(_exact_rows(spec, coefficients, iter_pairs(spec, backend)), stop)
+    return rows if stop == n_steps else _replayed(rows, n_steps)
+
+
+def _replayed(block: Iterator[tuple], n_steps: int) -> Iterator[tuple]:
+    """The rows of ``block`` as they come, then those rows again, renumbered, through ``n_steps``."""
+    stored = []
+    for row in block:
+        stored.append(row)
+        yield row
+    for n, row in zip(range(len(stored) + 1, n_steps + 1), itertools.cycle(stored)):
+        yield (n, *row[1:])
 
 
 def write_trajectory_csv(spec: SystemSpec, n_steps: int, backend: str, stream) -> None:

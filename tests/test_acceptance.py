@@ -8,7 +8,6 @@ reproducible.
 from __future__ import annotations
 
 import ast
-import itertools
 import math
 import pathlib
 import random
@@ -26,12 +25,12 @@ from perisys import (
     classify,
     detect_cycle,
     growth_slope,
-    iter_pairs,
     product_invariant_check,
     random_positive_spec,
     second_difference_check,
     simulate,
     to_signed_log,
+    trajectory_rows,
     x_relation_check,
 )
 from perisys.cli import VERDICT_INCONSISTENT, agreement, sweep_grid
@@ -223,11 +222,11 @@ def test_criterion_8_backend_agreement():
         q = rng.randint(p + 1, 12)
         spec = random_signed_spec(rng, p, q)
         exact = simulate(spec, 500)
-        for n, x, y in itertools.islice(iter_pairs(spec, "signedlog"), 500):
-            for value, got in ((exact.x(n), x), (exact.y(n), y)):
+        for n, _, _, sign_x, log_x, sign_y, log_y in trajectory_rows(spec, 500, "signedlog"):
+            for value, sign, logmag in ((exact.x(n), sign_x, log_x), (exact.y(n), sign_y, log_y)):
                 want = to_signed_log(value)
-                if got.sign != want.sign or not math.isclose(
-                        got.logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9):
+                if sign != want.sign or not math.isclose(
+                        logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9):
                     ok = False
         checked += 1
     _finish("criterion-8 backends", ok, f"{checked}/20 specs, N=500, signs + 1e-9 logs")

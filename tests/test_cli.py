@@ -701,7 +701,9 @@ def test_every_package_function_runs_from_a_command(periodic_config, growing_con
 
     The exact kernel calls ``check_bits``, and ``component_bits`` under it,
     only for a value over the bit cap, so one more command runs the growing
-    spec under a 64-bit cap and must exit 1.
+    spec under a 64-bit cap and must exit 1.  An exact export replays its
+    rows only past the block period P, 60 for the periodic spec, so that
+    spec is also exported through n = 130.
     """
     out = str(tmp_path / "out")
     commands = [["classify", "-p", "6", "-q", "10"], ["classify", "-p", "2", "-q", "3", "--json"],
@@ -714,6 +716,7 @@ def test_every_package_function_runs_from_a_command(periodic_config, growing_con
             commands += [simulate_argv, simulate_argv + ["--out", out]]
         commands += [["detect-period", "--config", path], ["verify", "--config", path],
                      ["verify", "--config", path, "-n", "5"]]
+    commands.append(["simulate", "--config", periodic_config[0], "-n", "130"])
 
     executed = set()
     cli_module._parser.cache_clear()  # a fresh process builds its parser on the first call

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import statistics
@@ -18,12 +17,12 @@ from perisys import (
     block_ratio_check,
     drift,
     growth_slope,
-    iter_pairs,
     random_positive_spec,
     second_difference_check,
     simulate,
     subsequence,
     to_signed_log,
+    trajectory_rows,
 )
 
 from conftest import find_window_cycle, fixed_point_spec, random_signed_spec
@@ -190,7 +189,7 @@ def test_growth_slope_signedlog_backend():
     exact = growth_slope(simulate(spec, 240), 12, 0)
     # the same least-squares fit over the signed-log x_{12n}, n = 0 .. 20
     logs = [to_signed_log(spec.x_init[-1]).logmag]
-    logs += [x.logmag for n, x, _ in itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), 240)
+    logs += [log_x for n, _, _, _, log_x, _, _ in trajectory_rows(spec, 240, BACKEND_SIGNEDLOG)
              if n % 12 == 0]
     logged = statistics.linear_regression(range(len(logs)), logs).slope
     assert math.isclose(exact, logged, rel_tol=1e-9, abs_tol=1e-9)

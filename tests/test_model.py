@@ -144,6 +144,10 @@ def test_spec_coercion_errors_name_the_entry():
         SystemSpec(a=1, b=1, p=2, q=4, x_init=ones, y_init=(Fraction(0), 1, 1, 1))
     with pytest.raises(ZeroValueError, match=r"^b must be nonzero$"):
         SystemSpec(a=1, b=Fraction(0), p=2, q=4, x_init=ones, y_init=ones)
+    # initial data without a length is a ShapeError too, not a bare TypeError
+    for values in (5, None, (v for v in ones)):
+        with pytest.raises(ShapeError, match=r"^y_init must be a tuple or list of values, got "):
+            SystemSpec(a=1, b=1, p=2, q=4, x_init=ones, y_init=values)
 
 
 def test_spec_rejects_oversized_p():

@@ -14,7 +14,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perisys import (
@@ -24,7 +24,6 @@ from perisys import (
     BitLengthExceededError,
     Rational,
     ShapeError,
-    SignedLog,
     SystemSpec,
     WrongBackendError,
     block_multipliers,
@@ -176,8 +175,9 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     ``detect_cycle`` compares them as pairs, which is sound only on
     canonical forms.  ``specs`` draws signed data, p = q, b = -a and
     a != +-1; the x y = b family is periodic in every regime, and its steps
-    run past the block period P into the replay.  A small cap can stop
-    them inside the first block.
+    run past the block period P, where ``simulate`` replays its columns and
+    ``iter_pairs`` steps on.  A small cap can stop them inside the first
+    block.
     """
     if data != "drawn":
         spec = product_family_spec(rng, spec.p, spec.q, spec.a,
@@ -374,18 +374,18 @@ def test_small_cap_raises_the_literal_recurrences_first_error():
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
 def test_signedlog_backend_is_the_literal_recurrence(p, q):
     spec = random_signed_spec(random.Random(100 * p + q), p, q)
-    logged = list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), 500))
+    logged = list(trajectory_rows(spec, 500, BACKEND_SIGNEDLOG))
     x, y = direct_log_simulate(spec, 500)
-    assert [n for n, _, _ in logged] == list(range(1, 501))
-    for n, x_n, y_n in logged:
-        assert (x_n.sign, x_n.logmag) == x[n]
-        assert (y_n.sign, y_n.logmag) == y[n]
+    assert [row[0] for row in logged] == list(range(1, 501))
+    for n, _, _, sign_x, log_x, sign_y, log_y in logged:
+        assert (sign_x, log_x) == x[n]
+        assert (sign_y, log_y) == y[n]
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs(), st.integers(0, 300))
 def test_log_rows_match_the_signed_log_recurrence(spec, n_steps):
-    """The flat log rows, their ``SignedLog`` adapter and both exports are the oracle's, exactly.
+    """The flat log rows and both exports are the oracle's, exactly.
 
     Floats are compared with ``==``, not approximately, and the exports
     byte for byte with ``csv.writer`` and ``json.dumps`` renderings of the
@@ -394,10 +394,6 @@ def test_log_rows_match_the_signed_log_recurrence(spec, n_steps):
     want = list(itertools.islice(log_pairs(spec), n_steps))
     rows = [(n, "", "", x.sign, x.logmag, y.sign, y.logmag) for n, x, y in want]
     assert list(trajectory_rows(spec, n_steps, BACKEND_SIGNEDLOG)) == rows
-    got = list(itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), n_steps))
-    assert all(type(v) is SignedLog for _, x, y in got for v in (x, y))
-    assert [(n, x.sign, x.logmag, y.sign, y.logmag) for n, x, y in got] == [
-        row[:1] + row[3:] for row in rows]
     assert_exports_match_stdlib_writers(spec, n_steps, BACKEND_SIGNEDLOG)
 
 
@@ -463,10 +459,10 @@ def test_backend_agreement_signs_and_logs():
     rng = random.Random(31)
     spec = random_positive_spec(rng, 6, 10)
     exact = simulate(spec, 200)
-    for n, got, _ in itertools.islice(iter_pairs(spec, BACKEND_SIGNEDLOG), 200):
+    for n, _, _, sign, logmag, _, _ in trajectory_rows(spec, 200, BACKEND_SIGNEDLOG):
         want = to_signed_log(exact.x(n))
-        assert got.sign == want.sign
-        assert math.isclose(got.logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9)
+        assert sign == want.sign
+        assert math.isclose(logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_product_invariant():
@@ -518,6 +514,9 @@ def test_x_relation_needs_enough_steps():
 def test_iter_pairs_rejects_unknown_backend():
     with pytest.raises(WrongBackendError, match="unknown backend 'floats'"):
         iter_pairs(fixed_point_spec(), "floats")  # raised by the call, before any pair
+    # the log backend exports rows (trajectory_rows); it yields no pairs
+    with pytest.raises(WrongBackendError, match="unknown backend 'signedlog'"):
+        iter_pairs(fixed_point_spec(), BACKEND_SIGNEDLOG)
     buffer = io.StringIO()
     with pytest.raises(WrongBackendError):
         write_trajectory_csv(fixed_point_spec(), 5, "floats", buffer)
@@ -615,8 +614,22 @@ def assert_exports_match_stdlib_writers(spec, n_steps, backend):
     assert (json.dumps(obj, indent=2) + "\n").splitlines(True) == expected
 
 
+def at_replay_boundaries(test):
+    """Explicit examples: periodic specs with R = 1 and R = -1, exported at n = P, P + 1 and 3P + q.
+
+    Past the block period P the exact export cycles its first P rows.
+    """
+    rng = random.Random(23)
+    for spec in (product_family_spec(rng, 2, 3, 2, 2), product_family_spec(rng, 3, 5, -3, 3)):
+        period = block_period(spec.p, step_coefficients(spec))
+        for n_steps in (period, period + 1, 3 * period + spec.q):
+            test = example(spec, n_steps, BACKEND_EXACT)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(specs(), st.integers(1, 150), st.sampled_from([BACKEND_EXACT, BACKEND_SIGNEDLOG]))
+@at_replay_boundaries
 def test_exports_match_stdlib_writers(spec, n_steps, backend):
     assert_exports_match_stdlib_writers(spec, n_steps, backend)
 
@@ -675,14 +688,21 @@ def test_exact_rows_match_the_str_fraction_rendering(seed):
 @pytest.mark.parametrize("p,q,sign", [(1, 1, -1), (1, 4, 1), (2, 3, -1), (3, 3, 1), (4, 6, -1),
                                       (5, 7, 1)])
 def test_exact_rows_match_the_str_fraction_rendering_in_block_replay(p, q, sign):
-    """Past the block period P the kernel replays stored pairs; the images go on stepping."""
+    """Past the block period P the export cycles its first P rows, renumbered.
+
+    At n = P, P + 1 and 3P + q the rows equal the ``str(Fraction)``
+    rendering of the pairs that ``iter_pairs`` goes on stepping, and the
+    CSV and JSON exports equal the stdlib writers' bytes.
+    """
     rng = random.Random(100 * p + q)
     a = _non_unit(rng)
     spec = product_family_spec(rng, p, q, a, sign * a)
     period = block_period(p, step_coefficients(spec))
     assert period is not None
-    n_steps = 3 * period + q
-    assert list(trajectory_rows(spec, n_steps, BACKEND_EXACT)) == _str_fraction_rows(spec, n_steps)
+    for n_steps in (period, period + 1, 3 * period + q):
+        rows = list(trajectory_rows(spec, n_steps, BACKEND_EXACT))
+        assert rows == _str_fraction_rows(spec, n_steps), n_steps
+        assert_exports_match_stdlib_writers(spec, n_steps, BACKEND_EXACT)
 
 
 # (2, 3) with initial components of about 20 bits: the literals pass
@@ -731,7 +751,12 @@ def test_trajectory_obj_spec_round_trips():
 def test_trajectory_index_bounds():
     traj = simulate(HAND_SPEC, 5)
     assert traj.n_max == 5
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^index 6 outside stored range -2 \.\. 5$"):
         traj.x(6)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^index -3 outside stored range -2 \.\. 5$"):
         traj.y(-3)
+    # q = 1 stores from index 0
+    one = simulate(SystemSpec(a=1, b=1, p=1, q=1, x_init=(1,), y_init=(2,)), 3)
+    assert one.n_max == 3 and one.x(0) == 1 and one.y(0) == 2
+    with pytest.raises(IndexError, match=r"^index -1 outside stored range 0 \.\. 3$"):
+        one.x(-1)
