@@ -89,6 +89,12 @@ def block_ratio_check(traj: Trajectory) -> bool:
     :func:`perisys.simulator._matches_reference_cycle`), signs included: a
     sign flip alone fails the check.  It refuses an even p/g with
     ``WrongRegimeError`` and n_max < m + 1 with ``TooFewPointsError``.
+
+    Each comparison reads x at n and n + m against the same reference.
+    So if x repeats with T = 2m from x_{1+T} on, only
+    n = 1 .. T are compared: the comparison at n > T is the one at n - T,
+    and the law holds at every n iff it holds at those (proof in
+    :func:`perisys.simulator._matches_reference_cycle`).
     """
     spec = traj.spec
     ratio = _block_ratio(spec)
@@ -98,7 +104,7 @@ def block_ratio_check(traj: Trajectory) -> bool:
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"needs n >= {m + 1}")
     # list offset q holds x_1, so offset q + m holds x_{m+1}
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, spec.q + m, [ratio])
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, spec.q + m, [ratio], 2 * m)
 
 
 def second_difference_check(traj: Trajectory) -> bool:
@@ -123,6 +129,12 @@ def second_difference_check(traj: Trajectory) -> bool:
     (see :func:`perisys.simulator._matches_reference_cycle`), signs
     included.  It refuses |b| != |a| with ``WrongRegimeError`` and
     n_max < 2m + 1 with ``TooFewPointsError``.
+
+    Each comparison reads x at n and n - m, and the references repeat with
+    m, which divides T = 2m.  So if x repeats with T from x_{m+1+T} on,
+    only n = 2m + 1 .. 2m + T are compared: the comparison at a later n is
+    the one at n - T, and the law holds at every n iff it holds at those
+    (proof in :func:`perisys.simulator._matches_reference_cycle`).
     """
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):
@@ -133,7 +145,7 @@ def second_difference_check(traj: Trajectory) -> bool:
     q = spec.q  # list offset q holds x_1
     xs = _fractions(traj.x_nums, traj.x_dens, q, q + 2 * m)
     references = [x_m / x for x, x_m in zip(xs, xs[m:])]
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, q + 2 * m, references)
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, q + 2 * m, references, 2 * m)
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:

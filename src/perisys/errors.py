@@ -21,6 +21,10 @@ class BitLengthExceededError(PerisysError):
     """A trajectory value outgrew the configured bit-length cap."""
 
 
+class BitCapSettingError(PerisysError, ValueError):
+    """``PERISYS_MAX_BITS`` is set, but not to a positive integer; also a ValueError."""
+
+
 class WrongBackendError(PerisysError):
     """An unknown backend name was given to ``iter_pairs``."""
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BitLengthExceededError, SpecSyntaxError, ZeroValueError
+from .errors import BitCapSettingError, BitLengthExceededError, SpecSyntaxError, ZeroValueError
 
 DEFAULT_MAX_BITS = 1_000_000
 ENV_MAX_BITS = "PERISYS_MAX_BITS"
@@ -142,15 +142,19 @@ def check_bits(value: Fraction | Rational, cap: int) -> None:
 
 
 def resolve_max_bits() -> int:
-    """Effective bit cap: ``PERISYS_MAX_BITS`` if set, else the default."""
+    """Effective bit cap: ``PERISYS_MAX_BITS`` if set, else the default.
+
+    A value that is not a positive integer raises ``BitCapSettingError``,
+    a ``PerisysError`` that is also a ``ValueError``.
+    """
     env = os.environ.get(ENV_MAX_BITS)
     if env is not None:
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"{ENV_MAX_BITS} must be an integer, got {env!r}") from None
+            raise BitCapSettingError(f"{ENV_MAX_BITS} must be an integer, got {env!r}") from None
         if value < 1:
-            raise ValueError(f"{ENV_MAX_BITS} must be positive, got {value}")
+            raise BitCapSettingError(f"{ENV_MAX_BITS} must be positive, got {value}")
         return value
     return DEFAULT_MAX_BITS
 

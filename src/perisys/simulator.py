@@ -418,8 +418,38 @@ def _fractions(nums: list, dens: list, start: int, stop: int) -> list[Fraction]:
     return list(map(Fraction, nums[start:stop], dens[start:stop]))
 
 
+def _repeat_stop(columns: Sequence[list], first: int, lag: int, period: int) -> int | None:
+    """The offset where a law may stop comparing: ``first + period`` if the columns repeat.
+
+    They repeat if column[k] == column[k - period] for every offset
+    k >= first - lag + period of every column, tested as one C-level list
+    equality per column, after a test of the last value of each, so that
+    a drifting trajectory pays one comparison per column.  ``None`` when
+    a column does not repeat, or when no comparison at an offset
+    >= first + period is left to skip.  The columns must have one length.
+
+    A law that compares each offset k >= first with the offset k - lag, by
+    a reference whose index repeats with a length dividing ``period``,
+    holds at every offset iff it holds at first .. first + period - 1 (see
+    :func:`_matches_reference_cycle`).  The exact checks take ``period`` as
+    T = 2 lcm(p, 2q), from the spec's delays alone and not from the kernel:
+    in the periodic regime a periodic solution repeats with a period
+    dividing T.  Nothing rests on that claim, since the columns are
+    compared; a trajectory that does not repeat is compared throughout.
+    """
+    stop = first + period
+    start = first - lag
+    if len(columns[0]) <= stop:
+        return None
+    if any(column[-1] != column[-1 - period] for column in columns):
+        return None
+    if all(column[start + period:] == column[start:-period] for column in columns):
+        return stop
+    return None
+
+
 def _matches_reference_cycle(nums: list, dens: list, lag: int, first: int,
-                             references: Sequence[Fraction]) -> bool:
+                             references: Sequence[Fraction], period: int) -> bool:
     """True iff v_k == references[j] * v_{k - lag} for every list offset k >= first.
 
     v_k is nums[k]/dens[k], and j = (k - first) mod len(references): the
@@ -431,11 +461,22 @@ def _matches_reference_cycle(nums: list, dens: list, lag: int, first: int,
     values themselves: small reduced rationals in a correct trajectory, so
     an offset costs two products of value-sized integers and two by a
     small one.
+
+    Repeats.  ``period`` is a multiple of len(references).  If both
+    columns repeat with it from offset first - lag + period
+    (:func:`_repeat_stop`), only the offsets first .. first + period - 1
+    are compared.  Proof: a comparison at k >= first + period reads the
+    offsets k and k - lag, both >= first - lag + period, so v_k = v_{k-period}
+    and v_{k-lag} = v_{k-lag-period}; and its j is that of k - period,
+    since len(references) divides ``period``.  So it is the comparison at
+    k - period >= first, and by induction on k every comparison is one at
+    an offset in first .. first + period - 1.
     """
+    stop = _repeat_stop((nums, dens), first, lag, period)
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
-            itertools.islice(nums, first, None), itertools.islice(dens, first, None),
+            itertools.islice(nums, first, stop), itertools.islice(dens, first, stop),
             itertools.islice(nums, first - lag, None), itertools.islice(dens, first - lag, None),
             itertools.cycle([r.as_integer_ratio() for r in references]),
         )
@@ -460,6 +501,13 @@ def product_invariant_check(traj: Trajectory) -> bool:
     denominators (D), as xN yN zD == zN xD yD.  Canonical rationals have
     positive denominators, so u/v = r/s holds exactly when u*s = r*v,
     signs included.
+
+    Repeats.  With T = 2 lcm(p, 2q), if all four columns repeat with T from
+    list offset 3q + T (:func:`_repeat_stop`, lag 0), only the offsets
+    3q .. 3q + T - 1 are compared: the comparison at an offset k >= 3q + T
+    reads only offset k, where the four values equal those at k - T, and
+    takes the same z_r, since 2q divides T.  So it is the comparison at
+    k - T, and by induction every later one is one of the first T.
     """
     spec = traj.spec
     ab = spec.a * spec.b
@@ -469,8 +517,9 @@ def product_invariant_check(traj: Trajectory) -> bool:
                                _fractions(traj.y_nums, traj.y_dens, 0, 3 * q))]
     if not all(z_n * z_nq == ab for z_n, z_nq in zip(z[q:], z)):
         return False
-    tails = (itertools.islice(column, 3 * q, None)
-             for column in (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens))
+    columns = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
+    stop = _repeat_stop(columns, 3 * q, 0, 2 * math.lcm(spec.p, 2 * q))
+    tails = (itertools.islice(column, 3 * q, stop) for column in columns)
     return all(
         x_num * y_num * z_den == z_num * x_den * y_den
         for x_num, x_den, y_num, y_den, (z_num, z_den) in zip(
@@ -501,7 +550,11 @@ def x_relation_check(traj: Trajectory) -> bool:
     from ``simulate`` has no zero value: the spec's a, b and initial values
     are validated nonzero, and each step divides or multiplies nonzero
     values.  The later values are compared as in
-    :func:`_matches_reference_cycle`.
+    :func:`_matches_reference_cycle`, with T = 2 lcm(p, 2q) as its period:
+    each offset k reads x at k and k - p, and the references repeat with
+    2q, which divides T.  So if x_n = x_{n-T} for every n >= s + 2q - p + T,
+    the relation is compared only for n = s + 2q .. s + 2q + T - 1, and
+    holds at every later n iff it holds there.
     """
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
@@ -514,7 +567,8 @@ def x_relation_check(traj: Trajectory) -> bool:
     rho = [x / x_p for x, x_p in zip(xs[p:], xs)]
     if not all(rho_n * rho_nq == c for rho_n, rho_nq in zip(rho[q:], rho)):
         return False
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, p, end, rho[q:])
+    return _matches_reference_cycle(traj.x_nums, traj.x_dens, p, end, rho[q:],
+                                    2 * math.lcm(p, 2 * q))
 
 
 def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:

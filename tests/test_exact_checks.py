@@ -5,11 +5,16 @@ from the trajectory itself over one period, then compares every later
 stored value with its reference, cross-multiplied over numerators and
 denominators: z_r = x_r y_r for the product invariant, the ratios
 x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second difference,
-and the constant c^(q/g) for the block ratio.  The ``oracle_*`` functions
-below are the reference: they form the Fraction products of each law
-directly at every index and read every value through the bounds-checked
+and the constant c^(q/g) for the block ratio.  When the stored columns a
+check reads repeat with T = 2 lcm(p, 2q), the check stops after its first
+T offsets, since every later comparison repeats one of them
+(``simulator._repeat_stop``).  The ``oracle_*`` functions below are the
+reference: they form the Fraction products of each law directly at every
+index and read every value through the bounds-checked
 ``Trajectory.x()``/``y()`` accessors.  They exist only for the
-differential tests here.
+differential tests here, which cover the stop on long periodic
+trajectories, clean and corrupted: in their last block, at every T-th
+index, and in their initial data.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from perisys import (
 )
 from perisys.numerics import Rational, component_bits
 
-from conftest import nonzero_rationals, random_signed_spec, specs
+from conftest import nonzero_rationals, product_family_spec, random_signed_spec, specs
 
 
 def oracle_product_invariant(traj) -> bool:
@@ -113,11 +118,14 @@ def trajectories(draw):
 
     A corruption scales the value by a rational other than 1, or only
     flips its sign, through its numerator and denominator columns.  It can
-    land on an initial entry as well as on a generated one.
+    land on an initial entry as well as on a generated one.  Trajectories
+    run to n = 4m + 3q, so that every check can stop early on a periodic
+    one.
     """
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
-    n = draw(st.integers(1, 3 * m + spec.q))
+    # n > 4m puts the second difference's stop, list offset q + 4m, inside
+    n = draw(st.integers(1, 4 * m + 3 * spec.q))
     traj = simulate(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
@@ -274,3 +282,92 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
         assert check(unbounded), check.__name__
     with pytest.raises(WrongRegimeError, match=r"^needs p/gcd\(p, q\) odd$"):
         block_ratio_check(unbounded)  # no block ratio in this regime
+
+
+# Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q), whose
+# columns repeat with T = 2M, so every check may stop after its first T
+# offsets: generic c = 1 data on (6, 10), where every R_r = 1 (P = M = 60);
+# b = -a on (3, 5), where R = -1 (P = 2M = 60); and x y = b data on (5, 8),
+# which repeats with p = 5, far below M = 80.
+REPEATING = {
+    "c=1-(6,10)": random_signed_spec(random.Random(5), 6, 10, a=1, b=1),
+    "b=-a-(3,5)": random_signed_spec(random.Random(5), 3, 5, a=2, b=-2),
+    "xy=b-(5,8)": product_family_spec(random.Random(5), 5, 8, 3, 3),
+}
+
+
+def repeat_period(spec) -> int:
+    return 2 * math.lcm(spec.p, 2 * spec.q)
+
+
+def long_periodic(spec):
+    return simulate(spec, 2 * repeat_period(spec) + 3 * spec.q)
+
+
+def corrupt(traj, how, nums):
+    """Scale stored values of ``nums``, a numerator column of ``traj``, by 3.
+
+    "last-block": the last value but one, past every check's stop, which
+    the test of the last value alone would miss;
+    "every-T": x_n or y_n at every n = 1 (mod T), so the column still
+    repeats with T; "every-T-tail": the same at n = T - 1 (mod T), which
+    lies past the head of the product invariant and the x-relation, so
+    they see it only in their first T compared offsets; "initial": the
+    entry at index 0.
+    """
+    q, period = traj.spec.q, repeat_period(traj.spec)
+    offsets = {  # list offset k holds index k - q + 1
+        "clean": [],
+        "last-block": [len(nums) - 2],
+        "every-T": range(q, len(nums), period),
+        "every-T-tail": range(q + period - 2, len(nums), period),
+        "initial": [q - 1],
+    }[how]
+    for k in offsets:
+        nums[k] *= 3
+
+
+@pytest.mark.parametrize("column", ["x_nums", "y_nums"])
+@pytest.mark.parametrize("how", ["clean", "last-block", "every-T", "every-T-tail", "initial"])
+@pytest.mark.parametrize("name", REPEATING)
+def test_checks_stop_after_one_repeat_and_match_the_oracles(name, how, column):
+    traj = long_periodic(REPEATING[name])
+    spec, period = traj.spec, repeat_period(traj.spec)
+    corrupt(traj, how, getattr(traj, column))
+    columns = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
+    # from index 1 on, the columns repeat with T unless the last block was changed
+    repeats = simulator._repeat_stop(columns, spec.q, 0, period) is not None
+    assert repeats == (how != "last-block")
+    got = {check.__name__: outcome(check, traj) for check, _ in CHECKS_AND_ORACLES}
+    want = {check.__name__: outcome(oracle, traj) for check, oracle in CHECKS_AND_ORACLES}
+    assert got == want
+    if how == "clean":
+        assert set(want.values()) == {True}
+
+
+def test_repeat_stop():
+    spec = REPEATING["c=1-(6,10)"]
+    m = math.lcm(spec.p, 2 * spec.q)
+    period, first, lag = 2 * m, spec.q + m, m  # the block ratio's offsets
+    start = first - lag
+    traj = long_periodic(spec)
+    columns = [traj.x_nums, traj.x_dens]
+    assert simulator._repeat_stop(columns, first, lag, period) == first + period
+    # nothing is left to skip unless an offset >= first + T is stored
+    short = simulate(spec, first + period - spec.q)
+    assert len(short.x_nums) == first + period
+    assert simulator._repeat_stop([short.x_nums, short.x_dens], first, lag, period) is None
+    short = simulate(spec, first + period + 1 - spec.q)
+    assert simulator._repeat_stop([short.x_nums, short.x_dens], first, lag, period) == first + period
+    shorter = simulate(spec, start + period - spec.q - 1)
+    assert simulator._repeat_stop([shorter.x_nums, shorter.x_dens], first, lag, period) is None
+    # drift: c = 1/2 never repeats
+    drift = simulate(DRIFT, 2000)
+    assert simulator._repeat_stop([drift.x_nums, drift.x_dens], first, lag, period) is None
+    # one value in the last block, the last one or an earlier one, or the
+    # first one the comparison reads; a value before it is never read
+    for k, stops in ((-1, False), (-period // 2, False), (start, False), (start - 1, True)):
+        changed = list(traj.x_dens)
+        changed[k] *= 3
+        stop = simulator._repeat_stop([traj.x_nums, changed], first, lag, period)
+        assert (stop == first + period) if stops else (stop is None), k

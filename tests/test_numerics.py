@@ -13,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perisys import (
+    BitCapSettingError,
     BitLengthExceededError,
     DEFAULT_MAX_BITS,
     ENV_MAX_BITS,
+    PerisysError,
     SignedLog,
     SpecSyntaxError,
     ZeroValueError,
@@ -23,10 +25,12 @@ from perisys import (
     format_rational,
     parse_rational,
     resolve_max_bits,
+    simulate,
     to_signed_log,
 )
 from perisys.numerics import check_bits, log_abs_int
 
+from conftest import fixed_point_spec
 from oracles import chunked_literal
 
 nonzero_fractions = st.fractions(max_denominator=60).filter(lambda f: f != 0)
@@ -199,3 +203,18 @@ def test_resolve_max_bits(monkeypatch):
     monkeypatch.setenv(ENV_MAX_BITS, "0")
     with pytest.raises(ValueError):
         resolve_max_bits()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("bogus", "PERISYS_MAX_BITS must be an integer, got 'bogus'"),
+    ("0", "PERISYS_MAX_BITS must be positive, got 0"),
+])
+def test_malformed_cap_is_a_perisys_error(setting, message, monkeypatch):
+    """A library caller catches a malformed cap as ``PerisysError``, and as ``ValueError``."""
+    monkeypatch.setenv(ENV_MAX_BITS, setting)
+    for call in (resolve_max_bits, lambda: simulate(fixed_point_spec(), 5)):
+        with pytest.raises(PerisysError) as caught:
+            call()
+        assert type(caught.value) is BitCapSettingError
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == message
