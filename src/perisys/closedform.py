@@ -26,14 +26,8 @@ from fractions import Fraction
 
 from .errors import TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
-from .numerics import format_rational
-from .simulator import (
-    Trajectory,
-    _fractions,
-    _matches_reference_cycle,
-    subsequence,
-    to_signed_log,
-)
+from .numerics import format_rational, to_signed_log
+from .simulator import Trajectory, _matches_reference_cycle, _quotients, subsequence
 
 
 @dataclass(frozen=True)
@@ -83,18 +77,13 @@ def drift(spec: SystemSpec) -> DriftReport:
 def block_ratio_check(traj: Trajectory) -> bool:
     """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n.
 
-    The reference cycle is the one constant c^(q/g), so no step of the
-    comparison divides by a stored value.  It is compared cross-multiplied
-    over numerators and denominators (see
-    :func:`perisys.simulator._matches_reference_cycle`), signs included: a
-    sign flip alone fails the check.  It refuses an even p/g with
-    ``WrongRegimeError`` and n_max < m + 1 with ``TooFewPointsError``.
-
-    Each comparison reads x at n and n + m against the same reference.
-    So if x repeats with T = 2m from x_{1+T} on, only
-    n = 1 .. T are compared: the comparison at n > T is the one at n - T,
-    and the law holds at every n iff it holds at those (proof in
-    :func:`perisys.simulator._matches_reference_cycle`).
+    One call of :func:`perisys.simulator._matches_reference_cycle`, the
+    engine that states the comparison and its stop after one repeat, with
+    v = w = x, lag m, first q + m (the list offset of x_{m+1}) and the one
+    reference c^(q/g), so no step divides by a stored value.  Signs are
+    compared too: a sign flip alone fails the check.  It refuses an even
+    p/g with ``WrongRegimeError`` and n_max < m + 1 with
+    ``TooFewPointsError``.
     """
     spec = traj.spec
     ratio = _block_ratio(spec)
@@ -103,8 +92,8 @@ def block_ratio_check(traj: Trajectory) -> bool:
     m = _block_steps(spec)
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"needs n >= {m + 1}")
-    # list offset q holds x_1, so offset q + m holds x_{m+1}
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, spec.q + m, [ratio], 2 * m)
+    x = (traj.x_nums, traj.x_dens)
+    return _matches_reference_cycle(traj, x, x, m, spec.q + m, [ratio])
 
 
 def second_difference_check(traj: Trajectory) -> bool:
@@ -125,16 +114,10 @@ def second_difference_check(traj: Trajectory) -> bool:
     ``simulate`` has no zero value (see
     :func:`perisys.simulator.x_relation_check`).
 
-    The comparison is cross-multiplied over numerators and denominators
-    (see :func:`perisys.simulator._matches_reference_cycle`), signs
-    included.  It refuses |b| != |a| with ``WrongRegimeError`` and
-    n_max < 2m + 1 with ``TooFewPointsError``.
-
-    Each comparison reads x at n and n - m, and the references repeat with
-    m, which divides T = 2m.  So if x repeats with T from x_{m+1+T} on,
-    only n = 2m + 1 .. 2m + T are compared: the comparison at a later n is
-    the one at n - T, and the law holds at every n iff it holds at those
-    (proof in :func:`perisys.simulator._matches_reference_cycle`).
+    One call of :func:`perisys.simulator._matches_reference_cycle`, with
+    v = w = x, lag m, first q + 2m (the list offset of x_{2m+1}) and the m
+    references sigma_1 .. sigma_m.  It refuses |b| != |a| with
+    ``WrongRegimeError`` and n_max < 2m + 1 with ``TooFewPointsError``.
     """
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):
@@ -142,10 +125,8 @@ def second_difference_check(traj: Trajectory) -> bool:
     m = _block_steps(spec)
     if traj.n_max < 2 * m + 1:
         raise TooFewPointsError(f"needs n >= {2 * m + 1}")
-    q = spec.q  # list offset q holds x_1
-    xs = _fractions(traj.x_nums, traj.x_dens, q, q + 2 * m)
-    references = [x_m / x for x, x_m in zip(xs, xs[m:])]
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, m, q + 2 * m, references, 2 * m)
+    x, q = (traj.x_nums, traj.x_dens), spec.q  # list offset q holds x_1
+    return _matches_reference_cycle(traj, x, x, m, q + 2 * m, _quotients(x, x, m, q + m, q + 2 * m))
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:

@@ -396,10 +396,10 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     When the pairs repeat with a :func:`block_period` P < ``n_steps``, it
     runs only P steps, and each column is extended by cycling its own block
     of P values.  The bit cap is that of :func:`iter_pairs`, resolved
-    before the first step.
+    before the first step.  ``n_steps`` < 1 raises ``TooFewPointsError``.
     """
     if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        raise TooFewPointsError("needs n >= 1")
     cap = resolve_max_bits()
     columns = ([x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init],
                [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init])
@@ -413,9 +413,18 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     return Trajectory(spec, *columns)
 
 
-def _fractions(nums: list, dens: list, start: int, stop: int) -> list[Fraction]:
-    """The stored values at list offsets start .. stop - 1 of two columns, as ``Fraction``s."""
-    return list(map(Fraction, nums[start:stop], dens[start:stop]))
+def _quotients(v: tuple, w: tuple, lag: int, start: int, stop: int) -> list[Fraction]:
+    """W_k = v_k / w_{k - lag} at list offsets k = start .. stop - 1, each one reduced ``Fraction``.
+
+    ``v`` and ``w`` are (nums, dens) column pairs, and each W_k is formed
+    as ``Fraction(vN wD, vD wN)``, so a zero w_{k - lag} raises
+    ``ZeroDivisionError`` and a zero v_k gives W_k = 0.
+    """
+    (v_nums, v_dens), (w_nums, w_dens) = v, w
+    return [Fraction(v_num * w_den, v_den * w_num)
+            for v_num, v_den, w_num, w_den in zip(v_nums[start:stop], v_dens[start:stop],
+                                                  w_nums[start - lag:stop - lag],
+                                                  w_dens[start - lag:stop - lag])]
 
 
 def _repeat_stop(columns: Sequence[list], first: int, lag: int, period: int) -> int | None:
@@ -427,15 +436,7 @@ def _repeat_stop(columns: Sequence[list], first: int, lag: int, period: int) -> 
     a drifting trajectory pays one comparison per column.  ``None`` when
     a column does not repeat, or when no comparison at an offset
     >= first + period is left to skip.  The columns must have one length.
-
-    A law that compares each offset k >= first with the offset k - lag, by
-    a reference whose index repeats with a length dividing ``period``,
-    holds at every offset iff it holds at first .. first + period - 1 (see
-    :func:`_matches_reference_cycle`).  The exact checks take ``period`` as
-    T = 2 lcm(p, 2q), from the spec's delays alone and not from the kernel:
-    in the periodic regime a periodic solution repeats with a period
-    dividing T.  Nothing rests on that claim, since the columns are
-    compared; a trajectory that does not repeat is compared throughout.
+    Why the stop is sound: :func:`_matches_reference_cycle`.
     """
     stop = first + period
     start = first - lag
@@ -448,84 +449,88 @@ def _repeat_stop(columns: Sequence[list], first: int, lag: int, period: int) -> 
     return None
 
 
-def _matches_reference_cycle(nums: list, dens: list, lag: int, first: int,
-                             references: Sequence[Fraction], period: int) -> bool:
-    """True iff v_k == references[j] * v_{k - lag} for every list offset k >= first.
+def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
+                             references: Sequence[Fraction]) -> bool:
+    """True iff v_k == references[j] * w_{k - lag} for every list offset k >= first.
 
-    v_k is nums[k]/dens[k], and j = (k - first) mod len(references): the
-    references repeat along the offsets.  Each comparison is
-    cross-multiplied over numerators (N) and denominators (D), as
-    vN wD rD == rN wN vD with w = v_{k - lag}.  Canonical rationals have
-    positive denominators, so u/v = r/s holds exactly when u*s = r*v, signs
-    included.  The exact checks take their references from the stored
-    values themselves: small reduced rationals in a correct trajectory, so
-    an offset costs two products of value-sized integers and two by a
-    small one.
+    The one comparison engine of the four exact laws.  ``v`` and ``w`` are
+    (nums, dens) column pairs of ``traj``; ``w`` may be ``v`` itself, or a
+    pair with its columns swapped, which stands for the reciprocal.
+    j = (k - first) mod len(references), so the references repeat along
+    the offsets.  Each
+    comparison is cross-multiplied over numerators (N) and denominators
+    (D), as vN wD rD == rN wN vD: for nonzero denominators u/v = r/s holds
+    exactly when u*s = r*v, signs included.  The exact checks take their
+    references from the stored values themselves: small reduced rationals
+    in a correct trajectory, so an offset costs two products of value-sized
+    integers and two by a small one.
 
-    Repeats.  ``period`` is a multiple of len(references).  If both
-    columns repeat with it from offset first - lag + period
-    (:func:`_repeat_stop`), only the offsets first .. first + period - 1
-    are compared.  Proof: a comparison at k >= first + period reads the
-    offsets k and k - lag, both >= first - lag + period, so v_k = v_{k-period}
-    and v_{k-lag} = v_{k-lag-period}; and its j is that of k - period,
-    since len(references) divides ``period``.  So it is the comparison at
-    k - period >= first, and by induction on k every comparison is one at
-    an offset in first .. first + period - 1.
+    Repeats.  T = 2 lcm(p, 2q), from the spec's delays alone and not from
+    the kernel: in the periodic regime a periodic solution repeats with a
+    period dividing T.  Nothing rests on that claim, since the columns are
+    compared; a trajectory that does not repeat is compared throughout.
+    Every caller's len(references) divides T.  If every column of v and w
+    (each once, when w is v) repeats with T from offset first - lag + T
+    (:func:`_repeat_stop`), only the offsets first .. first + T - 1 are
+    compared.  Proof: a
+    comparison at k >= first + T reads v at k and w at k - lag, both
+    offsets >= first - lag + T, so v_k = v_{k-T} and w_{k-lag} =
+    w_{k-lag-T}; and its j is that of k - T, since len(references) divides
+    T.  So it is the comparison at k - T >= first, and by induction on k
+    every comparison is one at an offset in first .. first + T - 1.
     """
-    stop = _repeat_stop((nums, dens), first, lag, period)
+    spec = traj.spec
+    (v_nums, v_dens), (w_nums, w_dens) = v, w
+    columns = v if w is v else (*v, *w)
+    stop = _repeat_stop(columns, first, lag, 2 * math.lcm(spec.p, 2 * spec.q))
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
-            itertools.islice(nums, first, stop), itertools.islice(dens, first, stop),
-            itertools.islice(nums, first - lag, None), itertools.islice(dens, first - lag, None),
+            itertools.islice(v_nums, first, stop), itertools.islice(v_dens, first, stop),
+            itertools.islice(w_nums, first - lag, None), itertools.islice(w_dens, first - lag, None),
             itertools.cycle([r.as_integer_ratio() for r in references]),
         )
     )
 
 
+def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
+                             const: Fraction) -> bool:
+    """True iff W_k W_{k-q} = ``const`` at every list offset k >= first + q, W_k = v_k / w_{k-lag}.
+
+    The quotients W at offsets first .. first + 3q - 1 are formed once
+    (:func:`_quotients`), and the law is checked on them for
+    k = first + q .. first + 3q - 1.  For k >= first + 3q it is checked as
+    W_k = W_r, where r = k (mod 2q) lies in first + q .. first + 3q - 1,
+    by :func:`_matches_reference_cycle` with those 2q references, which
+    compares v_k with W_r w_{k-lag}.  If the law holds at k and at
+    k - q >= first + q, then W_k W_{k-q} = const = W_{k-q} W_{k-2q}, and
+    since ``const`` is nonzero, so is W_{k-q}, hence W_k = W_{k-2q}.
+    Conversely W_k = W_r and W_{k-q} = W_s with {r, s} = {t, t + q} for
+    some t in first + q .. first + 2q - 1, so W_k W_{k-q} = W_{t+q} W_t =
+    const.  The proof divides only by W_{k-q}, which the law itself makes
+    nonzero.
+    """
+    q = traj.spec.q
+    head = _quotients(v, w, lag, first, first + 3 * q)
+    if not all(w_k * w_kq == const for w_k, w_kq in zip(head[q:], head)):
+        return False
+    return _matches_reference_cycle(traj, v, w, lag, first + 3 * q, head[q:])
+
+
 def product_invariant_check(traj: Trajectory) -> bool:
     """True iff (x_n y_n)(x_{n-q} y_{n-q}) = ab exactly at every generated n.
 
-    With z_n = x_n y_n the law reads z_n z_{n-q} = ab.  The products z at
-    indices -q+1 .. 2q are formed once as reduced rationals, and the law is
-    checked on them for n = 1 .. 2q.  For n > 2q it is checked as z_n = z_r,
-    where r = n (mod 2q) lies in 1 .. 2q: if the law holds at n and at
-    n - q >= 1, then z_n z_{n-q} = ab = z_{n-q} z_{n-2q}, and since ab is
-    nonzero, so is z_{n-q}, hence z_n = z_{n-2q}.  Conversely z_n = z_r and
-    z_{n-q} = z_s with {r, s} = {t, t + q} for some t in 1 .. q, so
-    z_n z_{n-q} = z_{t+q} z_t = ab.  The proof divides only by z_{n-q},
-    which the law itself makes nonzero, so unlike the ratio checks it holds
-    even if a stored value is zero.
-
-    The later values are compared cross-multiplied over numerators (N) and
-    denominators (D), as xN yN zD == zN xD yD.  Canonical rationals have
-    positive denominators, so u/v = r/s holds exactly when u*s = r*v,
-    signs included.
-
-    Repeats.  With T = 2 lcm(p, 2q), if all four columns repeat with T from
-    list offset 3q + T (:func:`_repeat_stop`, lag 0), only the offsets
-    3q .. 3q + T - 1 are compared: the comparison at an offset k >= 3q + T
-    reads only offset k, where the four values equal those at k - T, and
-    takes the same z_r, since 2q divides T.  So it is the comparison at
-    k - T, and by induction every later one is one of the first T.
+    With z_n = x_n y_n the law reads z_n z_{n-q} = ab, which
+    :func:`_matches_shifted_product` checks with v = y, w = 1/x (the x
+    columns swapped), lag 0, first 0 (index -q+1) and const ab, so W = z:
+    the law on z at n = 1 .. 2q, then every later z_n against z_r, r = n
+    (mod 2q) in 1 .. 2q, compared as xN yN zD == zN xD yD.  A zero stored
+    value makes its z zero, which the law rejects, so the check returns
+    ``False`` and never divides by it.
     """
-    spec = traj.spec
-    ab = spec.a * spec.b
-    q = spec.q
-    # list offset k holds index k - q + 1: offsets 0 .. 3q - 1 hold n = -q+1 .. 2q
-    z = [x * y for x, y in zip(_fractions(traj.x_nums, traj.x_dens, 0, 3 * q),
-                               _fractions(traj.y_nums, traj.y_dens, 0, 3 * q))]
-    if not all(z_n * z_nq == ab for z_n, z_nq in zip(z[q:], z)):
-        return False
-    columns = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
-    stop = _repeat_stop(columns, 3 * q, 0, 2 * math.lcm(spec.p, 2 * q))
-    tails = (itertools.islice(column, 3 * q, stop) for column in columns)
-    return all(
-        x_num * y_num * z_den == z_num * x_den * y_den
-        for x_num, x_den, y_num, y_den, (z_num, z_den) in zip(
-            *tails, itertools.cycle([z_r.as_integer_ratio() for z_r in z[q:]]),
-        )
-    )
+    ab = traj.spec.a * traj.spec.b
+    return _matches_shifted_product(traj, (traj.y_nums, traj.y_dens), (traj.x_dens, traj.x_nums),
+                                    0, 0, ab)
 
 
 def x_relation_check(traj: Trajectory) -> bool:
@@ -536,12 +541,11 @@ def x_relation_check(traj: Trajectory) -> bool:
     and y initial values are independent of each other), and it fails there
     for generic specs, so n_max < s raises ``TooFewPointsError``.
 
-    With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c.
-    The ratios rho at n = s - q .. s + 2q - 1 are formed once as reduced
-    rationals, and the law is checked on them for n = s .. s + 2q - 1.  For
-    n >= s + 2q it is checked as x_n = rho_r x_{n-p}, where r = n (mod 2q)
-    lies in s .. s + 2q - 1, by the argument of
-    :func:`product_invariant_check` with rho for z, s for 1 and c for ab.
+    With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c,
+    which :func:`_matches_shifted_product` checks with v = w = x, lag p,
+    first s - 1 (the list offset of x_{s-q}) and const c, so W = rho: the
+    law on rho at n = s .. s + 2q - 1, then x_n against rho_r x_{n-p} for
+    every n >= s + 2q, r = n (mod 2q) in s .. s + 2q - 1.
 
     The two forms agree because every stored value is nonzero: rho is a
     quotient of stored values, and the relation becomes rho_n rho_{n-q} = c
@@ -549,26 +553,14 @@ def x_relation_check(traj: Trajectory) -> bool:
     x_{s-q-p} .. x_{s+2q-1-p} raises ``ZeroDivisionError``.  A trajectory
     from ``simulate`` has no zero value: the spec's a, b and initial values
     are validated nonzero, and each step divides or multiplies nonzero
-    values.  The later values are compared as in
-    :func:`_matches_reference_cycle`, with T = 2 lcm(p, 2q) as its period:
-    each offset k reads x at k and k - p, and the references repeat with
-    2q, which divides T.  So if x_n = x_{n-T} for every n >= s + 2q - p + T,
-    the relation is compared only for n = s + 2q .. s + 2q + T - 1, and
-    holds at every later n iff it holds there.
+    values.
     """
     spec = traj.spec
     start = max(spec.p, spec.q) + 1
     if traj.n_max < start:
         raise TooFewPointsError(f"needs n >= {start}")
-    c, p, q = spec.c, spec.p, spec.q
-    first = start - 1  # list offset of x_{start-q}
-    end = first + 3 * q  # list offset of x_{start+2q}, where the references take over
-    xs = _fractions(traj.x_nums, traj.x_dens, first - p, end)
-    rho = [x / x_p for x, x_p in zip(xs[p:], xs)]
-    if not all(rho_n * rho_nq == c for rho_n, rho_nq in zip(rho[q:], rho)):
-        return False
-    return _matches_reference_cycle(traj.x_nums, traj.x_dens, p, end, rho[q:],
-                                    2 * math.lcm(p, 2 * q))
+    x = (traj.x_nums, traj.x_dens)
+    return _matches_shifted_product(traj, x, x, spec.p, start - 1, spec.c)
 
 
 def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:

@@ -1,13 +1,15 @@
 """The four exact conservation checks against naive Fraction oracles.
 
-Each check in perisys checks its law on small reduced references taken
-from the trajectory itself over one period, then compares every later
-stored value with its reference, cross-multiplied over numerators and
-denominators: z_r = x_r y_r for the product invariant, the ratios
-x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second difference,
-and the constant c^(q/g) for the block ratio.  When the stored columns a
-check reads repeat with T = 2 lcm(p, 2q), the check stops after its first
-T offsets, since every later comparison repeats one of them
+Each check in perisys is a call into one comparison engine,
+``simulator._matches_reference_cycle``, which compares every stored v_k
+with r_j w_{k-lag}, cross-multiplied over numerators and denominators,
+where the r_j are small reduced references taken from the trajectory
+itself: z_r = x_r y_r for the product invariant (v = y, w = 1/x), the
+ratios x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second
+difference, and the constant c^(q/g) for the block ratio.  The first two
+check their law on the references first.  When the stored columns of v
+and w repeat with T = 2 lcm(p, 2q), the engine stops after its first T
+offsets, since every later comparison repeats one of them
 (``simulator._repeat_stop``).  The ``oracle_*`` functions below are the
 reference: they form the Fraction products of each law directly at every
 index and read every value through the bounds-checked
@@ -260,6 +262,21 @@ def test_tail_consistent_ratio_corruption_fails_x_relation(r):
         traj.x_nums[k] *= scale[k]
     assert not x_relation_check(traj)
     assert not oracle_x_relation(traj)
+
+
+@pytest.mark.parametrize("offset, x_relation", [(3, ZeroDivisionError), (100, False)],
+                         ids=["head", "tail"])
+def test_zero_stored_x(offset, x_relation):
+    """A zero x on (3, 5): the product invariant rejects its zero z and never divides by it.
+
+    The x-relation divides by x_{n-p} only in its head, where list offset 3
+    holds x_{-1}, the divisor of rho_2 = x_2 / x_{-1}; past its head it
+    compares products, and the zero fails them.
+    """
+    traj = simulate(DRIFT, 200)
+    traj.x_nums[offset] = 0
+    assert product_invariant_check(traj) is False
+    assert outcome(x_relation_check, traj) == x_relation
 
 
 def test_checks_do_not_derive_the_kernel(monkeypatch):

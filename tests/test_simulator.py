@@ -22,9 +22,11 @@ from perisys import (
     BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
     BitLengthExceededError,
+    PerisysError,
     Rational,
     ShapeError,
     SystemSpec,
+    TooFewPointsError,
     WrongBackendError,
     block_multipliers,
     component_bits,
@@ -509,6 +511,13 @@ def test_x_relation_detects_corruption():
 def test_x_relation_needs_enough_steps():
     with pytest.raises(ValueError):
         x_relation_check(simulate(fixed_point_spec(2, 3), 3))
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_simulate_needs_one_step(n_steps):
+    with pytest.raises(PerisysError, match=r"^needs n >= 1$") as raised:
+        simulate(fixed_point_spec(), n_steps)
+    assert isinstance(raised.value, TooFewPointsError)
 
 
 def test_iter_pairs_rejects_unknown_backend():
