@@ -21,6 +21,7 @@ from .cycle import (
     detect_cycle,
 )
 from .errors import (
+    ArgumentRangeError,
     BitCapSettingError,
     BitLengthExceededError,
     PerisysError,

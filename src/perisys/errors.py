@@ -35,3 +35,7 @@ class WrongRegimeError(PerisysError):
 
 class TooFewPointsError(PerisysError, ValueError):
     """A law ("needs n >= N") or statistic needs a longer trajectory; also a ValueError."""
+
+
+class ArgumentRangeError(PerisysError, ValueError):
+    """A library call got a delay, stride or offset outside its range; also a ValueError."""

@@ -107,24 +107,16 @@ def format_rational(value: Fraction) -> str:
 
     Components longer than ``sys.get_int_max_str_digits()`` digits, which
     ``str`` refuses, are rendered through :data:`EXACT`, as
-    :func:`_parse_int` parses them.
+    :func:`_parse_int` parses them, into the text that ``str`` would give:
+    "num" when the denominator is 1, else "num/den".
     """
     try:
         return str(value)
     except ValueError:
-        return decimal_literal(EXACT.create_decimal(value.numerator),
-                               EXACT.create_decimal(value.denominator))
-
-
-def decimal_literal(numerator: decimal.Decimal, denominator: decimal.Decimal) -> str:
-    """The literal of a reduced rational from the exact images of its components.
-
-    The text is that of ``str(Fraction)``: "num" when the denominator is 1,
-    else "num/den".
-    """
-    if denominator == 1:
-        return str(numerator)
-    return f"{numerator}/{denominator}"
+        numerator = str(EXACT.create_decimal(value.numerator))
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{EXACT.create_decimal(value.denominator)}"
 
 
 def component_bits(value: Fraction | Rational) -> int:

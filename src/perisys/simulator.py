@@ -125,13 +125,25 @@ their reduced forms, which ``str(Fraction)`` would give.  ``str`` of an
 int takes time quadratic in its length and refuses more than
 ``sys.get_int_max_str_digits()`` digits, so the export never converts a
 component: it keeps exact ``Decimal`` images (``numerics.EXACT``) of the
-components of y_{n-p} .. y_{n-1} and steps them by the kernel's own
-relations, y_n = y_{n-p} K_n and x_n = a / y_{n-p}: each image is divided
-by the cross gcd and multiplied by the other side's reduced component that
-the kernel's Reduction uses, so the literal is byte for byte
-``str(Fraction)``.  The gcds pair a full-size int with a small one, and
-each image is divided by one small int and multiplied by another, so a
-literal costs time linear in its length.
+component magnitudes of y_{n-p} .. y_{n-1} and steps them by the kernel's
+own relations, y_n = y_{n-p} K_n and x_n = a / y_{n-p}: each image is
+divided by the cross gcd and multiplied by the other side's reduced
+component that the kernel's Reduction uses, so the literal is byte for
+byte ``str(Fraction)``.  The gcds pair a full-size int with a small one,
+and each image is divided by one small int and multiplied by another, so
+a literal costs time linear in its length.
+
+Each component magnitude is rendered once: its image, its decimal text
+and its ``numerics.log_abs_int`` are made when the component is made, and
+kept in the window with it.  Row n steps y_{n-p}'s components twice: by
+K_n into y_n's, and, swapped, by a into x_n's.  A component that its step
+leaves unchanged, divisor 1 and factor 1, reuses y_{n-p}'s three as they
+are; any other gets its three made in row n.  So y_n's are made in row n
+and reused by x_{n+p}, and x_n's are made only where a's reduction
+changes them, never when |a| = 1.  A literal is the sign, the numerator's
+text, and "/" and the denominator's text unless the denominator is 1; a
+row's log magnitude is the difference of its two components' logs, the
+float that ``numerics.to_signed_log`` gives.
 
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
@@ -152,13 +164,13 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooFewPointsError, WrongBackendError
+from .errors import ArgumentRangeError, TooFewPointsError, WrongBackendError
 from .model import SystemSpec, spec_to_obj
 from .numerics import (
     EXACT,
     Rational,
     check_bits,
-    decimal_literal,
+    log_abs_int,
     resolve_max_bits,
     to_signed_log,
 )
@@ -566,54 +578,79 @@ def x_relation_check(traj: Trajectory) -> bool:
 def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
     """x values at indices t, t+m, t+2m, ... up to n_max, in order, as ``Rational`` pairs."""
     if m < 1:
-        raise ValueError(f"stride m must be >= 1, got {m}")
+        raise ArgumentRangeError(f"stride m must be >= 1, got {m}")
     if not 0 <= t < m:
-        raise ValueError(f"offset t must lie in 0..{m - 1}, got {t}")
+        raise ArgumentRangeError(f"offset t must lie in 0..{m - 1}, got {t}")
     offset = t + traj.spec.q - 1
     return list(map(Rational, traj.x_nums[offset::m], traj.x_dens[offset::m]))
 
 
-def _scaled(num: int, den: int, images: tuple, factor: Fraction | Rational) -> tuple:
-    """The images of the reduced components of (num/den) * factor (module docstring).
+def _image_text(image: decimal.Decimal) -> str:
+    """The decimal text of an exact image; the export makes every text it writes here."""
+    return str(image)
 
-    ``num/den`` is reduced and ``images`` holds its components as exact
-    ``Decimal`` values; each is divided by one cross gcd and multiplied by
-    the other side's reduced factor component.  Only the components of
-    ``factor`` are read: a is a ``Fraction``, K_n a ``Rational`` pair.
+
+def _rendered(value: int) -> tuple:
+    """(image, text, log) of the magnitude of a nonzero int (module docstring, Rendering)."""
+    image = EXACT.create_decimal(abs(value))
+    return image, _image_text(image), log_abs_int(value)
+
+
+def _component_step(rendered: tuple, value: int, divisor: int, factor: int) -> tuple:
+    """(image, text, log) of ``value``'s magnitude, m / divisor * factor, from those of m.
+
+    ``rendered`` is what :func:`_rendered` or this step made for m.  A
+    step by divisor 1 and factor 1 leaves m as it is, and returns its
+    image, text and log; any other makes all three anew, the image in time
+    linear in its length.
     """
-    g1 = _gcd(num, factor.denominator)
-    g2 = _gcd(den, factor.numerator)
-    num_image, den_image = images
-    return (_divide_multiply(num_image, g1, factor.numerator // g2),
-            _divide_multiply(den_image, g2, factor.denominator // g1))
-
-
-def _divide_multiply(image: decimal.Decimal, divisor: int, factor: int) -> decimal.Decimal:
-    """image / divisor * factor, exactly; a step by 1 is skipped."""
+    if divisor == 1 and factor == 1:
+        return rendered
+    image = rendered[0]
     if divisor != 1:
         image = EXACT.divide(image, divisor)
-    return image if factor == 1 else EXACT.multiply(image, factor)
+    if factor != 1:
+        image = EXACT.multiply(image, factor)
+    return image, _image_text(image), log_abs_int(value)
+
+
+def _literal(num: int, den: int, num_text: str, den_text: str) -> str:
+    """The literal of num/den from the texts of its magnitudes, as ``str(Fraction)`` writes it."""
+    sign = "-" if num < 0 else ""
+    return f"{sign}{num_text}" if den == 1 else f"{sign}{num_text}/{den_text}"
 
 
 def _exact_rows(spec: SystemSpec, coefficients: Sequence[Rational],
                 pairs: Iterator[tuple]) -> Iterator[tuple]:
-    """Export rows of exact pairs, with literals rendered from Decimal images (module docstring).
+    """Export rows of exact pairs, each component rendered once (module docstring, Rendering).
 
     ``coefficients`` are the 2q pairs of :func:`step_coefficients`, and
-    ``window`` holds y_{n-p} .. y_{n-1} with the images of their components.
+    ``window`` holds y_{n-p} .. y_{n-1}, each as its two ints and the
+    (image, text, log) of each component's magnitude.  Row n makes these
+    for y_n's components, which x_{n+p} reuses p rows later, and for x_n's
+    only where a's reduction changes a component of 1/y_{n-p}: never when
+    |a| = 1.  A row's sign is that of its numerator, and its log the
+    difference of its components' logs, the floats of ``to_signed_log``.
     """
-    window = deque(((y, (EXACT.create_decimal(y.numerator), EXACT.create_decimal(y.denominator)))
+    a_num, a_den = abs(spec.a.numerator), spec.a.denominator
+    window = deque(((y.numerator, y.denominator, _rendered(y.numerator), _rendered(y.denominator))
                     for y in spec.y_init[-spec.p:]), maxlen=spec.p)
-    for (n, x, y), coefficient in zip(pairs, itertools.cycle(coefficients)):
-        y_p, images = window[0]
-        x_images = _scaled(y_p.denominator, y_p.numerator, images[::-1], spec.a)
-        if y_p.numerator < 0:  # the sign of 1/y_{n-p} moves to its numerator
-            x_images = tuple(map(EXACT.minus, x_images))
-        y_images = _scaled(y_p.numerator, y_p.denominator, images, coefficient)
-        window.append((y, y_images))
-        sx, sy = to_signed_log(x), to_signed_log(y)
-        yield (n, decimal_literal(*x_images), decimal_literal(*y_images),
-               sx.sign, sx.logmag, sy.sign, sy.logmag)
+    steps = zip(pairs, itertools.cycle(coefficients))
+    for (n, (x_num, x_den), (y_num, y_den)), (k_num, k_den) in steps:
+        num, den, num_rendered, den_rendered = window[0]
+        # x_n = (1/y_{n-p}) a, where 1/y_{n-p} has magnitudes den / |num|
+        g1, g2 = _gcd(den, a_den), _gcd(num, a_num)
+        x_num_rendered = _component_step(den_rendered, x_num, g1, a_num // g2)
+        x_den_rendered = _component_step(num_rendered, x_den, g2, a_den // g1)
+        # y_n = y_{n-p} K_n
+        g1, g2 = _gcd(num, k_den), _gcd(den, k_num)
+        y_num_rendered = _component_step(num_rendered, y_num, g1, abs(k_num) // g2)
+        y_den_rendered = _component_step(den_rendered, y_den, g2, k_den // g1)
+        window.append((y_num, y_den, y_num_rendered, y_den_rendered))
+        yield (n, _literal(x_num, x_den, x_num_rendered[1], x_den_rendered[1]),
+               _literal(y_num, y_den, y_num_rendered[1], y_den_rendered[1]),
+               1 if x_num > 0 else -1, x_num_rendered[2] - x_den_rendered[2],
+               1 if y_num > 0 else -1, y_num_rendered[2] - y_den_rendered[2])
 
 
 def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tuple]:

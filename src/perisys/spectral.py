@@ -24,10 +24,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import ArgumentRangeError
+
 
 def _require_positive(p: int, q: int) -> None:
     if p < 1 or q < 1:
-        raise ValueError(f"p and q must be positive integers, got p={p}, q={q}")
+        raise ArgumentRangeError(f"p and q must be positive integers, got p={p}, q={q}")
 
 
 class Regime(Enum):

@@ -132,18 +132,18 @@ def test_simulate_out_file(periodic_config, tmp_path, capsys):
 def _fail_mid_export(monkeypatch):
     """Make an exact export fail on its second row, as the old 4300-digit fault did.
 
-    Each exact row converts x_n, then y_n, to signed-log form, so the third
-    conversion is that of x_2.
+    Each exact row forms the literal of x_n, then that of y_n, so the third
+    literal is that of x_2.
     """
-    original = simulator_module.to_signed_log
+    original = simulator_module._literal
     calls = []
 
-    def failing(value):
-        calls.append(value)
+    def failing(*args):
+        calls.append(args)
         if len(calls) == 3:
             raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
-        return original(value)
-    monkeypatch.setattr(simulator_module, "to_signed_log", failing)
+        return original(*args)
+    monkeypatch.setattr(simulator_module, "_literal", failing)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

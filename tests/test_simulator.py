@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -44,6 +45,7 @@ from perisys import (
     write_trajectory_json,
     x_relation_check,
 )
+from perisys import simulator
 from perisys.model import parse_spec_obj
 from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period, trajectory_rows
 
@@ -546,6 +548,15 @@ def test_subsequence():
         subsequence(traj, 5, 5)
 
 
+@pytest.mark.parametrize("m,t,message", [(0, 0, "stride m must be >= 1, got 0"),
+                                         (5, 5, "offset t must lie in 0..4, got 5")])
+def test_subsequence_range_errors_are_typed(m, t, message):
+    """A library caller can catch a bad stride or offset as ``PerisysError``; it stays a ValueError."""
+    with pytest.raises(PerisysError, match=f"^{re.escape(message)}$") as raised:
+        subsequence(simulate(HAND_SPEC, 20), m, t)
+    assert isinstance(raised.value, ValueError)
+
+
 def test_bit_length_cap_enforced():
     spec = random_signed_spec(random.Random(10), 2, 3, a=1, b=1)
     with bit_cap(64), pytest.raises(BitLengthExceededError):
@@ -712,6 +723,81 @@ def test_exact_rows_match_the_str_fraction_rendering_in_block_replay(p, q, sign)
         rows = list(trajectory_rows(spec, n_steps, BACKEND_EXACT))
         assert rows == _str_fraction_rows(spec, n_steps), n_steps
         assert_exports_match_stdlib_writers(spec, n_steps, BACKEND_EXACT)
+
+
+# Initial values whose steps give integer literals, with no "/", and
+# signed ones.
+INTEGRAL_VALUES = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, Fraction(-3, 4)], ids=str)
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 4), (3, 3), (2, 5), (4, 6)])
+def test_exact_rows_reusing_the_rendering_of_y_match_str_fraction(p, q, a):
+    """Rows where x_n reuses what y_{n-p} rendered equal those of ``str(Fraction)``.
+
+    |a| = 1 reuses both components of 1/y_{n-p}, and a = 2 or -3/4 one or
+    none of them.  Each case exports signed random data and data of
+    integers and unit fractions, whose rows hold integer literals, and
+    compares the CSV and JSON bytes with the stdlib writers' too.
+    """
+    rng = random.Random(10 * p + q)
+    a = Fraction(a)
+    signed = random_signed_spec(rng, p, q, a=a, b=rand_value(rng, 5, signed=True))
+    integral = SystemSpec(a=a, b=rng.choice((1, -1, 2, -3)), p=p, q=q,
+                          x_init=tuple(rng.choice(INTEGRAL_VALUES) for _ in range(q)),
+                          y_init=tuple(rng.choice(INTEGRAL_VALUES) for _ in range(q)))
+    for spec in (signed, integral):
+        rows = list(trajectory_rows(spec, 150, BACKEND_EXACT))
+        assert rows == _str_fraction_rows(spec, 150)
+        assert_exports_match_stdlib_writers(spec, 150, BACKEND_EXACT)
+    literals = [literal for row in rows for literal in row[1:3]]
+    assert any("/" not in literal for literal in literals)
+    assert any(literal.startswith("-") for literal in literals)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (4, 6)])
+def test_unit_a_export_renders_each_component_once(monkeypatch, p, q):
+    """With |a| = 1 an export of n rows makes at most 2n + 2p texts: y_n's two, and y_init's window.
+
+    a = 2 makes one x_n component anew in every row, which the count shows.
+    """
+    calls = []
+    image_text = simulator._image_text
+
+    def counting(image):
+        calls.append(image)
+        return image_text(image)
+
+    monkeypatch.setattr(simulator, "_image_text", counting)
+    n_steps = 200
+    for a in (1, -1, 2):
+        spec = random_signed_spec(random.Random(p + q), p, q, a=a, b=3)
+        assert block_period(p, step_coefficients(spec)) is None  # every row is rendered
+        calls.clear()
+        write_trajectory_csv(spec, n_steps, BACKEND_EXACT, io.StringIO())
+        if abs(a) == 1:
+            assert 0 < len(calls) <= 2 * n_steps + 2 * p
+        else:
+            assert len(calls) > 2 * n_steps + 2 * p
+
+
+@pytest.mark.parametrize("a", [1, -1, 2])
+@pytest.mark.parametrize("cap", [64, 256])
+def test_csv_export_streams_the_rows_before_the_cap(a, cap):
+    """Under a small cap a CSV export to a stream writes the oracle's rows up to the first value over it.
+
+    Then it raises the oracle's error, with nothing more written.
+    """
+    spec = random_signed_spec(random.Random(cap), 2, 3, a=a, b=1)
+    want, error = pairs_until_cap(naive_pairs(spec, cap), 2000)
+    assert error is not None and len(want) > 3
+    expected = io.StringIO()
+    csv_writer_export(spec, len(want), BACKEND_EXACT, expected)  # no cap: the rows before it
+    written = io.StringIO()
+    with bit_cap(cap), pytest.raises(BitLengthExceededError) as raised:
+        write_trajectory_csv(spec, 2000, BACKEND_EXACT, written)
+    assert str(raised.value) == error
+    assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
 
 
 # (2, 3) with initial components of about 20 bits: the literals pass

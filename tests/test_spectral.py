@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from perisys import (
+    PerisysError,
     Reason,
     Regime,
     classify,
@@ -173,3 +174,10 @@ def test_positive_arguments_required():
     for func in (classify, enumerate_roots, has_repeated_root, decompose):
         with pytest.raises(ValueError):
             func(0, 3)
+
+
+def test_nonpositive_delays_are_a_typed_error():
+    """A library caller can catch the delay error as ``PerisysError``; it stays a ValueError."""
+    with pytest.raises(PerisysError, match=r"^p and q must be positive integers, got p=0, q=3$") as raised:
+        classify(0, 3)
+    assert isinstance(raised.value, ValueError)
