@@ -126,14 +126,17 @@ def second_difference_check(traj: Trajectory) -> bool:
     if traj.n_max < 2 * m + 1:
         raise TooFewPointsError(f"needs n >= {2 * m + 1}")
     x, q = (traj.x_nums, traj.x_dens), spec.q  # list offset q holds x_1
-    return _matches_reference_cycle(traj, x, x, m, q + 2 * m, _quotients(x, x, m, q + m, q + 2 * m))
+    return _matches_reference_cycle(traj, x, x, m, q + 2 * m,
+                                    _quotients(traj, x, x, m, q + m, q + 2 * m))
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:
     """Least-squares slope of ln|x_{mn+t}| against the block counter n.
 
     The logs come from the stored components, through ``to_signed_log`` of
-    each ``Rational`` pair; no ``Fraction`` is built.
+    each ``Rational`` pair; no ``Fraction`` is built.  It takes one log per
+    subsequence value, about n_max / m, also where the trajectory stores
+    one block.
     """
     values = subsequence(traj, m, t)
     if len(values) < 3:

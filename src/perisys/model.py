@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ShapeError, SpecSyntaxError, ZeroValueError
+from .errors import ArgumentRangeError, ShapeError, SpecSyntaxError, ZeroValueError
 from .numerics import format_rational, parse_rational
 
 VALIDATION_MODES = ("strict", "general")
@@ -94,10 +94,10 @@ def validate(spec: SystemSpec, mode: str = "strict") -> ValidationReport:
     ``strict`` enforces the classical p < q and p not dividing q.
     ``general`` adds no rule beyond the spec's own: every ``SystemSpec``
     already has p <= q, which is all the simulator needs, so a general
-    report is always ok.
+    report is always ok.  Any other mode raises ``ArgumentRangeError``.
     """
     if mode not in VALIDATION_MODES:
-        raise ValueError(f"mode must be one of {VALIDATION_MODES}, got {mode!r}")
+        raise ArgumentRangeError(f"mode must be one of {VALIDATION_MODES}, got {mode!r}")
     violations: list[tuple[str, str]] = []
     if mode == "strict":
         if spec.p >= spec.q:

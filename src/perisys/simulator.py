@@ -100,8 +100,9 @@ so it is the canonical pair that ``Fraction`` would give.
 denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
 Each caller that knows how many steps it needs uses P to stop computing,
 and replays what it has stored; each stored value already passed the bit
-cap.  :func:`simulate` extends each column, whose offsets q .. q + P - 1
-hold indices 1 .. P, by cycling those P values with ``list.extend``;
+cap.  :func:`simulate` stores the initial data and one block, indices
+1 .. P at offsets q .. q + P - 1 of each column, and the
+:class:`Trajectory` readers cycle that block through the logical length;
 :func:`trajectory_rows` cycles its first P rendered rows, with n
 renumbered.  ``cycle.detect_cycle`` decides from P: no cycle without
 one, and otherwise the minimal period among the divisors of P, from the
@@ -187,6 +188,12 @@ class Trajectory:
 
     The values are stored as four int columns, the canonical numerators
     and denominators of x and of y; list offset k holds index k - q + 1.
+    Each column holds the q initial values, then the generated ones, all
+    ``n_max`` of them or fewer.  Fewer means that the generated values
+    stored form a block, whose length B is the number stored, that
+    repeats through ``n_max``: index n > B holds the value of index
+    1 + (n - 1) mod B.  :func:`simulate` stores a block, of length its
+    :func:`block_period`, for each periodic trajectory longer than it.
     """
 
     spec: SystemSpec
@@ -194,15 +201,26 @@ class Trajectory:
     x_dens: list
     y_nums: list
     y_dens: list
+    n_max: int
 
-    @property
-    def n_max(self) -> int:
-        return len(self.x_nums) - self.spec.q
+    def _read(self, column: list, start: int, stop: int | None = None,
+              step: int = 1) -> Iterator[int]:
+        """``column``'s values at list offsets start, start + step, ... < stop, ``None`` the end.
+
+        The one reader of the logical range, offsets 0 .. q + n_max - 1:
+        past the stored values it cycles the block, ``column[q:]``.
+        """
+        end = self.spec.q + self.n_max
+        if len(column) < end:
+            column = itertools.chain(column[:self.spec.q], itertools.cycle(column[self.spec.q:]))
+        return itertools.islice(column, start, end if stop is None else min(stop, end), step)
 
     def _offset(self, n: int) -> int:
-        if not -self.spec.q + 1 <= n <= self.n_max:
-            raise IndexError(f"index {n} outside stored range {1 - self.spec.q} .. {self.n_max}")
-        return n + self.spec.q - 1
+        """The stored list offset of index n: its own, or that of 1 + (n - 1) mod B in the block."""
+        q = self.spec.q
+        if not 1 - q <= n <= self.n_max:
+            raise IndexError(f"index {n} outside stored range {1 - q} .. {self.n_max}")
+        return n + q - 1 if n + q <= len(self.x_nums) else q + (n - 1) % (len(self.x_nums) - q)
 
     def x(self, n: int) -> Fraction:
         k = self._offset(n)
@@ -406,9 +424,11 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     The exact kernel :func:`_exact_steps` appends its steps straight to the
     four int columns of the :class:`Trajectory`, with no per-step pair.
     When the pairs repeat with a :func:`block_period` P < ``n_steps``, it
-    runs only P steps, and each column is extended by cycling its own block
-    of P values.  The bit cap is that of :func:`iter_pairs`, resolved
-    before the first step.  ``n_steps`` < 1 raises ``TooFewPointsError``.
+    runs only P steps: the columns hold the initial data and that one
+    block, which the trajectory's readers cycle through ``n_steps``, so
+    memory is O(q + P) whatever ``n_steps`` is.  The bit cap is that of
+    :func:`iter_pairs`, resolved before the first step.  ``n_steps`` < 1
+    raises ``TooFewPointsError``.
     """
     if n_steps < 1:
         raise TooFewPointsError("needs n >= 1")
@@ -419,46 +439,24 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     period = block_period(spec.p, coefficients)
     stop = n_steps if period is None else min(n_steps, period)
     deque(_exact_steps(spec, cap, coefficients, stop, *columns), maxlen=0)
-    if stop < n_steps:
-        for column in columns:  # offset q holds index 1, so column[q:] is the block
-            column.extend(itertools.islice(itertools.cycle(column[spec.q:]), n_steps - stop))
-    return Trajectory(spec, *columns)
+    return Trajectory(spec, *columns, n_steps)
 
 
-def _quotients(v: tuple, w: tuple, lag: int, start: int, stop: int) -> list[Fraction]:
+def _quotients(traj: Trajectory, v: tuple, w: tuple, lag: int, start: int,
+               stop: int) -> list[Fraction]:
     """W_k = v_k / w_{k - lag} at list offsets k = start .. stop - 1, each one reduced ``Fraction``.
 
-    ``v`` and ``w`` are (nums, dens) column pairs, and each W_k is formed
-    as ``Fraction(vN wD, vD wN)``, so a zero w_{k - lag} raises
+    ``v`` and ``w`` are (nums, dens) column pairs of ``traj``, read through
+    its reader up to its last index, and each W_k is formed as
+    ``Fraction(vN wD, vD wN)``, so a zero w_{k - lag} raises
     ``ZeroDivisionError`` and a zero v_k gives W_k = 0.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
     return [Fraction(v_num * w_den, v_den * w_num)
-            for v_num, v_den, w_num, w_den in zip(v_nums[start:stop], v_dens[start:stop],
-                                                  w_nums[start - lag:stop - lag],
-                                                  w_dens[start - lag:stop - lag])]
-
-
-def _repeat_stop(columns: Sequence[list], first: int, lag: int, period: int) -> int | None:
-    """The offset where a law may stop comparing: ``first + period`` if the columns repeat.
-
-    They repeat if column[k] == column[k - period] for every offset
-    k >= first - lag + period of every column, tested as one C-level list
-    equality per column, after a test of the last value of each, so that
-    a drifting trajectory pays one comparison per column.  ``None`` when
-    a column does not repeat, or when no comparison at an offset
-    >= first + period is left to skip.  The columns must have one length.
-    Why the stop is sound: :func:`_matches_reference_cycle`.
-    """
-    stop = first + period
-    start = first - lag
-    if len(columns[0]) <= stop:
-        return None
-    if any(column[-1] != column[-1 - period] for column in columns):
-        return None
-    if all(column[start + period:] == column[start:-period] for column in columns):
-        return stop
-    return None
+            for v_num, v_den, w_num, w_den in zip(traj._read(v_nums, start, stop),
+                                                  traj._read(v_dens, start, stop),
+                                                  traj._read(w_nums, start - lag),
+                                                  traj._read(w_dens, start - lag))]
 
 
 def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
@@ -469,37 +467,36 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     (nums, dens) column pairs of ``traj``; ``w`` may be ``v`` itself, or a
     pair with its columns swapped, which stands for the reciprocal.
     j = (k - first) mod len(references), so the references repeat along
-    the offsets.  Each
-    comparison is cross-multiplied over numerators (N) and denominators
-    (D), as vN wD rD == rN wN vD: for nonzero denominators u/v = r/s holds
-    exactly when u*s = r*v, signs included.  The exact checks take their
-    references from the stored values themselves: small reduced rationals
-    in a correct trajectory, so an offset costs two products of value-sized
-    integers and two by a small one.
+    the offsets.  Every value is read through the trajectory's reader, up
+    to its last index.  Each comparison is cross-multiplied over numerators
+    (N) and denominators (D), as vN wD rD == rN wN vD: for nonzero
+    denominators u/v = r/s holds exactly when u*s = r*v, signs included.
+    The exact checks take their references from the stored values
+    themselves: small reduced rationals in a correct trajectory, so an
+    offset costs two products of value-sized integers and two by a small
+    one.
 
     Repeats.  T = 2 lcm(p, 2q), from the spec's delays alone and not from
-    the kernel: in the periodic regime a periodic solution repeats with a
-    period dividing T.  Nothing rests on that claim, since the columns are
-    compared; a trajectory that does not repeat is compared throughout.
-    Every caller's len(references) divides T.  If every column of v and w
-    (each once, when w is v) repeats with T from offset first - lag + T
-    (:func:`_repeat_stop`), only the offsets first .. first + T - 1 are
-    compared.  Proof: a
+    the kernel; every caller's len(references) divides T.  When ``traj``
+    stores a block whose length B divides T, only the offsets
+    first .. first + T - 1 are compared; a trajectory that stores every
+    value, drifting, short or built by hand, is compared at every offset.
+    Proof: the columns are B-periodic from offset q by construction, since
+    the reader cycles the block, and every caller has first - lag >= q.  A
     comparison at k >= first + T reads v at k and w at k - lag, both
-    offsets >= first - lag + T, so v_k = v_{k-T} and w_{k-lag} =
-    w_{k-lag-T}; and its j is that of k - T, since len(references) divides
+    offsets >= q, so v_k = v_{k-T} and w_{k-lag} = w_{k-lag-T} as B
+    divides T; and its j is that of k - T, since len(references) divides
     T.  So it is the comparison at k - T >= first, and by induction on k
     every comparison is one at an offset in first .. first + T - 1.
     """
-    spec = traj.spec
     (v_nums, v_dens), (w_nums, w_dens) = v, w
-    columns = v if w is v else (*v, *w)
-    stop = _repeat_stop(columns, first, lag, 2 * math.lcm(spec.p, 2 * spec.q))
+    repeat, block = 2 * math.lcm(traj.spec.p, 2 * traj.spec.q), len(v_nums) - traj.spec.q
+    stop = first + repeat if block < traj.n_max and repeat % block == 0 else None
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
-            itertools.islice(v_nums, first, stop), itertools.islice(v_dens, first, stop),
-            itertools.islice(w_nums, first - lag, None), itertools.islice(w_dens, first - lag, None),
+            traj._read(v_nums, first, stop), traj._read(v_dens, first, stop),
+            traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),
             itertools.cycle([r.as_integer_ratio() for r in references]),
         )
     )
@@ -523,7 +520,7 @@ def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     nonzero.
     """
     q = traj.spec.q
-    head = _quotients(v, w, lag, first, first + 3 * q)
+    head = _quotients(traj, v, w, lag, first, first + 3 * q)
     if not all(w_k * w_kq == const for w_k, w_kq in zip(head[q:], head)):
         return False
     return _matches_reference_cycle(traj, v, w, lag, first + 3 * q, head[q:])
@@ -576,13 +573,18 @@ def x_relation_check(traj: Trajectory) -> bool:
 
 
 def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
-    """x values at indices t, t+m, t+2m, ... up to n_max, in order, as ``Rational`` pairs."""
+    """x values at indices t, t+m, t+2m, ... up to n_max, in order, as ``Rational`` pairs.
+
+    They are read through the trajectory's reader, so a stored block is
+    cycled through n_max.
+    """
     if m < 1:
         raise ArgumentRangeError(f"stride m must be >= 1, got {m}")
     if not 0 <= t < m:
         raise ArgumentRangeError(f"offset t must lie in 0..{m - 1}, got {t}")
     offset = t + traj.spec.q - 1
-    return list(map(Rational, traj.x_nums[offset::m], traj.x_dens[offset::m]))
+    return list(map(Rational, traj._read(traj.x_nums, offset, None, m),
+                    traj._read(traj.x_dens, offset, None, m)))
 
 
 def _image_text(image: decimal.Decimal) -> str:

@@ -18,6 +18,7 @@ from perisys import (
     Periodic,
     Rational,
     SystemSpec,
+    Trajectory,
     simulate,
     spec_to_obj,
 )
@@ -141,6 +142,28 @@ def canonical_triples(triples) -> list:
 def columns(values) -> tuple[list, list]:
     """The numerator and denominator columns of a sequence of ``Fraction``s."""
     return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def logical_columns(traj) -> tuple[list, list, list, list]:
+    """The four columns of ``traj`` at every index -q+1 .. n_max, read through ``x()`` and ``y()``.
+
+    A trajectory that stores one block has shorter columns; its accessors
+    cycle the block, so these are the columns of every value it stands for.
+    """
+    indices = range(1 - traj.spec.q, traj.n_max + 1)
+    return (*columns([traj.x(n) for n in indices]), *columns([traj.y(n) for n in indices]))
+
+
+def materialised(spec, n_steps) -> Trajectory:
+    """Test oracle: the trajectory of ``spec`` through ``n_steps`` with every value stored.
+
+    Its columns hold all q + n_steps values of the literal recurrence,
+    :func:`naive_pairs`, so no reader of it cycles a block, and the exact
+    laws compare it at every offset.
+    """
+    steps = list(itertools.islice(naive_pairs(spec), n_steps))
+    return Trajectory(spec, *columns(list(spec.x_init) + [x for _, x, _ in steps]),
+                      *columns(list(spec.y_init) + [y for _, _, y in steps]), n_steps)
 
 
 _MODULUS = (1 << 61) - 1

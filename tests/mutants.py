@@ -1,0 +1,160 @@
+"""Recorded mutants of ``src/perisys``, each of which the tier-1 tests must kill.
+
+Each entry names a mutant, the file it changes, the exact text it
+replaces, the text it puts in its place, and the tests expected to kill
+it, as test files or, where a file's hypothesis tests would take long to
+shrink their counterexample first, as pytest node ids.  Run from
+anywhere, with pytest installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+The runner first checks that the listed tests pass on an unchanged copy.
+Then, for each mutant, it copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the one replacement
+and runs ``pytest -x`` on the mutant's tests there.  A mutant is killed
+when pytest exits 1 or 2: a test fails, or collecting the tests does (a
+module-level call into the mutated code can raise).  A mutant fails the
+run when its old text does not occur exactly once, so a change that
+moves the code must restate its mutants here, and when the mutated file
+does not compile, so that no syntax error passes for a kill.  The exit
+code is 1 if any mutant survived or could not be applied, else 0.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    killers: tuple[str, ...]  # test files or node ids, relative to the repository root
+
+
+SIMULATOR, CYCLE = "src/perisys/simulator.py", "src/perisys/cycle.py"
+TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
+TEST_CLI = "tests/test_cli.py"
+TEST_REPEATS = "tests/test_exact_checks.py::test_checks_stop_after_one_repeat_and_match_the_oracles"
+TEST_BLOCK = "tests/test_exact_checks.py::test_block_backed_trajectory_matches_materialised"
+
+MUTANTS = (
+    # the detector answers period 1, which properly divides every E, so
+    # agreement reads degenerate where generic data must read pass
+    Mutant("period-1 detector", CYCLE,
+           "    period = next((t for t in range(1, size)",
+           "    period = 1 or next((t for t in range(1, size)",
+           (TEST_CYCLE, TEST_CLI)),
+    # the detector answers twice the minimal period, 2E on generic data
+    Mutant("period-2E detector", CYCLE,
+           "and block[t:] == block[:-t]), size)",
+           "and block[t:] == block[:-t]), size) * 2",
+           (TEST_CYCLE, TEST_CLI)),
+    # K and R keep a negative denominator: not the canonical pair
+    Mutant("_reduced without its sign move", SIMULATOR,
+           "    if den < 0:\n        g = -g\n",
+           "",
+           (TEST_SIMULATOR,)),
+    # the comparison engine reads w from v's columns, so the product
+    # invariant (v = y, w = 1/x) no longer reads x
+    Mutant("engine reads only v's columns", SIMULATOR,
+           "traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),",
+           "traj._read(v_nums, first - lag), traj._read(v_dens, first - lag),",
+           (TEST_REPEATS,)),
+    # the engine stops after one repeat of a trajectory that stores every
+    # value, which need not repeat
+    Mutant("engine stops without a stored block", SIMULATOR,
+           "stop = first + repeat if block < traj.n_max and repeat % block == 0 else None",
+           "stop = first + repeat",
+           (TEST_REPEATS,)),
+    # x() and y() past the block map index n to 1 + n mod B, one too far
+    Mutant("accessors past the block by n mod B", SIMULATOR,
+           "q + (n - 1) % (len(self.x_nums) - q)",
+           "q + n % (len(self.x_nums) - q)",
+           (TEST_BLOCK,)),
+    # the reader cycles the initial data along with the block
+    Mutant("reader cycles the initial data", SIMULATOR,
+           "itertools.cycle(column[self.spec.q:])",
+           "itertools.cycle(column)",
+           (TEST_BLOCK,)),
+    # an exact export past the block period renumbers its replayed rows from P + 2
+    Mutant("replay renumbered from P + 2", SIMULATOR,
+           "zip(range(len(stored) + 1, n_steps + 1)",
+           "zip(range(len(stored) + 2, n_steps + 2)",
+           (TEST_SIMULATOR,)),
+    # the renderer reuses m's text when only the divisor is 1, whatever the factor
+    Mutant("renderer reuses a text when only the divisor is 1", SIMULATOR,
+           "    if divisor == 1 and factor == 1:\n        return rendered",
+           "    if divisor == 1:\n        return rendered",
+           (TEST_SIMULATOR,)),
+)
+
+
+def _pytest(tree: str, files) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *files], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(tree: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, os.path.join(tree, part), ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", tree)
+
+
+def run(mutant: Mutant | None, files) -> str | None:
+    """Why ``mutant`` was not killed, or ``None`` if it was; no mutant means the unchanged copy."""
+    with tempfile.TemporaryDirectory(prefix="perisys-mutant-") as tree:
+        _copy(tree)
+        if mutant is None:
+            code = _pytest(tree, files)
+            return None if code == 0 else f"the unchanged copy fails its tests (pytest exit {code})"
+        target = pathlib.Path(tree, mutant.path)
+        text = target.read_text(encoding="utf-8")
+        found = text.count(mutant.old)
+        if found != 1:
+            return f"its old text occurs {found} times in {mutant.path}"
+        text = text.replace(mutant.old, mutant.new)
+        try:
+            compile(text, mutant.path, "exec")
+        except SyntaxError as exc:
+            return f"the mutated file does not compile: {exc}"
+        target.write_text(text, encoding="utf-8")
+        code = _pytest(tree, files)
+        return None if code in (1, 2) else f"it survived (pytest exit {code})"
+
+
+def main(names) -> int:
+    unknown = set(names) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    files = sorted({file for mutant in chosen for file in mutant.killers})
+    failures = 0
+    for mutant in [None, *chosen]:
+        start = time.perf_counter()
+        problem = run(mutant, files if mutant is None else mutant.killers)
+        failures += problem is not None
+        label = "unchanged copy" if mutant is None else mutant.name
+        print(f"{'FAIL' if problem else 'ok':4s} {time.perf_counter() - start:6.1f} s  {label}"
+              + (f": {problem}" if problem else ""), flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -240,8 +240,7 @@ def test_alternating_sign_dynamics():
     # obey the drift-free laws
     spec = random_signed_spec(random.Random(15), 6, 10, a=2, b=-2)
     traj = simulate(spec, 400)
-    # a stored value has the sign of its numerator
-    signs = [(1 if x > 0 else -1, 1 if y > 0 else -1) for x, y in zip(traj.x_nums, traj.y_nums)]
+    signs = [(1 if traj.x(n) > 0 else -1, 1 if traj.y(n) > 0 else -1) for n in range(-9, 401)]
     assert find_window_cycle(signs, 10) is not None
     assert {abs(traj.x(n + 60) / traj.x(n)) for n in range(1, 301)} == {Fraction(1)}
     assert second_difference_check(traj)

@@ -147,9 +147,9 @@ def oracle_cycle(traj):
     """The naive window-tuple scan, as Periodic / NoCycleWithinHorizon."""
     spec = traj.spec
     w = max(spec.p, spec.q)
-    # stored components are canonical, so equal pairs have equal components
-    pairs = zip(zip(traj.x_nums, traj.x_dens), zip(traj.y_nums, traj.y_dens))
-    hit = find_window_cycle(list(pairs), w)
+    # read through the accessors, which cycle a stored block through n_max
+    pairs = [(traj.x(n), traj.y(n)) for n in range(1 - spec.q, traj.n_max + 1)]
+    hit = find_window_cycle(pairs, w)
     if hit is None:
         return NoCycleWithinHorizon(traj.n_max)
     # pairs begin at index -q+1, so the window starting at offset k ends at k + w - q

@@ -7,16 +7,18 @@ where the r_j are small reduced references taken from the trajectory
 itself: z_r = x_r y_r for the product invariant (v = y, w = 1/x), the
 ratios x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second
 difference, and the constant c^(q/g) for the block ratio.  The first two
-check their law on the references first.  When the stored columns of v
-and w repeat with T = 2 lcm(p, 2q), the engine stops after its first T
-offsets, since every later comparison repeats one of them
-(``simulator._repeat_stop``).  The ``oracle_*`` functions below are the
-reference: they form the Fraction products of each law directly at every
-index and read every value through the bounds-checked
-``Trajectory.x()``/``y()`` accessors.  They exist only for the
-differential tests here, which cover the stop on long periodic
-trajectories, clean and corrupted: in their last block, at every T-th
-index, and in their initial data.
+check their law on the references first.  A periodic trajectory from
+``simulate`` stores its initial data and one block, which its readers
+cycle; when the block length divides T = 2 lcm(p, 2q), the engine stops
+after its first T offsets, since every later comparison repeats one of
+them.  A trajectory that stores every value is compared at every offset.
+The ``oracle_*`` functions below are the reference: they form the
+Fraction products of each law directly at every index and read every
+value through the bounds-checked ``Trajectory.x()``/``y()`` accessors.
+They exist only for the differential tests here.  Those cover long
+periodic trajectories in both forms, block-backed and materialised (the
+conftest ``materialised``, every value stored), clean and corrupted: in
+their last block, at every T-th index, and in their initial data.
 """
 
 from __future__ import annotations
@@ -33,16 +35,26 @@ from perisys import (
     TooFewPointsError,
     WrongRegimeError,
     block_ratio_check,
+    growth_slope,
     product_invariant_check,
     random_positive_spec,
     second_difference_check,
     simulate,
     simulator,
+    step_coefficients,
+    subsequence,
     x_relation_check,
 )
+from perisys.simulator import block_period
 from perisys.numerics import Rational, component_bits
 
-from conftest import nonzero_rationals, product_family_spec, random_signed_spec, specs
+from conftest import (
+    materialised,
+    nonzero_rationals,
+    product_family_spec,
+    random_signed_spec,
+    specs,
+)
 
 
 def oracle_product_invariant(traj) -> bool:
@@ -122,20 +134,24 @@ def trajectories(draw):
     flips its sign, through its numerator and denominator columns.  It can
     land on an initial entry as well as on a generated one.  Trajectories
     run to n = 4m + 3q, so that every check can stop early on a periodic
-    one.
+    one.  A periodic one is drawn block-backed, as ``simulate`` stores it,
+    where a corrupted block value recurs at every repeat, or materialised,
+    with every value stored, where it changes one index.
     """
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
     # n > 4m puts the second difference's stop, list offset q + 4m, inside
     n = draw(st.integers(1, 4 * m + 3 * spec.q))
     traj = simulate(spec, n)
+    if len(traj.x_nums) < spec.q + n and draw(st.booleans()):
+        traj = materialised(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
         if draw(st.booleans()):
             nums, dens = traj.x_nums, traj.x_dens
         else:
             nums, dens = traj.y_nums, traj.y_dens
-        k = draw(st.integers(0, spec.q + n - 1))  # list offset; below q is an initial entry
+        k = draw(st.integers(0, len(nums) - 1))  # stored list offset; below q is an initial entry
         if corruption == "sign":
             nums[k] = -nums[k]
         else:
@@ -301,11 +317,13 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
         block_ratio_check(unbounded)  # no block ratio in this regime
 
 
-# Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q), whose
-# columns repeat with T = 2M, so every check may stop after its first T
-# offsets: generic c = 1 data on (6, 10), where every R_r = 1 (P = M = 60);
-# b = -a on (3, 5), where R = -1 (P = 2M = 60); and x y = b data on (5, 8),
-# which repeats with p = 5, far below M = 80.
+# Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q), which
+# repeat with T = 2M: generic c = 1 data on (6, 10), where every R_r = 1
+# (P = M = 60); b = -a on (3, 5), where R = -1 (P = 2M = 60); and x y = b
+# data on (5, 8), which repeats with p = 5, far below M = 80.  ``simulate``
+# stores their initial data and one block of P values, so every check may
+# stop after its first T offsets; ``materialised`` stores every value, so
+# every check compares them all.
 REPEATING = {
     "c=1-(6,10)": random_signed_spec(random.Random(5), 6, 10, a=1, b=1),
     "b=-a-(3,5)": random_signed_spec(random.Random(5), 3, 5, a=2, b=-2),
@@ -317,20 +335,22 @@ def repeat_period(spec) -> int:
     return 2 * math.lcm(spec.p, 2 * spec.q)
 
 
-def long_periodic(spec):
-    return simulate(spec, 2 * repeat_period(spec) + 3 * spec.q)
+def long_periodic(spec, form):
+    n = 2 * repeat_period(spec) + 3 * spec.q
+    return simulate(spec, n) if form == "block" else materialised(spec, n)
 
 
 def corrupt(traj, how, nums):
     """Scale stored values of ``nums``, a numerator column of ``traj``, by 3.
 
-    "last-block": the last value but one, past every check's stop, which
-    the test of the last value alone would miss;
-    "every-T": x_n or y_n at every n = 1 (mod T), so the column still
-    repeats with T; "every-T-tail": the same at n = T - 1 (mod T), which
-    lies past the head of the product invariant and the x-relation, so
-    they see it only in their first T compared offsets; "initial": the
-    entry at index 0.
+    On a materialised trajectory: "last-block", the last value but one,
+    past every check's stop; "every-T", x_n or y_n at every n = 1 (mod T),
+    so the column still repeats with T; "every-T-tail", the same at
+    n = T - 1 (mod T), which lies past the head of the product invariant
+    and the x-relation, so they see it only in their first T compared
+    offsets; "initial", the entry at index 0.  On a block-backed one the
+    same stored offsets hold block values, so each corruption recurs at
+    every repeat of the block; an offset past the block is left out.
     """
     q, period = traj.spec.q, repeat_period(traj.spec)
     offsets = {  # list offset k holds index k - q + 1
@@ -347,44 +367,55 @@ def corrupt(traj, how, nums):
 @pytest.mark.parametrize("column", ["x_nums", "y_nums"])
 @pytest.mark.parametrize("how", ["clean", "last-block", "every-T", "every-T-tail", "initial"])
 @pytest.mark.parametrize("name", REPEATING)
-def test_checks_stop_after_one_repeat_and_match_the_oracles(name, how, column):
-    traj = long_periodic(REPEATING[name])
-    spec, period = traj.spec, repeat_period(traj.spec)
+@pytest.mark.parametrize("form", ["materialised", "block"])
+def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, column):
+    """Both forms fail exactly where the oracles, which read every index, fail.
+
+    A block-backed trajectory stores q + P values per column, and its
+    checks may stop after one repeat.  A materialised one stores every
+    value, and no check stops, so one changed value in its last block
+    fails it.
+    """
+    traj = long_periodic(REPEATING[name], form)
+    spec = traj.spec
+    period = block_period(spec.p, step_coefficients(spec))
+    assert len(traj.x_nums) == spec.q + (period if form == "block" else traj.n_max)
     corrupt(traj, how, getattr(traj, column))
-    columns = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
-    # from index 1 on, the columns repeat with T unless the last block was changed
-    repeats = simulator._repeat_stop(columns, spec.q, 0, period) is not None
-    assert repeats == (how != "last-block")
     got = {check.__name__: outcome(check, traj) for check, _ in CHECKS_AND_ORACLES}
     want = {check.__name__: outcome(oracle, traj) for check, oracle in CHECKS_AND_ORACLES}
     assert got == want
     if how == "clean":
         assert set(want.values()) == {True}
+    if how == "last-block":
+        assert False in want.values()
 
 
-def test_repeat_stop():
-    spec = REPEATING["c=1-(6,10)"]
-    m = math.lcm(spec.p, 2 * spec.q)
-    period, first, lag = 2 * m, spec.q + m, m  # the block ratio's offsets
-    start = first - lag
-    traj = long_periodic(spec)
-    columns = [traj.x_nums, traj.x_dens]
-    assert simulator._repeat_stop(columns, first, lag, period) == first + period
-    # nothing is left to skip unless an offset >= first + T is stored
-    short = simulate(spec, first + period - spec.q)
-    assert len(short.x_nums) == first + period
-    assert simulator._repeat_stop([short.x_nums, short.x_dens], first, lag, period) is None
-    short = simulate(spec, first + period + 1 - spec.q)
-    assert simulator._repeat_stop([short.x_nums, short.x_dens], first, lag, period) == first + period
-    shorter = simulate(spec, start + period - spec.q - 1)
-    assert simulator._repeat_stop([shorter.x_nums, shorter.x_dens], first, lag, period) is None
-    # drift: c = 1/2 never repeats
-    drift = simulate(DRIFT, 2000)
-    assert simulator._repeat_stop([drift.x_nums, drift.x_dens], first, lag, period) is None
-    # one value in the last block, the last one or an earlier one, or the
-    # first one the comparison reads; a value before it is never read
-    for k, stops in ((-1, False), (-period // 2, False), (start, False), (start - 1, True)):
-        changed = list(traj.x_dens)
-        changed[k] *= 3
-        stop = simulator._repeat_stop([traj.x_nums, changed], first, lag, period)
-        assert (stop == first + period) if stops else (stop is None), k
+@pytest.mark.parametrize("steps", ["P", "P+1", "3P+q"])
+@pytest.mark.parametrize("name", REPEATING)
+def test_block_backed_trajectory_matches_materialised(name, steps):
+    """Every reader of a stored block gives what a trajectory storing every value gives.
+
+    That is every x(n) and y(n), ``subsequence`` for strides below, at and
+    past the block length, every exact law, and ``growth_slope``.
+    """
+    spec = REPEATING[name]
+    period = block_period(spec.p, step_coefficients(spec))
+    n = {"P": period, "P+1": period + 1, "3P+q": 3 * period + spec.q}[steps]
+    block, full = simulate(spec, n), materialised(spec, n)
+    assert block.n_max == full.n_max == n
+    assert len(block.x_nums) == len(block.y_dens) == spec.q + period
+    assert len(full.x_nums) == spec.q + n
+    indices = range(1 - spec.q, n + 1)
+    assert [block.x(k) for k in indices] == [full.x(k) for k in indices]
+    assert [block.y(k) for k in indices] == [full.y(k) for k in indices]
+    strides = [(1, 0), (2, 1), (7, 5), (spec.q, spec.q - 1), (period, 0), (period, period - 1),
+               (period + 1, 1), (2 * period, 3)]
+    for m, t in strides:
+        assert subsequence(block, m, t) == subsequence(full, m, t), (m, t)
+
+        def slope(traj):
+            return growth_slope(traj, m, t)
+
+        assert outcome(slope, block) == outcome(slope, full), (m, t)
+    for check, _ in CHECKS_AND_ORACLES:
+        assert outcome(check, block) == outcome(check, full), check.__name__

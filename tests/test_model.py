@@ -11,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perisys import (
+    ArgumentRangeError,
+    PerisysError,
     ShapeError,
     SpecSyntaxError,
     SystemSpec,
@@ -194,6 +196,14 @@ def test_validate_modes():
         _delays(5, 3)
     with pytest.raises(ValueError):
         validate(_delays(2, 3), "lenient")
+
+
+@pytest.mark.parametrize("mode", ["bogus", "lenient", "STRICT", ""])
+def test_validate_rejects_an_unknown_mode_with_a_typed_error(mode):
+    with pytest.raises(ArgumentRangeError) as raised:
+        validate(_delays(2, 3), mode)
+    assert isinstance(raised.value, PerisysError) and isinstance(raised.value, ValueError)
+    assert str(raised.value) == f"mode must be one of ('strict', 'general'), got {mode!r}"
 
 
 def test_validate_is_pure():

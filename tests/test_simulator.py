@@ -57,6 +57,7 @@ from conftest import (
     csv_writer_export,
     fixed_point_spec,
     json_dump_export,
+    logical_columns,
     naive_pairs,
     product_family_spec,
     rand_value,
@@ -156,8 +157,8 @@ def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
         assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
         if error is None:
             traj = simulate(spec, n_steps)
-            assert (traj.x_nums, traj.x_dens) == columns(list(spec.x_init) + [x for _, x, _ in want])
-            assert (traj.y_nums, traj.y_dens) == columns(list(spec.y_init) + [y for _, _, y in want])
+            assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
+                                             *columns(list(spec.y_init) + [y for _, _, y in want]))
         else:
             with pytest.raises(BitLengthExceededError) as info:
                 simulate(spec, n_steps)
@@ -179,9 +180,9 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     ``detect_cycle`` compares them as pairs, which is sound only on
     canonical forms.  ``specs`` draws signed data, p = q, b = -a and
     a != +-1; the x y = b family is periodic in every regime, and its steps
-    run past the block period P, where ``simulate`` replays its columns and
-    ``iter_pairs`` steps on.  A small cap can stop them inside the first
-    block.
+    run past the block period P, where ``simulate`` stores one block that
+    its accessors cycle, and ``iter_pairs`` steps on.  A small cap can stop
+    them inside the first block.
     """
     if data != "drawn":
         spec = product_family_spec(rng, spec.p, spec.q, spec.a,
@@ -199,8 +200,9 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     if traj is not None:
         for nums, dens in ((traj.x_nums, traj.x_dens), (traj.y_nums, traj.y_dens)):
             assert all(map(is_canonical, nums, dens))
-        assert (traj.x_nums, traj.x_dens) == columns(list(spec.x_init) + [x for _, x, _ in want])
-        assert (traj.y_nums, traj.y_dens) == columns(list(spec.y_init) + [y for _, _, y in want])
+            assert len(nums) == spec.q + min(n_steps, period or n_steps)
+        assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
+                                         *columns(list(spec.y_init) + [y for _, _, y in want]))
 
 
 def multipliers_of(spec):
@@ -290,7 +292,11 @@ def replay_specs():
 
 
 def test_replayed_blocks_match_literal_recurrence():
-    """P is M, or 2M iff some R_r = -1, and the literal pairs repeat with period P."""
+    """P is M, or 2M iff some R_r = -1, and the literal pairs repeat with period P.
+
+    ``simulate`` stores the initial data and that one block, and its
+    accessors cycle the block through n_max.
+    """
     for spec in replay_specs():
         multipliers = multipliers_of(spec)
         assert all(abs(r) == 1 for r in multipliers)
@@ -301,8 +307,10 @@ def test_replayed_blocks_match_literal_recurrence():
         traj = simulate(spec, n_max)
         x, y = naive_simulate(spec, n_max)
         assert all((x[n + period], y[n + period]) == (x[n], y[n]) for n in range(1, period + 1))
-        assert (traj.x_nums, traj.x_dens) == columns([x[n] for n in range(1 - spec.q, n_max + 1)])
-        assert (traj.y_nums, traj.y_dens) == columns([y[n] for n in range(1 - spec.q, n_max + 1)])
+        assert len(traj.x_nums) == len(traj.y_dens) == spec.q + period
+        indices = range(1 - spec.q, n_max + 1)
+        assert logical_columns(traj) == (*columns([x[n] for n in indices]),
+                                         *columns([y[n] for n in indices]))
 
 
 def test_bit_cap_inside_first_block_matches_literal_recurrence():
@@ -338,16 +346,22 @@ def boundary_specs():
 
 
 def test_simulate_matches_literal_recurrence_at_replay_boundaries():
-    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then its extension by replay."""
+    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then the stored block cycled.
+
+    The columns store q + min(n, P) values when the pairs repeat with P,
+    and all q + n otherwise.
+    """
     periodic = 0
     for spec, length in boundary_specs():
-        periodic += block_period(spec.p, step_coefficients(spec)) is not None
+        period = block_period(spec.p, step_coefficients(spec))
+        periodic += period is not None
         x, y = naive_simulate(spec, 3 * length + 5)
         for n_steps in (max(length // 2, 1), length - 1 or 1, length, length + 1, 3 * length + 5):
             traj = simulate(spec, n_steps)
             indices = range(1 - spec.q, n_steps + 1)
-            assert (traj.x_nums, traj.x_dens) == columns([x[n] for n in indices]), (spec, n_steps)
-            assert (traj.y_nums, traj.y_dens) == columns([y[n] for n in indices]), (spec, n_steps)
+            assert len(traj.x_nums) == spec.q + min(n_steps, period or n_steps), (spec, n_steps)
+            assert logical_columns(traj) == (*columns([x[n] for n in indices]),
+                                             *columns([y[n] for n in indices])), (spec, n_steps)
     assert periodic >= 20
 
 
