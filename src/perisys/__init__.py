@@ -61,7 +61,6 @@ from .simulator import (
     product_invariant_check,
     simulate,
     step_coefficients,
-    subsequence,
     trajectory_rows,
     trajectory_to_obj,
     write_trajectory_csv,

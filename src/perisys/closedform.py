@@ -15,19 +15,26 @@ characteristic roots contribute the linear part, simple roots cancel over
 a block), so the second difference along stride m vanishes exactly:
 x_{n+2m} * x_n = x_{n+m}^2, signs included, even in regimes with no cycle
 at all.
+
+Growth.  Along a stride m that is a multiple of M = lcm(p, 2q), the block
+multipliers of :mod:`perisys.simulator` give x_{n+M} = x_n / R_{n mod d}
+for every n >= 1 - p, so ln|x| on each residue class modulo m is affine in
+the block counter.  Its slope is one exact number, ln|x_{t+m} / x_t|, the
+log of one reduced ratio of two stored values: :func:`growth_slope` reads
+it, where a least-squares fit over the whole subsequence would only
+estimate it.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooFewPointsError, WrongRegimeError
+from .errors import ArgumentRangeError, TooFewPointsError, WrongRegimeError
 from .model import SystemSpec
 from .numerics import format_rational, to_signed_log
-from .simulator import Trajectory, _matches_reference_cycle, _quotients, subsequence
+from .simulator import Trajectory, _matches_reference_cycle, _quotients
 
 
 @dataclass(frozen=True)
@@ -131,15 +138,19 @@ def second_difference_check(traj: Trajectory) -> bool:
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:
-    """Least-squares slope of ln|x_{mn+t}| against the block counter n.
+    """ln|x_{t+m} / x_t|, the log of one reduced ratio of two values read by the accessors.
 
-    The logs come from the stored components, through ``to_signed_log`` of
-    each ``Rational`` pair; no ``Fraction`` is built.  It takes one log per
-    subsequence value, about n_max / m, also where the trajectory stores
-    one block.
+    When m is a multiple of M = lcm(p, 2q), ln|x_{t+km}| is exactly affine
+    in k (module docstring), and this is its slope, the value that a
+    least-squares fit over k = 0, 1, 2, ... estimates.  Every stride that
+    ``verify`` passes is such a multiple.  It reads two values whatever
+    n_max is.  It raises ``ArgumentRangeError`` unless m >= 1 and
+    0 <= t < m, and ``TooFewPointsError`` when n_max < t + m.
     """
-    values = subsequence(traj, m, t)
-    if len(values) < 3:
-        raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
-    logs = [to_signed_log(v).logmag for v in values]
-    return statistics.linear_regression(range(len(logs)), logs).slope
+    if m < 1:
+        raise ArgumentRangeError(f"stride m must be >= 1, got {m}")
+    if not 0 <= t < m:
+        raise ArgumentRangeError(f"offset t must lie in 0..{m - 1}, got {t}")
+    if traj.n_max < t + m:
+        raise TooFewPointsError(f"needs n >= {t + m}")
+    return to_signed_log(traj.x(t + m) / traj.x(t)).logmag

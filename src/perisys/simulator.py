@@ -78,8 +78,8 @@ is, through the residues congruent to n modulo d.  Hence
     y_{n+M} = R_{n mod d} y_n   for n >= 1 - p,
     R_r = product of K_n over the n in 1 .. 2q with n = r (mod d),
 
-and, since x_n = a / y_{n-p} and d divides p, x_{n+M} = x_n / R_{n mod d}
-for n >= 1.  So the d multipliers settle the long-run behaviour:
+and, since x_n = z_n / y_n and 2q divides M, x_{n+M} = x_n / R_{n mod d}
+for n >= 1 - p too.  So the d multipliers settle the long-run behaviour:
 
 * every R_r = 1: the pairs from n = 1 on repeat with period M;
 * every R_r = +-1: they repeat with period 2M;
@@ -194,6 +194,9 @@ class Trajectory:
     repeats through ``n_max``: index n > B holds the value of index
     1 + (n - 1) mod B.  :func:`simulate` stores a block, of length its
     :func:`block_period`, for each periodic trajectory longer than it.
+    Columns of unequal length, or with fewer than q or more than
+    q + ``n_max`` values, or with no generated value when ``n_max`` >= 1,
+    raise ``ArgumentRangeError``.
     """
 
     spec: SystemSpec
@@ -203,9 +206,15 @@ class Trajectory:
     y_dens: list
     n_max: int
 
-    def _read(self, column: list, start: int, stop: int | None = None,
-              step: int = 1) -> Iterator[int]:
-        """``column``'s values at list offsets start, start + step, ... < stop, ``None`` the end.
+    def __post_init__(self) -> None:
+        lengths = sorted({len(self.x_nums), len(self.x_dens), len(self.y_nums), len(self.y_dens)})
+        least, most = self.spec.q + (self.n_max >= 1), self.spec.q + self.n_max
+        if len(lengths) > 1 or not least <= lengths[0] <= most:
+            raise ArgumentRangeError(f"column lengths {lengths}; q = {self.spec.q} and "
+                                     f"n_max = {self.n_max} need {least} .. {most}")
+
+    def _read(self, column: list, start: int, stop: int | None = None) -> Iterator[int]:
+        """``column``'s values at list offsets start .. stop - 1, ``None`` the end.
 
         The one reader of the logical range, offsets 0 .. q + n_max - 1:
         past the stored values it cycles the block, ``column[q:]``.
@@ -213,7 +222,7 @@ class Trajectory:
         end = self.spec.q + self.n_max
         if len(column) < end:
             column = itertools.chain(column[:self.spec.q], itertools.cycle(column[self.spec.q:]))
-        return itertools.islice(column, start, end if stop is None else min(stop, end), step)
+        return itertools.islice(column, start, end if stop is None else min(stop, end))
 
     def _offset(self, n: int) -> int:
         """The stored list offset of index n: its own, or that of 1 + (n - 1) mod B in the block."""
@@ -570,21 +579,6 @@ def x_relation_check(traj: Trajectory) -> bool:
         raise TooFewPointsError(f"needs n >= {start}")
     x = (traj.x_nums, traj.x_dens)
     return _matches_shifted_product(traj, x, x, spec.p, start - 1, spec.c)
-
-
-def subsequence(traj: Trajectory, m: int, t: int) -> list[Rational]:
-    """x values at indices t, t+m, t+2m, ... up to n_max, in order, as ``Rational`` pairs.
-
-    They are read through the trajectory's reader, so a stored block is
-    cycled through n_max.
-    """
-    if m < 1:
-        raise ArgumentRangeError(f"stride m must be >= 1, got {m}")
-    if not 0 <= t < m:
-        raise ArgumentRangeError(f"offset t must lie in 0..{m - 1}, got {t}")
-    offset = t + traj.spec.q - 1
-    return list(map(Rational, traj._read(traj.x_nums, offset, None, m),
-                    traj._read(traj.x_dens, offset, None, m)))
 
 
 def _image_text(image: decimal.Decimal) -> str:

@@ -45,10 +45,12 @@ class Mutant(NamedTuple):
 
 
 SIMULATOR, CYCLE = "src/perisys/simulator.py", "src/perisys/cycle.py"
+CLOSEDFORM = "src/perisys/closedform.py"
 TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_REPEATS = "tests/test_exact_checks.py::test_checks_stop_after_one_repeat_and_match_the_oracles"
 TEST_BLOCK = "tests/test_exact_checks.py::test_block_backed_trajectory_matches_materialised"
+TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
@@ -99,6 +101,11 @@ MUTANTS = (
            "    if divisor == 1 and factor == 1:\n        return rendered",
            "    if divisor == 1:\n        return rendered",
            (TEST_SIMULATOR,)),
+    # the growth ratio reads its denominator one index late, x_{t+1} for x_t
+    Mutant("growth ratio one index off", CLOSEDFORM,
+           "traj.x(t + m) / traj.x(t)",
+           "traj.x(t + m) / traj.x(t + 1)",
+           (TEST_GROWTH,)),
 )
 
 

@@ -1,4 +1,4 @@
-"""Test oracles that no command runs: roots, subsequence monotonicity, literals, signed logs.
+"""Test oracles that no command runs: roots, subsequence statistics, literals, signed logs.
 
 Taking logs of the pure-x relation linearizes the system; the resulting
 linear recurrence has characteristic polynomial
@@ -16,7 +16,9 @@ with period lcm(p, 2q).
 
 The root enumeration is the reference that :func:`perisys.spectral.classify`
 is tested against; :func:`monotone_check` reads the growing or decaying
-witness subsequence exactly (acceptance criterion 7).  The literal
+witness subsequence exactly (acceptance criterion 7), and
+:func:`regression_slope` is the least-squares fit over it that
+``closedform.growth_slope``'s exact block increment replaced.  The literal
 renderers and the ``SignedLog`` recurrence are the references for the
 export's exact and signed-log rows, the ``Fraction`` forms of K, R and
 the block period are those of the simulator's int pairs, and the block
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from perisys.errors import TooFewPointsError, WrongRegimeError
 from perisys.numerics import SignedLog, to_signed_log
-from perisys.simulator import Trajectory, subsequence
+from perisys.simulator import Trajectory
 from perisys.spectral import _require_positive
 
 
@@ -147,6 +150,23 @@ class Monotonicity(Enum):
     NON_MONOTONE = "NonMonotone"
 
 
+def stride_values(traj: Trajectory, m: int, t: int) -> list[Fraction]:
+    """x_t, x_{t+m}, x_{t+2m}, ... through n_max, read by the accessors (test oracle)."""
+    return [traj.x(n) for n in range(t, traj.n_max + 1, m)]
+
+
+def regression_slope(traj: Trajectory, m: int, t: int) -> float:
+    """Least-squares slope of ln|x_{t+km}| against k, for t + km <= n_max (test oracle).
+
+    The float estimate of ``closedform.growth_slope``'s exact value when m
+    is a multiple of lcm(p, 2q); it takes one log per value, and needs 3.
+    """
+    logs = [to_signed_log(value).logmag for value in stride_values(traj, m, t)]
+    if len(logs) < 3:
+        raise TooFewPointsError(f"need at least 3 subsequence points, got {len(logs)}")
+    return statistics.linear_regression(range(len(logs)), logs).slope
+
+
 def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     """Eventual strict monotonicity of |x_{mn+t}|, by exact comparison.
 
@@ -156,7 +176,7 @@ def monotone_check(traj: Trajectory, m: int, t: int) -> Monotonicity:
     comparisons.  Magnitudes are compared cross-multiplied over their
     components: |u|/v < |r|/s iff |u| s < |r| v for positive v and s.
     """
-    values = [(abs(num), den) for num, den in subsequence(traj, m, t)]
+    values = [(abs(v.numerator), v.denominator) for v in stride_values(traj, m, t)]
     if len(values) < 3:
         raise TooFewPointsError(f"need at least 3 subsequence points, got {len(values)}")
     directions = [

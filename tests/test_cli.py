@@ -355,7 +355,7 @@ def guard_table(spec, n):
     else:
         checks.append("block_ratio")
     checks.append("classifier_detector_agreement")
-    return checks, list(skipped.items()), n >= 2 * stride
+    return checks, list(skipped.items()), n >= stride
 
 
 @settings(max_examples=150, deadline=None)
@@ -366,7 +366,7 @@ def test_skipped_laws_match_the_guard_table(spec):
     s = max(spec.p, spec.q) + 1
     classification = classify(spec.p, spec.q)
     stride = classification.predicted_period or classification.witness_modulus
-    boundaries = {1, s - 1, s, m, m + 1, 2 * m, 2 * m + 1, 2 * stride - 1, 2 * stride}
+    boundaries = {1, s - 1, s, m, m + 1, 2 * m, 2 * m + 1, stride - 1, stride}
     for n in sorted(k for k in boundaries if k >= 1):
         report = build_run_report(spec, n)
         got = list(report["checks"]), list(report["skipped"].items()), bool(report["slopes"])
@@ -668,9 +668,7 @@ NOT_RUN_BY_COMMANDS = {
     "model.validate": "bound by perfbench/run.py SETUP_CODE and by tracing.COARSE",
     "model.ValidationReport.ok": "bound by perfbench/run.py SETUP_CODE",
     "simulator.trajectory_to_obj": "bound by perfbench tracing.COARSE",
-    "simulator.Trajectory.x": "library accessor",
     "simulator.Trajectory.y": "library accessor",
-    "simulator.Trajectory._offset": "the bounds check of the library accessors",
 }
 
 

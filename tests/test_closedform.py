@@ -4,29 +4,33 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import statistics
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from perisys import (
     BACKEND_SIGNEDLOG,
+    PerisysError,
     TooFewPointsError,
+    Trajectory,
     WrongRegimeError,
     block_ratio_check,
+    classify,
     drift,
     growth_slope,
     random_positive_spec,
     second_difference_check,
     simulate,
-    subsequence,
     to_signed_log,
     trajectory_rows,
 )
 
-from conftest import find_window_cycle, fixed_point_spec, random_signed_spec
-from oracles import Monotonicity, monotone_check
+from conftest import find_window_cycle, fixed_point_spec, random_signed_spec, specs
+from oracles import Monotonicity, monotone_check, regression_slope, stride_values
 
 
 def test_drift_homogeneous():
@@ -95,7 +99,7 @@ def test_block_ratio_law_random_parameters(p, q):
 
 def test_growth_slope_exactly_zero_on_periodic_balanced_system():
     # c = 1 with odd quotient: the stride-m subsequence is constant from
-    # index 0 on, so the fitted slope is exactly 0.0
+    # index 0 on, so the block ratio is 1 and its log exactly 0.0
     spec = random_positive_spec(random.Random(16), 6, 10)
     traj = simulate(spec, 400)
     assert traj.x(0) == traj.x(60)
@@ -168,7 +172,7 @@ def test_growth_slope_matches_exact_block_increment():
     # stride 12 turns the (2, 3) log subsequence exactly arithmetic
     spec = random_positive_spec(random.Random(9), 2, 3)
     traj = simulate(spec, 240)
-    values = [Fraction(*v) for v in subsequence(traj, 12, 0)]
+    values = stride_values(traj, 12, 0)
     steps = {values[k + 1] / values[k] for k in range(len(values) - 1)}
     assert len(steps) == 1  # exactly one rational ratio between consecutive points
     expected = to_signed_log(steps.pop()).logmag
@@ -196,9 +200,56 @@ def test_growth_slope_signedlog_backend():
 
 
 def test_growth_slope_too_few_points():
-    traj = simulate(fixed_point_spec(2, 3), 20)
-    with pytest.raises(TooFewPointsError):
-        growth_slope(traj, 12, 0)
+    """The ratio needs x_{t+m}: n_max < t + m is refused in the laws' "needs n >= N" form."""
+    for n, m, t in ((11, 12, 0), (16, 12, 5)):
+        with pytest.raises(TooFewPointsError, match=rf"^needs n >= {t + m}$"):
+            growth_slope(simulate(fixed_point_spec(2, 3), n), m, t)
+    assert growth_slope(simulate(fixed_point_spec(2, 3), 17), 12, 5) == 0.0
+
+
+@pytest.mark.parametrize("m,t,message", [(0, 0, "stride m must be >= 1, got 0"),
+                                         (5, 5, "offset t must lie in 0..4, got 5"),
+                                         (5, -1, "offset t must lie in 0..4, got -1")])
+def test_growth_slope_range_errors_are_typed(m, t, message):
+    """A library caller can catch a bad stride or offset as ``PerisysError``; it stays a ValueError."""
+    with pytest.raises(PerisysError, match=f"^{re.escape(message)}$") as raised:
+        growth_slope(simulate(fixed_point_spec(2, 3), 20), m, t)
+    assert isinstance(raised.value, ValueError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs())
+def test_growth_slope_matches_the_regression_oracle(spec):
+    """The exact block increment is the least-squares slope, at every offset of both strides.
+
+    The strides are those ``verify`` passes, the predicted period or the
+    witness modulus, and twice that; n = 4 strides gives every offset t at
+    least four points.
+    """
+    classification = classify(spec.p, spec.q)
+    base = classification.predicted_period or classification.witness_modulus
+    for stride in (base, 2 * base):
+        traj = simulate(spec, 4 * stride)
+        for t in range(stride):
+            oracle = regression_slope(traj, stride, t)
+            slope = growth_slope(traj, stride, t)
+            assert abs(slope - oracle) <= 1e-12 * max(1.0, abs(oracle)), (stride, t)
+
+
+def test_growth_slope_reads_two_stored_values_at_any_n(monkeypatch):
+    """At n = 10**12 on a periodic spec the value walks nothing: no column is read in order."""
+    spec = random_signed_spec(random.Random(17), 3, 5, a=2, b=-2)
+    m = math.lcm(spec.p, 2 * spec.q)
+    short = simulate(spec, 3 * m)
+    expected = {t: regression_slope(short, m, t) for t in (0, 1, m - 1)}
+    traj = simulate(spec, 10**12)
+
+    def walk(*args):
+        raise AssertionError("growth_slope walked a column")
+
+    monkeypatch.setattr(Trajectory, "_read", walk)
+    for t, value in expected.items():
+        assert growth_slope(traj, m, t) == value == 0.0
 
 
 def test_monotone_constant_on_periodic():

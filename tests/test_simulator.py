@@ -9,7 +9,6 @@ import json
 import math
 import os
 import random
-import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -22,12 +21,14 @@ from perisys import (
     BACKEND_EXACT,
     BACKEND_SIGNEDLOG,
     DEFAULT_MAX_BITS,
+    ArgumentRangeError,
     BitLengthExceededError,
     PerisysError,
     Rational,
     ShapeError,
     SystemSpec,
     TooFewPointsError,
+    Trajectory,
     WrongBackendError,
     block_multipliers,
     component_bits,
@@ -38,7 +39,6 @@ from perisys import (
     random_positive_spec,
     simulate,
     step_coefficients,
-    subsequence,
     to_signed_log,
     trajectory_to_obj,
     write_trajectory_csv,
@@ -58,6 +58,7 @@ from conftest import (
     fixed_point_spec,
     json_dump_export,
     logical_columns,
+    materialised,
     naive_pairs,
     product_family_spec,
     rand_value,
@@ -548,27 +549,29 @@ def test_iter_pairs_rejects_unknown_backend():
     assert buffer.getvalue() == ""
 
 
-def test_subsequence():
-    traj = simulate(HAND_SPEC, 20)
-    full = subsequence(traj, 1, 0)
-    assert full[0] == components(traj.x(0)) and len(full) == 21
-    fixed = simulate(fixed_point_spec(2, 3), 120)
-    eleven = subsequence(fixed, 12, 0)
-    assert len(eleven) == 11
-    assert set(eleven) == {components(1)}
-    with pytest.raises(ValueError):
-        subsequence(traj, 0, 0)
-    with pytest.raises(ValueError):
-        subsequence(traj, 5, 5)
+def test_hand_built_trajectory_shape_is_checked():
+    """Columns that no reader can read consistently are refused when the Trajectory is built.
 
-
-@pytest.mark.parametrize("m,t,message", [(0, 0, "stride m must be >= 1, got 0"),
-                                         (5, 5, "offset t must lie in 0..4, got 5")])
-def test_subsequence_range_errors_are_typed(m, t, message):
-    """A library caller can catch a bad stride or offset as ``PerisysError``; it stays a ValueError."""
-    with pytest.raises(PerisysError, match=f"^{re.escape(message)}$") as raised:
-        subsequence(simulate(HAND_SPEC, 20), m, t)
-    assert isinstance(raised.value, ValueError)
+    Unequal columns would let ``zip`` in the laws stop at the shortest, and
+    a trajectory with no generated value stored would divide by its empty
+    block.  Each is a typed ``ArgumentRangeError``, still a ValueError.
+    """
+    traj = simulate(HAND_SPEC, 20)  # q = 3, 23 values per column
+    cols = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
+    cases = {
+        "x_dens shorter": (*cols[:1], cols[1][:-1], *cols[2:], 20),
+        "fewer than q": (*(column[:2] for column in cols), 0),
+        "more than q + n_max": (*cols, 19),
+        "no generated value": (*(column[:3] for column in cols), 200),
+    }
+    for name, (x_nums, x_dens, y_nums, y_dens, n_max) in cases.items():
+        with pytest.raises(ArgumentRangeError, match=r"^column lengths \[") as raised:
+            Trajectory(HAND_SPEC, x_nums, x_dens, y_nums, y_dens, n_max)
+        assert isinstance(raised.value, ValueError), name
+    # the initial data alone, a block of one value, and every value still build
+    Trajectory(HAND_SPEC, *(column[:3] for column in cols), 0)
+    assert Trajectory(HAND_SPEC, *(column[:4] for column in cols), 200).x(200) == traj.x(1)
+    assert materialised(HAND_SPEC, 20).x(20) == traj.x(20)
 
 
 def test_bit_length_cap_enforced():
