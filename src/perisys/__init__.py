@@ -28,6 +28,7 @@ from .errors import (
     ShapeError,
     SpecSyntaxError,
     TooFewPointsError,
+    TrajectoryIndexError,
     WrongBackendError,
     WrongRegimeError,
     ZeroValueError,

@@ -39,3 +39,7 @@ class TooFewPointsError(PerisysError, ValueError):
 
 class ArgumentRangeError(PerisysError, ValueError):
     """A library call got a delay, stride or offset outside its range; also a ValueError."""
+
+
+class TrajectoryIndexError(PerisysError, IndexError):
+    """A ``Trajectory`` accessor got an index outside its logical range; also an IndexError."""

@@ -98,15 +98,18 @@ so it is the canonical pair that ``Fraction`` would give.
 :func:`block_period` owns this rule: it gives the period P = M or 2M, or
 ``None`` in the third case.  On canonical pairs |R_r| = 1 reads
 denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
-Each caller that knows how many steps it needs uses P to stop computing,
-and replays what it has stored; each stored value already passed the bit
-cap.  :func:`simulate` stores the initial data and one block, indices
-1 .. P at offsets q .. q + P - 1 of each column, and the
-:class:`Trajectory` readers cycle that block through the logical length;
-:func:`trajectory_rows` cycles its first P rendered rows, with n
-renumbered.  ``cycle.detect_cycle`` decides from P: no cycle without
-one, and otherwise the minimal period among the divisors of P, from the
-first P pairs of ``iter_pairs``, which itself never replays.
+:func:`trajectory_rows` uses P to stop computing: it cycles its first P
+rendered rows, with n renumbered, each of which already passed the bit
+cap.  ``cycle.detect_cycle`` decides from P: no cycle without one, and
+otherwise the minimal period among the divisors of P, from the first P
+pairs of ``iter_pairs``, which itself never replays.
+
+:func:`simulate` needs no P, since the block law holds in every case.
+It stores the initial data, one block, indices 1 .. M at offsets
+q .. q + M - 1 of each column, and the d multipliers, whenever the law
+bounds every value through n within the bit cap; the :class:`Trajectory`
+readers scale the block by the multipliers through the logical length,
+R_r = +-1 included.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -160,12 +163,18 @@ import decimal
 import itertools
 import json
 import math
+import operator
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentRangeError, TooFewPointsError, WrongBackendError
+from .errors import (
+    ArgumentRangeError,
+    TooFewPointsError,
+    TrajectoryIndexError,
+    WrongBackendError,
+)
 from .model import SystemSpec, spec_to_obj
 from .numerics import (
     EXACT,
@@ -186,17 +195,25 @@ TRAJECTORY_CSV_HEADER = ("n", "x", "y", "sign_x", "log_abs_x", "sign_y", "log_ab
 class Trajectory:
     """Exact values for indices -q+1 .. n_max, plus their spec.
 
-    The values are stored as four int columns, the canonical numerators
-    and denominators of x and of y; list offset k holds index k - q + 1.
+    The values are stored as four int columns, the numerators and
+    denominators of x and of y; list offset k holds index k - q + 1.
     Each column holds the q initial values, then the generated ones, all
     ``n_max`` of them or fewer.  Fewer means that the generated values
-    stored form a block, whose length B is the number stored, that
-    repeats through ``n_max``: index n > B holds the value of index
-    1 + (n - 1) mod B.  :func:`simulate` stores a block, of length its
-    :func:`block_period`, for each periodic trajectory longer than it.
+    stored form a block, whose length L is the number stored, that stands
+    for every later index: index j + kL, j in 1 .. L, holds the value of
+    index j scaled k times by its class's multiplier.
+
+    ``multipliers`` are the d = gcd(p, 2q) block multipliers R_r of
+    :func:`block_multipliers`, or none.  With them L must be
+    M = lcm(p, 2q), and index j + kM holds y_j R^k and x_j / R^k with
+    R = R_{j mod d}, the block law of the module docstring.  With none the
+    block cycles: index n > L holds the value of index 1 + (n - 1) mod L.
+    :func:`simulate` stores an M-block and its multipliers for each
+    trajectory longer than M whose values stay provably within the bit cap.
     Columns of unequal length, or with fewer than q or more than
     q + ``n_max`` values, or with no generated value when ``n_max`` >= 1,
-    raise ``ArgumentRangeError``.
+    and multipliers other than d of them over a block of M, raise
+    ``ArgumentRangeError``.
     """
 
     spec: SystemSpec
@@ -205,39 +222,82 @@ class Trajectory:
     y_nums: list
     y_dens: list
     n_max: int
+    multipliers: tuple = ()
 
     def __post_init__(self) -> None:
+        q = self.spec.q
         lengths = sorted({len(self.x_nums), len(self.x_dens), len(self.y_nums), len(self.y_dens)})
-        least, most = self.spec.q + (self.n_max >= 1), self.spec.q + self.n_max
+        least, most = q + (self.n_max >= 1), q + self.n_max
         if len(lengths) > 1 or not least <= lengths[0] <= most:
-            raise ArgumentRangeError(f"column lengths {lengths}; q = {self.spec.q} and "
+            raise ArgumentRangeError(f"column lengths {lengths}; q = {q} and "
                                      f"n_max = {self.n_max} need {least} .. {most}")
+        if self.multipliers:
+            d, m = math.gcd(self.spec.p, 2 * q), math.lcm(self.spec.p, 2 * q)
+            if len(self.multipliers) != d or lengths[0] - q != m:
+                raise ArgumentRangeError(
+                    f"{len(self.multipliers)} multipliers over a block of {lengths[0] - q}; "
+                    f"p = {self.spec.p} and q = {q} need {d} over {m}")
 
     def _read(self, column: list, start: int, stop: int | None = None) -> Iterator[int]:
         """``column``'s values at list offsets start .. stop - 1, ``None`` the end.
 
-        The one reader of the logical range, offsets 0 .. q + n_max - 1:
-        past the stored values it cycles the block, ``column[q:]``.
+        The one reader of the logical range, offsets 0 .. q + n_max - 1;
+        ``column`` is one of the four columns.  The stored offsets are read
+        as they are, and past them the passes of the block
+        (:meth:`_passes`), whose values are not reduced.
         """
         end = self.spec.q + self.n_max
-        if len(column) < end:
-            column = itertools.chain(column[:self.spec.q], itertools.cycle(column[self.spec.q:]))
-        return itertools.islice(column, start, end if stop is None else min(stop, end))
+        stop = end if stop is None else min(stop, end)
+        if stop <= len(column):
+            return itertools.islice(column, start, stop)
+        return itertools.islice(self._passes(column, start), max(stop - start, 0))
 
-    def _offset(self, n: int) -> int:
-        """The stored list offset of index n: its own, or that of 1 + (n - 1) mod B in the block."""
+    def _passes(self, column: list, start: int) -> Iterator[int]:
+        """``column``'s values from list offset ``start`` on, without end.
+
+        Offsets below q hold the initial data; pass k of the block holds
+        offsets q + kL .. q + (k + 1)L - 1, L the block length.  Pass k
+        reads the value stored at offset q + j, index j + 1, times F_r^k,
+        with r = (j + 1) mod d: F_r is A_r for the y numerators and the x
+        denominators, B_r for the other two columns, where R_r = A_r / B_r,
+        and 1 without multipliers.  So each value is y_{j+1} R^k or
+        x_{j+1} / R^k as an unreduced quotient, whose denominator is
+        negative where A_r^k is.  Each pass is one ``map`` over the block.
+        """
+        q = self.spec.q
+        size = len(column) - q
+        k, j = divmod(start - q, size) if start >= q else (0, 0)
+        grows = column is self.y_nums or column is self.x_dens
+        factors = [r.numerator if grows else r.denominator for r in self.multipliers] or [1]
+
+        def scaled(k: int, j: int) -> Iterator[int]:
+            powers = [factor ** k for factor in factors]
+            block = itertools.islice(column, q + j, q + size)
+            if powers == [1] * len(powers):
+                return block
+            # offset q + j holds class (j + 1) mod d, and d divides L
+            scale = itertools.islice(itertools.cycle(powers[1:] + powers[:1]), j, None)
+            return map(operator.mul, block, scale)
+
+        later = itertools.chain.from_iterable(map(scaled, itertools.count(k + 1),
+                                                  itertools.repeat(0)))
+        return itertools.chain(itertools.islice(column, start, q), scaled(k, j), later)
+
+    def _at(self, column: list, n: int) -> int:
+        """``column``'s value at index n, through the reader; n outside -q+1 .. n_max raises."""
         q = self.spec.q
         if not 1 - q <= n <= self.n_max:
-            raise IndexError(f"index {n} outside stored range {1 - q} .. {self.n_max}")
-        return n + q - 1 if n + q <= len(self.x_nums) else q + (n - 1) % (len(self.x_nums) - q)
+            raise TrajectoryIndexError(f"index {n} outside stored range {1 - q} .. {self.n_max}")
+        offset = n + q - 1
+        return column[offset] if offset < len(column) else next(self._passes(column, offset))
 
     def x(self, n: int) -> Fraction:
-        k = self._offset(n)
-        return Fraction(self.x_nums[k], self.x_dens[k])
+        """x_n, reduced."""
+        return Fraction(self._at(self.x_nums, n), self._at(self.x_dens, n))
 
     def y(self, n: int) -> Fraction:
-        k = self._offset(n)
-        return Fraction(self.y_nums[k], self.y_dens[k])
+        """y_n, reduced."""
+        return Fraction(self._at(self.y_nums, n), self._at(self.y_dens, n))
 
 
 def _reduced(num: int, den: int) -> Rational:
@@ -432,11 +492,20 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
 
     The exact kernel :func:`_exact_steps` appends its steps straight to the
     four int columns of the :class:`Trajectory`, with no per-step pair.
-    When the pairs repeat with a :func:`block_period` P < ``n_steps``, it
-    runs only P steps: the columns hold the initial data and that one
-    block, which the trajectory's readers cycle through ``n_steps``, so
-    memory is O(q + P) whatever ``n_steps`` is.  The bit cap is that of
-    :func:`iter_pairs`, resolved before the first step.  ``n_steps`` < 1
+    It runs min(``n_steps``, M) steps first, M = lcm(p, 2q).  Past M, index
+    j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k, R = R_{j mod d}
+    (module docstring, Block multipliers), and reduction only shrinks
+    components.  A component of R^k has at most k G bits, where G is the
+    largest ceil(log2 |c|) over the components c of the multipliers (0 when
+    every |R_r| = 1), so each component through ``n_steps`` has at most
+    k G + w bits, with k <= (``n_steps`` - 1) // M and w the largest
+    component bit length of the block.  When that bound is within the cap,
+    no value can pass it, and the columns hold the initial data and the
+    block, with the d multipliers, so memory is O(q + M) whatever
+    ``n_steps`` is.  Otherwise the kernel runs on through ``n_steps`` and
+    the columns hold every value; a value over the cap then raises where
+    the literal recurrence reaches it, x_n before y_n.  The bit cap is that
+    of :func:`iter_pairs`, resolved before the first step.  ``n_steps`` < 1
     raises ``TooFewPointsError``.
     """
     if n_steps < 1:
@@ -445,9 +514,16 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     columns = ([x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init],
                [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init])
     coefficients = step_coefficients(spec)
-    period = block_period(spec.p, coefficients)
-    stop = n_steps if period is None else min(n_steps, period)
-    deque(_exact_steps(spec, cap, coefficients, stop, *columns), maxlen=0)
+    block = math.lcm(spec.p, 2 * spec.q)
+    deque(_exact_steps(spec, cap, coefficients, min(n_steps, block), *columns), maxlen=0)
+    if n_steps > block:
+        multipliers = block_multipliers(spec.p, coefficients)
+        growth = max((abs(component) - 1).bit_length() for r in multipliers for component in r)
+        widest = max(value.bit_length() for column in columns for value in column[spec.q:])
+        if (n_steps - 1) // block * growth + widest <= cap:
+            return Trajectory(spec, *columns, n_steps, tuple(multipliers))
+        # K_{n+M} = K_n, and the y columns end with y_{M-p+1} .. y_M
+        deque(_exact_steps(spec, cap, coefficients, n_steps - block, *columns), maxlen=0)
     return Trajectory(spec, *columns, n_steps)
 
 
@@ -473,30 +549,43 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     """True iff v_k == references[j] * w_{k - lag} for every list offset k >= first.
 
     The one comparison engine of the four exact laws.  ``v`` and ``w`` are
-    (nums, dens) column pairs of ``traj``; ``w`` may be ``v`` itself, or a
-    pair with its columns swapped, which stands for the reciprocal.
+    (nums, dens) column pairs of ``traj``; ``w`` is ``v`` itself, or, when
+    v = y, the x columns swapped, which stands for 1/x.
     j = (k - first) mod len(references), so the references repeat along
     the offsets.  Every value is read through the trajectory's reader, up
-    to its last index.  Each comparison is cross-multiplied over numerators
-    (N) and denominators (D), as vN wD rD == rN wN vD: for nonzero
-    denominators u/v = r/s holds exactly when u*s = r*v, signs included.
-    The exact checks take their references from the stored values
-    themselves: small reduced rationals in a correct trajectory, so an
-    offset costs two products of value-sized integers and two by a small
-    one.
+    to its last index, and may be an unreduced quotient whose denominator
+    is negative.  Each comparison is cross-multiplied over numerators (N)
+    and denominators (D), as vN wD rD == rN wN vD: for any nonzero
+    denominators u/v = r/s holds exactly when u*s = r*v, signs included,
+    so neither reduced forms nor positive denominators are needed.  The
+    exact checks take their references from the stored values themselves:
+    small reduced rationals in a correct trajectory, so an offset costs two
+    products of value-sized integers and two by a small one.
 
-    Repeats.  T = 2 lcm(p, 2q), from the spec's delays alone and not from
-    the kernel; every caller's len(references) divides T.  When ``traj``
-    stores a block whose length B divides T, only the offsets
+    Repeats.  T = 2 lcm(p, 2q) = 2M, from the spec's delays alone and not
+    from the kernel; every caller's len(references) divides T.  When
+    ``traj`` stores a block whose length L divides T, only the offsets
     first .. first + T - 1 are compared; a trajectory that stores every
-    value, drifting, short or built by hand, is compared at every offset.
-    Proof: the columns are B-periodic from offset q by construction, since
-    the reader cycles the block, and every caller has first - lag >= q.  A
-    comparison at k >= first + T reads v at k and w at k - lag, both
-    offsets >= q, so v_k = v_{k-T} and w_{k-lag} = w_{k-lag-T} as B
-    divides T; and its j is that of k - T, since len(references) divides
-    T.  So it is the comparison at k - T >= first, and by induction on k
-    every comparison is one at an offset in first .. first + T - 1.
+    value, short, over the cap's bound or built by hand, is compared at
+    every offset.  Proof: every caller has first - lag >= q, so a
+    comparison at k >= first + T reads v at k and w at k - lag, both at
+    offsets >= q, past the initial data, and its j is that of k - T, since
+    len(references) divides T.  Without multipliers the reader cycles the
+    block, L divides T, and so v_k = v_{k-T} and w_{k-lag} = w_{k-lag-T}.
+    With them L = M, so k and k - T lie two passes apart in the block,
+    and the reader multiplies each column at k by F^2 over its value at
+    k - T, F the column's factor of the class of k.  Every caller's lag is
+    0, p or M, and d = gcd(p, 2q) divides each of them, so w_{k-lag} has
+    the class of v_k, R = A/B.  With w = v both sides of the comparison
+    gain A^2 B^2, from vN wD and from wN vD; with v = y and w = 1/x, vN
+    and wN (x's denominator) gain A^2 and wD (x's numerator) and vD gain
+    B^2, so again both sides gain A^2 B^2, which is nonzero.  Either way
+    the comparison at k is the one at k - T >= first, and by induction on
+    k every comparison is one at an offset in first .. first + T - 1.  The
+    laws take no reference from K or R: R enters only through the reader.
+    A wrong R leaves z = x y as it is, but it fails the x-relation, whose
+    x_n and x_{n-p} lie in different passes for the first p offsets of
+    each, and the block ratio where that applies.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
     repeat, block = 2 * math.lcm(traj.spec.p, 2 * traj.spec.q), len(v_nums) - traj.spec.q

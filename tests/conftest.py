@@ -6,6 +6,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -22,10 +23,15 @@ from perisys import (
     simulate,
     spec_to_obj,
 )
-from perisys.numerics import ENV_MAX_BITS, check_bits
+from perisys.numerics import DEFAULT_MAX_BITS, ENV_MAX_BITS, check_bits, component_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
-from oracles import log_pairs, str_fraction_row
+from oracles import (
+    fraction_block_multipliers,
+    fraction_step_coefficients,
+    log_pairs,
+    str_fraction_row,
+)
 
 
 @contextlib.contextmanager
@@ -164,6 +170,32 @@ def materialised(spec, n_steps) -> Trajectory:
     steps = list(itertools.islice(naive_pairs(spec), n_steps))
     return Trajectory(spec, *columns(list(spec.x_init) + [x for _, x, _ in steps]),
                       *columns(list(spec.y_init) + [y for _, _, y in steps]), n_steps)
+
+
+def block_bound(spec, n_steps) -> int:
+    """Test oracle: the block rule's bound on the component bits of every value through n_steps.
+
+    k e + w, where k = (n_steps - 1) // M, M = lcm(p, 2q), 2^e is the least
+    power of two at or above every component of the ``Fraction`` block
+    multipliers, and w is the widest component of the literal recurrence's
+    first M values.
+    """
+    m = math.lcm(spec.p, 2 * spec.q)
+    multipliers = fraction_block_multipliers(spec.p, fraction_step_coefficients(spec))
+    e = next(e for e in itertools.count()
+             if all(2 ** e >= abs(c) for r in multipliers for c in (r.numerator, r.denominator)))
+    w = max(component_bits(v) for _, x, y in itertools.islice(naive_pairs(spec), m) for v in (x, y))
+    return (n_steps - 1) // m * e + w
+
+
+def stored_length(spec, n_steps, cap=DEFAULT_MAX_BITS) -> int:
+    """Test oracle: the column length of ``simulate(spec, n_steps)`` under ``cap``.
+
+    q + M when n_steps > M and :func:`block_bound` stays within the cap,
+    else q + n_steps.
+    """
+    m = math.lcm(spec.p, 2 * spec.q)
+    return spec.q + (m if n_steps > m and block_bound(spec, n_steps) <= cap else n_steps)
 
 
 _MODULUS = (1 << 61) - 1

@@ -50,6 +50,7 @@ TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_REPEATS = "tests/test_exact_checks.py::test_checks_stop_after_one_repeat_and_match_the_oracles"
 TEST_BLOCK = "tests/test_exact_checks.py::test_block_backed_trajectory_matches_materialised"
+TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_block_bound"
 TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
 
 MUTANTS = (
@@ -81,16 +82,35 @@ MUTANTS = (
            "stop = first + repeat if block < traj.n_max and repeat % block == 0 else None",
            "stop = first + repeat",
            (TEST_REPEATS,)),
-    # x() and y() past the block map index n to 1 + n mod B, one too far
+    # x(), y() and the laws' reader past the block map index n to
+    # 1 + n mod B, one too far
     Mutant("accessors past the block by n mod B", SIMULATOR,
-           "q + (n - 1) % (len(self.x_nums) - q)",
-           "q + n % (len(self.x_nums) - q)",
+           "k, j = divmod(start - q, size)",
+           "k, j = divmod(start - q + 1, size)",
            (TEST_BLOCK,)),
-    # the reader cycles the initial data along with the block
+    # each pass of the reader starts at the initial data, so it cycles the
+    # initial data along with the block
     Mutant("reader cycles the initial data", SIMULATOR,
-           "itertools.cycle(column[self.spec.q:])",
-           "itertools.cycle(column)",
+           "itertools.islice(column, q + j, q + size)",
+           "itertools.islice(column, j, q + size)",
            (TEST_BLOCK,)),
+    # pass k scales index n by the multiplier of class n + 1, which differs
+    # from that of class n on the unbounded specs
+    Mutant("multiplier taken from class n + 1", SIMULATOR,
+           "powers[1:] + powers[:1]",
+           "powers[2:] + powers[:2]",
+           (TEST_BLOCK,)),
+    # the x numerators gain A^k and the x denominators B^k: x_j R^k for x_j / R^k
+    Mutant("x scaled by R instead of 1/R", SIMULATOR,
+           "grows = column is self.y_nums or column is self.x_dens",
+           "grows = column is self.y_nums or column is self.x_nums",
+           (TEST_BLOCK,)),
+    # the bound on the values past the block drops the block count k, so a
+    # block is stored where a value passes the cap, and nothing raises
+    Mutant("cap bound without the k factor", SIMULATOR,
+           "if (n_steps - 1) // block * growth + widest <= cap:",
+           "if growth + widest <= cap:",
+           (TEST_CAP,)),
     # an exact export past the block period renumbers its replayed rows from P + 2
     Mutant("replay renumbered from P + 2", SIMULATOR,
            "zip(range(len(stored) + 1, n_steps + 1)",

@@ -29,7 +29,7 @@ from perisys import (
     trajectory_rows,
 )
 
-from conftest import find_window_cycle, fixed_point_spec, random_signed_spec, specs
+from conftest import find_window_cycle, fixed_point_spec, materialised, random_signed_spec, specs
 from oracles import Monotonicity, monotone_check, regression_slope, stride_values
 
 
@@ -109,7 +109,7 @@ def test_growth_slope_exactly_zero_on_periodic_balanced_system():
 
 def test_block_ratio_detects_corruption():
     spec = replace(random_positive_spec(random.Random(4), 6, 10), a=1, b=2)
-    traj = simulate(spec, 150)
+    traj = materialised(spec, 150)
     assert block_ratio_check(traj)
     traj.x_nums[100] *= 3
     assert not block_ratio_check(traj)
@@ -157,7 +157,7 @@ def test_second_difference_guards():
     balanced = random_positive_spec(random.Random(8), 2, 3)
     with pytest.raises(ValueError):
         second_difference_check(simulate(balanced, 10))
-    traj = simulate(balanced, 30)
+    traj = materialised(balanced, 30)
     assert second_difference_check(traj)
     traj.x_nums[25] *= 5
     assert not second_difference_check(traj)

@@ -7,18 +7,20 @@ where the r_j are small reduced references taken from the trajectory
 itself: z_r = x_r y_r for the product invariant (v = y, w = 1/x), the
 ratios x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second
 difference, and the constant c^(q/g) for the block ratio.  The first two
-check their law on the references first.  A periodic trajectory from
-``simulate`` stores its initial data and one block, which its readers
-cycle; when the block length divides T = 2 lcm(p, 2q), the engine stops
-after its first T offsets, since every later comparison repeats one of
-them.  A trajectory that stores every value is compared at every offset.
-The ``oracle_*`` functions below are the reference: they form the
-Fraction products of each law directly at every index and read every
-value through the bounds-checked ``Trajectory.x()``/``y()`` accessors.
-They exist only for the differential tests here.  Those cover long
-periodic trajectories in both forms, block-backed and materialised (the
-conftest ``materialised``, every value stored), clean and corrupted: in
-their last block, at every T-th index, and in their initial data.
+check their law on the references first.  A trajectory from ``simulate``
+longer than M = lcm(p, 2q) stores its initial data, one block of M values
+and the block multipliers, by which its readers scale the block; the
+engine then stops after its first T = 2M offsets, since every later
+comparison is one of them with both sides scaled alike.  A trajectory
+that stores every value is compared at every offset.  The ``oracle_*``
+functions below are the reference: they form the Fraction products of
+each law directly at every index and read every value through the
+bounds-checked ``Trajectory.x()``/``y()`` accessors.  They exist only for
+the differential tests here.  Those cover long periodic trajectories in
+both forms, block-backed and materialised (the conftest ``materialised``,
+every value stored), clean and corrupted: in their last block, at every
+T-th index, and in their initial data; and drifting and unbounded ones in
+both forms, clean, and with a corrupted multiplier.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -41,13 +44,12 @@ from perisys import (
     second_difference_check,
     simulate,
     simulator,
-    step_coefficients,
     x_relation_check,
 )
-from perisys.simulator import block_period
 from perisys.numerics import Rational, component_bits
 
 from conftest import (
+    logical_columns,
     materialised,
     nonzero_rationals,
     product_family_spec,
@@ -177,7 +179,7 @@ def test_corrupted_y_fails_product_invariant():
 
 def test_sign_flip_of_x_fails_block_ratio():
     spec = replace(random_positive_spec(random.Random(4), 6, 10), a=1, b=2)
-    traj = simulate(spec, 150)
+    traj = materialised(spec, 150)
     assert block_ratio_check(traj)
     traj.x_nums[100] = -traj.x_nums[100]
     assert not block_ratio_check(traj)
@@ -187,6 +189,8 @@ def test_sign_flip_of_x_fails_block_ratio():
 # Pinned corruptions on long trajectories with values of several hundred
 # bits: c = 1/2 on (3, 5) (q = 5, s = max(p, q) + 1 = 6, m = 30), and, for
 # the second difference, which needs |b| = |a|, c = 1 on (2, 3) (m = 6).
+# ``simulate`` stores one block of these; the tests that corrupt a stored
+# value past it read the conftest ``materialised`` form, every value stored.
 DRIFT = random_signed_spec(random.Random(1), 3, 5, a=1, b=2)
 UNBOUNDED = random_signed_spec(random.Random(1), 2, 3, a=1, b=1)
 LONG = 2000
@@ -216,7 +220,7 @@ PINNED = [  # check, oracle, spec, corrupted value (its numerator column), index
     ids=[f"{row[0].__name__}-{row[3]}[{row[4]}]*{row[5]}" for row in PINNED],
 )
 def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n, factor):
-    traj = simulate(spec, LONG)
+    traj = materialised(spec, LONG)
     assert max(map(component_bits, map(Rational, traj.x_nums, traj.x_dens))) >= 300
     assert check(traj)
     nums = traj.x_nums if which == "xs" else traj.y_nums
@@ -251,7 +255,7 @@ def test_tail_consistent_corruption_fails_check_and_oracle(check, oracle, first,
     law on the references fails.  For the product invariant it fails only
     at n = r, in the second half of the period.
     """
-    traj = simulate(DRIFT, LONG)
+    traj = materialised(DRIFT, LONG)
     assert check(traj)
     period = 2 * DRIFT.q
     for n in range(first + (r - first) % period, traj.n_max + 1, period):
@@ -269,7 +273,7 @@ def test_tail_consistent_ratio_corruption_fails_x_relation(r):
     its reference rho, and the law fails only at n = r, in the second half
     of the period.
     """
-    traj = simulate(DRIFT, LONG)
+    traj = materialised(DRIFT, LONG)
     p, q = DRIFT.p, DRIFT.q
     scale = [1] * len(traj.x_nums)  # by list offset
     for k in range(r + q - 1, len(traj.x_nums)):  # list offset k holds n = k - q + 1
@@ -288,7 +292,7 @@ def test_zero_stored_x(offset, x_relation):
     holds x_{-1}, the divisor of rho_2 = x_2 / x_{-1}; past its head it
     compares products, and the zero fails them.
     """
-    traj = simulate(DRIFT, 200)
+    traj = materialised(DRIFT, 200)
     traj.x_nums[offset] = 0
     assert product_invariant_check(traj) is False
     assert outcome(x_relation_check, traj) == x_relation
@@ -320,9 +324,9 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
 # repeat with T = 2M: generic c = 1 data on (6, 10), where every R_r = 1
 # (P = M = 60); b = -a on (3, 5), where R = -1 (P = 2M = 60); and x y = b
 # data on (5, 8), which repeats with p = 5, far below M = 80.  ``simulate``
-# stores their initial data and one block of P values, so every check may
-# stop after its first T offsets; ``materialised`` stores every value, so
-# every check compares them all.
+# stores their initial data, one block of M values and the multipliers
+# +-1, so every check may stop after its first T offsets; ``materialised``
+# stores every value, so every check compares them all.
 REPEATING = {
     "c=1-(6,10)": random_signed_spec(random.Random(5), 6, 10, a=1, b=1),
     "b=-a-(3,5)": random_signed_spec(random.Random(5), 3, 5, a=2, b=-2),
@@ -370,15 +374,15 @@ def corrupt(traj, how, nums):
 def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, column):
     """Both forms fail exactly where the oracles, which read every index, fail.
 
-    A block-backed trajectory stores q + P values per column, and its
-    checks may stop after one repeat.  A materialised one stores every
+    A block-backed trajectory stores q + M values per column, M = lcm(p, 2q),
+    and its checks may stop after one repeat.  A materialised one stores every
     value, and no check stops, so one changed value in its last block
     fails it.
     """
     traj = long_periodic(REPEATING[name], form)
     spec = traj.spec
-    period = block_period(spec.p, step_coefficients(spec))
-    assert len(traj.x_nums) == spec.q + (period if form == "block" else traj.n_max)
+    block = math.lcm(spec.p, 2 * spec.q)
+    assert len(traj.x_nums) == spec.q + (block if form == "block" else traj.n_max)
     corrupt(traj, how, getattr(traj, column))
     got = {check.__name__: outcome(check, traj) for check, _ in CHECKS_AND_ORACLES}
     want = {check.__name__: outcome(oracle, traj) for check, oracle in CHECKS_AND_ORACLES}
@@ -389,33 +393,69 @@ def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, col
         assert False in want.values()
 
 
-@pytest.mark.parametrize("steps", ["P", "P+1", "3P+q"])
-@pytest.mark.parametrize("name", REPEATING)
+# Drifting and unbounded specs, whose block multipliers are not all +-1:
+# c = 1/2 on (6, 10) and c = 2 on (3, 5), where every R_r is (b/a)^(q/d);
+# c = 1 on (2, 3) and free a, b on (4, 6), both p/g even, where the d = 2
+# and d = 4 multipliers differ from class to class.
+GROWING = {
+    "c=1/2-(6,10)": random_signed_spec(random.Random(6), 6, 10, a=1, b=2),
+    "c=2-(3,5)": random_signed_spec(random.Random(6), 3, 5, a=-2, b=-1),
+    "c=1-(2,3)": random_signed_spec(random.Random(6), 2, 3, a=1, b=1),
+    "free-(4,6)": random_signed_spec(random.Random(6), 4, 6, a=Fraction(-3, 2), b=5),
+}
+
+
+@pytest.mark.parametrize("steps", ["M", "M+1", "3M+q", "10M"])
+@pytest.mark.parametrize("name", [*REPEATING, *GROWING])
 def test_block_backed_trajectory_matches_materialised(name, steps):
     """Every reader of a stored block gives what a trajectory storing every value gives.
 
     That is every x(n) and y(n), the laws' reader over each whole column,
-    ``growth_slope`` for strides below, at and past the block length, and
-    every exact law.
+    read as quotients, ``growth_slope`` for strides below, at and past the
+    block length, and every exact law.
     """
-    spec = REPEATING[name]
-    period = block_period(spec.p, step_coefficients(spec))
-    n = {"P": period, "P+1": period + 1, "3P+q": 3 * period + spec.q}[steps]
+    spec = {**REPEATING, **GROWING}[name]
+    m = math.lcm(spec.p, 2 * spec.q)
+    n = {"M": m, "M+1": m + 1, "3M+q": 3 * m + spec.q, "10M": 10 * m}[steps]
     block, full = simulate(spec, n), materialised(spec, n)
     assert block.n_max == full.n_max == n
-    assert len(block.x_nums) == len(block.y_dens) == spec.q + period
+    assert len(block.x_nums) == len(block.y_dens) == spec.q + m
     assert len(full.x_nums) == spec.q + n
-    indices = range(1 - spec.q, n + 1)
-    assert [block.x(k) for k in indices] == [full.x(k) for k in indices]
-    assert [block.y(k) for k in indices] == [full.y(k) for k in indices]
-    for column in ("x_nums", "x_dens", "y_nums", "y_dens"):
-        assert list(block._read(getattr(block, column), 0)) == getattr(full, column), column
-    strides = [(1, 0), (2, 1), (7, 5), (spec.q, spec.q - 1), (period, 0), (period, period - 1),
-               (period + 1, 1), (2 * period, 3)]
-    for m, t in strides:
+    assert logical_columns(block) == logical_columns(full)  # every x(n) and y(n)
+    for nums, dens in (("x_nums", "x_dens"), ("y_nums", "y_dens")):
+        read = [Fraction(num, den) for num, den in zip(block._read(getattr(block, nums), 0),
+                                                        block._read(getattr(block, dens), 0))]
+        assert read == [Fraction(num, den) for num, den in zip(getattr(full, nums),
+                                                                getattr(full, dens))], nums
+    strides = [(1, 0), (2, 1), (7, 5), (spec.q, spec.q - 1), (m, 0), (m, m - 1),
+               (m + 1, 1), (2 * m, 3)]
+    for stride, t in strides:
         def slope(traj):
-            return growth_slope(traj, m, t)
+            return growth_slope(traj, stride, t)
 
-        assert outcome(slope, block) == outcome(slope, full), (m, t)
+        assert outcome(slope, block) == outcome(slope, full), (stride, t)
     for check, _ in CHECKS_AND_ORACLES:
         assert outcome(check, block) == outcome(check, full), check.__name__
+
+
+@pytest.mark.parametrize("how", ["doubled", "negated"])
+@pytest.mark.parametrize("name", GROWING)
+def test_corrupted_multiplier_fails_a_law(name, how):
+    """One R_r times 2, or its sign flipped, in a block-backed trajectory through 3M + q.
+
+    The block itself is the kernel's; the wrong R enters only through the
+    reader past M, and some law that applies must fail there.  The
+    x-relation always does: x_n and x_{n-p} lie in different passes of the
+    block for the first p offsets of each.
+    """
+    spec = GROWING[name]
+    m = math.lcm(spec.p, 2 * spec.q)
+    traj = simulate(spec, 3 * m + spec.q)
+    assert all(outcome(check, traj) in (True, TooFewPointsError, WrongRegimeError)
+               for check, _ in CHECKS_AND_ORACLES)
+    multipliers = list(traj.multipliers)
+    r = multipliers[-1]
+    multipliers[-1] = Rational(2 * r.numerator, r.denominator) if how == "doubled" else \
+        Rational(-r.numerator, r.denominator)
+    bad = replace(traj, multipliers=tuple(multipliers))
+    assert x_relation_check(bad) is False

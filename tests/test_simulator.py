@@ -29,6 +29,7 @@ from perisys import (
     SystemSpec,
     TooFewPointsError,
     Trajectory,
+    TrajectoryIndexError,
     WrongBackendError,
     block_multipliers,
     component_bits,
@@ -51,6 +52,7 @@ from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period, trajectory_ro
 
 from conftest import (
     bit_cap,
+    block_bound,
     canonical_triples,
     columns,
     components,
@@ -64,6 +66,7 @@ from conftest import (
     rand_value,
     random_signed_spec,
     specs,
+    stored_length,
 )
 from oracles import (
     chunked_literal,
@@ -181,9 +184,11 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     ``detect_cycle`` compares them as pairs, which is sound only on
     canonical forms.  ``specs`` draws signed data, p = q, b = -a and
     a != +-1; the x y = b family is periodic in every regime, and its steps
-    run past the block period P, where ``simulate`` stores one block that
-    its accessors cycle, and ``iter_pairs`` steps on.  A small cap can stop
-    them inside the first block.
+    run past the block period P, and ``iter_pairs`` steps on.  Past
+    M = lcm(p, 2q) ``simulate`` stores one block and its multipliers, which
+    its accessors scale, where the block rule's bound stays within the cap
+    (conftest ``stored_length``).  A small cap can stop them inside the
+    first block.
     """
     if data != "drawn":
         spec = product_family_spec(rng, spec.p, spec.q, spec.a,
@@ -201,9 +206,37 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     if traj is not None:
         for nums, dens in ((traj.x_nums, traj.x_dens), (traj.y_nums, traj.y_dens)):
             assert all(map(is_canonical, nums, dens))
-            assert len(nums) == spec.q + min(n_steps, period or n_steps)
+            assert len(nums) == stored_length(spec, n_steps, max_bits)
         assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
                                          *columns(list(spec.y_init) + [y for _, _, y in want]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(), st.integers(1, 8), st.integers(0, 40), st.integers(-18, 2))
+@example(SystemSpec(a=1, b=2, p=3, q=5, x_init=(1, 2, 3, 4, 5), y_init=(5, 4, 3, 2, 1)),
+         8, 0, -10)
+def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
+    """Past M, a cap drawn around the block rule's bound: the oracle's first error, or every value.
+
+    ``simulate`` stores one block when no value through n can pass the
+    cap (conftest ``block_bound``), and otherwise steps on to n as the
+    literal recurrence does: the same values, or the same error text at
+    the same value, x_n before y_n.  The example is c = 1/2 on (3, 5),
+    R = 32, where a cap 10 bits under the bound of 8 blocks is passed.
+    """
+    n_steps = blocks * math.lcm(spec.p, 2 * spec.q) + extra + 1
+    cap = max(1, block_bound(spec, n_steps) + shift)
+    want, error = pairs_until_cap(naive_pairs(spec, cap), n_steps)
+    with bit_cap(cap):
+        if error is not None:
+            with pytest.raises(BitLengthExceededError) as info:
+                simulate(spec, n_steps)
+            assert str(info.value) == error
+            return
+        traj = simulate(spec, n_steps)
+    assert len(traj.x_nums) == stored_length(spec, n_steps, cap)
+    assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
+                                     *columns(list(spec.y_init) + [y for _, _, y in want]))
 
 
 def multipliers_of(spec):
@@ -295,8 +328,8 @@ def replay_specs():
 def test_replayed_blocks_match_literal_recurrence():
     """P is M, or 2M iff some R_r = -1, and the literal pairs repeat with period P.
 
-    ``simulate`` stores the initial data and that one block, and its
-    accessors cycle the block through n_max.
+    ``simulate`` stores the initial data, one block of M values and the
+    multipliers +-1, and its accessors read the block through n_max.
     """
     for spec in replay_specs():
         multipliers = multipliers_of(spec)
@@ -308,7 +341,7 @@ def test_replayed_blocks_match_literal_recurrence():
         traj = simulate(spec, n_max)
         x, y = naive_simulate(spec, n_max)
         assert all((x[n + period], y[n + period]) == (x[n], y[n]) for n in range(1, period + 1))
-        assert len(traj.x_nums) == len(traj.y_dens) == spec.q + period
+        assert len(traj.x_nums) == len(traj.y_dens) == spec.q + m
         indices = range(1 - spec.q, n_max + 1)
         assert logical_columns(traj) == (*columns([x[n] for n in indices]),
                                          *columns([y[n] for n in indices]))
@@ -347,10 +380,10 @@ def boundary_specs():
 
 
 def test_simulate_matches_literal_recurrence_at_replay_boundaries():
-    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then the stored block cycled.
+    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then the stored block read.
 
-    The columns store q + min(n, P) values when the pairs repeat with P,
-    and all q + n otherwise.
+    The columns store q + min(n, M) values, M = lcm(p, 2q), whether the
+    pairs repeat or drift: these values stay far below the default cap.
     """
     periodic = 0
     for spec, length in boundary_specs():
@@ -360,7 +393,7 @@ def test_simulate_matches_literal_recurrence_at_replay_boundaries():
         for n_steps in (max(length // 2, 1), length - 1 or 1, length, length + 1, 3 * length + 5):
             traj = simulate(spec, n_steps)
             indices = range(1 - spec.q, n_steps + 1)
-            assert len(traj.x_nums) == spec.q + min(n_steps, period or n_steps), (spec, n_steps)
+            assert len(traj.x_nums) == spec.q + min(n_steps, math.lcm(spec.p, 2 * spec.q))
             assert logical_columns(traj) == (*columns([x[n] for n in indices]),
                                              *columns([y[n] for n in indices])), (spec, n_steps)
     assert periodic >= 20
@@ -504,7 +537,7 @@ def test_conservation_laws_random_grid():
 
 
 def test_product_invariant_detects_corruption():
-    traj = simulate(random_signed_spec(random.Random(6), 2, 3), 50)
+    traj = materialised(random_signed_spec(random.Random(6), 2, 3), 50)
     assert product_invariant_check(traj)
     traj.x_nums[20] += traj.x_dens[20]  # x at list offset 20 plus 1
     assert not product_invariant_check(traj)
@@ -519,7 +552,7 @@ def test_x_relation_homogeneous_and_with_ratio():
 
 
 def test_x_relation_detects_corruption():
-    traj = simulate(random_signed_spec(random.Random(9), 2, 3), 60)
+    traj = materialised(random_signed_spec(random.Random(9), 2, 3), 60)
     assert x_relation_check(traj)
     traj.x_nums[40] *= 2
     assert not x_relation_check(traj)
@@ -554,10 +587,12 @@ def test_hand_built_trajectory_shape_is_checked():
 
     Unequal columns would let ``zip`` in the laws stop at the shortest, and
     a trajectory with no generated value stored would divide by its empty
-    block.  Each is a typed ``ArgumentRangeError``, still a ValueError.
+    block.  Multipliers need one per class, d = gcd(p, 2q) of them, over a
+    block of M = lcm(p, 2q) values.  Each is a typed ``ArgumentRangeError``,
+    still a ValueError.
     """
-    traj = simulate(HAND_SPEC, 20)  # q = 3, 23 values per column
-    cols = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
+    full = materialised(HAND_SPEC, 20)  # q = 3, 23 values per column
+    cols = (full.x_nums, full.x_dens, full.y_nums, full.y_dens)
     cases = {
         "x_dens shorter": (*cols[:1], cols[1][:-1], *cols[2:], 20),
         "fewer than q": (*(column[:2] for column in cols), 0),
@@ -568,10 +603,25 @@ def test_hand_built_trajectory_shape_is_checked():
         with pytest.raises(ArgumentRangeError, match=r"^column lengths \[") as raised:
             Trajectory(HAND_SPEC, x_nums, x_dens, y_nums, y_dens, n_max)
         assert isinstance(raised.value, ValueError), name
-    # the initial data alone, a block of one value, and every value still build
+    traj = simulate(HAND_SPEC, 20)  # M = 6 and d = 2: 9 values per column, 2 multipliers
+    block = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
+    assert len(traj.x_nums) == 9 and len(traj.multipliers) == 2
+    shapes = {
+        "one multiplier": (block, traj.multipliers[:1], r"^1 multipliers over a block of 6; "),
+        "three multipliers": (block, traj.multipliers + traj.multipliers[:1],
+                              r"^3 multipliers over a block of 6; "),
+        "block of 5": ([column[:8] for column in block], traj.multipliers,
+                       r"^2 multipliers over a block of 5; "),
+    }
+    for name, (columns_, multipliers, message) in shapes.items():
+        with pytest.raises(ArgumentRangeError, match=message + r"p = 2 and q = 3 need 2 over 6$"):
+            Trajectory(HAND_SPEC, *columns_, 20, multipliers)
+    # the initial data alone, a block of one value, a cycled and a scaled block, and every value
     Trajectory(HAND_SPEC, *(column[:3] for column in cols), 0)
-    assert Trajectory(HAND_SPEC, *(column[:4] for column in cols), 200).x(200) == traj.x(1)
-    assert materialised(HAND_SPEC, 20).x(20) == traj.x(20)
+    assert Trajectory(HAND_SPEC, *(column[:4] for column in cols), 200).x(200) == full.x(1)
+    assert Trajectory(HAND_SPEC, *block, 200).x(200) == full.x(2)  # 200 = 2 (mod 6)
+    assert Trajectory(HAND_SPEC, *block, 20, traj.multipliers).x(20) == full.x(20) != full.x(2)
+    assert full.x(20) == HAND_SPEC.a / full.y(18)
 
 
 def test_bit_length_cap_enforced():
@@ -863,8 +913,14 @@ def test_trajectory_obj_spec_round_trips():
 def test_trajectory_index_bounds():
     traj = simulate(HAND_SPEC, 5)
     assert traj.n_max == 5
-    with pytest.raises(IndexError, match=r"^index 6 outside stored range -2 \.\. 5$"):
+    with pytest.raises(IndexError, match=r"^index 6 outside stored range -2 \.\. 5$") as raised:
         traj.x(6)
+    # a typed error, which the CLI reports as one line
+    assert isinstance(raised.value, TrajectoryIndexError)
+    assert isinstance(raised.value, PerisysError)
+    block = simulate(HAND_SPEC, 20)  # one block of M = 6, read through index 20
+    with pytest.raises(TrajectoryIndexError, match=r"^index 21 outside stored range -2 \.\. 20$"):
+        block.y(21)
     with pytest.raises(IndexError, match=r"^index -3 outside stored range -2 \.\. 5$"):
         traj.y(-3)
     # q = 1 stores from index 0
