@@ -100,9 +100,11 @@ so it is the canonical pair that ``Fraction`` would give.
 denominator 1 and numerator +-1, and R_r = 1 then reads numerator 1.
 :func:`trajectory_rows` uses P to stop computing: it cycles its first P
 rendered rows, with n renumbered, each of which already passed the bit
-cap.  ``cycle.detect_cycle`` decides from P: no cycle without one, and
-otherwise the minimal period among the divisors of P, from the first P
-pairs of ``iter_pairs``, which itself never replays.
+cap; without P it takes each row past M from the row M before it, by the
+block law, unless R is too wide (Rendering).  ``cycle.detect_cycle``
+decides from P: no cycle without one, and otherwise the minimal period
+among the divisors of P, from the first P pairs of ``iter_pairs``, which
+itself never replays.
 
 :func:`simulate` needs no P, since the block law holds in every case.
 It stores the initial data, one block, indices 1 .. M at offsets
@@ -149,6 +151,25 @@ text, and "/" and the denominator's text unless the denominator is 1; a
 row's log magnitude is the difference of its two components' logs, the
 float that ``numerics.to_signed_log`` gives.
 
+Past the block.  An export whose pairs have no block period takes rows
+1 .. M from the kernel, through ``iter_pairs``, and every later y_n from
+y_{n-M} by the block law, y_n = y_{n-M} R with R = R_{n mod d} = A/B,
+reduced by the cross gcds of Reduction: with y_{n-M} = N/D,
+g1 = gcd(N, B) and g2 = gcd(A, D).  x_n = a / y_{n-p} is formed as the
+kernel forms it, and both are tested against the cap as the kernel tests
+them, x_n first.  The window holds y_{n-M} .. y_{n-1}, with their
+images, texts and logs.  One R applies along each chain y_j, y_{j+M},
+y_{j+2M}, ..., and once g1 = 1 it stays 1 along the chain: the next
+numerator is N (A/g2), R is reduced, so A is prime to B, and no prime of
+B divides N or A/g2.  Likewise once g2 = 1 the next denominator D (B/g1)
+is prime to A.  Before that, each step divides N by the power in B of
+each prime the two share, or by all of it, and A brings none back, so
+g1 = 1 within max over such primes l of v_l(N) / v_l(B) + 1 steps, and
+g2 likewise.  A settled chain takes no gcd, and a row of y then costs two
+int products and two ``Decimal`` products.  Those products by R cost more
+than the kernel's by K and its gcds once R is wide, so when a component
+of R has more than ``_BLOCK_LAW_BITS`` bits the kernel renders every row.
+
 The signed-log backend keeps the literal recurrence: the coefficient form
 would add the logs in another order, which changes float rounding and with
 it the exported log magnitudes.  Its window holds flat export rows
@@ -189,6 +210,11 @@ BACKEND_EXACT = "exact"
 BACKEND_SIGNEDLOG = "signedlog"
 
 TRAJECTORY_CSV_HEADER = ("n", "x", "y", "sign_x", "log_abs_x", "sign_y", "log_abs_y")
+
+# An exact export renders the rows past M by the block law only when no
+# component of the block multipliers is wider than this; a wider R makes
+# the products of the law cost more than the kernel's steps.
+_BLOCK_LAW_BITS = 512
 
 
 @dataclass(frozen=True)
@@ -705,24 +731,43 @@ def _literal(num: int, den: int, num_text: str, den_text: str) -> str:
     return f"{sign}{num_text}" if den == 1 else f"{sign}{num_text}/{den_text}"
 
 
-def _exact_rows(spec: SystemSpec, coefficients: Sequence[Rational],
-                pairs: Iterator[tuple]) -> Iterator[tuple]:
+def _stepped(value: int, rendered: tuple, divisor: int, factor: int) -> tuple:
+    """value / divisor * factor, and its (image, text, log), made from ``rendered``, those of value.
+
+    ``divisor`` divides ``value``; a negative ``factor`` changes the sign
+    of the int and leaves its magnitude's rendering to ``|factor|``.
+    """
+    if divisor != 1:
+        value //= divisor
+    if factor != 1:
+        value *= factor
+    return value, _component_step(rendered, value, divisor, abs(factor))
+
+
+def _y_window(spec: SystemSpec, size: int) -> deque:
+    """y_{1-p} .. y_0 as an export window of ``size`` at most: each one's ints and renderings."""
+    return deque(((y.numerator, y.denominator, _rendered(y.numerator), _rendered(y.denominator))
+                  for y in spec.y_init[-spec.p:]), maxlen=size)
+
+
+def _exact_rows(spec: SystemSpec, coefficients: Sequence[Rational], pairs: Iterator[tuple],
+                window: deque) -> Iterator[tuple]:
     """Export rows of exact pairs, each component rendered once (module docstring, Rendering).
 
     ``coefficients`` are the 2q pairs of :func:`step_coefficients`, and
-    ``window`` holds y_{n-p} .. y_{n-1}, each as its two ints and the
-    (image, text, log) of each component's magnitude.  Row n makes these
-    for y_n's components, which x_{n+p} reuses p rows later, and for x_n's
-    only where a's reduction changes a component of 1/y_{n-p}: never when
-    |a| = 1.  A row's sign is that of its numerator, and its log the
-    difference of its components' logs, the floats of ``to_signed_log``.
+    ``window`` is a :func:`_y_window`, of size p or more, that ends with
+    y_{n-p} .. y_{n-1}.  Row n appends y_n to it, and makes the (image,
+    text, log) of y_n's components, which x_{n+p} reuses p rows later,
+    and of x_n's only where a's reduction changes a component of
+    1/y_{n-p}: never when |a| = 1.  A row's sign is that of its
+    numerator, and its log the difference of its components' logs, the
+    floats of ``to_signed_log``.
     """
     a_num, a_den = abs(spec.a.numerator), spec.a.denominator
-    window = deque(((y.numerator, y.denominator, _rendered(y.numerator), _rendered(y.denominator))
-                    for y in spec.y_init[-spec.p:]), maxlen=spec.p)
+    back = -spec.p
     steps = zip(pairs, itertools.cycle(coefficients))
     for (n, (x_num, x_den), (y_num, y_den)), (k_num, k_den) in steps:
-        num, den, num_rendered, den_rendered = window[0]
+        num, den, num_rendered, den_rendered = window[back]
         # x_n = (1/y_{n-p}) a, where 1/y_{n-p} has magnitudes den / |num|
         g1, g2 = _gcd(den, a_den), _gcd(num, a_num)
         x_num_rendered = _component_step(den_rendered, x_num, g1, a_num // g2)
@@ -738,25 +783,87 @@ def _exact_rows(spec: SystemSpec, coefficients: Sequence[Rational],
                1 if y_num > 0 else -1, y_num_rendered[2] - y_den_rendered[2])
 
 
+def _block_rows(spec: SystemSpec, coefficients: Sequence[Rational],
+                multipliers: Sequence[Rational], pairs: Iterator[tuple],
+                cap: int) -> Iterator[tuple]:
+    """Export rows n = 1, 2, ...: the first M from ``pairs``, every later one by the block law.
+
+    Rows 1 .. M are those of :func:`_exact_rows`, whose window then holds
+    y_1 .. y_M.  Row n > M forms y_n = y_{n-M} R, R = R_{n mod d} of
+    ``multipliers``, and x_n = a / y_{n-p}, each reduced by the cross gcds
+    of the kernel's Reduction, tests x_n and then y_n against ``cap`` as
+    the kernel does, and renders them as :func:`_exact_rows` does.  The
+    window holds y_{n-M} .. y_{n-1}.  Chain j holds the indices n = j + 1
+    (mod M), all of one class, and two flags: whether gcd(num, B) = 1 and
+    gcd(den, A) = 1, R = A/B, are still unknown for its last value.  A
+    gcd that returns 1 settles its flag for good (module docstring,
+    Rendering), so a settled chain costs no gcd.
+    """
+    block = math.lcm(spec.p, 2 * spec.q)
+    window = _y_window(spec, block)
+    yield from itertools.islice(_exact_rows(spec, coefficients, pairs, window), block)
+    a_num, a_den = spec.a.as_integer_ratio()
+    back, d = -spec.p, len(multipliers)
+    chains = [[*multipliers[(j + 1) % d], True, True] for j in range(block)]
+    for n, chain in zip(itertools.count(block + 1), itertools.cycle(chains)):
+        num, den, num_rendered, den_rendered = window[back]
+        # x_n = (1/y_{n-p}) a, the reciprocal's sign on its numerator
+        g1, g2 = _gcd(den, a_den), _gcd(num, a_num)
+        x_num, x_num_rendered = _stepped(den if num > 0 else -den, den_rendered, g1, a_num // g2)
+        x_den, x_den_rendered = _stepped(abs(num), num_rendered, g2, a_den // g1)
+        if x_num.bit_length() > cap or x_den.bit_length() > cap:
+            check_bits(Rational(x_num, x_den), cap)
+        # y_n = y_{n-M} R
+        num, den, num_rendered, den_rendered = window[0]
+        r_num, r_den, num_open, den_open = chain
+        g1 = _gcd(num, r_den) if num_open else 1
+        g2 = _gcd(den, r_num) if den_open else 1
+        chain[2], chain[3] = g1 != 1, g2 != 1
+        y_num, y_num_rendered = _stepped(num, num_rendered, g1, r_num // g2)
+        y_den, y_den_rendered = _stepped(den, den_rendered, g2, r_den // g1)
+        if y_num.bit_length() > cap or y_den.bit_length() > cap:
+            check_bits(Rational(y_num, y_den), cap)
+        window.append((y_num, y_den, y_num_rendered, y_den_rendered))
+        yield (n, _literal(x_num, x_den, x_num_rendered[1], x_den_rendered[1]),
+               _literal(y_num, y_den, y_num_rendered[1], y_den_rendered[1]),
+               1 if x_num > 0 else -1, x_num_rendered[2] - x_den_rendered[2],
+               1 if y_num > 0 else -1, y_num_rendered[2] - y_den_rendered[2])
+
+
 def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tuple]:
     """One export row per index n = 1 .. n_steps, in TRAJECTORY_CSV_HEADER order.
 
-    The rows are drawn lazily.  Exact rows come from ``iter_pairs(spec)``,
-    which is called, and so resolves the bit cap and rejects an unknown
-    backend, before this returns; their values are rendered as rational
-    literals, of any length and in time linear in it (module docstring,
-    Rendering).  When the pairs repeat with a :func:`block_period`
-    P < ``n_steps``, only the first P rows are computed, and stored as
-    they are drawn; the later rows cycle them with ``n`` renumbered.
+    The rows are drawn lazily.  Exact rows 1 .. M, M = lcm(p, 2q), come
+    from ``iter_pairs(spec)``, which is called, and so resolves the bit
+    cap and rejects an unknown backend, before this returns; their values
+    are rendered as rational literals, of any length and in time linear in
+    it (module docstring, Rendering).  Past M:
+
+    * when the pairs repeat with a :func:`block_period` P < ``n_steps``,
+      only the first P rows are computed, and stored as they are drawn;
+      the later rows cycle them with ``n`` renumbered;
+    * otherwise, when no component of the block multipliers has more than
+      ``_BLOCK_LAW_BITS`` bits, each row comes from the row M before it
+      by the block law, and a value over the cap raises the kernel's error
+      at the kernel's index, x_n before y_n;
+    * otherwise the kernel steps and renders every row.
+
     Signed-log rows are those of the log recurrence itself; that backend
     has no exact form, so its x and y columns are empty.
     """
     if backend == BACKEND_SIGNEDLOG:
         return itertools.islice(_log_rows(spec), n_steps)
+    pairs = iter_pairs(spec, backend)
     coefficients = step_coefficients(spec)
+    multipliers = block_multipliers(spec.p, coefficients)
     period = block_period(spec.p, coefficients)
+    if period is None and all(component.bit_length() <= _BLOCK_LAW_BITS
+                              for r in multipliers for component in r):
+        return itertools.islice(_block_rows(spec, coefficients, multipliers, pairs,
+                                            resolve_max_bits()), n_steps)
     stop = n_steps if period is None else min(n_steps, period)
-    rows = itertools.islice(_exact_rows(spec, coefficients, iter_pairs(spec, backend)), stop)
+    window = _y_window(spec, spec.p)
+    rows = itertools.islice(_exact_rows(spec, coefficients, pairs, window), stop)
     return rows if stop == n_steps else _replayed(rows, n_steps)
 
 

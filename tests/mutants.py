@@ -52,6 +52,8 @@ TEST_REPEATS = "tests/test_exact_checks.py::test_checks_stop_after_one_repeat_an
 TEST_BLOCK = "tests/test_exact_checks.py::test_block_backed_trajectory_matches_materialised"
 TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_block_bound"
 TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
+TEST_BLOCK_LAW = "tests/test_simulator.py::test_rows_past_the_block_follow_the_block_law"
+TEST_SETTLING = "tests/test_simulator.py::test_a_chain_settles_only_on_a_gcd_of_1"
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
@@ -121,6 +123,22 @@ MUTANTS = (
            "    if divisor == 1 and factor == 1:\n        return rendered",
            "    if divisor == 1:\n        return rendered",
            (TEST_SIMULATOR,)),
+    # an export past M multiplies y_{n-M} by the multiplier of class n + 1
+    Mutant("export's block law reads R of class n + 1", SIMULATOR,
+           "chains = [[*multipliers[(j + 1) % d], True, True] for j in range(block)]",
+           "chains = [[*multipliers[(j + 2) % d], True, True] for j in range(block)]",
+           (TEST_BLOCK_LAW,)),
+    # a chain of the export's block law takes no further gcd after its
+    # first, whatever that gcd was
+    Mutant("chain settled after a gcd other than 1", SIMULATOR,
+           "chain[2], chain[3] = g1 != 1, g2 != 1",
+           "chain[2], chain[3] = False, False",
+           (TEST_SETTLING,)),
+    # x_n past M is 1/y_{n-p} times a with no cross gcd, so not reduced
+    Mutant("block-law x skips a's reduction", SIMULATOR,
+           "g1, g2 = _gcd(den, a_den), _gcd(num, a_num)\n        x_num, x_num_rendered",
+           "g1, g2 = 1, 1\n        x_num, x_num_rendered",
+           (TEST_BLOCK_LAW, TEST_SETTLING)),
     # the growth ratio reads its denominator one index late, x_{t+1} for x_t
     Mutant("growth ratio one index off", CLOSEDFORM,
            "traj.x(t + m) / traj.x(t)",

@@ -867,6 +867,110 @@ def test_csv_export_streams_the_rows_before_the_cap(a, cap):
     assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
 
 
+def _block_law_spec(rng: random.Random, p: int, q: int, a) -> SystemSpec:
+    """Signed random data with b = 2a, whose export takes its rows past M from the block law.
+
+    c = 1/2, so p = 1 and p = q drift (R_r = c^(q/d)), and (2, 3) and
+    (4, 6) are unbounded; the components of R stay far below the width
+    at which the kernel renders every row.
+    """
+    spec = random_signed_spec(rng, p, q, a=a, b=2 * Fraction(a))
+    coefficients = step_coefficients(spec)
+    assert block_period(p, coefficients) is None
+    assert all(component.bit_length() <= simulator._BLOCK_LAW_BITS
+               for r in block_multipliers(p, coefficients) for component in r)
+    return spec
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, Fraction(-3, 4)], ids=str)
+@pytest.mark.parametrize("p,q", [(2, 3), (4, 6), (1, 4), (5, 5)])
+def test_rows_past_the_block_follow_the_block_law(p, q, a):
+    """Past M = lcm(p, 2q) unbounded and drifting exports take each y_n from y_{n-M}.
+
+    At n = M - 1, M, M + 1 and 3M + q the rows equal the ``str(Fraction)``
+    rendering of the literal recurrence, and the CSV and JSON exports
+    equal the stdlib writers' bytes.
+    """
+    spec = _block_law_spec(random.Random(10 * p + q), p, q, a)
+    m = math.lcm(p, 2 * q)
+    want = [str_fraction_row(*pair) for pair in itertools.islice(naive_pairs(spec), 3 * m + q)]
+    for n_steps in (m - 1, m, m + 1, 3 * m + q):
+        assert list(trajectory_rows(spec, n_steps, BACKEND_EXACT)) == want[:n_steps], n_steps
+        assert_exports_match_stdlib_writers(spec, n_steps, BACKEND_EXACT)
+
+
+# (2, 3) with R = (4/3, -16/9): y_2 = -9/64, y_8 = -3/16 and y_14 = -1/4
+# have denominators that share 4 with A = 4, and y_2 and y_8 numerators
+# that share 3 with B = 3, so the chain of n = 2 (mod 6) takes gcds other
+# than 1 on its second and third values before it settles.
+UNSETTLED_SPEC = SystemSpec(a=Fraction(-3, 4), b=1, p=2, q=3,
+                            x_init=(Fraction(-1, 2), Fraction(-16, 3), Fraction(-2)),
+                            y_init=(Fraction(-16, 3), Fraction(-4, 3), Fraction(-1)))
+
+
+def test_a_chain_settles_only_on_a_gcd_of_1():
+    spec = UNSETTLED_SPEC
+    assert block_multipliers(2, step_coefficients(spec)) == [Rational(4, 3), Rational(-16, 9)]
+    pairs = list(itertools.islice(naive_pairs(spec), 60))
+    ys = {n: y for n, _, y in pairs}
+    assert [ys[n] for n in (2, 8, 14, 20)] == [Fraction(-9, 64), Fraction(-3, 16),
+                                              Fraction(-1, 4), Fraction(-1, 3)]
+    assert list(trajectory_rows(spec, 60, BACKEND_EXACT)) == [str_fraction_row(*pair)
+                                                              for pair in pairs]
+    assert_exports_match_stdlib_writers(spec, 60, BACKEND_EXACT)
+
+
+@pytest.mark.parametrize("a", [1, 2, Fraction(-3, 4)], ids=str)
+def test_csv_export_streams_the_block_law_rows_before_the_cap(a):
+    """A cap first passed past M: the CSV stream holds the oracle's rows, then the oracle's error."""
+    spec = _block_law_spec(random.Random(7), 2, 5, a)
+    m = 10
+    cap = max(component_bits(value) for _, x, y in itertools.islice(naive_pairs(spec), 2 * m)
+              for value in (x, y))
+    want, error = pairs_until_cap(naive_pairs(spec, cap), 10 * m)
+    assert error is not None and len(want) >= 2 * m
+    expected = io.StringIO()
+    csv_writer_export(spec, len(want), BACKEND_EXACT, expected)  # no cap: the rows before it
+    written = io.StringIO()
+    with bit_cap(cap), pytest.raises(BitLengthExceededError) as raised:
+        write_trajectory_csv(spec, 10 * m, BACKEND_EXACT, written)
+    assert str(raised.value) == error
+    assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
+
+
+def _wide_spec(p: int, q: int) -> SystemSpec:
+    """Positive data with 20-bit components; for q well above 12, R is wider than the block law takes."""
+    rng = random.Random(p * q)
+
+    def value() -> Fraction:
+        return Fraction(rng.randint(1 << 19, 1 << 20), rng.randint(1 << 19, 1 << 20))
+
+    return SystemSpec(a=1, b=1, p=p, q=q, x_init=tuple(value() for _ in range(q)),
+                      y_init=tuple(value() for _ in range(q)))
+
+
+def test_exact_export_routes_by_the_block_multipliers(monkeypatch):
+    """Pairs drawn from ``iter_pairs``: M past a narrow R, every row past a wide one, P when periodic."""
+    drawn = []
+
+    def counting(spec, backend=BACKEND_EXACT):
+        for item in iter_pairs(spec, backend):
+            drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(simulator, "iter_pairs", counting)
+    narrow = _block_law_spec(random.Random(3), 2, 3, 1)
+    wide = _wide_spec(2, 31)
+    assert max(component.bit_length() for r in block_multipliers(2, step_coefficients(wide))
+               for component in r) > simulator._BLOCK_LAW_BITS
+    periodic = product_family_spec(random.Random(3), 2, 3, 2, -2)
+    for spec, n_steps, pairs in ((narrow, 60, 6), (wide, 100, 100), (periodic, 60, 12)):
+        drawn.clear()
+        rows = list(trajectory_rows(spec, n_steps, BACKEND_EXACT))
+        assert drawn == list(range(1, pairs + 1))
+        assert rows == _str_fraction_rows(spec, n_steps)
+
+
 # (2, 3) with initial components of about 20 bits: the literals pass
 # 4300 digits near n = 820 and reach about 7400 digits at n = 1200.
 WIDE_SPEC = SystemSpec(
