@@ -15,9 +15,9 @@ Backends.  Trajectories are generated on two backends:
   runs every exact step: it appends the four int components of x_n and
   y_n to columns that its caller gives, and reads y_{n-p} back from
   them.  :func:`simulate` gives it the four int lists of a
-  :class:`Trajectory`, which every zero-tolerance law reads, and builds
-  no pair; :func:`iter_pairs` gives it two int deques of the last p
-  values of y, and asks it for pairs.
+  :class:`Trajectory`, which every zero-tolerance law reads, for the
+  first block, and builds no pair; :func:`iter_pairs` gives it two int
+  deques of the last p values of y, and asks it for pairs.
 * ``signedlog`` values are (sign, log magnitude) pairs that track the
   exact trajectory to float precision and cannot overflow, which makes
   very long exports in growing regimes cheap; no ``Trajectory`` holds
@@ -107,11 +107,13 @@ among the divisors of P, from the first P pairs of ``iter_pairs``, which
 itself never replays.
 
 :func:`simulate` needs no P, since the block law holds in every case.
-It stores the initial data, one block, indices 1 .. M at offsets
-q .. q + M - 1 of each column, and the d multipliers, whenever the law
-bounds every value through n within the bit cap; the :class:`Trajectory`
-readers scale the block by the multipliers through the logical length,
-R_r = +-1 included.
+Past M it stores the initial data, one block, indices 1 .. M at offsets
+q .. q + M - 1 of each column, and the d multipliers, and nothing else;
+the :class:`Trajectory` readers scale the block by the multipliers
+through the logical length, R_r = +-1 included.  Where the law does not
+bound every value through n within the bit cap, ``simulate`` also drains
+n pairs of ``iter_pairs``, storing none, so that a value over the cap
+raises where the kernel reaches it.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -223,23 +225,19 @@ class Trajectory:
 
     The values are stored as four int columns, the numerators and
     denominators of x and of y; list offset k holds index k - q + 1.
-    Each column holds the q initial values, then the generated ones, all
-    ``n_max`` of them or fewer.  Fewer means that the generated values
-    stored form a block, whose length L is the number stored, that stands
-    for every later index: index j + kL, j in 1 .. L, holds the value of
-    index j scaled k times by its class's multiplier.
+    Each column holds the q initial values, then the generated ones: all
+    ``n_max`` of them, or one block of M = lcm(p, 2q), indices 1 .. M,
+    that stands for every later index.
 
     ``multipliers`` are the d = gcd(p, 2q) block multipliers R_r of
-    :func:`block_multipliers`, or none.  With them L must be
-    M = lcm(p, 2q), and index j + kM holds y_j R^k and x_j / R^k with
-    R = R_{j mod d}, the block law of the module docstring.  With none the
-    block cycles: index n > L holds the value of index 1 + (n - 1) mod L.
-    :func:`simulate` stores an M-block and its multipliers for each
-    trajectory longer than M whose values stay provably within the bit cap.
+    :func:`block_multipliers`, or none.  A stored block needs them: index
+    j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k with R = R_{j mod d},
+    the block law of the module docstring.  :func:`simulate` stores an
+    M-block and its multipliers for each trajectory longer than M.
     Columns of unequal length, or with fewer than q or more than
     q + ``n_max`` values, or with no generated value when ``n_max`` >= 1,
-    and multipliers other than d of them over a block of M, raise
-    ``ArgumentRangeError``.
+    and multipliers other than d of them over a block of M, or fewer than
+    ``n_max`` generated values without them, raise ``ArgumentRangeError``.
     """
 
     spec: SystemSpec
@@ -257,7 +255,7 @@ class Trajectory:
         if len(lengths) > 1 or not least <= lengths[0] <= most:
             raise ArgumentRangeError(f"column lengths {lengths}; q = {q} and "
                                      f"n_max = {self.n_max} need {least} .. {most}")
-        if self.multipliers:
+        if self.multipliers or lengths[0] < most:
             d, m = math.gcd(self.spec.p, 2 * q), math.lcm(self.spec.p, 2 * q)
             if len(self.multipliers) != d or lengths[0] - q != m:
                 raise ArgumentRangeError(
@@ -282,26 +280,26 @@ class Trajectory:
         """``column``'s values from list offset ``start`` on, without end.
 
         Offsets below q hold the initial data; pass k of the block holds
-        offsets q + kL .. q + (k + 1)L - 1, L the block length.  Pass k
-        reads the value stored at offset q + j, index j + 1, times F_r^k,
-        with r = (j + 1) mod d: F_r is A_r for the y numerators and the x
-        denominators, B_r for the other two columns, where R_r = A_r / B_r,
-        and 1 without multipliers.  So each value is y_{j+1} R^k or
-        x_{j+1} / R^k as an unreduced quotient, whose denominator is
-        negative where A_r^k is.  Each pass is one ``map`` over the block.
+        offsets q + kM .. q + (k + 1)M - 1.  Pass k reads the value stored
+        at offset q + j, index j + 1, times F_r^k, with r = (j + 1) mod d:
+        F_r is A_r for the y numerators and the x denominators, B_r for
+        the other two columns, where R_r = A_r / B_r.  So each value is
+        y_{j+1} R^k or x_{j+1} / R^k as an unreduced quotient, whose
+        denominator is negative where A_r^k is.  Each pass is one ``map``
+        over the block.
         """
         q = self.spec.q
         size = len(column) - q
         k, j = divmod(start - q, size) if start >= q else (0, 0)
         grows = column is self.y_nums or column is self.x_dens
-        factors = [r.numerator if grows else r.denominator for r in self.multipliers] or [1]
+        factors = [r.numerator if grows else r.denominator for r in self.multipliers]
 
         def scaled(k: int, j: int) -> Iterator[int]:
             powers = [factor ** k for factor in factors]
             block = itertools.islice(column, q + j, q + size)
             if powers == [1] * len(powers):
                 return block
-            # offset q + j holds class (j + 1) mod d, and d divides L
+            # offset q + j holds class (j + 1) mod d, and d divides M
             scale = itertools.islice(itertools.cycle(powers[1:] + powers[:1]), j, None)
             return map(operator.mul, block, scale)
 
@@ -525,14 +523,18 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     largest ceil(log2 |c|) over the components c of the multipliers (0 when
     every |R_r| = 1), so each component through ``n_steps`` has at most
     k G + w bits, with k <= (``n_steps`` - 1) // M and w the largest
-    component bit length of the block.  When that bound is within the cap,
-    no value can pass it, and the columns hold the initial data and the
-    block, with the d multipliers, so memory is O(q + M) whatever
-    ``n_steps`` is.  Otherwise the kernel runs on through ``n_steps`` and
-    the columns hold every value; a value over the cap then raises where
-    the literal recurrence reaches it, x_n before y_n.  The bit cap is that
-    of :func:`iter_pairs`, resolved before the first step.  ``n_steps`` < 1
-    raises ``TooFewPointsError``.
+    component bit length of the block.  Past M the columns hold the
+    initial data and the block, with the d multipliers, so memory is
+    O(q + M) whatever ``n_steps`` is.  When the bound is within the cap,
+    no value can pass it, and no further step is taken.  Otherwise
+    :func:`iter_pairs` steps through indices 1 .. ``n_steps`` once more,
+    in O(q) memory and O(``n_steps``) time, its pairs dropped as they
+    come; a value over the cap then raises where the literal recurrence
+    reaches it, x_n before y_n, and a run that reaches ``n_steps`` returns
+    the same block, whose readers give the values that the kernel made,
+    by the block law.  The bit cap is that of :func:`iter_pairs`,
+    resolved before the first step.  ``n_steps`` < 1 raises
+    ``TooFewPointsError``.
     """
     if n_steps < 1:
         raise TooFewPointsError("needs n >= 1")
@@ -542,15 +544,14 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     coefficients = step_coefficients(spec)
     block = math.lcm(spec.p, 2 * spec.q)
     deque(_exact_steps(spec, cap, coefficients, min(n_steps, block), *columns), maxlen=0)
-    if n_steps > block:
-        multipliers = block_multipliers(spec.p, coefficients)
-        growth = max((abs(component) - 1).bit_length() for r in multipliers for component in r)
-        widest = max(value.bit_length() for column in columns for value in column[spec.q:])
-        if (n_steps - 1) // block * growth + widest <= cap:
-            return Trajectory(spec, *columns, n_steps, tuple(multipliers))
-        # K_{n+M} = K_n, and the y columns end with y_{M-p+1} .. y_M
-        deque(_exact_steps(spec, cap, coefficients, n_steps - block, *columns), maxlen=0)
-    return Trajectory(spec, *columns, n_steps)
+    if n_steps <= block:
+        return Trajectory(spec, *columns, n_steps)
+    multipliers = block_multipliers(spec.p, coefficients)
+    growth = max((abs(component) - 1).bit_length() for r in multipliers for component in r)
+    widest = max(value.bit_length() for column in columns for value in column[spec.q:])
+    if (n_steps - 1) // block * growth + widest > cap:
+        deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)
+    return Trajectory(spec, *columns, n_steps, tuple(multipliers))
 
 
 def _quotients(traj: Trajectory, v: tuple, w: tuple, lag: int, start: int,
@@ -590,17 +591,17 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
 
     Repeats.  T = 2 lcm(p, 2q) = 2M, from the spec's delays alone and not
     from the kernel; every caller's len(references) divides T.  When
-    ``traj`` stores a block whose length L divides T, only the offsets
-    first .. first + T - 1 are compared; a trajectory that stores every
-    value, short, over the cap's bound or built by hand, is compared at
-    every offset.  Proof: every caller has first - lag >= q, so a
-    comparison at k >= first + T reads v at k and w at k - lag, both at
-    offsets >= q, past the initial data, and its j is that of k - T, since
-    len(references) divides T.  Without multipliers the reader cycles the
-    block, L divides T, and so v_k = v_{k-T} and w_{k-lag} = w_{k-lag-T}.
-    With them L = M, so k and k - T lie two passes apart in the block,
-    and the reader multiplies each column at k by F^2 over its value at
-    k - T, F the column's factor of the class of k.  Every caller's lag is
+    ``traj`` has multipliers, only the offsets first .. first + T - 1 are
+    compared.  That cuts nothing off when it stores every value, since
+    then n_max <= M and the last offset, q + n_max - 1, lies below
+    T = 2M >= q + M.  One without multipliers, no longer than M or built
+    by hand, is compared at every offset.  Proof: every caller has
+    first - lag >= q, so a comparison at k >= first + T reads v at k and w
+    at k - lag, both at offsets >= q, past the initial data, and its j is
+    that of k - T, since len(references) divides T.  The block has length
+    M, so k and k - T lie two passes apart in it, and the reader
+    multiplies each column at k by F^2 over its value at k - T, F the
+    column's factor of the class of k.  Every caller's lag is
     0, p or M, and d = gcd(p, 2q) divides each of them, so w_{k-lag} has
     the class of v_k, R = A/B.  With w = v both sides of the comparison
     gain A^2 B^2, from vN wD and from wN vD; with v = y and w = 1/x, vN
@@ -614,8 +615,7 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     each, and the block ratio where that applies.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
-    repeat, block = 2 * math.lcm(traj.spec.p, 2 * traj.spec.q), len(v_nums) - traj.spec.q
-    stop = first + repeat if block < traj.n_max and repeat % block == 0 else None
+    stop = first + 2 * math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(

@@ -23,7 +23,7 @@ from perisys import (
     simulate,
     spec_to_obj,
 )
-from perisys.numerics import DEFAULT_MAX_BITS, ENV_MAX_BITS, check_bits, component_bits
+from perisys.numerics import ENV_MAX_BITS, check_bits, component_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
 from oracles import (
@@ -154,7 +154,8 @@ def logical_columns(traj) -> tuple[list, list, list, list]:
     """The four columns of ``traj`` at every index -q+1 .. n_max, read through ``x()`` and ``y()``.
 
     A trajectory that stores one block has shorter columns; its accessors
-    cycle the block, so these are the columns of every value it stands for.
+    scale the block by its multipliers, so these are the columns of every
+    value it stands for.
     """
     indices = range(1 - traj.spec.q, traj.n_max + 1)
     return (*columns([traj.x(n) for n in indices]), *columns([traj.y(n) for n in indices]))
@@ -188,14 +189,21 @@ def block_bound(spec, n_steps) -> int:
     return (n_steps - 1) // m * e + w
 
 
-def stored_length(spec, n_steps, cap=DEFAULT_MAX_BITS) -> int:
-    """Test oracle: the column length of ``simulate(spec, n_steps)`` under ``cap``.
+def stored_length(spec, n_steps) -> int:
+    """Test oracle: the column length of every ``simulate(spec, n_steps)`` that returns.
 
-    q + M when n_steps > M and :func:`block_bound` stays within the cap,
-    else q + n_steps.
+    q + min(n_steps, M), M = lcm(p, 2q): past M one block is stored,
+    whatever the bit cap and :func:`block_bound`.
     """
-    m = math.lcm(spec.p, 2 * spec.q)
-    return spec.q + (m if n_steps > m and block_bound(spec, n_steps) <= cap else n_steps)
+    return spec.q + min(n_steps, math.lcm(spec.p, 2 * spec.q))
+
+
+def outcome(check, traj):
+    """The check's verdict, or the type of the exception it raised."""
+    try:
+        return check(traj)
+    except Exception as exc:  # compared by type against the oracle's
+        return type(exc)
 
 
 _MODULUS = (1 << 61) - 1

@@ -81,8 +81,8 @@ MUTANTS = (
     # the engine stops after one repeat of a trajectory that stores every
     # value, which need not repeat
     Mutant("engine stops without a stored block", SIMULATOR,
-           "stop = first + repeat if block < traj.n_max and repeat % block == 0 else None",
-           "stop = first + repeat",
+           "2 * traj.spec.q) if traj.multipliers else None",
+           "2 * traj.spec.q) if True else None",
            (TEST_REPEATS,)),
     # x(), y() and the laws' reader past the block map index n to
     # 1 + n mod B, one too far
@@ -107,11 +107,18 @@ MUTANTS = (
            "grows = column is self.y_nums or column is self.x_dens",
            "grows = column is self.y_nums or column is self.x_nums",
            (TEST_BLOCK,)),
-    # the bound on the values past the block drops the block count k, so a
-    # block is stored where a value passes the cap, and nothing raises
+    # the bound on the values past the block drops the block count k, so
+    # no step past the block is tested where a value passes the cap, and
+    # nothing raises
     Mutant("cap bound without the k factor", SIMULATOR,
-           "if (n_steps - 1) // block * growth + widest <= cap:",
-           "if growth + widest <= cap:",
+           "if (n_steps - 1) // block * growth + widest > cap:",
+           "if growth + widest > cap:",
+           (TEST_CAP,)),
+    # the steps that test the cap past the block stop at n - 1, so a first
+    # value over the cap at n itself raises nothing
+    Mutant("fallback steps one pair short", SIMULATOR,
+           "deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)",
+           "deque(itertools.islice(iter_pairs(spec), n_steps - 1), maxlen=0)",
            (TEST_CAP,)),
     # an exact export past the block period renumbers its replayed rows from P + 2
     Mutant("replay renumbered from P + 2", SIMULATOR,

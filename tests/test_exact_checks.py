@@ -52,6 +52,7 @@ from conftest import (
     logical_columns,
     materialised,
     nonzero_rationals,
+    outcome,
     product_family_spec,
     random_signed_spec,
     specs,
@@ -117,14 +118,6 @@ CHECKS_AND_ORACLES = (
     (block_ratio_check, oracle_block_ratio),
     (second_difference_check, oracle_second_difference),
 )
-
-
-def outcome(check, traj):
-    """The check's verdict, or the type of the exception it raised."""
-    try:
-        return check(traj)
-    except Exception as exc:  # compared by type against the oracle's
-        return type(exc)
 
 
 @st.composite

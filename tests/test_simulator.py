@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -32,12 +33,15 @@ from perisys import (
     TrajectoryIndexError,
     WrongBackendError,
     block_multipliers,
+    block_ratio_check,
     component_bits,
     drift,
+    growth_slope,
     iter_pairs,
     parse_spec,
     product_invariant_check,
     random_positive_spec,
+    second_difference_check,
     simulate,
     step_coefficients,
     to_signed_log,
@@ -62,6 +66,7 @@ from conftest import (
     logical_columns,
     materialised,
     naive_pairs,
+    outcome,
     product_family_spec,
     rand_value,
     random_signed_spec,
@@ -185,10 +190,9 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     canonical forms.  ``specs`` draws signed data, p = q, b = -a and
     a != +-1; the x y = b family is periodic in every regime, and its steps
     run past the block period P, and ``iter_pairs`` steps on.  Past
-    M = lcm(p, 2q) ``simulate`` stores one block and its multipliers, which
-    its accessors scale, where the block rule's bound stays within the cap
-    (conftest ``stored_length``).  A small cap can stop them inside the
-    first block.
+    M = lcm(p, 2q) ``simulate`` stores one block and its d = gcd(p, 2q)
+    multipliers, which its accessors scale, whatever the cap (conftest
+    ``stored_length``).  A small cap can stop them inside the first block.
     """
     if data != "drawn":
         spec = product_family_spec(rng, spec.p, spec.q, spec.a,
@@ -206,25 +210,44 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     if traj is not None:
         for nums, dens in ((traj.x_nums, traj.x_dens), (traj.y_nums, traj.y_dens)):
             assert all(map(is_canonical, nums, dens))
-            assert len(nums) == stored_length(spec, n_steps, max_bits)
+            assert len(nums) == stored_length(spec, n_steps)
+        past_block = n_steps > math.lcm(spec.p, 2 * spec.q)
+        assert len(traj.multipliers) == (math.gcd(spec.p, 2 * spec.q) if past_block else 0)
         assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
                                          *columns(list(spec.y_init) + [y for _, _, y in want]))
+
+
+# The README's (6, 10) initial data with a = 2 and b = 3: c = 2/3, every
+# R_r = (3/2)^5 = 243/32, so the block rule's bound of 8 bits per block
+# overestimates the growth by about 0.08 bits per block.
+README_C_2_3 = SystemSpec(a=2, b=3, p=6, q=10, x_init=(1, 2, 3, 1, 2, 3, 1, 2, 3, 1),
+                          y_init=(5, 4, 3, 2, 1, 5, 4, 3, 2, 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs(), st.integers(1, 8), st.integers(0, 40), st.integers(-18, 2))
 @example(SystemSpec(a=1, b=2, p=3, q=5, x_init=(1, 2, 3, 4, 5), y_init=(5, 4, 3, 2, 1)),
          8, 0, -10)
+@example(README_C_2_3, 8, 0, -5)
+@example(README_C_2_3, 2, 21, -2)
 def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
     """Past M, a cap drawn around the block rule's bound: the oracle's first error, or every value.
 
-    ``simulate`` stores one block when no value through n can pass the
-    cap (conftest ``block_bound``), and otherwise steps on to n as the
-    literal recurrence does: the same values, or the same error text at
-    the same value, x_n before y_n.  The example is c = 1/2 on (3, 5),
-    R = 32, where a cap 10 bits under the bound of 8 blocks is passed.
+    When a value through n can pass the cap (conftest ``block_bound``),
+    ``simulate`` steps on to n, storing nothing, as the literal recurrence
+    does: the same error text at the same value, x_n before y_n.  Every
+    run that returns stores the initial data, one block of M and the
+    d = gcd(p, 2q) multipliers (conftest ``stored_length``), and reads the
+    literal recurrence's values.  Where the cap lies under the bound and
+    no value passes it, every exact law and ``growth_slope`` at strides M
+    and 2M give what the trajectory that stores every value gives.  The
+    examples are c = 1/2 on (3, 5), R = 32, where a cap 10 bits under the
+    bound of 8 blocks is passed; and c = 2/3 on (6, 10), whose cap 5 bits
+    under the bound of 8 blocks is never passed, and whose cap 2 bits
+    under the bound through 2M + 22 is first passed at n itself.
     """
-    n_steps = blocks * math.lcm(spec.p, 2 * spec.q) + extra + 1
+    m = math.lcm(spec.p, 2 * spec.q)
+    n_steps = blocks * m + extra + 1
     cap = max(1, block_bound(spec, n_steps) + shift)
     want, error = pairs_until_cap(naive_pairs(spec, cap), n_steps)
     with bit_cap(cap):
@@ -234,9 +257,17 @@ def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
             assert str(info.value) == error
             return
         traj = simulate(spec, n_steps)
-    assert len(traj.x_nums) == stored_length(spec, n_steps, cap)
+    assert len(traj.x_nums) == stored_length(spec, n_steps) == spec.q + m
+    assert len(traj.multipliers) == math.gcd(spec.p, 2 * spec.q)
     assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
                                      *columns(list(spec.y_init) + [y for _, _, y in want]))
+    if cap < block_bound(spec, n_steps):
+        full = materialised(spec, n_steps)
+        laws = [product_invariant_check, x_relation_check, second_difference_check,
+                block_ratio_check,
+                *(functools.partial(growth_slope, m=stride, t=t)
+                  for stride in (m, 2 * m) for t in (0, spec.q, m - 1))]
+        assert [outcome(law, traj) for law in laws] == [outcome(law, full) for law in laws]
 
 
 def multipliers_of(spec):
@@ -588,8 +619,9 @@ def test_hand_built_trajectory_shape_is_checked():
     Unequal columns would let ``zip`` in the laws stop at the shortest, and
     a trajectory with no generated value stored would divide by its empty
     block.  Multipliers need one per class, d = gcd(p, 2q) of them, over a
-    block of M = lcm(p, 2q) values.  Each is a typed ``ArgumentRangeError``,
-    still a ValueError.
+    block of M = lcm(p, 2q) values, and a block that stands for later
+    values needs them: there is no cycled block without multipliers.  Each
+    is a typed ``ArgumentRangeError``, still a ValueError.
     """
     full = materialised(HAND_SPEC, 20)  # q = 3, 23 values per column
     cols = (full.x_nums, full.x_dens, full.y_nums, full.y_dens)
@@ -612,14 +644,15 @@ def test_hand_built_trajectory_shape_is_checked():
                               r"^3 multipliers over a block of 6; "),
         "block of 5": ([column[:8] for column in block], traj.multipliers,
                        r"^2 multipliers over a block of 5; "),
+        "block of 1 without multipliers": ([column[:4] for column in cols], (),
+                                           r"^0 multipliers over a block of 1; "),
+        "block of 6 without multipliers": (block, (), r"^0 multipliers over a block of 6; "),
     }
     for name, (columns_, multipliers, message) in shapes.items():
         with pytest.raises(ArgumentRangeError, match=message + r"p = 2 and q = 3 need 2 over 6$"):
-            Trajectory(HAND_SPEC, *columns_, 20, multipliers)
-    # the initial data alone, a block of one value, a cycled and a scaled block, and every value
+            Trajectory(HAND_SPEC, *columns_, 200, multipliers)
+    # the initial data alone, a scaled block, and every value
     Trajectory(HAND_SPEC, *(column[:3] for column in cols), 0)
-    assert Trajectory(HAND_SPEC, *(column[:4] for column in cols), 200).x(200) == full.x(1)
-    assert Trajectory(HAND_SPEC, *block, 200).x(200) == full.x(2)  # 200 = 2 (mod 6)
     assert Trajectory(HAND_SPEC, *block, 20, traj.multipliers).x(20) == full.x(20) != full.x(2)
     assert full.x(20) == HAND_SPEC.a / full.y(18)
 
