@@ -14,7 +14,9 @@ residue class mod m is at most affine in the block counter (repeated
 characteristic roots contribute the linear part, simple roots cancel over
 a block), so the second difference along stride m vanishes exactly:
 x_{n+2m} * x_n = x_{n+m}^2, signs included, even in regimes with no cycle
-at all.
+at all.  (The block law below gives it for every a and b, and a trajectory
+from ``simulate`` satisfies it by construction; see
+:func:`second_difference_check`.)
 
 Growth.  Along a stride m that is a multiple of M = lcm(p, 2q), the block
 multipliers of :mod:`perisys.simulator` give x_{n+M} = x_n / R_{n mod d}
@@ -85,11 +87,11 @@ def block_ratio_check(traj: Trajectory) -> bool:
     """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n.
 
     One call of :func:`perisys.simulator._matches_reference_cycle`, the
-    engine that states the comparison and its stop after one repeat, with
+    engine that states the comparison and its stop after one block, with
     v = w = x, lag m, first q + m (the list offset of x_{m+1}) and the one
-    reference c^(q/g), so no step divides by a stored value.  Signs are
-    compared too: a sign flip alone fails the check.  It refuses an even
-    p/g with ``WrongRegimeError`` and n_max < m + 1 with
+    reference c^(q/g), as an int pair, so no step divides by a stored
+    value.  Signs are compared too: a sign flip alone fails the check.  It
+    refuses an even p/g with ``WrongRegimeError`` and n_max < m + 1 with
     ``TooFewPointsError``.
     """
     spec = traj.spec
@@ -100,7 +102,7 @@ def block_ratio_check(traj: Trajectory) -> bool:
     if traj.n_max < m + 1:
         raise TooFewPointsError(f"needs n >= {m + 1}")
     x = (traj.x_nums, traj.x_dens)
-    return _matches_reference_cycle(traj, x, x, m, spec.q + m, [ratio])
+    return _matches_reference_cycle(traj, x, x, m, spec.q + m, [ratio.as_integer_ratio()])
 
 
 def second_difference_check(traj: Trajectory) -> bool:
@@ -123,8 +125,18 @@ def second_difference_check(traj: Trajectory) -> bool:
 
     One call of :func:`perisys.simulator._matches_reference_cycle`, with
     v = w = x, lag m, first q + 2m (the list offset of x_{2m+1}) and the m
-    references sigma_1 .. sigma_m.  It refuses |b| != |a| with
-    ``WrongRegimeError`` and n_max < 2m + 1 with ``TooFewPointsError``.
+    references sigma_1 .. sigma_m, as reduced int pairs.  It refuses
+    |b| != |a| with ``WrongRegimeError`` and n_max < 2m + 1 with
+    ``TooFewPointsError``.
+
+    On a trajectory from ``simulate`` this check cannot fail: it needs
+    n_max >= 2m + 1 > M, where ``simulate`` stores one block and its
+    multipliers, and the reader then gives x_{n+M} / x_n = 1 / R_{n mod d}
+    for every n >= 1 whatever the block and R hold.  So it tests the
+    reader, not the kernel; the x-relation is the law that sees a wrong
+    block value or R.  The law itself holds for every a and b, since
+    sigma_n = 1 / R_{n mod d} in every regime, so the |b| = |a| guard is
+    narrower than the law.
     """
     spec = traj.spec
     if abs(spec.a) != abs(spec.b):

@@ -519,11 +519,13 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     It runs min(``n_steps``, M) steps first, M = lcm(p, 2q).  Past M, index
     j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k, R = R_{j mod d}
     (module docstring, Block multipliers), and reduction only shrinks
-    components.  A component of R^k has at most k G bits, where G is the
-    largest ceil(log2 |c|) over the components c of the multipliers (0 when
-    every |R_r| = 1), so each component through ``n_steps`` has at most
-    k G + w bits, with k <= (``n_steps`` - 1) // M and w the largest
-    component bit length of the block.  Past M the columns hold the
+    components.  Let G be the largest ceil(log2 |c|) over the components c
+    of the multipliers (0 when every |R_r| = 1), so |c| <= 2^G, and w the
+    largest component bit length of the block, so each component of y_j
+    or x_j is below 2^w.  A component of R^k then has magnitude at most
+    2^(k G), and a component of y_j R^k or x_j / R^k is below 2^(w + k G):
+    each component through ``n_steps`` has at most k G + w bits, with
+    k <= (``n_steps`` - 1) // M.  Past M the columns hold the
     initial data and the block, with the d multipliers, so memory is
     O(q + M) whatever ``n_steps`` is.  When the bound is within the cap,
     no value can pass it, and no further step is taken.  Otherwise
@@ -555,16 +557,16 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
 
 
 def _quotients(traj: Trajectory, v: tuple, w: tuple, lag: int, start: int,
-               stop: int) -> list[Fraction]:
-    """W_k = v_k / w_{k - lag} at list offsets k = start .. stop - 1, each one reduced ``Fraction``.
+               stop: int) -> list[tuple[int, int]]:
+    """W_k = v_k / w_{k - lag} at list offsets k = start .. stop - 1, each one a reduced int pair.
 
     ``v`` and ``w`` are (nums, dens) column pairs of ``traj``, read through
-    its reader up to its last index, and each W_k is formed as
+    its reader up to its last index, and each W_k is the pair of
     ``Fraction(vN wD, vD wN)``, so a zero w_{k - lag} raises
-    ``ZeroDivisionError`` and a zero v_k gives W_k = 0.
+    ``ZeroDivisionError`` and a zero v_k gives W_k = (0, 1).
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
-    return [Fraction(v_num * w_den, v_den * w_num)
+    return [Fraction(v_num * w_den, v_den * w_num).as_integer_ratio()
             for v_num, v_den, w_num, w_den in zip(traj._read(v_nums, start, stop),
                                                   traj._read(v_dens, start, stop),
                                                   traj._read(w_nums, start - lag),
@@ -572,56 +574,56 @@ def _quotients(traj: Trajectory, v: tuple, w: tuple, lag: int, start: int,
 
 
 def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
-                             references: Sequence[Fraction]) -> bool:
-    """True iff v_k == references[j] * w_{k - lag} for every list offset k >= first.
+                             references: Sequence[tuple[int, int]]) -> bool:
+    """True iff v_k == r_j * w_{k - lag} for every list offset k >= first, r_j = references[j].
 
-    The one comparison engine of the four exact laws.  ``v`` and ``w`` are
-    (nums, dens) column pairs of ``traj``; ``w`` is ``v`` itself, or, when
-    v = y, the x columns swapped, which stands for 1/x.
-    j = (k - first) mod len(references), so the references repeat along
-    the offsets.  Every value is read through the trajectory's reader, up
-    to its last index, and may be an unreduced quotient whose denominator
-    is negative.  Each comparison is cross-multiplied over numerators (N)
-    and denominators (D), as vN wD rD == rN wN vD: for any nonzero
-    denominators u/v = r/s holds exactly when u*s = r*v, signs included,
-    so neither reduced forms nor positive denominators are needed.  The
-    exact checks take their references from the stored values themselves:
-    small reduced rationals in a correct trajectory, so an offset costs two
+    The one comparison engine of the four exact laws: every comparison
+    any of them makes is made here.  ``v`` and ``w`` are (nums, dens)
+    column pairs of ``traj``; ``w`` is ``v`` itself, or, when v = y, the x
+    columns swapped, which stands for 1/x.  j = (k - first) mod
+    len(references), so the references repeat along the offsets.  Every
+    value is read through the trajectory's reader, up to its last index,
+    and may be an unreduced quotient whose denominator is negative; each
+    reference is an int pair (rN, rD), reduced or not.  Each comparison is
+    cross-multiplied over numerators (N) and denominators (D), as
+    vN wD rD == rN wN vD: for any nonzero denominators u/v = r/s holds
+    exactly when u*s = r*v, signs included, so neither reduced forms nor
+    positive denominators are needed, and no comparison divides.  The
+    exact laws take their references from the stored values themselves:
+    small rationals in a correct trajectory, so an offset costs two
     products of value-sized integers and two by a small one.
 
-    Repeats.  T = 2 lcm(p, 2q) = 2M, from the spec's delays alone and not
-    from the kernel; every caller's len(references) divides T.  When
-    ``traj`` has multipliers, only the offsets first .. first + T - 1 are
-    compared.  That cuts nothing off when it stores every value, since
-    then n_max <= M and the last offset, q + n_max - 1, lies below
-    T = 2M >= q + M.  One without multipliers, no longer than M or built
-    by hand, is compared at every offset.  Proof: every caller has
-    first - lag >= q, so a comparison at k >= first + T reads v at k and w
-    at k - lag, both at offsets >= q, past the initial data, and its j is
-    that of k - T, since len(references) divides T.  The block has length
-    M, so k and k - T lie two passes apart in it, and the reader
-    multiplies each column at k by F^2 over its value at k - T, F the
-    column's factor of the class of k.  Every caller's lag is
+    One block.  When ``traj`` has multipliers, only the offsets
+    first .. first + M - 1 are compared, M = lcm(p, 2q), from the spec's
+    delays alone and not from the kernel; every caller's len(references)
+    divides M.  One without multipliers, no longer than M or built by
+    hand, is compared at every offset.  Proof: every caller has
+    first - lag >= q, so a comparison at k >= first + M reads v at k and w
+    at k - lag, both at offsets >= q + M, in the passes of the block past
+    the first, and its j is that of k - M, since len(references) divides
+    M.  The block has length M, so k and k - M lie one pass apart in it,
+    and the reader multiplies each column at k by F over its value at
+    k - M, F the column's factor of the class of k.  Every caller's lag is
     0, p or M, and d = gcd(p, 2q) divides each of them, so w_{k-lag} has
     the class of v_k, R = A/B.  With w = v both sides of the comparison
-    gain A^2 B^2, from vN wD and from wN vD; with v = y and w = 1/x, vN
-    and wN (x's denominator) gain A^2 and wD (x's numerator) and vD gain
-    B^2, so again both sides gain A^2 B^2, which is nonzero.  Either way
-    the comparison at k is the one at k - T >= first, and by induction on
-    k every comparison is one at an offset in first .. first + T - 1.  The
-    laws take no reference from K or R: R enters only through the reader.
-    A wrong R leaves z = x y as it is, but it fails the x-relation, whose
-    x_n and x_{n-p} lie in different passes for the first p offsets of
-    each, and the block ratio where that applies.
+    gain A B, from vN wD and from wN vD; with v = y and w = 1/x, vN and wN
+    (x's denominator) gain A and wD (x's numerator) and vD gain B, so again
+    both sides gain A B, which is nonzero.  Either way the comparison at k
+    is the one at k - M >= first, and by induction on k every comparison
+    is one at an offset in first .. first + M - 1.  The laws take no
+    reference from K or R: R enters only through the reader.  A wrong R
+    leaves z = x y as it is, but it fails the x-relation, whose x_n and
+    x_{n-p} lie in different passes for the first p offsets of each, and
+    the block ratio where that applies.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
-    stop = first + 2 * math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None
+    stop = first + math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
             traj._read(v_nums, first, stop), traj._read(v_dens, first, stop),
             traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),
-            itertools.cycle([r.as_integer_ratio() for r in references]),
+            itertools.cycle(references),
         )
     )
 
@@ -630,24 +632,29 @@ def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
                              const: Fraction) -> bool:
     """True iff W_k W_{k-q} = ``const`` at every list offset k >= first + q, W_k = v_k / w_{k-lag}.
 
-    The quotients W at offsets first .. first + 3q - 1 are formed once
-    (:func:`_quotients`), and the law is checked on them for
-    k = first + q .. first + 3q - 1.  For k >= first + 3q it is checked as
-    W_k = W_r, where r = k (mod 2q) lies in first + q .. first + 3q - 1,
-    by :func:`_matches_reference_cycle` with those 2q references, which
-    compares v_k with W_r w_{k-lag}.  If the law holds at k and at
-    k - q >= first + q, then W_k W_{k-q} = const = W_{k-q} W_{k-2q}, and
-    since ``const`` is nonzero, so is W_{k-q}, hence W_k = W_{k-2q}.
-    Conversely W_k = W_r and W_{k-q} = W_s with {r, s} = {t, t + q} for
-    some t in first + q .. first + 2q - 1, so W_k W_{k-q} = W_{t+q} W_t =
-    const.  The proof divides only by W_{k-q}, which the law itself makes
-    nonzero.
+    One call of :func:`_matches_reference_cycle`, from first + q, with the
+    2q references const/W_first .. const/W_{first+q-1},
+    W_first .. W_{first+q-1}: the q quotients of the head are the only
+    ones formed (:func:`_quotients`), and each const/W is the unreduced
+    pair (cN W_D, cD W_N), with no division.  So r_j r_{j+q} = const for
+    j < q, and the law holds at every k >= first + q iff W_k = r_j,
+    j = (k - first - q) mod 2q, at every such k.  (=>) by induction on k:
+    for k < first + 2q, W_k = const / W_{k-q} = r_j; for larger k the law
+    at k and at k - q >= first + q gives W_k W_{k-q} = W_{k-q} W_{k-2q},
+    W_{k-q} is nonzero since ``const`` is, so W_k = W_{k-2q}, which is r_j
+    by induction.  (<=) for k < first + 2q, W_{k-q} is the head's
+    W_{first+j} and r_j = const / W_{first+j}; for larger k, W_k W_{k-q}
+    is r_j r_{j-q} or r_j r_{j+q}; either way it is ``const``.  The
+    engine's precondition first + q - lag >= q holds for both callers:
+    q - 0 for the product invariant and 2q - p for the x-relation.  A zero
+    W in the head makes its const/W a pair with denominator 0, which fails
+    the comparison against any v_k whose w_{k-lag} is nonzero.
     """
     q = traj.spec.q
-    head = _quotients(traj, v, w, lag, first, first + 3 * q)
-    if not all(w_k * w_kq == const for w_k, w_kq in zip(head[q:], head)):
-        return False
-    return _matches_reference_cycle(traj, v, w, lag, first + 3 * q, head[q:])
+    c_num, c_den = const.as_integer_ratio()
+    head = _quotients(traj, v, w, lag, first, first + q)
+    return _matches_reference_cycle(traj, v, w, lag, first + q,
+                                    [(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head)
 
 
 def product_invariant_check(traj: Trajectory) -> bool:
@@ -656,10 +663,11 @@ def product_invariant_check(traj: Trajectory) -> bool:
     With z_n = x_n y_n the law reads z_n z_{n-q} = ab, which
     :func:`_matches_shifted_product` checks with v = y, w = 1/x (the x
     columns swapped), lag 0, first 0 (index -q+1) and const ab, so W = z:
-    the law on z at n = 1 .. 2q, then every later z_n against z_r, r = n
-    (mod 2q) in 1 .. 2q, compared as xN yN zD == zN xD yD.  A zero stored
-    value makes its z zero, which the law rejects, so the check returns
-    ``False`` and never divides by it.
+    from the q initial z, every z_n, n >= 1, against ab / z_{n-q} for
+    n <= q and against z_r, r = n (mod 2q) in -q+1 .. 0, for n > q,
+    compared as xN yN zD == zN xD yD.  A zero stored value makes its z
+    zero, which the law rejects, so the check returns ``False`` and never
+    divides by it.
     """
     ab = traj.spec.a * traj.spec.b
     return _matches_shifted_product(traj, (traj.y_nums, traj.y_dens), (traj.x_dens, traj.x_nums),
@@ -676,14 +684,16 @@ def x_relation_check(traj: Trajectory) -> bool:
 
     With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c,
     which :func:`_matches_shifted_product` checks with v = w = x, lag p,
-    first s - 1 (the list offset of x_{s-q}) and const c, so W = rho: the
-    law on rho at n = s .. s + 2q - 1, then x_n against rho_r x_{n-p} for
-    every n >= s + 2q, r = n (mod 2q) in s .. s + 2q - 1.
+    first s - 1 (the list offset of x_{s-q}) and const c, so W = rho: from
+    the q quotients rho_{s-q} .. rho_{s-1}, every x_n, n >= s, against
+    (c / rho_{n-q}) x_{n-p} for n < s + q and against rho_r x_{n-p},
+    r = n (mod 2q) in s - q .. s - 1, for n >= s + q.
 
     The two forms agree because every stored value is nonzero: rho is a
     quotient of stored values, and the relation becomes rho_n rho_{n-q} = c
     by dividing it by x_{n-p} x_{n-p-q}.  A zero stored x among
-    x_{s-q-p} .. x_{s+2q-1-p} raises ``ZeroDivisionError``.  A trajectory
+    x_{s-q-p} .. x_{s-1-p}, the divisors of those q quotients, raises
+    ``ZeroDivisionError``.  A trajectory
     from ``simulate`` has no zero value: the spec's a, b and initial values
     are validated nonzero, and each step divides or multiplies nonzero
     values.

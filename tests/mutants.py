@@ -78,12 +78,30 @@ MUTANTS = (
            "traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),",
            "traj._read(v_nums, first - lag), traj._read(v_dens, first - lag),",
            (TEST_REPEATS,)),
-    # the engine stops after one repeat of a trajectory that stores every
+    # the engine stops after one block of a trajectory that stores every
     # value, which need not repeat
     Mutant("engine stops without a stored block", SIMULATOR,
            "2 * traj.spec.q) if traj.multipliers else None",
            "2 * traj.spec.q) if True else None",
            (TEST_REPEATS,)),
+    # the engine compares half a block of offsets on a stored block, so a
+    # corrupted value in its second half recurs unseen
+    Mutant("law window half a block", SIMULATOR,
+           "math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers",
+           "math.lcm(traj.spec.p, 2 * traj.spec.q) // 2 if traj.multipliers",
+           (TEST_REPEATS,)),
+    # the engine stops one offset before the end of the block, so the
+    # block's last value, index M, is never compared as v
+    Mutant("law window one offset short", SIMULATOR,
+           "math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers",
+           "math.lcm(traj.spec.p, 2 * traj.spec.q) - 1 if traj.multipliers",
+           (TEST_REPEATS,)),
+    # the shifted-product laws compare the first q values past the head
+    # with the head itself instead of with the law's constant over it
+    Mutant("shifted product without its const/W half", SIMULATOR,
+           "[(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head",
+           "head + head",
+           ("tests/test_exact_checks.py::test_corrupted_y_fails_product_invariant",)),
     # x(), y() and the laws' reader past the block map index n to
     # 1 + n mod B, one too far
     Mutant("accessors past the block by n mod B", SIMULATOR,

@@ -4,15 +4,17 @@ Each check in perisys is a call into one comparison engine,
 ``simulator._matches_reference_cycle``, which compares every stored v_k
 with r_j w_{k-lag}, cross-multiplied over numerators and denominators,
 where the r_j are small reduced references taken from the trajectory
-itself: z_r = x_r y_r for the product invariant (v = y, w = 1/x), the
-ratios x_r / x_{r-p} for the x-relation, x_{r+m} / x_r for the second
-difference, and the constant c^(q/g) for the block ratio.  The first two
-check their law on the references first.  A trajectory from ``simulate``
+itself: for the product invariant (v = y, w = 1/x) and the x-relation,
+the q quotients z_r = x_r y_r or rho_r = x_r / x_{r-p} of their head and
+the law's constant over each, 2q references; x_{r+m} / x_r for the second
+difference; and the constant c^(q/g) for the block ratio.  No law
+compares anything outside the engine.  A trajectory from ``simulate``
 longer than M = lcm(p, 2q) stores its initial data, one block of M values
 and the block multipliers, by which its readers scale the block; the
-engine then stops after its first T = 2M offsets, since every later
-comparison is one of them with both sides scaled alike.  A trajectory
-that stores every value is compared at every offset.  The ``oracle_*``
+engine then stops after its first T = M offsets, one block, since every
+later comparison is the one a block earlier with both sides scaled alike.
+A trajectory that stores every value is compared at every offset.  The
+``oracle_*``
 functions below are the reference: they form the Fraction products of
 each law directly at every index and read every value through the
 bounds-checked ``Trajectory.x()``/``y()`` accessors.  They exist only for
@@ -20,7 +22,7 @@ the differential tests here.  Those cover long periodic trajectories in
 both forms, block-backed and materialised (the conftest ``materialised``,
 every value stored), clean and corrupted: in their last block, at every
 T-th index, and in their initial data; and drifting and unbounded ones in
-both forms, clean, and with a corrupted multiplier.
+both forms, clean, and with a corrupted multiplier, against the oracles.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def trajectories(draw):
     """
     spec = draw(specs())
     m = math.lcm(spec.p, 2 * spec.q)
-    # n > 4m puts the second difference's stop, list offset q + 4m, inside
+    # n > 3m puts the second difference's stop, list offset q + 3m, inside
     n = draw(st.integers(1, 4 * m + 3 * spec.q))
     traj = simulate(spec, n)
     if len(traj.x_nums) < spec.q + n and draw(st.booleans()):
@@ -227,7 +229,7 @@ def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n,
     (x_relation_check, oracle_x_relation, max(DRIFT.p, DRIFT.q) + 2 * DRIFT.q),
 ])
 def test_corruption_at_the_end_of_the_literal_head(check, oracle, n):
-    """A trajectory that ends on the last index of the head has no tail to catch it."""
+    """A corruption on the last index of the first cycle of references, where the trajectory ends."""
     traj = simulate(DRIFT, n)
     assert check(traj)
     traj.x_nums[-1] *= 3
@@ -243,10 +245,11 @@ def test_corruption_at_the_end_of_the_literal_head(check, oracle, n):
 def test_tail_consistent_corruption_fails_check_and_oracle(check, oracle, first, r):
     """Every stored x_n with n = r (mod 2q), n >= first, scaled by 3.
 
-    ``first`` is where the check's references begin (z from n = 1, rho from
-    s - q), so each later value still matches its reference and only the
-    law on the references fails.  For the product invariant it fails only
-    at n = r, in the second half of the period.
+    ``first`` is the first generated index of each law's quotient (z from
+    n = 1, rho from s - q), so each scaled value matches the one 2q before
+    it, and only the comparison of the first one, at n = r, with a
+    reference from the unscaled head fails.  For the product invariant
+    the law fails only there, in the second half of the period.
     """
     traj = materialised(DRIFT, LONG)
     assert check(traj)
@@ -262,9 +265,10 @@ def test_tail_consistent_ratio_corruption_fails_x_relation(r):
     """rho_n = x_n / x_{n-p} scaled by 3 for every n = r (mod 2q), n >= r.
 
     r lies in s + q .. s + 2q - 1.  Each x_n takes the product of the
-    scalings along its stride-p chain, so each later value still matches
-    its reference rho, and the law fails only at n = r, in the second half
-    of the period.
+    scalings along its stride-p chain, so rho_n is scaled only where
+    n = r (mod 2q).  The references, rho_{s-q} .. rho_{s-1} and c over
+    each, are unscaled, so the check fails at n = r, where rho_r is three
+    times rho_{r-2q}, and so does the law.
     """
     traj = materialised(DRIFT, LONG)
     p, q = DRIFT.p, DRIFT.q
@@ -313,13 +317,13 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
         block_ratio_check(unbounded)  # no block ratio in this regime
 
 
-# Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q), which
-# repeat with T = 2M: generic c = 1 data on (6, 10), where every R_r = 1
-# (P = M = 60); b = -a on (3, 5), where R = -1 (P = 2M = 60); and x y = b
-# data on (5, 8), which repeats with p = 5, far below M = 80.  ``simulate``
-# stores their initial data, one block of M values and the multipliers
-# +-1, so every check may stop after its first T offsets; ``materialised``
-# stores every value, so every check compares them all.
+# Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q): generic
+# c = 1 data on (6, 10), where every R_r = 1 (P = M = 60); b = -a on
+# (3, 5), where R = -1 (P = 2M = 60); and x y = b data on (5, 8), which
+# repeats with p = 5, far below M = 80.  ``simulate`` stores their initial
+# data, one block of M values and the multipliers +-1, so every check may
+# stop after its first T = M offsets; ``materialised`` stores every value,
+# so every check compares them all.
 REPEATING = {
     "c=1-(6,10)": random_signed_spec(random.Random(5), 6, 10, a=1, b=1),
     "b=-a-(3,5)": random_signed_spec(random.Random(5), 3, 5, a=2, b=-2),
@@ -328,11 +332,12 @@ REPEATING = {
 
 
 def repeat_period(spec) -> int:
-    return 2 * math.lcm(spec.p, 2 * spec.q)
+    """T = M = lcm(p, 2q), the offsets each exact law compares on a stored block."""
+    return math.lcm(spec.p, 2 * spec.q)
 
 
 def long_periodic(spec, form):
-    n = 2 * repeat_period(spec) + 3 * spec.q
+    n = 4 * repeat_period(spec) + 3 * spec.q
     return simulate(spec, n) if form == "block" else materialised(spec, n)
 
 
@@ -340,18 +345,22 @@ def corrupt(traj, how, nums):
     """Scale stored values of ``nums``, a numerator column of ``traj``, by 3.
 
     On a materialised trajectory: "last-block", the last value but one,
-    past every check's stop; "every-T", x_n or y_n at every n = 1 (mod T),
-    so the column still repeats with T; "every-T-tail", the same at
-    n = T - 1 (mod T), which lies past the head of the product invariant
-    and the x-relation, so they see it only in their first T compared
-    offsets; "initial", the entry at index 0.  On a block-backed one the
-    same stored offsets hold block values, so each corruption recurs at
-    every repeat of the block; an offset past the block is left out.
+    past every check's stop; "last-offset", the last value; "every-T",
+    x_n or y_n at every n = 1 (mod T), T = M, so the column still repeats
+    with T; "every-T-tail", the same at n = T - 1 (mod T), which lies past
+    the head of the product invariant and the x-relation, so they see it
+    only in their first T compared offsets; "initial", the entry at index
+    0.  On a block-backed one the same stored offsets hold block values,
+    so each corruption recurs at every repeat of the block; an offset past
+    the block is left out.  There "last-offset" is the block's last value,
+    index M, the last offset of the window of every law that compares it
+    as v: a window one offset short misses it.
     """
     q, period = traj.spec.q, repeat_period(traj.spec)
     offsets = {  # list offset k holds index k - q + 1
         "clean": [],
         "last-block": [len(nums) - 2],
+        "last-offset": [len(nums) - 1],
         "every-T": range(q, len(nums), period),
         "every-T-tail": range(q + period - 2, len(nums), period),
         "initial": [q - 1],
@@ -361,7 +370,8 @@ def corrupt(traj, how, nums):
 
 
 @pytest.mark.parametrize("column", ["x_nums", "y_nums"])
-@pytest.mark.parametrize("how", ["clean", "last-block", "every-T", "every-T-tail", "initial"])
+@pytest.mark.parametrize("how", ["clean", "last-block", "last-offset", "every-T", "every-T-tail",
+                                 "initial"])
 @pytest.mark.parametrize("name", REPEATING)
 @pytest.mark.parametrize("form", ["materialised", "block"])
 def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, column):
@@ -382,7 +392,7 @@ def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, col
     assert got == want
     if how == "clean":
         assert set(want.values()) == {True}
-    if how == "last-block":
+    if how in ("last-block", "last-offset"):
         assert False in want.values()
 
 
@@ -431,24 +441,37 @@ def test_block_backed_trajectory_matches_materialised(name, steps):
         assert outcome(check, block) == outcome(check, full), check.__name__
 
 
-@pytest.mark.parametrize("how", ["doubled", "negated"])
-@pytest.mark.parametrize("name", GROWING)
+def corrupted(r, how) -> Rational:
+    """The canonical pair of R_r times 2, negated or inverted."""
+    num, den = r
+    if how == "doubled":
+        return Rational(2 * num, den) if den % 2 else Rational(num, den // 2)
+    if how == "negated":
+        return Rational(-num, den)
+    return Rational(den, num) if num > 0 else Rational(-den, -num)
+
+
+@pytest.mark.parametrize("how", ["doubled", "negated", "inverted"])
+@pytest.mark.parametrize("name", [*GROWING, *REPEATING])
 def test_corrupted_multiplier_fails_a_law(name, how):
-    """One R_r times 2, or its sign flipped, in a block-backed trajectory through 3M + q.
+    """Each R_r in turn times 2, negated or inverted, in block-backed trajectories.
 
     The block itself is the kernel's; the wrong R enters only through the
-    reader past M, and some law that applies must fail there.  The
-    x-relation always does: x_n and x_{n-p} lie in different passes of the
-    block for the first p offsets of each.
+    reader past M.  Through n = 2M + 1, 3M + q and 5M every law gives what
+    its oracle gives, which reads every index through the same reader.
+    The x-relation fails wherever R_r changed: x_n and x_{n-p} lie in
+    different passes of the block for the first p offsets of each.
     """
-    spec = GROWING[name]
+    spec = {**GROWING, **REPEATING}[name]
     m = math.lcm(spec.p, 2 * spec.q)
-    traj = simulate(spec, 3 * m + spec.q)
-    assert all(outcome(check, traj) in (True, TooFewPointsError, WrongRegimeError)
-               for check, _ in CHECKS_AND_ORACLES)
-    multipliers = list(traj.multipliers)
-    r = multipliers[-1]
-    multipliers[-1] = Rational(2 * r.numerator, r.denominator) if how == "doubled" else \
-        Rational(-r.numerator, r.denominator)
-    bad = replace(traj, multipliers=tuple(multipliers))
-    assert x_relation_check(bad) is False
+    for n in (2 * m + 1, 3 * m + spec.q, 5 * m):
+        traj = simulate(spec, n)
+        assert all(outcome(check, traj) in (True, TooFewPointsError, WrongRegimeError)
+                   for check, _ in CHECKS_AND_ORACLES)
+        for r, multiplier in enumerate(traj.multipliers):
+            multipliers = list(traj.multipliers)
+            multipliers[r] = corrupted(multiplier, how)
+            bad = replace(traj, multipliers=tuple(multipliers))
+            for check, oracle in CHECKS_AND_ORACLES:
+                assert outcome(check, bad) == outcome(oracle, bad), (n, r, check.__name__)
+            assert x_relation_check(bad) is (multipliers[r] == multiplier), (n, r)
