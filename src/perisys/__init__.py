@@ -11,7 +11,6 @@ from .closedform import (
     block_ratio_check,
     drift,
     growth_slope,
-    second_difference_check,
 )
 from .cycle import (
     CycleResult,
@@ -30,7 +29,6 @@ from .errors import (
     TooFewPointsError,
     TrajectoryIndexError,
     WrongBackendError,
-    WrongRegimeError,
     ZeroValueError,
 )
 from .model import (

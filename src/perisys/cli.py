@@ -18,9 +18,9 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .closedform import block_ratio_check, drift, growth_slope, second_difference_check
+from .closedform import block_ratio_check, drift, growth_slope
 from .cycle import CycleResult, Periodic, detect_cycle
-from .errors import PerisysError, TooFewPointsError, WrongRegimeError
+from .errors import PerisysError, TooFewPointsError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
 from .simulator import (
     BACKEND_EXACT,
@@ -96,9 +96,9 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
     """Bundle every applicable exact check plus classifier/detector agreement.
 
     Check values are "pass" / "fail", and "pass-degenerate" for agreement
-    (see :func:`agreement`).  A law that refuses the trajectory, because
-    it is too short or the spec lies outside the law's regime, is listed
-    under "skipped" with the law's own reason.
+    (see :func:`agreement`).  Every law holds in every regime, so a law
+    is skipped only when the trajectory is too short for it; it is then
+    listed under "skipped" with the law's own "needs n >= N" reason.
     """
     classification = classify(spec.p, spec.q)
     stride = classification.predicted_period or classification.witness_modulus
@@ -110,11 +110,11 @@ def build_run_report(spec: SystemSpec, n: int | None = None) -> dict:
     skipped: dict[str, str] = {}
     # looked up per call, so a rebound module attribute takes effect
     laws = (("product_invariant", product_invariant_check), ("x_relation", x_relation_check),
-            ("second_difference", second_difference_check), ("block_ratio", block_ratio_check))
+            ("block_ratio", block_ratio_check))
     for name, law in laws:
         try:
             checks[name] = "pass" if law(traj) else "fail"
-        except (TooFewPointsError, WrongRegimeError) as exc:
+        except TooFewPointsError as exc:
             skipped[name] = str(exc)
 
     cycle_result = detect_cycle(spec)

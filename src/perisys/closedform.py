@@ -1,30 +1,42 @@
-"""Drift and growth laws layered on top of exact trajectories.
+"""Drift, the block law and growth, layered on top of exact trajectories.
 
 With c = a/b, log magnitudes satisfy an affine version of the linear
 recurrence, adding a deterministic drift of A = ln(c) / (2p) per index on
-top of the oscillatory part.  Over one block of m = lcm(p, 2q) steps the
-oscillation cancels exactly whenever p/gcd(p, q) is odd, leaving the exact
-rational ratio
+top of the oscillatory part.
 
-    x_{n+m} / x_n = c^(q/g),       g = gcd(p, q),
-
-valid for every generated n (m/(2p) = q/g is an integer precisely in this
-regime).  Separately, for |b| = |a| the log magnitude restricted to any
-residue class mod m is at most affine in the block counter (repeated
-characteristic roots contribute the linear part, simple roots cancel over
-a block), so the second difference along stride m vanishes exactly:
-x_{n+2m} * x_n = x_{n+m}^2, signs included, even in regimes with no cycle
-at all.  (The block law below gives it for every a and b, and a trajectory
-from ``simulate`` satisfies it by construction; see
-:func:`second_difference_check`.)
-
-Growth.  Along a stride m that is a multiple of M = lcm(p, 2q), the block
+The block law.  With M = lcm(p, 2q) and d = gcd(p, 2q), the block
 multipliers of :mod:`perisys.simulator` give x_{n+M} = x_n / R_{n mod d}
-for every n >= 1 - p, so ln|x| on each residue class modulo m is affine in
-the block counter.  Its slope is one exact number, ln|x_{t+m} / x_t|, the
-log of one reduced ratio of two stored values: :func:`growth_slope` reads
-it, where a least-squares fit over the whole subsequence would only
-estimate it.
+for every n >= 1 - p, in every regime and for all initial data, so
+
+    sigma_n = x_{n+M} / x_n = 1 / R_{n mod d}
+
+depends on n mod d alone.  The spec fixes the product of the sigma along
+each orbit r, r + q, ... (mod d).  R_r is the product of the step
+coefficients K_n over the 2q/d indices n in 1 .. 2q with n = r (mod d),
+and K_n K_{n+q} = b/a for n = 1 .. q, since K_n = b / z_{n-q} and
+K_{n+q} = z_{n-q} / a share z_{n-q}.  The shift n -> n + q (mod 2q) pairs
+these indices off and takes class r onto class r + q (mod d).  Let
+e = d / gcd(d, q), which is 1 or 2 since d divides 2q:
+
+* e = 1, d | q: the shift keeps class r, whose members form q/d pairs,
+  so R_r = (b/a)^(q/d) and sigma_r = c^(q/g), since d = g = gcd(p, q)
+  here.  This is the periodic regime of ``spectral.classify``,
+  p/g odd, where the oscillation cancels over a block;
+* e = 2, d does not divide q: classes r and r + d/2 are distinct, their
+  4q/d members form 2q/d pairs, and R_r R_{r+d/2} = (b/a)^(2q/d), so
+  sigma_r sigma_{r+d/2} = c^(2q/d).
+
+Either way the e references of an orbit multiply to c^(e q / d), which
+:func:`block_ratio_check` requires of the d ratios x_{M+r} / x_r it reads
+from stored values, before it compares every later value with them.  The
+law implies the second difference x_{n+2M} x_n = x_{n+M}^2, since
+sigma_{n+M} = sigma_n.
+
+Growth.  Along a stride m that is a multiple of M, ln|x| on each residue
+class modulo m is affine in the block counter.  Its slope is one exact
+number, ln|x_{t+m} / x_t|, the log of one reduced ratio of two stored
+values: :func:`growth_slope` reads it, where a least-squares fit over the
+whole subsequence would only estimate it.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentRangeError, TooFewPointsError, WrongRegimeError
+from .errors import ArgumentRangeError, TooFewPointsError
 from .model import SystemSpec
 from .numerics import format_rational, to_signed_log
 from .simulator import Trajectory, _matches_reference_cycle, _quotients
@@ -84,69 +96,45 @@ def drift(spec: SystemSpec) -> DriftReport:
 
 
 def block_ratio_check(traj: Trajectory) -> bool:
-    """True iff x_{n+m} = c^(q/g) * x_n exactly for every generated n.
+    """True iff x_{n+M} = sigma_{n mod d} x_n exactly for every generated n, sigma fixed by c.
 
-    One call of :func:`perisys.simulator._matches_reference_cycle`, the
-    engine that states the comparison and its stop after one block, with
-    v = w = x, lag m, first q + m (the list offset of x_{m+1}) and the one
-    reference c^(q/g), as an int pair, so no step divides by a stored
-    value.  Signs are compared too: a sign flip alone fails the check.  It
-    refuses an even p/g with ``WrongRegimeError`` and n_max < m + 1 with
-    ``TooFewPointsError``.
-    """
-    spec = traj.spec
-    ratio = _block_ratio(spec)
-    if ratio is None:
-        raise WrongRegimeError("needs p/gcd(p, q) odd")
-    m = _block_steps(spec)
-    if traj.n_max < m + 1:
-        raise TooFewPointsError(f"needs n >= {m + 1}")
-    x = (traj.x_nums, traj.x_dens)
-    return _matches_reference_cycle(traj, x, x, m, spec.q + m, [ratio.as_integer_ratio()])
-
-
-def second_difference_check(traj: Trajectory) -> bool:
-    """True iff x_{n+2m} * x_n = x_{n+m}^2 exactly for every generated n.
-
-    Holds for |b| = |a| regardless of periodicity; a repeated root only
-    adds a linear log term, which the second difference kills.
-
-    With sigma_n = x_{n+m} / x_n the law reads sigma_{n+m} = sigma_n, for
-    n = 1 .. n_max - 2m.  It is checked as x_{n+m} = sigma_r x_n for
-    n = m + 1 .. n_max - m, where r = n (mod m) lies in 1 .. m and the
-    reference sigma_r is the reduced ratio of two stored values.  By
-    induction along the stride m, both forms say that sigma is constant on
-    each residue class of n = 1 .. n_max - m modulo m, so no literal head
-    is needed.  The equivalence uses that every stored value is nonzero:
-    sigma is a quotient of stored values, and the law becomes
-    sigma_{n+m} = sigma_n by dividing it by x_n x_{n+m}.  A trajectory from
-    ``simulate`` has no zero value (see
-    :func:`perisys.simulator.x_relation_check`).
-
-    One call of :func:`perisys.simulator._matches_reference_cycle`, with
-    v = w = x, lag m, first q + 2m (the list offset of x_{2m+1}) and the m
-    references sigma_1 .. sigma_m, as reduced int pairs.  It refuses
-    |b| != |a| with ``WrongRegimeError`` and n_max < 2m + 1 with
+    The block law of the module docstring, in every regime.  Its d
+    references sigma_1 .. sigma_d are x_{M+r} / x_r, the reduced ratios of
+    stored values (:func:`perisys.simulator._quotients`), so none comes
+    from ``step_coefficients`` or ``block_multipliers``.  With
+    e = d / gcd(d, q), the product of the e references of the classes
+    r, r + q, ... (mod d) must be c^(e q / d) for every r: c^(q/g) when
+    d | q, and sigma_r sigma_{r+d/2} = c^(2q/d) otherwise, signs included.
+    Then one call of :func:`perisys.simulator._matches_reference_cycle`,
+    with v = w = x, lag M, first q + M (the list offset of x_{M+1}) and the
+    d references, compares every later value.  By induction along the
+    stride M, sigma_n = x_{n+M} / x_n then depends on n mod d alone, so the
+    law implies x_{n+2M} x_n = x_{n+M}^2.  It refuses n_max < M + d with
     ``TooFewPointsError``.
 
-    On a trajectory from ``simulate`` this check cannot fail: it needs
-    n_max >= 2m + 1 > M, where ``simulate`` stores one block and its
-    multipliers, and the reader then gives x_{n+M} / x_n = 1 / R_{n mod d}
-    for every n >= 1 whatever the block and R hold.  So it tests the
-    reader, not the kernel; the x-relation is the law that sees a wrong
-    block value or R.  The law itself holds for every a and b, since
-    sigma_n = 1 / R_{n mod d} in every regime, so the |b| = |a| guard is
-    narrower than the law.
+    On a trajectory from ``simulate`` the comparison reads the block and
+    its first scaled pass, x_{j+M} = x_j / R_{j mod d}, so it holds
+    whatever the block and R are; the constant is what sees a wrong R, and
+    the x-relation what sees a wrong block value.  A zero x_r makes its
+    reference divide by zero, which raises ``ZeroDivisionError``.
     """
     spec = traj.spec
-    if abs(spec.a) != abs(spec.b):
-        raise WrongRegimeError("needs |b| = |a|")
-    m = _block_steps(spec)
-    if traj.n_max < 2 * m + 1:
-        raise TooFewPointsError(f"needs n >= {2 * m + 1}")
-    x, q = (traj.x_nums, traj.x_dens), spec.q  # list offset q holds x_1
-    return _matches_reference_cycle(traj, x, x, m, q + 2 * m,
-                                    _quotients(traj, x, x, m, q + m, q + 2 * m))
+    m, d = _block_steps(spec), math.gcd(spec.p, 2 * spec.q)
+    if traj.n_max < m + d:
+        raise TooFewPointsError(f"needs n >= {m + d}")
+    e = d // math.gcd(d, spec.q)
+    x, first = (traj.x_nums, traj.x_dens), spec.q + m  # list offset q + M holds x_{M+1}
+    sigma = _quotients(traj, x, x, m, first, first + d)
+    const = spec.c ** (e * spec.q // d)
+    if any(math.prod(Fraction(*sigma[(r + i * spec.q) % d]) for i in range(e)) != const
+           for r in range(d)):
+        return False
+    return _matches_reference_cycle(traj, x, x, m, first, sigma)
+
+
+# The benchmark tracer binds this name (ROADMAP item 2); no command calls it.
+# The block law implies x_{n+2M} x_n = x_{n+M}^2, the second difference.
+second_difference_check = block_ratio_check
 
 
 def growth_slope(traj: Trajectory, m: int, t: int) -> float:

@@ -29,10 +29,6 @@ class WrongBackendError(PerisysError):
     """An unknown backend name was given to ``iter_pairs``."""
 
 
-class WrongRegimeError(PerisysError):
-    """A check or period was requested outside the parameter regime where it holds."""
-
-
 class TooFewPointsError(PerisysError, ValueError):
     """A law ("needs n >= N") or statistic needs a longer trajectory; also a ValueError."""
 

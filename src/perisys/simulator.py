@@ -577,8 +577,8 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
                              references: Sequence[tuple[int, int]]) -> bool:
     """True iff v_k == r_j * w_{k - lag} for every list offset k >= first, r_j = references[j].
 
-    The one comparison engine of the four exact laws: every comparison
-    any of them makes is made here.  ``v`` and ``w`` are (nums, dens)
+    The one comparison engine of the three exact laws: every comparison
+    of a stored value that any of them makes is made here.  ``v`` and ``w`` are (nums, dens)
     column pairs of ``traj``; ``w`` is ``v`` itself, or, when v = y, the x
     columns swapped, which stands for 1/x.  j = (k - first) mod
     len(references), so the references repeat along the offsets.  Every
@@ -614,7 +614,7 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     reference from K or R: R enters only through the reader.  A wrong R
     leaves z = x y as it is, but it fails the x-relation, whose x_n and
     x_{n-p} lie in different passes for the first p offsets of each, and
-    the block ratio where that applies.
+    the constant that the block law requires of its references.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
     stop = first + math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None

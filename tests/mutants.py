@@ -54,6 +54,8 @@ TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_block_bound"
 TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
 TEST_BLOCK_LAW = "tests/test_simulator.py::test_rows_past_the_block_follow_the_block_law"
 TEST_SETTLING = "tests/test_simulator.py::test_a_chain_settles_only_on_a_gcd_of_1"
+TEST_MULTIPLIER = "tests/test_exact_checks.py::test_corrupted_multiplier_fails_a_law"
+TEST_REGIMES = "tests/test_closedform.py::test_block_law_holds_in_both_regimes"
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
@@ -169,6 +171,26 @@ MUTANTS = (
            "traj.x(t + m) / traj.x(t)",
            "traj.x(t + m) / traj.x(t + 1)",
            (TEST_GROWTH,)),
+    # the block law requires every reference to be c^(q/d) on its own,
+    # which fails on clean data wherever d does not divide q
+    Mutant("block law orbit of one class", CLOSEDFORM,
+           "    e = d // math.gcd(d, spec.q)\n",
+           "    e = 1\n",
+           (TEST_MULTIPLIER, TEST_REGIMES)),
+    # the block law compares later values with its references but never
+    # checks them against c, so a wrong R, which the reader applies to
+    # both sides alike, passes
+    Mutant("block law without its c constraint", CLOSEDFORM,
+           "    if any(math.prod(Fraction(*sigma[(r + i * spec.q) % d]) for i in range(e)) != const\n"
+           "           for r in range(d)):\n        return False\n",
+           "",
+           (TEST_MULTIPLIER,)),
+    # the references are x_{M+r+1} / x_{r+1}, each one class late against
+    # the values they are compared with
+    Mutant("block-law references one class late", CLOSEDFORM,
+           "sigma = _quotients(traj, x, x, m, first, first + d)",
+           "sigma = _quotients(traj, x, x, m, first + 1, first + d + 1)",
+           (TEST_MULTIPLIER, TEST_REGIMES)),
 )
 
 

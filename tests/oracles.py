@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from perisys.errors import TooFewPointsError, WrongRegimeError
+from perisys.errors import PerisysError, TooFewPointsError
 from perisys.numerics import SignedLog, to_signed_log
 from perisys.simulator import Trajectory
 from perisys.spectral import _require_positive
@@ -132,6 +132,10 @@ def has_repeated_root(p: int, q: int) -> bool:
     """Closed-form repeated-root test: v2(p) > v2(q)."""
     _require_positive(p, q)
     return two_adic_valuation(p) > two_adic_valuation(q)
+
+
+class WrongRegimeError(PerisysError):
+    """A period or an old law's oracle was asked for outside the regime where it holds."""
 
 
 def predicted_period(p: int, q: int) -> int:

@@ -25,7 +25,6 @@ from perisys import (
     detect_cycle,
     product_invariant_check,
     random_positive_spec,
-    second_difference_check,
     simulate,
     to_signed_log,
     trajectory_rows,
@@ -150,16 +149,16 @@ def test_criterion_5_sweep_consistency():
 
 
 def test_criterion_6_exact_conservation_suite():
-    """Product, ratio-weighted x-relation, and second difference: 50 specs, N=300.
+    """Product, ratio-weighted x-relation, block law and second difference: 50 specs, N=300.
 
     Zero tolerance: every identity is an exact rational equality.  The
-    second-difference law applies to the |b| = |a| subset (two thirds of
-    the draws are built that way; independent draws that happen to match
-    are included too).
+    block law holds in every regime, for every a and b, so it applies to
+    all 50 specs, and so does the second difference
+    x_{n+2M} x_n = x_{n+M}^2 that it implies, M = lcm(p, 2q), checked as
+    ``Fraction`` products through n = N.
     """
     rng = random.Random(1006)
-    product_ok = relation_ok = 0
-    second_applicable = second_ok = 0
+    product_ok = relation_ok = block_ok = second_ok = 0
     for k in range(50):
         p = rng.randint(1, 7)
         q = rng.randint(p + 1, 8)
@@ -174,13 +173,14 @@ def test_criterion_6_exact_conservation_suite():
         traj = simulate(spec, 300)
         product_ok += product_invariant_check(traj)
         relation_ok += x_relation_check(traj)
-        if abs(spec.a) == abs(spec.b):
-            second_applicable += 1
-            second_ok += second_difference_check(traj)
-    ok = product_ok == 50 and relation_ok == 50 and second_ok == second_applicable > 0
+        block_ok += block_ratio_check(traj)
+        m = math.lcm(p, 2 * q)
+        second_ok += all(traj.x(n + 2 * m) * traj.x(n) == traj.x(n + m) ** 2
+                         for n in range(1, 300 - 2 * m + 1))
+    ok = product_ok == relation_ok == block_ok == second_ok == 50
     _finish("criterion-6 conservation",
             ok, f"product {product_ok}/50, x-relation {relation_ok}/50, "
-                f"second-difference {second_ok}/{second_applicable}")
+                f"block law {block_ok}/50, second-difference {second_ok}/50")
 
 
 def test_criterion_7_drift_block_ratio_and_monotonicity():

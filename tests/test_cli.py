@@ -284,9 +284,9 @@ def test_verify_all_pass(periodic_config, capsys):
     assert main(["verify", "--config", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report["checks"]) == {
-        "product_invariant", "x_relation", "second_difference",
-        "block_ratio", "classifier_detector_agreement",
+        "product_invariant", "x_relation", "block_ratio", "classifier_detector_agreement",
     }
+    assert report["skipped"] == {}
     assert all(value == "pass" for value in report["checks"].values())
     assert report["drift"]["block_ratio"] == "1"
     assert parse_spec(json.dumps(report["spec"]))  # spec echo is parseable
@@ -318,23 +318,29 @@ def test_verify_alternating_sign_system(tmp_path, capsys):
 
 
 def test_verify_skips_inapplicable_checks(growing_config, capsys):
+    """On (2, 3), p/g even, every law applies at -n 100; at -n 7 < M + d = 8 the block law is not."""
     path, _ = growing_config
     assert main(["verify", "--config", path, "-n", "100"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert "block_ratio" in report["skipped"]
+    assert report["skipped"] == {}
+    assert report["checks"]["block_ratio"] == "pass"
     assert report["checks"]["classifier_detector_agreement"] == "pass"
     assert report["cycle"]["status"] == "no-cycle"
+    assert main(["verify", "--config", path, "-n", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["skipped"] == {"block_ratio": "needs n >= 8"}
+    assert all(value == "pass" for value in report["checks"].values())
 
 
 def guard_table(spec, n):
     """Test oracle: the applicability guards ``build_run_report`` once tested itself.
 
     Returns the ``checks`` keys, the ``skipped`` items and whether a slope
-    is reported, from p, q, a, b and n alone, with the reason strings the
-    report prints.
+    is reported, from p, q and n alone, with the reason strings the report
+    prints.  No law has a regime guard: each needs only enough steps.
     """
     p, q = spec.p, spec.q
-    m = math.lcm(p, 2 * q)
+    m, d = math.lcm(p, 2 * q), math.gcd(p, 2 * q)
     classification = classify(p, q)
     stride = classification.predicted_period or classification.witness_modulus
     checks, skipped = ["product_invariant"], {}
@@ -342,16 +348,8 @@ def guard_table(spec, n):
         checks.append("x_relation")
     else:
         skipped["x_relation"] = f"needs n >= {max(p, q) + 1}"
-    if abs(spec.a) != abs(spec.b):
-        skipped["second_difference"] = "needs |b| = |a|"
-    elif n < 2 * m + 1:
-        skipped["second_difference"] = f"needs n >= {2 * m + 1}"
-    else:
-        checks.append("second_difference")
-    if (p // math.gcd(p, q)) % 2 == 0:
-        skipped["block_ratio"] = "needs p/gcd(p, q) odd"
-    elif n < m + 1:
-        skipped["block_ratio"] = f"needs n >= {m + 1}"
+    if n < m + d:
+        skipped["block_ratio"] = f"needs n >= {m + d}"
     else:
         checks.append("block_ratio")
     checks.append("classifier_detector_agreement")
@@ -362,11 +360,12 @@ def guard_table(spec, n):
 @given(specs())
 def test_skipped_laws_match_the_guard_table(spec):
     """Each law's own refusal gives the report the guard table's keys and reasons."""
-    m = math.lcm(spec.p, 2 * spec.q)
+    m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
     s = max(spec.p, spec.q) + 1
     classification = classify(spec.p, spec.q)
     stride = classification.predicted_period or classification.witness_modulus
-    boundaries = {1, s - 1, s, m, m + 1, 2 * m, 2 * m + 1, stride - 1, stride}
+    boundaries = {1, s - 1, s, m, m + 1, m + d - 1, m + d, 2 * m, 2 * m + 1, stride - 1,
+                  stride}
     for n in sorted(k for k in boundaries if k >= 1):
         report = build_run_report(spec, n)
         got = list(report["checks"]), list(report["skipped"].items()), bool(report["slopes"])

@@ -1,4 +1,4 @@
-"""Drift constants, exact block-ratio and second-difference laws, slopes."""
+"""Drift constants, the exact block law in both regimes, slopes."""
 
 from __future__ import annotations
 
@@ -11,25 +11,32 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisys import (
     BACKEND_SIGNEDLOG,
     PerisysError,
+    SystemSpec,
     TooFewPointsError,
     Trajectory,
-    WrongRegimeError,
     block_ratio_check,
     classify,
     drift,
     growth_slope,
     random_positive_spec,
-    second_difference_check,
     simulate,
     to_signed_log,
     trajectory_rows,
 )
 
-from conftest import find_window_cycle, fixed_point_spec, materialised, random_signed_spec, specs
+from conftest import (
+    find_window_cycle,
+    fixed_point_spec,
+    materialised,
+    nonzero_rationals,
+    random_signed_spec,
+    specs,
+)
 from oracles import Monotonicity, monotone_check, regression_slope, stride_values
 
 
@@ -68,10 +75,15 @@ def test_drift_large_doubling_system():
 
 
 def test_drift_omits_ratio_for_even_quotient():
+    # p/g even: no one ratio c^(q/g), yet the block law holds with its
+    # d = 4 references paired as sigma_r sigma_{r+2} = c^3
     spec = fixed_point_spec(4, 6)
     assert drift(spec).block_ratio is None
-    with pytest.raises(WrongRegimeError, match=r"^needs p/gcd\(p, q\) odd$"):
-        block_ratio_check(simulate(spec, 40))
+    assert block_ratio_check(simulate(spec, 40))
+    halving = replace(random_signed_spec(random.Random(18), 4, 6), a=1, b=2)
+    assert drift(halving).block_ratio is None
+    assert block_ratio_check(simulate(halving, 40))
+    assert block_ratio_check(materialised(halving, 40))
 
 
 def test_block_ratio_negative_c():
@@ -119,16 +131,25 @@ def test_block_ratio_needs_enough_steps():
     spec = random_positive_spec(random.Random(5), 6, 10)
     with pytest.raises(ValueError):
         block_ratio_check(simulate(spec, 60))
+    # M + d = 62: the d = 2 references x_61 / x_1 and x_62 / x_2
+    with pytest.raises(TooFewPointsError, match=r"^needs n >= 62$"):
+        block_ratio_check(simulate(spec, 61))
+    assert block_ratio_check(simulate(spec, 62))
 
 
-def test_second_difference_brute_force_small():
-    # (2, 3): no cycle exists, yet the stride-6 second difference is exact
+def test_block_law_brute_force_small():
+    # (2, 3): no cycle exists, yet x_{n+6} / x_n takes d = 2 values, whose
+    # product is c^3 = 1, and the second difference it implies is exact
     spec = random_positive_spec(random.Random(6), 2, 3)
     traj = simulate(spec, 60)
     m = 6
+    sigma = [traj.x(m + 1) / traj.x(1), traj.x(m + 2) / traj.x(2)]
+    assert sigma[0] * sigma[1] == 1 and sigma[0] != sigma[1]
+    for n in range(1, 60 - m + 1):
+        assert traj.x(n + m) == sigma[(n - 1) % 2] * traj.x(n)
     for n in range(1, 60 - 2 * m + 1):
         assert traj.x(n + 2 * m) * traj.x(n) == traj.x(n + m) ** 2
-    assert second_difference_check(traj)
+    assert block_ratio_check(traj)
 
 
 @pytest.mark.parametrize("p,q,a,b", [
@@ -137,30 +158,61 @@ def test_second_difference_brute_force_small():
     (2, 3, 2, -2),
     (6, 10, -3, 3),
     (3, 5, 5, 5),
+    (2, 3, 1, 2),
+    (4, 6, Fraction(-3, 2), 5),
+    (6, 8, 2, -7),
 ])
-def test_second_difference_across_regimes(p, q, a, b):
+def test_block_law_across_regimes(p, q, a, b):
     spec = random_signed_spec(random.Random(7), p, q, a=a, b=b)
     m = math.lcm(p, 2 * q)
-    traj = simulate(spec, 2 * m + q + 5)
-    assert second_difference_check(traj)
+    for traj in (simulate(spec, 2 * m + q + 5), materialised(spec, 2 * m + q + 5)):
+        assert block_ratio_check(traj)
 
 
-def test_second_difference_trivial_on_periodic():
+def test_block_law_trivial_on_periodic():
     traj = simulate(fixed_point_spec(6, 10), 130)
-    assert second_difference_check(traj)
+    assert block_ratio_check(traj)
 
 
-def test_second_difference_guards():
+def test_block_law_needs_only_n_at_least_m_plus_d():
+    """|b| != |a| and p/g even are no guard: only n < M + d is refused, M = 6, d = 2."""
     spec = replace(random_positive_spec(random.Random(8), 2, 3), a=1, b=2)
-    with pytest.raises(WrongRegimeError, match=r"^needs \|b\| = \|a\|$"):
-        second_difference_check(simulate(spec, 30))
+    assert block_ratio_check(simulate(spec, 30))
     balanced = random_positive_spec(random.Random(8), 2, 3)
-    with pytest.raises(ValueError):
-        second_difference_check(simulate(balanced, 10))
+    with pytest.raises(TooFewPointsError, match=r"^needs n >= 8$"):
+        block_ratio_check(simulate(balanced, 7))
+    assert block_ratio_check(simulate(balanced, 8))
     traj = materialised(balanced, 30)
-    assert second_difference_check(traj)
+    assert block_ratio_check(traj)
     traj.x_nums[25] *= 5
-    assert not second_difference_check(traj)
+    assert not block_ratio_check(traj)
+
+
+REGIMES = {  # q <= 8 delay pairs, by whether d = gcd(p, 2q) divides q
+    divides: [(p, q) for q in range(1, 9) for p in range(1, q + 1)
+              if (q % math.gcd(p, 2 * q) == 0) is divides]
+    for divides in (True, False)
+}
+
+
+@st.composite
+def block_law_specs(draw):
+    """Signed a, b and initial data on a q <= 8 delay pair, each regime drawn half the time."""
+    p, q = draw(st.sampled_from(REGIMES[draw(st.booleans())]))
+    values = st.lists(nonzero_rationals, min_size=q, max_size=q)
+    return SystemSpec(a=draw(nonzero_rationals), b=draw(nonzero_rationals), p=p, q=q,
+                      x_init=tuple(draw(values)), y_init=tuple(draw(values)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_law_specs(), st.integers(0, 2))
+def test_block_law_holds_in_both_regimes(spec, extra):
+    """Materialised and ``simulate`` trajectories pass, from n = M + d to far past the block."""
+    m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
+    for n in (m + d + extra, 2 * m + spec.q + 3):
+        assert block_ratio_check(materialised(spec, n)), n
+        assert block_ratio_check(simulate(spec, n)), n
+    assert block_ratio_check(simulate(spec, 50 * m + 7))
 
 
 def test_growth_slope_fixed_point_is_zero():
@@ -294,4 +346,4 @@ def test_alternating_sign_dynamics():
     signs = [(1 if traj.x(n) > 0 else -1, 1 if traj.y(n) > 0 else -1) for n in range(-9, 401)]
     assert find_window_cycle(signs, 10) is not None
     assert {abs(traj.x(n + 60) / traj.x(n)) for n in range(1, 301)} == {Fraction(1)}
-    assert second_difference_check(traj)
+    assert block_ratio_check(traj)

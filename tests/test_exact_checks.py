@@ -1,4 +1,4 @@
-"""The four exact conservation checks against naive Fraction oracles.
+"""The three exact conservation checks against naive Fraction oracles.
 
 Each check in perisys is a call into one comparison engine,
 ``simulator._matches_reference_cycle``, which compares every stored v_k
@@ -6,9 +6,11 @@ with r_j w_{k-lag}, cross-multiplied over numerators and denominators,
 where the r_j are small reduced references taken from the trajectory
 itself: for the product invariant (v = y, w = 1/x) and the x-relation,
 the q quotients z_r = x_r y_r or rho_r = x_r / x_{r-p} of their head and
-the law's constant over each, 2q references; x_{r+m} / x_r for the second
-difference; and the constant c^(q/g) for the block ratio.  No law
-compares anything outside the engine.  A trajectory from ``simulate``
+the law's constant over each, 2q references; and the d ratios
+x_{M+r} / x_r for the block law, M = lcm(p, 2q), d = gcd(p, 2q).  No law
+compares a stored value outside the engine; the block law only checks,
+before it, that its references multiply to c^(e q / d) along each orbit
+r, r + q, ... (mod d), e = d / gcd(d, q).  A trajectory from ``simulate``
 longer than M = lcm(p, 2q) stores its initial data, one block of M values
 and the block multipliers, by which its readers scale the block; the
 engine then stops after its first T = M offsets, one block, since every
@@ -18,7 +20,11 @@ A trajectory that stores every value is compared at every offset.  The
 functions below are the reference: they form the Fraction products of
 each law directly at every index and read every value through the
 bounds-checked ``Trajectory.x()``/``y()`` accessors.  They exist only for
-the differential tests here.  Those cover long periodic trajectories in
+the differential tests here.  ``oracle_block_ratio`` and
+``oracle_second_difference`` are the two block laws that the one block
+law replaced, kept as labelled oracles: where the first applies, the
+block law must agree with it, and wherever the block law holds, so must
+the second.  Those cover long periodic trajectories in
 both forms, block-backed and materialised (the conftest ``materialised``,
 every value stored), clean and corrupted: in their last block, at every
 T-th index, and in their initial data; and drifting and unbounded ones in
@@ -38,12 +44,10 @@ from hypothesis import strategies as st
 
 from perisys import (
     TooFewPointsError,
-    WrongRegimeError,
     block_ratio_check,
     growth_slope,
     product_invariant_check,
     random_positive_spec,
-    second_difference_check,
     simulate,
     simulator,
     x_relation_check,
@@ -59,6 +63,7 @@ from conftest import (
     random_signed_spec,
     specs,
 )
+from oracles import WrongRegimeError
 
 
 def oracle_product_invariant(traj) -> bool:
@@ -84,8 +89,26 @@ def oracle_x_relation(traj) -> bool:
     )
 
 
+def oracle_block_law(traj) -> bool:
+    """Oracle: sigma_r = x_{M+r} / x_r multiply to c^(|orbit| q / d) and x_{n+M} == sigma_n x_n.
+
+    As Fraction products, with the orbit of each class r under the shift
+    by q (mod d) formed as a set, so its size is found, not derived.
+    """
+    spec = traj.spec
+    m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
+    if traj.n_max < m + d:
+        raise TooFewPointsError(f"need a trajectory through n={m + d}, have {traj.n_max}")
+    sigma = {n % d: traj.x(n + m) / traj.x(n) for n in range(1, d + 1)}
+    for r in range(d):
+        orbit = {(r + i * spec.q) % d for i in range(d)}
+        if math.prod(sigma[k] for k in orbit) != spec.c ** (len(orbit) * spec.q // d):
+            return False
+    return all(traj.x(n + m) == sigma[n % d] * traj.x(n) for n in range(1, traj.n_max - m + 1))
+
+
 def oracle_block_ratio(traj) -> bool:
-    """Oracle: x_{n+m} == c^(q/g) x_n as Fraction products."""
+    """Oracle of the old block-ratio law, p/g odd only: x_{n+m} == c^(q/g) x_n as Fraction products."""
     spec = traj.spec
     g = math.gcd(spec.p, spec.q)
     if (spec.p // g) % 2 == 0:
@@ -101,10 +124,12 @@ def oracle_block_ratio(traj) -> bool:
 
 
 def oracle_second_difference(traj) -> bool:
-    """Oracle: x_{n+2m} x_n == x_{n+m}^2 as Fraction products."""
+    """Oracle of the old second-difference law: x_{n+2m} x_n == x_{n+m}^2 as Fraction products.
+
+    The old law refused |b| != |a|, but the block law implies it for
+    every a and b, so the oracle applies in every regime.
+    """
     spec = traj.spec
-    if abs(spec.a) != abs(spec.b):
-        raise WrongRegimeError(f"needs |b| = |a|, got a={spec.a}, b={spec.b}")
     m = math.lcm(spec.p, 2 * spec.q)
     if traj.n_max < 2 * m + 1:
         raise TooFewPointsError(f"need a trajectory through n={2 * m + 1}, have {traj.n_max}")
@@ -117,13 +142,12 @@ def oracle_second_difference(traj) -> bool:
 CHECKS_AND_ORACLES = (
     (product_invariant_check, oracle_product_invariant),
     (x_relation_check, oracle_x_relation),
-    (block_ratio_check, oracle_block_ratio),
-    (second_difference_check, oracle_second_difference),
+    (block_ratio_check, oracle_block_law),
 )
 
 
 @st.composite
-def trajectories(draw):
+def trajectories(draw, materialise=False):
     """Clean trajectories, and ones with one stored x or y corrupted.
 
     A corruption scales the value by a rational other than 1, or only
@@ -132,14 +156,15 @@ def trajectories(draw):
     run to n = 4m + 3q, so that every check can stop early on a periodic
     one.  A periodic one is drawn block-backed, as ``simulate`` stores it,
     where a corrupted block value recurs at every repeat, or materialised,
-    with every value stored, where it changes one index.
+    with every value stored, where it changes one index.  With
+    ``materialise`` every trajectory is materialised and runs to
+    n >= M + d, so that the block law applies.
     """
     spec = draw(specs())
-    m = math.lcm(spec.p, 2 * spec.q)
-    # n > 3m puts the second difference's stop, list offset q + 3m, inside
-    n = draw(st.integers(1, 4 * m + 3 * spec.q))
+    m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
+    n = draw(st.integers(m + d if materialise else 1, 4 * m + 3 * spec.q))
     traj = simulate(spec, n)
-    if len(traj.x_nums) < spec.q + n and draw(st.booleans()):
+    if materialise or (len(traj.x_nums) < spec.q + n and draw(st.booleans())):
         traj = materialised(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
@@ -164,6 +189,22 @@ def test_checks_match_fraction_oracles(traj):
         assert outcome(check, traj) == outcome(oracle, traj), check.__name__
 
 
+@settings(max_examples=200, deadline=None)
+@given(trajectories(materialise=True))
+def test_block_law_agrees_with_the_old_block_laws(traj):
+    """Materialised data, clean and corrupted, against the two laws the block law replaced.
+
+    Where the old block ratio applies, p/gcd(p, q) odd, the verdicts are
+    equal.  Wherever the block law passes, the second difference holds
+    (or the trajectory is too short for it, n < 2M + 1).
+    """
+    verdict = block_ratio_check(traj)
+    old = outcome(oracle_block_ratio, traj)
+    assert old is WrongRegimeError or verdict == old
+    if verdict:
+        assert outcome(oracle_second_difference, traj) in (True, TooFewPointsError)
+
+
 def test_corrupted_y_fails_product_invariant():
     traj = simulate(random_signed_spec(random.Random(11), 6, 10, a=1, b=1), 200)
     assert product_invariant_check(traj)
@@ -182,8 +223,8 @@ def test_sign_flip_of_x_fails_block_ratio():
 
 
 # Pinned corruptions on long trajectories with values of several hundred
-# bits: c = 1/2 on (3, 5) (q = 5, s = max(p, q) + 1 = 6, m = 30), and, for
-# the second difference, which needs |b| = |a|, c = 1 on (2, 3) (m = 6).
+# bits: c = 1/2 on (3, 5) (q = 5, s = max(p, q) + 1 = 6, m = 30, d = 1),
+# and c = 1 on (2, 3) (m = 6, d = 2, which does not divide q).
 # ``simulate`` stores one block of these; the tests that corrupt a stored
 # value past it read the conftest ``materialised`` form, every value stored.
 DRIFT = random_signed_spec(random.Random(1), 3, 5, a=1, b=2)
@@ -199,20 +240,23 @@ PINNED = [  # check, oracle, spec, corrupted value (its numerator column), index
     (x_relation_check, oracle_x_relation, DRIFT, "xs", -2, -1),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 15, 3),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 1990, -1),
-    # x_1, the first value compared; x_31 = x_{m+1}, compared with it; tail
-    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 1, -1),
-    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 31, 3),
-    (block_ratio_check, oracle_block_ratio, DRIFT, "xs", 1995, -1),
-    # references: x_1 in sigma_1 = x_7 / x_1, x_12 in sigma_6 = x_12 / x_6; tail
-    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 1, -1),
-    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 12, 3),
-    (second_difference_check, oracle_second_difference, UNBOUNDED, "xs", 1990, -1),
+    # reference: x_1 and x_31 = x_{m+1} in sigma_1 = c^(q/g) = 1/32; tail
+    (block_ratio_check, oracle_block_law, DRIFT, "xs", 1, -1),
+    (block_ratio_check, oracle_block_law, DRIFT, "xs", 31, 3),
+    (block_ratio_check, oracle_block_law, DRIFT, "xs", 1995, -1),
+    # references: x_1 in sigma_1 = x_7 / x_1, x_8 in sigma_2 = x_8 / x_2,
+    # whose product is c^3 = 1; x_12, compared with sigma_2 x_6; tail
+    (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 1, -1),
+    (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 8, 3),
+    (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 12, 3),
+    (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 1990, -1),
 ]
 
 
 @pytest.mark.parametrize(
     "check, oracle, spec, which, n, factor", PINNED,
-    ids=[f"{row[0].__name__}-{row[3]}[{row[4]}]*{row[5]}" for row in PINNED],
+    ids=[f"{row[0].__name__}-{'drift' if row[2] is DRIFT else 'unbounded'}"
+         f"-{row[3]}[{row[4]}]*{row[5]}" for row in PINNED],
 )
 def test_pinned_corruption_fails_check_and_oracle(check, oracle, spec, which, n, factor):
     traj = materialised(spec, LONG)
@@ -306,15 +350,9 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
 
     monkeypatch.setattr(simulator, "step_coefficients", kernel)
     monkeypatch.setattr(simulator, "block_multipliers", kernel)
-    for check in (product_invariant_check, x_relation_check, second_difference_check,
-                  block_ratio_check):
-        assert check(periodic), check.__name__
-    for check in (product_invariant_check, x_relation_check, block_ratio_check):
-        assert check(drifting), check.__name__
-    for check in (product_invariant_check, x_relation_check, second_difference_check):
-        assert check(unbounded), check.__name__
-    with pytest.raises(WrongRegimeError, match=r"^needs p/gcd\(p, q\) odd$"):
-        block_ratio_check(unbounded)  # no block ratio in this regime
+    for traj in (periodic, drifting, unbounded):
+        for check, _ in CHECKS_AND_ORACLES:
+            assert check(traj), check.__name__
 
 
 # Long periodic trajectories, at n = 4M + 3q with M = lcm(p, 2q): generic
@@ -460,14 +498,16 @@ def test_corrupted_multiplier_fails_a_law(name, how):
     reader past M.  Through n = 2M + 1, 3M + q and 5M every law gives what
     its oracle gives, which reads every index through the same reader.
     The x-relation fails wherever R_r changed: x_n and x_{n-p} lie in
-    different passes of the block for the first p offsets of each.
+    different passes of the block for the first p offsets of each.  So
+    does the block law, in both regimes: its reference sigma_r = 1 / R_r
+    no longer multiplies to c^(e q / d) with those of its orbit.  (An
+    inverted R_r = +-1 is unchanged, and every law passes.)
     """
     spec = {**GROWING, **REPEATING}[name]
     m = math.lcm(spec.p, 2 * spec.q)
     for n in (2 * m + 1, 3 * m + spec.q, 5 * m):
         traj = simulate(spec, n)
-        assert all(outcome(check, traj) in (True, TooFewPointsError, WrongRegimeError)
-                   for check, _ in CHECKS_AND_ORACLES)
+        assert all(outcome(check, traj) is True for check, _ in CHECKS_AND_ORACLES)
         for r, multiplier in enumerate(traj.multipliers):
             multipliers = list(traj.multipliers)
             multipliers[r] = corrupted(multiplier, how)
@@ -475,3 +515,4 @@ def test_corrupted_multiplier_fails_a_law(name, how):
             for check, oracle in CHECKS_AND_ORACLES:
                 assert outcome(check, bad) == outcome(oracle, bad), (n, r, check.__name__)
             assert x_relation_check(bad) is (multipliers[r] == multiplier), (n, r)
+            assert block_ratio_check(bad) is (multipliers[r] == multiplier), (n, r)

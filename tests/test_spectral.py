@@ -12,7 +12,6 @@ from perisys import (
     Reason,
     Regime,
     classify,
-    WrongRegimeError,
 )
 
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     turn,
     two_adic_valuation,
     unit_root_turns,
+    WrongRegimeError,
 )
 
 
