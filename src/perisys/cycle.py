@@ -10,12 +10,31 @@ decide the answer.  ``simulator.block_period`` owns the rule:
   ``None``, and the answer is ``NoCycleWithinHorizon`` without generating
   a pair.
 * every R_r = +-1: the pairs from n = 1 on repeat with period P = M, or
-  2M when some R_r = -1, which ``block_period`` returns.  The first P
-  pairs are generated, each checked against the bit cap.  The minimal
-  period T divides P, and it is the smallest divisor t of P for which the
-  block equals itself shifted by t: a P-periodic sequence whose first
-  block is t-periodic is t-periodic.  A divisor t < P is compared only
-  when pair t equals pair 0, which that equality requires.
+  2M when some R_r = -1, which ``block_period`` returns.  The minimal
+  period T is the smallest divisor t of P that is a period of the pairs
+  from n = 1 on, and the block need not be generated to find it.  Since
+  x_n = a / y_{n-p}, t is such a period iff y is t-periodic from n = 1 - p
+  on, and since y_n = y_{n-p} K_n with K 2q-periodic, that holds iff
+
+  - K equals itself rotated by gcd(t, 2q), and
+  - y_{m+t} = y_m for the p indices m = 1 - p .. 0.
+
+  (<=) by induction, y_{n+t} = y_{n+t-p} K_{n+t} = y_{n-p} K_n = y_n;
+  (=>) K_n = y_n / y_{n-p}, and no y is zero.  t = P always passes.  A
+  t < P that M divides is M itself with P = 2M, where some
+  y_{n+M} = -y_n, so it never passes.  Any other t draws pairs 1 .. t
+  from one ``iter_pairs`` iterator, shared by the divisors in increasing
+  order, so the search draws fewer than P pairs, and none when
+  P = M = 2q and no rotation of K but the full one leaves it unchanged.
+
+  The block is bounded without generating it: every 2q/d consecutive K
+  along a chain j, j - p, ... multiply to R_r = +-1, so each y_j of the
+  block is +-y_m, m in 1 - p .. 0, times fewer than 2q/d consecutive K of
+  one class, and x_j = a / y_{j-p}.  No component of the first P pairs
+  is wider than the widest of those y_m, plus the largest sum over a class
+  of the K's widest components, plus a's widest.  Only when that bound
+  passes the bit cap are the first P pairs drawn, so that a value over
+  the cap raises where the kernel reaches it.
 
 The preperiod is reported at window level.  The next pair depends only on
 the trailing window of max(p, q) = q pairs (every spec has p <= q).
@@ -25,7 +44,11 @@ the first window that recurs.  Windows from k = q on hold generated pairs
 only, so they all recur.  Window k < q recurs iff every initial pair from
 its start on equals the pair T steps later.  Hence n0 is one plus the
 largest initial offset i (index i - q + 1) with pair_i != pair_{i+T}, or 0
-if there is none.  Pairwise equality (x_{n+T}, y_{n+T}) = (x_n, y_n)
+if there is none.  The pairs T + 1 - q .. T come from a window
+of y_j, j = T down to max(T + 1 - q - p, 1 - q), formed backwards: the
+initial y_j for j <= 0, the initial y_{j-T} for j > T - p, where
+periodicity gives it, and y_{j+p} / K_{j+p} otherwise; then
+x_n = a / y_{n-p}.  Pairwise equality (x_{n+T}, y_{n+T}) = (x_n, y_n)
 holds for every n >= n0 - q + 1, in particular for all n >= n0.
 
 A no-cycle answer carries ``horizon = default_horizon(p, q)``, so the
@@ -37,12 +60,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .model import SystemSpec
-from .numerics import Rational, resolve_max_bits
-from .simulator import block_period, iter_pairs, step_coefficients
+from .numerics import resolve_max_bits
+from .simulator import _reduced, block_period, iter_pairs, step_coefficients
 
 
 @dataclass(frozen=True)
@@ -73,22 +97,68 @@ def default_horizon(p: int, q: int) -> int:
 def detect_cycle(spec: SystemSpec) -> CycleResult:
     """Minimal window preperiod and period, or no cycle when some |R_r| != 1.
 
-    Generates at most 2 lcm(p, 2q) exact pairs, and none for an unbounded
+    Draws fewer than P = ``block_period`` exact pairs on a periodic spec,
+    unless the block's bound passes the bit cap, and none on an unbounded
     spec (module docstring).  The bit cap is resolved first, so a
     malformed ``PERISYS_MAX_BITS`` fails on every spec.
     """
-    resolve_max_bits()
-    size = block_period(spec.p, step_coefficients(spec))
+    cap = resolve_max_bits()
+    p, q = spec.p, spec.q
+    coefficients = step_coefficients(spec)
+    size = block_period(p, coefficients)
     if size is None:
-        return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
-    block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
-    # block[t] == block[0] is necessary, and spares generic data (T = P)
-    # the two slice copies per divisor
-    period = next((t for t in range(1, size) if size % t == 0 and block[t] == block[0]
-                   and block[t:] == block[:-t]), size)
-    # exact pairs are canonical Rational pairs, so equal values are equal pairs
-    initial = [(Rational(*x.as_integer_ratio()), Rational(*y.as_integer_ratio()))
+        return NoCycleWithinHorizon(horizon=default_horizon(p, q))
+    # a Fraction's integer ratio is its canonical pair, so it equals the
+    # kernel's Rational of the same value, and equal values are equal pairs
+    a = spec.a.as_integer_ratio()
+    initial = [(x.as_integer_ratio(), y.as_integer_ratio())
                for x, y in zip(spec.x_init, spec.y_init)]
-    pairs = initial + block
-    preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)
+    ys = [y for _, y in initial[q - p:]]  # y_j at offset j + p - 1, drawn as far as needed
+    d, block = math.gcd(p, 2 * q), math.lcm(p, 2 * q)
+    # y_j is +-y_m times fewer than 2q/d consecutive K of one class; x_j = a / y_{j-p}
+    bound = (max(map(_width, ys)) + _width(a)
+             + max(sum(map(_width, coefficients[r::d])) for r in range(d)))
+    if bound > cap:
+        deque(itertools.islice(iter_pairs(spec), size), maxlen=0)
+
+    def draws() -> Iterator:  # y_1, y_2, ... of one iter_pairs, opened by the first draw
+        for _, _, y in iter_pairs(spec):
+            yield y
+    later = draws()
+
+    def is_period(t: int) -> bool:
+        shift = math.gcd(t, 2 * q)
+        if coefficients[shift:] + coefficients[:shift] != coefficients:
+            return False
+        if t == size:
+            return True
+        if t % block == 0:
+            return False
+        ys.extend(itertools.islice(later, t + p - len(ys)))
+        return ys[t:t + p] == ys[:p]
+
+    period = next(t for t in range(1, size + 1) if size % t == 0 and is_period(t))
+    window = {}  # y_j for j = T down to max(T + 1 - q - p, 1 - q)
+    for j in range(period, max(period - q - p, -q), -1):
+        if j <= 0:
+            window[j] = initial[j + q - 1][1]
+        elif j > period - p:
+            window[j] = initial[j - period + q - 1][1]
+        else:
+            (y_num, y_den), (k_num, k_den) = window[j + p], coefficients[(j + p - 1) % (2 * q)]
+            window[j] = _reduced(y_num * k_den, y_den * k_num)
+
+    def pair(n: int) -> tuple:
+        if n <= 0:
+            return initial[n + q - 1]
+        y_num, y_den = window[n - p]
+        return _reduced(a[0] * y_den, a[1] * y_num), window[n]
+
+    preperiod = next((i + 1 for i in reversed(range(q))
+                      if initial[i] != pair(i + 1 - q + period)), 0)
     return Periodic(preperiod=preperiod, period=period)
+
+
+def _width(value: tuple) -> int:
+    """The larger component bit length of a (numerator, denominator) pair."""
+    return max(value[0].bit_length(), value[1].bit_length())

@@ -103,8 +103,8 @@ rendered rows, with n renumbered, each of which already passed the bit
 cap; without P it takes each row past M from the row M before it, by the
 block law, unless R is too wide (Rendering).  ``cycle.detect_cycle``
 decides from P: no cycle without one, and otherwise the minimal period
-among the divisors of P, from the first P pairs of ``iter_pairs``, which
-itself never replays.
+among the divisors of P, from K's rotations and a short prefix of
+``iter_pairs``, which itself never replays.
 
 :func:`simulate` needs no P, since the block law holds in every case.
 Past M it stores the initial data, one block, indices 1 .. M at offsets

@@ -56,19 +56,47 @@ TEST_BLOCK_LAW = "tests/test_simulator.py::test_rows_past_the_block_follow_the_b
 TEST_SETTLING = "tests/test_simulator.py::test_a_chain_settles_only_on_a_gcd_of_1"
 TEST_MULTIPLIER = "tests/test_exact_checks.py::test_corrupted_multiplier_fails_a_law"
 TEST_REGIMES = "tests/test_closedform.py::test_block_law_holds_in_both_regimes"
+TEST_DRAWS = "tests/test_cycle.py::test_period_search_draws_a_short_prefix"
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
     # agreement reads degenerate where generic data must read pass
     Mutant("period-1 detector", CYCLE,
-           "    period = next((t for t in range(1, size)",
-           "    period = 1 or next((t for t in range(1, size)",
+           "    period = next(t for t in range(1, size + 1)",
+           "    period = 1 or next(t for t in range(1, size + 1)",
            (TEST_CYCLE, TEST_CLI)),
     # the detector answers twice the minimal period, 2E on generic data
     Mutant("period-2E detector", CYCLE,
-           "and block[t:] == block[:-t]), size)",
-           "and block[t:] == block[:-t]), size) * 2",
+           "if size % t == 0 and is_period(t))",
+           "if size % t == 0 and is_period(t)) * 2",
            (TEST_CYCLE, TEST_CLI)),
+    # a divisor t is a period whenever the p values y_{t+1-p} .. y_t repeat
+    # the initial ones, whatever K does under a shift by t
+    Mutant("rotation test skipped", CYCLE,
+           "        if coefficients[shift:] + coefficients[:shift] != coefficients:\n"
+           "            return False\n",
+           "",
+           (TEST_CYCLE,)),
+    # t = M with P = 2M passes undrawn, although some R_r = -1 makes
+    # y_{n+M} = -y_n
+    Mutant("M | t taken as a period", CYCLE,
+           "        if t % block == 0:\n            return False",
+           "        if t % block == 0:\n            return True",
+           (TEST_DRAWS,)),
+    # the backward window divides y_{j+p} by K_{j+p+1}, so the pairs T
+    # later that the preperiod compares are wrong wherever K varies
+    Mutant("backward step reads K_{j+p+1}", CYCLE,
+           "coefficients[(j + p - 1) % (2 * q)]",
+           "coefficients[(j + p) % (2 * q)]",
+           (TEST_CYCLE,)),
+    # the block is never drawn, whatever its bound, so a periodic spec
+    # whose block passes the cap past the search's draws answers instead of
+    # failing as the kernel does
+    Mutant("cap bound ignored", CYCLE,
+           "    if bound > cap:\n",
+           "    if False:\n",
+           ("tests/test_cycle.py::test_detect_cycle_propagates_bit_cap",
+            "tests/test_cycle.py::test_cap_past_the_drawn_prefix_still_fails")),
     # K and R keep a negative denominator: not the canonical pair
     Mutant("_reduced without its sign move", SIMULATOR,
            "    if den < 0:\n        g = -g\n",

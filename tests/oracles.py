@@ -22,8 +22,9 @@ witness subsequence exactly (acceptance criterion 7), and
 renderers and the ``SignedLog`` recurrence are the references for the
 export's exact and signed-log rows, the ``Fraction`` forms of K, R and
 the block period are those of the simulator's int pairs, and the block
-period scan at the end is the detector's minimal-period search without its
-early-out.
+scans at the end are the detector's minimal-period search without its
+early-out and the whole detector as it ran before it stopped generating
+the block.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from perisys.cycle import NoCycleWithinHorizon, Periodic, default_horizon
 from perisys.errors import PerisysError, TooFewPointsError
-from perisys.numerics import SignedLog, to_signed_log
-from perisys.simulator import Trajectory
+from perisys.numerics import Rational, SignedLog, resolve_max_bits, to_signed_log
+from perisys.simulator import Trajectory, block_period, iter_pairs, step_coefficients
 from perisys.spectral import _require_positive
 
 
@@ -301,3 +303,25 @@ def block_min_period(block) -> int:
     """
     size = len(block)
     return next(t for t in range(1, size + 1) if size % t == 0 and block[t:] == block[:-t])
+
+
+def block_scan_cycle(spec):
+    """``cycle.detect_cycle`` as it was when it generated the block (test oracle).
+
+    The first P = ``block_period`` pairs of ``iter_pairs``, each checked
+    against the bit cap; the smallest divisor t of P whose shift leaves
+    the block unchanged, with pair t compared to pair 0 first; and the
+    window preperiod from the initial pairs against those T later.
+    """
+    resolve_max_bits()
+    size = block_period(spec.p, step_coefficients(spec))
+    if size is None:
+        return NoCycleWithinHorizon(horizon=default_horizon(spec.p, spec.q))
+    block = [(x, y) for _, x, y in itertools.islice(iter_pairs(spec), size)]
+    period = next((t for t in range(1, size) if size % t == 0 and block[t] == block[0]
+                   and block[t:] == block[:-t]), size)
+    initial = [(Rational(*x.as_integer_ratio()), Rational(*y.as_integer_ratio()))
+               for x, y in zip(spec.x_init, spec.y_init)]
+    pairs = initial + block
+    preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)
+    return Periodic(preperiod=preperiod, period=period)

@@ -28,6 +28,7 @@ from perisys import (
     step_coefficients,
 )
 from perisys import cycle
+from perisys.numerics import component_bits
 from perisys.simulator import block_period, iter_pairs
 
 import conftest
@@ -35,12 +36,13 @@ from conftest import (
     bit_cap,
     find_window_cycle,
     fixed_point_spec,
+    nonzero_rationals,
     product_family_spec,
     random_signed_spec,
     scan_cycle,
     specs,
 )
-from oracles import block_min_period
+from oracles import block_min_period, block_scan_cycle
 
 SMALL_VALUES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -309,3 +311,77 @@ def test_detect_cycle_rejects_oversized_p():
     """A p > q spec never reaches detect_cycle: construction refuses it."""
     with pytest.raises(ShapeError, match="insufficient-history"):
         detect_cycle(SystemSpec(a=1, b=2, p=4, q=3, x_init=(1, 2, 3), y_init=(3, 2, 1)))
+
+
+@st.composite
+def product_family_specs(draw):
+    """x_k y_k = b at every initial index and a = +-b: every R_r = +-1, in every regime."""
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(1, q))
+    b = draw(nonzero_rationals)
+    a = draw(st.sampled_from([b, -b]))
+    ys = tuple(draw(st.lists(nonzero_rationals, min_size=q, max_size=q)))
+    return SystemSpec(a=a, b=b, p=p, q=q, x_init=tuple(b / y for y in ys), y_init=ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs() | product_family_specs() | small_alphabet_specs(), st.sampled_from([None, 8, 24]))
+def test_detect_cycle_matches_the_block_scan(spec, max_bits):
+    """The decision from K's rotations and the backward window equals the scan of
+    the generated block: the same ``Periodic``, or the same cap error text."""
+    with bit_cap(max_bits):
+        assert outcome(lambda: detect_cycle(spec)) == outcome(lambda: block_scan_cycle(spec))
+
+
+def counted_draws(monkeypatch) -> list:
+    """Patch ``cycle.iter_pairs`` to record the index of every pair drawn from it."""
+    drawn = []
+
+    def counting(spec, *args, **kwargs):
+        for n, x, y in iter_pairs(spec, *args, **kwargs):
+            drawn.append(n)
+            yield n, x, y
+
+    monkeypatch.setattr(cycle, "iter_pairs", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("spec, block, draws", [
+    # p | 2q: only t = P leaves generic K unchanged under rotation
+    (random_positive_spec(random.Random(5), 5, 10), 20, 0),
+    # t = 20 is the one proper divisor of P = 60 that rotation passes
+    (random_positive_spec(random.Random(6), 6, 10), 60, 20),
+    # t = 10 and 20 draw; t = 30 = M with P = 2M is refused undrawn
+    (random_signed_spec(random.Random(3), 3, 5, a=2, b=-2), 60, 20),
+    # every R_r = 1 here (d = 2 divides q), so P = M, and t = 24 draws
+    (random_signed_spec(random.Random(10), 10, 12, a=2, b=-2), 120, 24),
+], ids=["generic (5, 10)", "generic (6, 10)", "b = -a (3, 5)", "b = -a (10, 12)"])
+def test_period_search_draws_a_short_prefix(monkeypatch, spec, block, draws):
+    """A periodic spec draws pairs only for divisors t < P that K's rotation
+    passes, t at a time from one iterator: far fewer than the block."""
+    assert block_period(spec.p, step_coefficients(spec)) == block
+    want = block_scan_cycle(spec)
+    assert want.period == block  # generic data: T = P
+    drawn = counted_draws(monkeypatch)
+    assert detect_cycle(spec) == want
+    assert drawn == list(range(1, draws + 1))
+
+
+@pytest.mark.parametrize("spec, draws", [
+    (random_positive_spec(random.Random(5), 5, 10), 0),
+    (random_positive_spec(random.Random(6), 6, 10), 20),
+], ids=["(5, 10), nothing drawn", "(6, 10), 20 drawn"])
+def test_cap_past_the_drawn_prefix_still_fails(spec, draws):
+    """Under a cap that the search's draws stay within and a later pair of the
+    block passes, the block bound sends the detector through the block, which
+    fails as the scan does."""
+    size = block_period(spec.p, step_coefficients(spec))
+    widths = [component_bits(value) for _, x, y in itertools.islice(iter_pairs(spec), size)
+              for value in (x, y)]
+    cap = max(widths[:2 * draws] + [1])
+    assert max(widths) > cap
+    with bit_cap(cap), pytest.raises(BitLengthExceededError) as decided:
+        detect_cycle(spec)
+    with bit_cap(cap), pytest.raises(BitLengthExceededError) as scanned:
+        block_scan_cycle(spec)
+    assert str(decided.value) == str(scanned.value)
