@@ -71,7 +71,7 @@ def agreement(classification: Classification, spec: SystemSpec, result: CycleRes
     Agreement accounts for c = a/b: the classifier speaks about the |c| = 1
     magnitude structure, so with drift (|c| != 1) it expects no exact
     cycle.  In a periodic regime with |c| = 1 generic data has the exact
-    period E = predicted_period * (1 if c^(q/g) = 1 else 2), where c^(q/g)
+    period E = predicted_period * (1 if c^(q/d) = 1 else 2), where c^(q/d)
     is the block ratio of :func:`closedform.drift`: "pass" iff the period
     is E, "pass-degenerate" iff it is a proper divisor of E (special
     data), and "fail" otherwise.  E comes from the spec alone, never from
@@ -84,7 +84,7 @@ def agreement(classification: Classification, spec: SystemSpec, result: CycleRes
         # structure that remains
         return "fail" if periodic else "pass"
     if classification.regime is Regime.EVENTUALLY_PERIODIC:
-        # c^(q/g) = -1 flips x over each block, doubling the joint period
+        # c^(q/d) = -1 flips x over each block, doubling the joint period
         expected = classification.predicted_period * (1 if drift(spec).block_ratio == 1 else 2)
         if periodic and result.period == expected:
             return "pass"

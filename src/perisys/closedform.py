@@ -8,29 +8,31 @@ The block law.  With M = lcm(p, 2q) and d = gcd(p, 2q), the block
 multipliers of :mod:`perisys.simulator` give x_{n+M} = x_n / R_{n mod d}
 for every n >= 1 - p, in every regime and for all initial data, so
 
-    sigma_n = x_{n+M} / x_n = 1 / R_{n mod d}
+    W_n = x_{n+M} / x_n = 1 / R_{n mod d}
 
-depends on n mod d alone.  The spec fixes the product of the sigma along
-each orbit r, r + q, ... (mod d).  R_r is the product of the step
-coefficients K_n over the 2q/d indices n in 1 .. 2q with n = r (mod d),
-and K_n K_{n+q} = b/a for n = 1 .. q, since K_n = b / z_{n-q} and
-K_{n+q} = z_{n-q} / a share z_{n-q}.  The shift n -> n + q (mod 2q) pairs
-these indices off and takes class r onto class r + q (mod d).  Let
-e = d / gcd(d, q), which is 1 or 2 since d divides 2q:
+depends on n mod d alone.  The spec fixes the rest.  R_r is the product
+of the step coefficients K_n over the 2q/d indices n in 1 .. 2q with
+n = r (mod d), and K_n K_{n+q} = b/a for n = 1 .. q, since
+K_n = b / z_{n-q} and K_{n+q} = z_{n-q} / a share z_{n-q}.  The shift
+n -> n + q (mod 2q) pairs these indices off and takes class r onto class
+r + q (mod d).  Since d divides 2q, q is 0 or d/2 modulo d:
 
-* e = 1, d | q: the shift keeps class r, whose members form q/d pairs,
-  so R_r = (b/a)^(q/d) and sigma_r = c^(q/g), since d = g = gcd(p, q)
-  here.  This is the periodic regime of ``spectral.classify``,
-  p/g odd, where the oscillation cancels over a block;
-* e = 2, d does not divide q: classes r and r + d/2 are distinct, their
-  4q/d members form 2q/d pairs, and R_r R_{r+d/2} = (b/a)^(2q/d), so
-  sigma_r sigma_{r+d/2} = c^(2q/d).
+* d | q: the shift keeps class r, whose members form q/d pairs, so
+  R_r = (b/a)^(q/d) and every W_n is the one constant c^(q/d), the
+  ``block_ratio`` of :func:`drift`.  Here d = g = gcd(p, q), and d | q
+  iff p/g is odd: the periodic regime of ``spectral.classify``, where the
+  oscillation cancels over a block;
+* q = d/2 (mod d): classes r and r + d/2 are distinct, their 4q/d
+  members form 2q/d pairs, and R_r R_{r+d/2} = (b/a)^(2q/d), so the law
+  is the shifted product W_n W_{n-d/2} = c^(2q/d).  That product law
+  holds iff W repeats with period d and the pairs of its first d values
+  multiply to c^(2q/d) (``simulator._matches_shifted_product``), which is
+  what the multipliers give.
 
-Either way the e references of an orbit multiply to c^(e q / d), which
-:func:`block_ratio_check` requires of the d ratios x_{M+r} / x_r it reads
-from stored values, before it compares every later value with them.  The
-law implies the second difference x_{n+2M} x_n = x_{n+M}^2, since
-sigma_{n+M} = sigma_n.
+:func:`block_ratio_check` compares the stored values with the law from
+x_{M+1} on, in one call of the comparison engine either way.  The law
+implies the second difference x_{n+2M} x_n = x_{n+M}^2, since
+W_{n+M} = W_n.
 
 Growth.  Along a stride m that is a multiple of M, ln|x| on each residue
 class modulo m is affine in the block counter.  Its slope is one exact
@@ -48,7 +50,7 @@ from fractions import Fraction
 from .errors import ArgumentRangeError, TooFewPointsError
 from .model import SystemSpec
 from .numerics import format_rational, to_signed_log
-from .simulator import Trajectory, _matches_reference_cycle, _quotients
+from .simulator import Trajectory, _matches_reference_cycle, _matches_shifted_product
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,19 @@ def _block_steps(spec: SystemSpec) -> int:
 
 
 def _block_ratio(spec: SystemSpec) -> Fraction | None:
-    """c^(q/g), g = gcd(p, q), or ``None`` when p/g is even (module docstring)."""
-    g = math.gcd(spec.p, spec.q)
-    return spec.c ** (spec.q // g) if (spec.p // g) % 2 == 1 else None
+    """c^(q/d), d = gcd(p, 2q), when d | q, else ``None`` (module docstring, The block law)."""
+    d = math.gcd(spec.p, 2 * spec.q)
+    return spec.c ** (spec.q // d) if spec.q % d == 0 else None
 
 
 def drift(spec: SystemSpec) -> DriftReport:
     """Drift constants for a spec.
 
     ``drift_per_step`` is ln|c| / (2p) (log-magnitude units per index).
-    ``block_ratio`` is the exact c^(q/g); it exists only when p/g is odd,
-    otherwise the block exponent m/(2p) is not an integer and the field is
-    omitted.
+    ``block_ratio`` is the exact c^(q/d), d = gcd(p, 2q), which every
+    x_{n+M} / x_n equals when d | q, that is, when p/gcd(p, q) is odd.
+    Otherwise the block law is a shifted product with no one ratio, and
+    the field is ``None``.
     """
     return DriftReport(
         c=spec.c,
@@ -96,40 +99,42 @@ def drift(spec: SystemSpec) -> DriftReport:
 
 
 def block_ratio_check(traj: Trajectory) -> bool:
-    """True iff x_{n+M} = sigma_{n mod d} x_n exactly for every generated n, sigma fixed by c.
+    """True iff x_{n+M} = W_{n mod d} x_n exactly at every generated n, W as the spec fixes it.
 
-    The block law of the module docstring, in every regime.  Its d
-    references sigma_1 .. sigma_d are x_{M+r} / x_r, the reduced ratios of
-    stored values (:func:`perisys.simulator._quotients`), so none comes
-    from ``step_coefficients`` or ``block_multipliers``.  With
-    e = d / gcd(d, q), the product of the e references of the classes
-    r, r + q, ... (mod d) must be c^(e q / d) for every r: c^(q/g) when
-    d | q, and sigma_r sigma_{r+d/2} = c^(2q/d) otherwise, signs included.
-    Then one call of :func:`perisys.simulator._matches_reference_cycle`,
-    with v = w = x, lag M, first q + M (the list offset of x_{M+1}) and the
-    d references, compares every later value.  By induction along the
-    stride M, sigma_n = x_{n+M} / x_n then depends on n mod d alone, so the
-    law implies x_{n+2M} x_n = x_{n+M}^2.  It refuses n_max < M + d with
+    The block law of the module docstring, in every regime, with
+    M = lcm(p, 2q) and d = gcd(p, 2q).  It is one call of the comparison
+    engine, with v = w = x, lag M and first q + M, the list offset of
+    x_{M+1}:
+
+    * d | q: :func:`perisys.simulator._matches_reference_cycle` with the
+      one reference c^(q/d) of :func:`drift`, so every x_{n+M} is compared
+      with c^(q/d) x_n and no quotient is formed;
+    * otherwise: :func:`perisys.simulator._matches_shifted_product` with
+      shift d/2 and const c^(2q/d), whose head is the d/2 quotients
+      x_{M+r} / x_r, r = 1 .. d/2.
+
+    Neither reads ``step_coefficients`` or ``block_multipliers``.  The law
+    implies x_{n+2M} x_n = x_{n+M}^2.  It refuses n_max < M + d with
     ``TooFewPointsError``.
 
     On a trajectory from ``simulate`` the comparison reads the block and
     its first scaled pass, x_{j+M} = x_j / R_{j mod d}, so it holds
-    whatever the block and R are; the constant is what sees a wrong R, and
-    the x-relation what sees a wrong block value.  A zero x_r makes its
-    reference divide by zero, which raises ``ZeroDivisionError``.
+    whatever the block is; the constant is what sees a wrong R, and the
+    x-relation what sees a wrong block value.  When d | q no comparison
+    divides, so a zero x_n fails against a nonzero x_{n+M} and passes
+    against a zero one, as 0 = c^(q/d) 0; otherwise a zero x_r,
+    r = 1 .. d/2, divides a head quotient by zero, which raises
+    ``ZeroDivisionError``.  ``simulate`` stores no zero.
     """
     spec = traj.spec
     m, d = _block_steps(spec), math.gcd(spec.p, 2 * spec.q)
     if traj.n_max < m + d:
         raise TooFewPointsError(f"needs n >= {m + d}")
-    e = d // math.gcd(d, spec.q)
     x, first = (traj.x_nums, traj.x_dens), spec.q + m  # list offset q + M holds x_{M+1}
-    sigma = _quotients(traj, x, x, m, first, first + d)
-    const = spec.c ** (e * spec.q // d)
-    if any(math.prod(Fraction(*sigma[(r + i * spec.q) % d]) for i in range(e)) != const
-           for r in range(d)):
-        return False
-    return _matches_reference_cycle(traj, x, x, m, first, sigma)
+    ratio = _block_ratio(spec)
+    if ratio is None:
+        return _matches_shifted_product(traj, x, x, m, first, d // 2, spec.c ** (2 * spec.q // d))
+    return _matches_reference_cycle(traj, x, x, m, first, [ratio.as_integer_ratio()])
 
 
 # The benchmark tracer binds this name (ROADMAP item 2); no command calls it.

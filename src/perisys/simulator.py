@@ -556,23 +556,6 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     return Trajectory(spec, *columns, n_steps, tuple(multipliers))
 
 
-def _quotients(traj: Trajectory, v: tuple, w: tuple, lag: int, start: int,
-               stop: int) -> list[tuple[int, int]]:
-    """W_k = v_k / w_{k - lag} at list offsets k = start .. stop - 1, each one a reduced int pair.
-
-    ``v`` and ``w`` are (nums, dens) column pairs of ``traj``, read through
-    its reader up to its last index, and each W_k is the pair of
-    ``Fraction(vN wD, vD wN)``, so a zero w_{k - lag} raises
-    ``ZeroDivisionError`` and a zero v_k gives W_k = (0, 1).
-    """
-    (v_nums, v_dens), (w_nums, w_dens) = v, w
-    return [Fraction(v_num * w_den, v_den * w_num).as_integer_ratio()
-            for v_num, v_den, w_num, w_den in zip(traj._read(v_nums, start, stop),
-                                                  traj._read(v_dens, start, stop),
-                                                  traj._read(w_nums, start - lag),
-                                                  traj._read(w_dens, start - lag))]
-
-
 def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
                              references: Sequence[tuple[int, int]]) -> bool:
     """True iff v_k == r_j * w_{k - lag} for every list offset k >= first, r_j = references[j].
@@ -614,7 +597,8 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     reference from K or R: R enters only through the reader.  A wrong R
     leaves z = x y as it is, but it fails the x-relation, whose x_n and
     x_{n-p} lie in different passes for the first p offsets of each, and
-    the constant that the block law requires of its references.
+    the block law, whose x_{n+M} and x_n lie in different passes, against
+    the constant that the spec fixes.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
     stop = first + math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None
@@ -629,31 +613,40 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
 
 
 def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
-                             const: Fraction) -> bool:
-    """True iff W_k W_{k-q} = ``const`` at every list offset k >= first + q, W_k = v_k / w_{k-lag}.
+                             shift: int, const: Fraction) -> bool:
+    """True iff W_k W_{k-s} = ``const`` at every list offset k >= first + s, W_k = v_k / w_{k-lag}.
 
-    One call of :func:`_matches_reference_cycle`, from first + q, with the
-    2q references const/W_first .. const/W_{first+q-1},
-    W_first .. W_{first+q-1}: the q quotients of the head are the only
-    ones formed (:func:`_quotients`), and each const/W is the unreduced
-    pair (cN W_D, cD W_N), with no division.  So r_j r_{j+q} = const for
-    j < q, and the law holds at every k >= first + q iff W_k = r_j,
-    j = (k - first - q) mod 2q, at every such k.  (=>) by induction on k:
-    for k < first + 2q, W_k = const / W_{k-q} = r_j; for larger k the law
-    at k and at k - q >= first + q gives W_k W_{k-q} = W_{k-q} W_{k-2q},
-    W_{k-q} is nonzero since ``const`` is, so W_k = W_{k-2q}, which is r_j
-    by induction.  (<=) for k < first + 2q, W_{k-q} is the head's
-    W_{first+j} and r_j = const / W_{first+j}; for larger k, W_k W_{k-q}
-    is r_j r_{j-q} or r_j r_{j+q}; either way it is ``const``.  The
-    engine's precondition first + q - lag >= q holds for both callers:
-    q - 0 for the product invariant and 2q - p for the x-relation.  A zero
-    W in the head makes its const/W a pair with denominator 0, which fails
-    the comparison against any v_k whose w_{k-lag} is nonzero.
+    s is ``shift``.  One call of :func:`_matches_reference_cycle`, from
+    first + s, with the 2s references const/W_first .. const/W_{first+s-1},
+    W_first .. W_{first+s-1}: the s quotients of the head are the only ones
+    formed, each the reduced pair of ``Fraction(vN wD, vD wN)`` of values
+    read through the trajectory's reader, and each const/W is the
+    unreduced pair (cN W_D, cD W_N), with no division.  So
+    r_j r_{j+s} = const for j < s, and the law holds at every k >= first + s
+    iff W_k = r_j, j = (k - first - s) mod 2s, at every such k.  (=>) by
+    induction on k: for k < first + 2s, W_k = const / W_{k-s} = r_j; for
+    larger k the law at k and at k - s >= first + s gives
+    W_k W_{k-s} = W_{k-s} W_{k-2s}, W_{k-s} is nonzero since ``const`` is,
+    so W_k = W_{k-2s}, which is r_j by induction.  (<=) for k < first + 2s,
+    W_{k-s} is the head's W_{first+j} and r_j = const / W_{first+j}; for
+    larger k, W_k W_{k-s} is r_j r_{j-s} or r_j r_{j+s}; either way it is
+    ``const``.  So the law holds iff W repeats with period 2s from
+    ``first`` on and W_k W_{k+s} = const for k in the head.  The engine's
+    preconditions hold for every caller: first + s - lag >= q, which is
+    q - 0 for the product invariant, 2q - p for the x-relation (s = q) and
+    q + d/2 for the block law (lag M, s = d/2); and 2s divides M, since 2q
+    and d do.  A zero w_{k-lag} in the head raises ``ZeroDivisionError``.
+    A zero W in the head makes its const/W a pair with denominator 0,
+    which fails the comparison against any v_k whose w_{k-lag} is nonzero.
     """
-    q = traj.spec.q
+    (v_nums, v_dens), (w_nums, w_dens) = v, w
+    head = [Fraction(v_num * w_den, v_den * w_num).as_integer_ratio()
+            for v_num, v_den, w_num, w_den in zip(traj._read(v_nums, first, first + shift),
+                                                  traj._read(v_dens, first, first + shift),
+                                                  traj._read(w_nums, first - lag),
+                                                  traj._read(w_dens, first - lag))]
     c_num, c_den = const.as_integer_ratio()
-    head = _quotients(traj, v, w, lag, first, first + q)
-    return _matches_reference_cycle(traj, v, w, lag, first + q,
+    return _matches_reference_cycle(traj, v, w, lag, first + shift,
                                     [(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head)
 
 
@@ -662,16 +655,16 @@ def product_invariant_check(traj: Trajectory) -> bool:
 
     With z_n = x_n y_n the law reads z_n z_{n-q} = ab, which
     :func:`_matches_shifted_product` checks with v = y, w = 1/x (the x
-    columns swapped), lag 0, first 0 (index -q+1) and const ab, so W = z:
-    from the q initial z, every z_n, n >= 1, against ab / z_{n-q} for
-    n <= q and against z_r, r = n (mod 2q) in -q+1 .. 0, for n > q,
-    compared as xN yN zD == zN xD yD.  A zero stored value makes its z
-    zero, which the law rejects, so the check returns ``False`` and never
-    divides by it.
+    columns swapped), lag 0, first 0 (index -q+1), shift q and const ab,
+    so W = z: from the q initial z, every z_n, n >= 1, against
+    ab / z_{n-q} for n <= q and against z_r, r = n (mod 2q) in
+    -q+1 .. 0, for n > q, compared as xN yN zD == zN xD yD.  A zero
+    stored value makes its z zero, which the law rejects, so the check
+    returns ``False`` and never divides by it.
     """
     ab = traj.spec.a * traj.spec.b
     return _matches_shifted_product(traj, (traj.y_nums, traj.y_dens), (traj.x_dens, traj.x_nums),
-                                    0, 0, ab)
+                                    0, 0, traj.spec.q, ab)
 
 
 def x_relation_check(traj: Trajectory) -> bool:
@@ -684,10 +677,10 @@ def x_relation_check(traj: Trajectory) -> bool:
 
     With c = a/b and rho_n = x_n / x_{n-p} it reads rho_n rho_{n-q} = c,
     which :func:`_matches_shifted_product` checks with v = w = x, lag p,
-    first s - 1 (the list offset of x_{s-q}) and const c, so W = rho: from
-    the q quotients rho_{s-q} .. rho_{s-1}, every x_n, n >= s, against
-    (c / rho_{n-q}) x_{n-p} for n < s + q and against rho_r x_{n-p},
-    r = n (mod 2q) in s - q .. s - 1, for n >= s + q.
+    first s - 1 (the list offset of x_{s-q}), shift q and const c, so
+    W = rho: from the q quotients rho_{s-q} .. rho_{s-1}, every x_n,
+    n >= s, against (c / rho_{n-q}) x_{n-p} for n < s + q and against
+    rho_r x_{n-p}, r = n (mod 2q) in s - q .. s - 1, for n >= s + q.
 
     The two forms agree because every stored value is nonzero: rho is a
     quotient of stored values, and the relation becomes rho_n rho_{n-q} = c
@@ -703,7 +696,7 @@ def x_relation_check(traj: Trajectory) -> bool:
     if traj.n_max < start:
         raise TooFewPointsError(f"needs n >= {start}")
     x = (traj.x_nums, traj.x_dens)
-    return _matches_shifted_product(traj, x, x, spec.p, start - 1, spec.c)
+    return _matches_shifted_product(traj, x, x, spec.p, start - 1, spec.q, spec.c)
 
 
 def _image_text(image: decimal.Decimal) -> str:

@@ -57,6 +57,10 @@ TEST_SETTLING = "tests/test_simulator.py::test_a_chain_settles_only_on_a_gcd_of_
 TEST_MULTIPLIER = "tests/test_exact_checks.py::test_corrupted_multiplier_fails_a_law"
 TEST_REGIMES = "tests/test_closedform.py::test_block_law_holds_in_both_regimes"
 TEST_DRAWS = "tests/test_cycle.py::test_period_search_draws_a_short_prefix"
+TEST_PINNED = "tests/test_exact_checks.py::test_pinned_corruption_fails_check_and_oracle"
+TEST_SHIFT = "tests/test_exact_checks.py::test_a_block_ratio_of_period_2q_but_not_d_fails"
+TEST_X_CAP = ("tests/test_simulator.py::"
+              "test_csv_export_streams_the_rows_before_an_x_over_the_cap_past_the_block")
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
@@ -189,6 +193,14 @@ MUTANTS = (
            "chain[2], chain[3] = g1 != 1, g2 != 1",
            "chain[2], chain[3] = False, False",
            (TEST_SETTLING,)),
+    # past M the export tests only y_n against the cap, so an x_n over it
+    # is written, and the error comes later, if at all
+    Mutant("block rows skip the x cap test", SIMULATOR,
+           "        if x_num.bit_length() > cap or x_den.bit_length() > cap:\n"
+           "            check_bits(Rational(x_num, x_den), cap)\n"
+           "        # y_n = y_{n-M} R\n",
+           "        # y_n = y_{n-M} R\n",
+           (TEST_X_CAP,)),
     # x_n past M is 1/y_{n-p} times a with no cross gcd, so not reduced
     Mutant("block-law x skips a's reduction", SIMULATOR,
            "g1, g2 = _gcd(den, a_den), _gcd(num, a_num)\n        x_num, x_num_rendered",
@@ -199,26 +211,31 @@ MUTANTS = (
            "traj.x(t + m) / traj.x(t)",
            "traj.x(t + m) / traj.x(t + 1)",
            (TEST_GROWTH,)),
-    # the block law requires every reference to be c^(q/d) on its own,
-    # which fails on clean data wherever d does not divide q
-    Mutant("block law orbit of one class", CLOSEDFORM,
-           "    e = d // math.gcd(d, spec.q)\n",
-           "    e = 1\n",
-           (TEST_MULTIPLIER, TEST_REGIMES)),
-    # the block law compares later values with its references but never
-    # checks them against c, so a wrong R, which the reader applies to
-    # both sides alike, passes
-    Mutant("block law without its c constraint", CLOSEDFORM,
-           "    if any(math.prod(Fraction(*sigma[(r + i * spec.q) % d]) for i in range(e)) != const\n"
-           "           for r in range(d)):\n        return False\n",
-           "",
+    # the block law and drift take the one ratio c^(q/d) for every spec,
+    # which clean data fails wherever d does not divide q
+    Mutant("d | q constant for every spec", CLOSEDFORM,
+           "    return spec.c ** (spec.q // d) if spec.q % d == 0 else None",
+           "    return spec.c ** (spec.q // d)",
+           (TEST_REGIMES,)),
+    # the d | q reference is read from the trajectory, x_{M+1} / x_1, and
+    # never checked against c^(q/d), so a wrong R, which the reader applies
+    # to both sides alike, passes wherever d = 1
+    Mutant("block law without its constant", CLOSEDFORM,
+           "[ratio.as_integer_ratio()]",
+           "[(traj.x(m + 1) / traj.x(1)).as_integer_ratio()]",
            (TEST_MULTIPLIER,)),
-    # the references are x_{M+r+1} / x_{r+1}, each one class late against
-    # the values they are compared with
-    Mutant("block-law references one class late", CLOSEDFORM,
-           "sigma = _quotients(traj, x, x, m, first, first + d)",
-           "sigma = _quotients(traj, x, x, m, first + 1, first + d + 1)",
-           (TEST_MULTIPLIER, TEST_REGIMES)),
+    # the law starts at x_{M+2}, its head one class late, so x_{M+1} is
+    # never compared with x_1
+    Mutant("block law one class late", CLOSEDFORM,
+           "x, first = (traj.x_nums, traj.x_dens), spec.q + m  #",
+           "x, first = (traj.x_nums, traj.x_dens), spec.q + m + 1  #",
+           (TEST_PINNED,)),
+    # the d-not-dividing-q law shifts by q, not d/2: W_n W_{n-q} = c^(2q/d)
+    # holds for every W of period 2q, so W need not repeat with period d
+    Mutant("shift q for d/2", CLOSEDFORM,
+           "m, first, d // 2, spec.c",
+           "m, first, spec.q, spec.c",
+           (TEST_SHIFT,)),
 )
 
 

@@ -22,9 +22,11 @@ witness subsequence exactly (acceptance criterion 7), and
 renderers and the ``SignedLog`` recurrence are the references for the
 export's exact and signed-log rows, the ``Fraction`` forms of K, R and
 the block period are those of the simulator's int pairs, and the block
-scans at the end are the detector's minimal-period search without its
-early-out and the whole detector as it ran before it stopped generating
-the block.
+scans are the detector's minimal-period search without its early-out
+and the whole detector as it ran before it stopped generating the block.
+:func:`sigma_orbit_block_law`, at the end, is the block law as
+``closedform.block_ratio_check`` ran it before it became one call of the
+comparison engine.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from fractions import Fraction
 from perisys.cycle import NoCycleWithinHorizon, Periodic, default_horizon
 from perisys.errors import PerisysError, TooFewPointsError
 from perisys.numerics import Rational, SignedLog, resolve_max_bits, to_signed_log
-from perisys.simulator import Trajectory, block_period, iter_pairs, step_coefficients
+from perisys.simulator import (
+    Trajectory,
+    _matches_reference_cycle,
+    block_period,
+    iter_pairs,
+    step_coefficients,
+)
 from perisys.spectral import _require_positive
 
 
@@ -325,3 +333,29 @@ def block_scan_cycle(spec):
     pairs = initial + block
     preperiod = next((i + 1 for i in reversed(range(spec.q)) if pairs[i] != pairs[i + period]), 0)
     return Periodic(preperiod=preperiod, period=period)
+
+
+def sigma_orbit_block_law(traj: Trajectory) -> bool:
+    """The block law by its d references and their orbit products (test oracle).
+
+    ``closedform.block_ratio_check`` as it was before it became one call
+    of the comparison engine: with M = lcm(p, 2q), d = gcd(p, 2q) and
+    e = d / gcd(d, q), it forms the d references sigma_r = x_{M+r} / x_r,
+    r = 1 .. d, requires the e references of each orbit r, r + q, ...
+    (mod d) to multiply to c^(e q / d), and then compares every x_{n+M}
+    with sigma_{n mod d} x_n, from x_{M+1} on, in the one comparison
+    engine.  A zero x_r, r = 1 .. d, raises ``ZeroDivisionError``, and
+    n_max < M + d raises ``TooFewPointsError``.
+    """
+    spec = traj.spec
+    m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
+    if traj.n_max < m + d:
+        raise TooFewPointsError(f"needs n >= {m + d}")
+    e = d // math.gcd(d, spec.q)
+    sigma = [traj.x(m + r) / traj.x(r) for r in range(1, d + 1)]
+    const = spec.c ** (e * spec.q // d)
+    if any(math.prod(sigma[(r + i * spec.q) % d] for i in range(e)) != const for r in range(d)):
+        return False
+    x = (traj.x_nums, traj.x_dens)
+    return _matches_reference_cycle(traj, x, x, m, spec.q + m,
+                                    [value.as_integer_ratio() for value in sigma])

@@ -90,6 +90,15 @@ def test_classify_usage_error_exits_2():
     assert err.value.code == 2
 
 
+def test_non_integer_n_is_a_usage_error(capsys):
+    """``-n abc`` fails in the parser, before the spec file is read: exit 2, argparse's message."""
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", "/nonexistent/spec.json", "-n", "abc"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "perisys verify: error: argument -n: expected an integer, got 'abc'\n")
+
+
 def test_simulate_csv_row_count(periodic_config, capsys):
     path, _ = periodic_config
     assert main(["simulate", "--config", path, "-n", "300", "--format", "csv"]) == 0

@@ -75,8 +75,8 @@ def test_drift_large_doubling_system():
 
 
 def test_drift_omits_ratio_for_even_quotient():
-    # p/g even: no one ratio c^(q/g), yet the block law holds with its
-    # d = 4 references paired as sigma_r sigma_{r+2} = c^3
+    # d = 4 does not divide q = 6 (p/g even): no one ratio, yet the block
+    # law holds as the shifted product W_n W_{n-2} = c^3, W_n = x_{n+M} / x_n
     spec = fixed_point_spec(4, 6)
     assert drift(spec).block_ratio is None
     assert block_ratio_check(simulate(spec, 40))
@@ -100,7 +100,8 @@ def test_block_ratio_negative_c():
 
 @pytest.mark.parametrize("p,q", [(2, 4), (2, 6), (9, 15), (6, 10)])
 def test_block_ratio_law_random_parameters(p, q):
-    # odd-quotient pairs: the ratio law is exact for arbitrary nonzero a, b
+    # d | q, p/g odd: the ratio law is exact for arbitrary nonzero a, b,
+    # and c^(q/d) is c^(q/g)
     rng = random.Random(100 * p + q)
     spec = random_signed_spec(rng, p, q)
     m = math.lcm(p, 2 * q)
@@ -131,7 +132,7 @@ def test_block_ratio_needs_enough_steps():
     spec = random_positive_spec(random.Random(5), 6, 10)
     with pytest.raises(ValueError):
         block_ratio_check(simulate(spec, 60))
-    # M + d = 62: the d = 2 references x_61 / x_1 and x_62 / x_2
+    # M + d = 62, d = 2: the law refuses n < M + d in both regimes
     with pytest.raises(TooFewPointsError, match=r"^needs n >= 62$"):
         block_ratio_check(simulate(spec, 61))
     assert block_ratio_check(simulate(spec, 62))

@@ -3,14 +3,15 @@
 Each check in perisys is a call into one comparison engine,
 ``simulator._matches_reference_cycle``, which compares every stored v_k
 with r_j w_{k-lag}, cross-multiplied over numerators and denominators,
-where the r_j are small reduced references taken from the trajectory
-itself: for the product invariant (v = y, w = 1/x) and the x-relation,
-the q quotients z_r = x_r y_r or rho_r = x_r / x_{r-p} of their head and
-the law's constant over each, 2q references; and the d ratios
-x_{M+r} / x_r for the block law, M = lcm(p, 2q), d = gcd(p, 2q).  No law
-compares a stored value outside the engine; the block law only checks,
-before it, that its references multiply to c^(e q / d) along each orbit
-r, r + q, ... (mod d), e = d / gcd(d, q).  A trajectory from ``simulate``
+where the r_j are small references.  A shifted-product law,
+W_k W_{k-s} = C, takes as references the s quotients W of its head and C
+over each, 2s references.  Three laws are such: the product invariant
+(v = y, w = 1/x), W = z = x y and s = q; the x-relation,
+W = rho_r = x_r / x_{r-p} and s = q; and the block law when
+d = gcd(p, 2q) does not divide q, W = x_{M+r} / x_r and s = d/2, with
+M = lcm(p, 2q).  When d | q the block law's one reference is the
+constant c^(q/d).  No law compares a stored value outside the engine.
+A trajectory from ``simulate``
 longer than M = lcm(p, 2q) stores its initial data, one block of M values
 and the block multipliers, by which its readers scale the block; the
 engine then stops after its first T = M offsets, one block, since every
@@ -29,6 +30,11 @@ both forms, block-backed and materialised (the conftest ``materialised``,
 every value stored), clean and corrupted: in their last block, at every
 T-th index, and in their initial data; and drifting and unbounded ones in
 both forms, clean, and with a corrupted multiplier, against the oracles.
+The block law is also tested against ``oracles.sigma_orbit_block_law``,
+the law as it ran before it became one engine call, with its d ratios
+and their orbit products: on every corruption and corrupted multiplier
+here, on hypothesis draws of both regimes, and on a W that repeats with
+period 2q but not d.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from conftest import (
     random_signed_spec,
     specs,
 )
-from oracles import WrongRegimeError
+from oracles import WrongRegimeError, sigma_orbit_block_law
 
 
 def oracle_product_invariant(traj) -> bool:
@@ -205,6 +211,17 @@ def test_block_law_agrees_with_the_old_block_laws(traj):
         assert outcome(oracle_second_difference, traj) in (True, TooFewPointsError)
 
 
+@settings(max_examples=300, deadline=None)
+@given(trajectories())
+def test_block_law_matches_the_sigma_orbit_reference(traj):
+    """Both regimes, mixed signs of a and b, both forms, clean and corrupted: one verdict.
+
+    Every value that ``simulate`` or a corruption stores is nonzero, so
+    the one intended difference, on a zero x, never arises here.
+    """
+    assert outcome(block_ratio_check, traj) == outcome(sigma_orbit_block_law, traj)
+
+
 def test_corrupted_y_fails_product_invariant():
     traj = simulate(random_signed_spec(random.Random(11), 6, 10, a=1, b=1), 200)
     assert product_invariant_check(traj)
@@ -240,12 +257,12 @@ PINNED = [  # check, oracle, spec, corrupted value (its numerator column), index
     (x_relation_check, oracle_x_relation, DRIFT, "xs", -2, -1),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 15, 3),
     (x_relation_check, oracle_x_relation, DRIFT, "xs", 1990, -1),
-    # reference: x_1 and x_31 = x_{m+1} in sigma_1 = c^(q/g) = 1/32; tail
+    # x_1 and x_31 = x_{M+1}, compared as x_31 = c^(q/d) x_1, c^(q/d) = 1/32; tail
     (block_ratio_check, oracle_block_law, DRIFT, "xs", 1, -1),
     (block_ratio_check, oracle_block_law, DRIFT, "xs", 31, 3),
     (block_ratio_check, oracle_block_law, DRIFT, "xs", 1995, -1),
-    # references: x_1 in sigma_1 = x_7 / x_1, x_8 in sigma_2 = x_8 / x_2,
-    # whose product is c^3 = 1; x_12, compared with sigma_2 x_6; tail
+    # head: x_1 in W_1 = x_7 / x_1; x_8, compared with (c^3 / W_1) x_2, so
+    # that W_2 W_1 = c^3 = 1; x_12, compared with (c^3 / W_1) x_6; tail
     (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 1, -1),
     (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 8, 3),
     (block_ratio_check, oracle_block_law, UNBOUNDED, "xs", 12, 3),
@@ -339,6 +356,33 @@ def test_zero_stored_x(offset, x_relation):
     assert outcome(x_relation_check, traj) == x_relation
 
 
+def test_zero_stored_x_in_the_block_law():
+    """A zero x, the block law's one intended difference from ``sigma_orbit_block_law``.
+
+    The reference divides by every x_r, r = 1 .. d, and raises
+    ``ZeroDivisionError`` on a zero one.  The block law divides only in
+    the head of its shifted product, by x_1 .. x_{d/2} when d does not
+    divide q, and compares every other x as a product.  On (3, 5), where
+    d = 1 divides q, a zero x_1 fails against x_{M+1}, and zeros at every
+    n = 1 (mod M) pass, as 0 = c^(q/d) 0.  On (2, 3), d = 2, a zero x_1
+    still raises and a zero x_2 fails.  ``simulate`` never stores a zero.
+    """
+    m = math.lcm(DRIFT.p, 2 * DRIFT.q)
+    traj = materialised(DRIFT, 200)
+    traj.x_nums[DRIFT.q] = 0  # x_1
+    assert block_ratio_check(traj) is False
+    assert outcome(sigma_orbit_block_law, traj) is ZeroDivisionError
+    for k in range(DRIFT.q, len(traj.x_nums), m):  # x_n, n = 1 (mod M)
+        traj.x_nums[k] = 0
+    assert block_ratio_check(traj) is True
+    assert outcome(sigma_orbit_block_law, traj) is ZeroDivisionError
+    for n, verdict in ((1, ZeroDivisionError), (2, False)):
+        traj = materialised(UNBOUNDED, 200)
+        traj.x_nums[UNBOUNDED.q + n - 1] = 0  # x_n
+        assert outcome(block_ratio_check, traj) is verdict, n
+        assert outcome(sigma_orbit_block_law, traj) is ZeroDivisionError, n
+
+
 def test_checks_do_not_derive_the_kernel(monkeypatch):
     """The references come from stored values, not from the kernel under test."""
     periodic = simulate(random_signed_spec(random.Random(7), 6, 10, a=1, b=1), 400)
@@ -374,7 +418,7 @@ def repeat_period(spec) -> int:
     return math.lcm(spec.p, 2 * spec.q)
 
 
-def long_periodic(spec, form):
+def long_trajectory(spec, form):
     n = 4 * repeat_period(spec) + 3 * spec.q
     return simulate(spec, n) if form == "block" else materialised(spec, n)
 
@@ -420,7 +464,7 @@ def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, col
     value, and no check stops, so one changed value in its last block
     fails it.
     """
-    traj = long_periodic(REPEATING[name], form)
+    traj = long_trajectory(REPEATING[name], form)
     spec = traj.spec
     block = math.lcm(spec.p, 2 * spec.q)
     assert len(traj.x_nums) == spec.q + (block if form == "block" else traj.n_max)
@@ -479,6 +523,24 @@ def test_block_backed_trajectory_matches_materialised(name, steps):
         assert outcome(check, block) == outcome(check, full), check.__name__
 
 
+@pytest.mark.parametrize("how", ["clean", "last-block", "last-offset", "every-T", "every-T-tail",
+                                 "initial"])
+@pytest.mark.parametrize("name", [*REPEATING, *GROWING])
+@pytest.mark.parametrize("form", ["materialised", "block"])
+def test_block_law_matches_the_sigma_orbit_reference_on_every_corruption(form, name, how):
+    """Each ``corrupt`` kind of x, at n = 4M + 3q, in both forms and both regimes: one verdict.
+
+    d divides q on the periodic specs and on c = 1/2 and c = 2; it does
+    not on (2, 3) and (4, 6).
+    """
+    traj = long_trajectory({**REPEATING, **GROWING}[name], form)
+    corrupt(traj, how, traj.x_nums)
+    verdict = outcome(block_ratio_check, traj)
+    assert verdict == outcome(sigma_orbit_block_law, traj)
+    if how == "clean":
+        assert verdict is True
+
+
 def corrupted(r, how) -> Rational:
     """The canonical pair of R_r times 2, negated or inverted."""
     num, den = r
@@ -499,9 +561,10 @@ def test_corrupted_multiplier_fails_a_law(name, how):
     its oracle gives, which reads every index through the same reader.
     The x-relation fails wherever R_r changed: x_n and x_{n-p} lie in
     different passes of the block for the first p offsets of each.  So
-    does the block law, in both regimes: its reference sigma_r = 1 / R_r
-    no longer multiplies to c^(e q / d) with those of its orbit.  (An
-    inverted R_r = +-1 is unchanged, and every law passes.)
+    does the block law, in both regimes: W_r = x_{M+r} / x_r = 1 / R_r is
+    no longer c^(q/d) when d | q, and no longer pairs with W_{r+d/2} to
+    c^(2q/d) otherwise.  The sigma-orbit reference gives the same verdict.
+    (An inverted R_r = +-1 is unchanged, and every law passes.)
     """
     spec = {**GROWING, **REPEATING}[name]
     m = math.lcm(spec.p, 2 * spec.q)
@@ -516,3 +579,35 @@ def test_corrupted_multiplier_fails_a_law(name, how):
                 assert outcome(check, bad) == outcome(oracle, bad), (n, r, check.__name__)
             assert x_relation_check(bad) is (multipliers[r] == multiplier), (n, r)
             assert block_ratio_check(bad) is (multipliers[r] == multiplier), (n, r)
+            assert sigma_orbit_block_law(bad) is block_ratio_check(bad), (n, r)
+
+
+def test_a_block_ratio_of_period_2q_but_not_d_fails():
+    """W_n = x_{n+M} / x_n of period 2q but not d, on (2, 3), where d = 2 does not divide q.
+
+    Past M each x_{n+M} is rebuilt as W_n x_n, with W_1 .. W_3 = 1, 2, 3
+    and W_{n+3} = C / W_n, C = c^(2q/d) = c^3.  So
+    W_n W_{n-q} = C everywhere, and W repeats with period 2q = 6 but not
+    with period d = 2.  The block law, W_n W_{n-d/2} = C, rejects it, and
+    so do the sigma-orbit reference and the Fraction oracle; the same
+    shifted product with shift q for d/2 accepts it.
+    """
+    spec = random_signed_spec(random.Random(2), 2, 3, a=1, b=2)
+    p, q = spec.p, spec.q
+    m, d = math.lcm(p, 2 * q), math.gcd(p, 2 * q)
+    const = spec.c ** (2 * q // d)
+    head = [Fraction(1), Fraction(2), Fraction(3)]
+    ratios = head + [const / w for w in head]  # W_1 .. W_{2q}
+    traj = materialised(spec, 5 * m)
+    for k in range(q + m, len(traj.x_nums)):  # list offset k holds x_{k-q+1}
+        w = ratios[(k - q - m) % (2 * q)]
+        traj.x_nums[k] = traj.x_nums[k - m] * w.numerator
+        traj.x_dens[k] = traj.x_dens[k - m] * w.denominator
+    ws = [traj.x(n + m) / traj.x(n) for n in range(1, 4 * m + 1)]
+    assert all(ws[k] == ws[k + 2 * q] for k in range(len(ws) - 2 * q))
+    assert ws[0] != ws[d]
+    assert block_ratio_check(traj) is False
+    assert sigma_orbit_block_law(traj) is False
+    assert oracle_block_law(traj) is False
+    x = (traj.x_nums, traj.x_dens)
+    assert simulator._matches_shifted_product(traj, x, x, m, q + m, q, const)

@@ -969,6 +969,40 @@ def test_csv_export_streams_the_block_law_rows_before_the_cap(a):
     assert written.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
 
 
+# (2, 5), M = 10, with a = 2^20 + 1: x_n = a / y_{n-2} carries about 20
+# bits more than y_{n-2}, so under a 75-bit cap the first value over it is
+# x_12, at 94 bits, a row past M that the block law makes.
+X_FIRST_PAST_M = random_signed_spec(random.Random(0), 2, 5, a=1048577, b=5)
+
+
+def test_csv_export_streams_the_rows_before_an_x_over_the_cap_past_the_block():
+    """Past M the block law tests x_n against the cap before y_n, as the kernel does.
+
+    The stream holds the header and exactly the rows before x_12, those of
+    the literal recurrence, and the error is the literal recurrence's.
+    """
+    spec, cap = X_FIRST_PAST_M, 75
+    coefficients = step_coefficients(spec)
+    assert block_period(spec.p, coefficients) is None
+    assert all(component.bit_length() <= simulator._BLOCK_LAW_BITS
+               for r in block_multipliers(spec.p, coefficients) for component in r)
+    want, error = pairs_until_cap(naive_pairs(spec, cap), 100)
+    assert len(want) == 11
+    assert error == f"rational component reached 94 bits (cap {cap})"
+    _, x_12, _ = next(itertools.islice(naive_pairs(spec), 11, None))
+    assert component_bits(x_12) == 94
+    written = io.StringIO()
+    with bit_cap(cap), pytest.raises(BitLengthExceededError) as raised:
+        write_trajectory_csv(spec, 100, BACKEND_EXACT, written)
+    assert str(raised.value) == error
+    rows = list(csv.reader(io.StringIO(written.getvalue())))
+    assert rows[0] == list(TRAJECTORY_CSV_HEADER)
+    assert [row[:3] for row in rows[1:]] == [[str(n), str(x), str(y)] for n, x, y in want]
+    expected = io.StringIO()
+    csv_writer_export(spec, len(want), BACKEND_EXACT, expected)
+    assert written.getvalue() == expected.getvalue()
+
+
 def _wide_spec(p: int, q: int) -> SystemSpec:
     """Positive data with 20-bit components; for q well above 12, R is wider than the block law takes."""
     rng = random.Random(p * q)
