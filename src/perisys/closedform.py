@@ -114,8 +114,9 @@ def block_ratio_check(traj: Trajectory) -> bool:
       x_{M+r} / x_r, r = 1 .. d/2.
 
     Neither reads ``step_coefficients`` or ``block_multipliers``.  The law
-    implies x_{n+2M} x_n = x_{n+M}^2.  It refuses n_max < M + d with
-    ``TooFewPointsError``.
+    implies x_{n+2M} x_n = x_{n+M}^2.  It refuses with
+    ``TooFewPointsError`` a trajectory that ends before the first
+    comparison: n_max < M + 1 when d | q, n_max < M + d/2 + 1 otherwise.
 
     On a trajectory from ``simulate`` the comparison reads the block and
     its first scaled pass, x_{j+M} = x_j / R_{j mod d}, so it holds
@@ -128,10 +129,11 @@ def block_ratio_check(traj: Trajectory) -> bool:
     """
     spec = traj.spec
     m, d = _block_steps(spec), math.gcd(spec.p, 2 * spec.q)
-    if traj.n_max < m + d:
-        raise TooFewPointsError(f"needs n >= {m + d}")
-    x, first = (traj.x_nums, traj.x_dens), spec.q + m  # list offset q + M holds x_{M+1}
     ratio = _block_ratio(spec)
+    floor = m + 1 if ratio is not None else m + d // 2 + 1  # the first comparison's index
+    if traj.n_max < floor:
+        raise TooFewPointsError(f"needs n >= {floor}")
+    x, first = (traj.x_nums, traj.x_dens), spec.q + m  # list offset q + M holds x_{M+1}
     if ratio is None:
         return _matches_shifted_product(traj, x, x, m, first, d // 2, spec.c ** (2 * spec.q // d))
     return _matches_reference_cycle(traj, x, x, m, first, [ratio.as_integer_ratio()])

@@ -27,14 +27,16 @@ decide the answer.  ``simulator.block_period`` owns the rule:
   order, so the search draws fewer than P pairs, and none when
   P = M = 2q and no rotation of K but the full one leaves it unchanged.
 
-  The block is bounded without generating it: every 2q/d consecutive K
-  along a chain j, j - p, ... multiply to R_r = +-1, so each y_j of the
+  Only the drawn pairs meet the bit cap: the kernel tests each, x_n
+  before y_n, and raises with its own text.  What the search forms
+  without drawing stays bounded whatever the cap: every 2q/d consecutive
+  K along a chain j, j - p, ... multiply to R_r = +-1, so each y_j of the
   block is +-y_m, m in 1 - p .. 0, times fewer than 2q/d consecutive K of
-  one class, and x_j = a / y_{j-p}.  No component of the first P pairs
-  is wider than the widest of those y_m, plus the largest sum over a class
-  of the K's widest components, plus a's widest.  Only when that bound
-  passes the bit cap are the first P pairs drawn, so that a value over
-  the cap raises where the kernel reaches it.
+  one class, and x_j = a / y_{j-p}.  So no component of the first P
+  pairs, the q + p values of the backward window below among them, is
+  wider than W: the widest of those y_m, plus the largest sum over a
+  class of the K's widest components, plus a's widest.  Any answer but a
+  drawn pair's cap error is the one given with no cap.
 
 The preperiod is reported at window level.  The next pair depends only on
 the trailing window of max(p, q) = q pairs (every spec has p <= q).
@@ -60,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -98,11 +99,12 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
     """Minimal window preperiod and period, or no cycle when some |R_r| != 1.
 
     Draws fewer than P = ``block_period`` exact pairs on a periodic spec,
-    unless the block's bound passes the bit cap, and none on an unbounded
-    spec (module docstring).  The bit cap is resolved first, so a
+    and none on an unbounded spec (module docstring).  Only a drawn pair
+    can pass the bit cap, and it raises as the kernel does; any other
+    answer is the uncapped one.  The cap is resolved first, so a
     malformed ``PERISYS_MAX_BITS`` fails on every spec.
     """
-    cap = resolve_max_bits()
+    resolve_max_bits()
     p, q = spec.p, spec.q
     coefficients = step_coefficients(spec)
     size = block_period(p, coefficients)
@@ -114,12 +116,7 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
     initial = [(x.as_integer_ratio(), y.as_integer_ratio())
                for x, y in zip(spec.x_init, spec.y_init)]
     ys = [y for _, y in initial[q - p:]]  # y_j at offset j + p - 1, drawn as far as needed
-    d, block = math.gcd(p, 2 * q), math.lcm(p, 2 * q)
-    # y_j is +-y_m times fewer than 2q/d consecutive K of one class; x_j = a / y_{j-p}
-    bound = (max(map(_width, ys)) + _width(a)
-             + max(sum(map(_width, coefficients[r::d])) for r in range(d)))
-    if bound > cap:
-        deque(itertools.islice(iter_pairs(spec), size), maxlen=0)
+    block = math.lcm(p, 2 * q)
 
     def draws() -> Iterator:  # y_1, y_2, ... of one iter_pairs, opened by the first draw
         for _, _, y in iter_pairs(spec):
@@ -157,8 +154,3 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
     preperiod = next((i + 1 for i in reversed(range(q))
                       if initial[i] != pair(i + 1 - q + period)), 0)
     return Periodic(preperiod=preperiod, period=period)
-
-
-def _width(value: tuple) -> int:
-    """The larger component bit length of a (numerator, denominator) pair."""
-    return max(value[0].bit_length(), value[1].bit_length())

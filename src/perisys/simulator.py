@@ -104,7 +104,8 @@ cap; without P it takes each row past M from the row M before it, by the
 block law, unless R is too wide (Rendering).  ``cycle.detect_cycle``
 decides from P: no cycle without one, and otherwise the minimal period
 among the divisors of P, from K's rotations and a short prefix of
-``iter_pairs``, which itself never replays.
+``iter_pairs``, which itself never replays; only that prefix meets the
+bit cap.
 
 :func:`simulate` needs no P, since the block law holds in every case.
 Past M it stores the initial data, one block, indices 1 .. M at offsets

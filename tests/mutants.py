@@ -93,14 +93,12 @@ MUTANTS = (
            "coefficients[(j + p - 1) % (2 * q)]",
            "coefficients[(j + p) % (2 * q)]",
            (TEST_CYCLE,)),
-    # the block is never drawn, whatever its bound, so a periodic spec
-    # whose block passes the cap past the search's draws answers instead of
-    # failing as the kernel does
-    Mutant("cap bound ignored", CYCLE,
-           "    if bound > cap:\n",
-           "    if False:\n",
-           ("tests/test_cycle.py::test_detect_cycle_propagates_bit_cap",
-            "tests/test_cycle.py::test_cap_past_the_drawn_prefix_still_fails")),
+    # the detector replays the whole block before its search, so a cap that
+    # only a pair past the search's draws passes fails a spec that answers
+    Mutant("detector replays its block under the cap", CYCLE,
+           "    later = draws()\n",
+           "    list(itertools.islice(iter_pairs(spec), size))\n    later = draws()\n",
+           ("tests/test_cycle.py::test_cap_meets_only_the_drawn_prefix",)),
     # K and R keep a negative denominator: not the canonical pair
     Mutant("_reduced without its sign move", SIMULATOR,
            "    if den < 0:\n        g = -g\n",
@@ -230,6 +228,12 @@ MUTANTS = (
            "x, first = (traj.x_nums, traj.x_dens), spec.q + m  #",
            "x, first = (traj.x_nums, traj.x_dens), spec.q + m + 1  #",
            (TEST_PINNED,)),
+    # the law's floor is one index low, so a trajectory that ends just
+    # before the first comparison passes it vacuously instead of being refused
+    Mutant("block law floor one comparison short", CLOSEDFORM,
+           "    floor = m + 1 if ratio is not None else m + d // 2 + 1",
+           "    floor = m if ratio is not None else m + d // 2",
+           ("tests/test_closedform.py::test_block_ratio_needs_enough_steps",)),
     # the d-not-dividing-q law shifts by q, not d/2: W_n W_{n-q} = c^(2q/d)
     # holds for every W of period 2q, so W need not repeat with period d
     Mutant("shift q for d/2", CLOSEDFORM,

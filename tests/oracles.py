@@ -344,17 +344,22 @@ def sigma_orbit_block_law(traj: Trajectory) -> bool:
     r = 1 .. d, requires the e references of each orbit r, r + q, ...
     (mod d) to multiply to c^(e q / d), and then compares every x_{n+M}
     with sigma_{n mod d} x_n, from x_{M+1} on, in the one comparison
-    engine.  A zero x_r, r = 1 .. d, raises ``ZeroDivisionError``, and
-    n_max < M + d raises ``TooFewPointsError``.
+    engine.  A zero x_r, r = 1 .. d, raises ``ZeroDivisionError``.  Only
+    r = 1 .. min(d, n_max - M) are formed, and only the orbits they
+    complete are multiplied; n_max too short for any complete orbit
+    raises ``TooFewPointsError``.
     """
     spec = traj.spec
     m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
-    if traj.n_max < m + d:
-        raise TooFewPointsError(f"needs n >= {m + d}")
     e = d // math.gcd(d, spec.q)
-    sigma = [traj.x(m + r) / traj.x(r) for r in range(1, d + 1)]
+    orbits = [[(r + i * spec.q) % d for i in range(e)] for r in range(d)]
+    first = m + 1 + min(max(orbit) for orbit in orbits)  # list index k holds sigma_{k+1}
+    if traj.n_max < first:
+        raise TooFewPointsError(f"needs n >= {first}")
+    sigma = [traj.x(m + r) / traj.x(r) for r in range(1, min(d, traj.n_max - m) + 1)]
     const = spec.c ** (e * spec.q // d)
-    if any(math.prod(sigma[(r + i * spec.q) % d] for i in range(e)) != const for r in range(d)):
+    if any(math.prod(sigma[k] for k in orbit) != const
+           for orbit in orbits if max(orbit) < len(sigma)):
         return False
     x = (traj.x_nums, traj.x_dens)
     return _matches_reference_cycle(traj, x, x, m, spec.q + m,

@@ -327,7 +327,7 @@ def test_verify_alternating_sign_system(tmp_path, capsys):
 
 
 def test_verify_skips_inapplicable_checks(growing_config, capsys):
-    """On (2, 3), p/g even, every law applies at -n 100; at -n 7 < M + d = 8 the block law is not."""
+    """On (2, 3), p/g even, every law applies at -n 100; at -n 7 < M + d/2 + 1 = 8 the block law is not."""
     path, _ = growing_config
     assert main(["verify", "--config", path, "-n", "100"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -357,8 +357,9 @@ def guard_table(spec, n):
         checks.append("x_relation")
     else:
         skipped["x_relation"] = f"needs n >= {max(p, q) + 1}"
-    if n < m + d:
-        skipped["block_ratio"] = f"needs n >= {m + d}"
+    floor = m + 1 if q % d == 0 else m + d // 2 + 1  # the law's first comparison
+    if n < floor:
+        skipped["block_ratio"] = f"needs n >= {floor}"
     else:
         checks.append("block_ratio")
     checks.append("classifier_detector_agreement")
@@ -373,8 +374,8 @@ def test_skipped_laws_match_the_guard_table(spec):
     s = max(spec.p, spec.q) + 1
     classification = classify(spec.p, spec.q)
     stride = classification.predicted_period or classification.witness_modulus
-    boundaries = {1, s - 1, s, m, m + 1, m + d - 1, m + d, 2 * m, 2 * m + 1, stride - 1,
-                  stride}
+    boundaries = {1, s - 1, s, m, m + 1, m + d // 2, m + d // 2 + 1, m + d - 1, m + d, 2 * m,
+                  2 * m + 1, stride - 1, stride}
     for n in sorted(k for k in boundaries if k >= 1):
         report = build_run_report(spec, n)
         got = list(report["checks"]), list(report["skipped"].items()), bool(report["slopes"])

@@ -129,13 +129,26 @@ def test_block_ratio_detects_corruption():
 
 
 def test_block_ratio_needs_enough_steps():
+    """The law refuses only a trajectory that ends before its first comparison."""
+    # (6, 10): M = 60 and d = 2 divides q, so x_61 against c^(q/d) x_1 comes first
     spec = random_positive_spec(random.Random(5), 6, 10)
     with pytest.raises(ValueError):
+        block_ratio_check(simulate(spec, 59))
+    with pytest.raises(TooFewPointsError, match=r"^needs n >= 61$"):
         block_ratio_check(simulate(spec, 60))
-    # M + d = 62, d = 2: the law refuses n < M + d in both regimes
-    with pytest.raises(TooFewPointsError, match=r"^needs n >= 62$"):
-        block_ratio_check(simulate(spec, 61))
-    assert block_ratio_check(simulate(spec, 62))
+    assert block_ratio_check(simulate(spec, 61))
+    traj = materialised(spec, 61)
+    traj.x_nums[10 + 60] *= 3  # x_61
+    assert not block_ratio_check(traj)
+    # (4, 6): M = 12 and d = 4 does not divide q, so the head x_13 / x_1,
+    # x_14 / x_2 is first compared at x_15
+    spec = random_positive_spec(random.Random(5), 4, 6)
+    with pytest.raises(TooFewPointsError, match=r"^needs n >= 15$"):
+        block_ratio_check(simulate(spec, 14))
+    assert block_ratio_check(simulate(spec, 15))
+    traj = materialised(spec, 15)
+    traj.x_nums[6 + 14] *= 3  # x_15
+    assert not block_ratio_check(traj)
 
 
 def test_block_law_brute_force_small():
@@ -176,7 +189,7 @@ def test_block_law_trivial_on_periodic():
 
 
 def test_block_law_needs_only_n_at_least_m_plus_d():
-    """|b| != |a| and p/g even are no guard: only n < M + d is refused, M = 6, d = 2."""
+    """|b| != |a| and p/g even are no guard: only n < M + d/2 + 1 is refused, M = 6, d = 2."""
     spec = replace(random_positive_spec(random.Random(8), 2, 3), a=1, b=2)
     assert block_ratio_check(simulate(spec, 30))
     balanced = random_positive_spec(random.Random(8), 2, 3)

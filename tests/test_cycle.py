@@ -36,6 +36,7 @@ from conftest import (
     bit_cap,
     find_window_cycle,
     fixed_point_spec,
+    naive_pairs,
     nonzero_rationals,
     product_family_spec,
     random_signed_spec,
@@ -196,6 +197,38 @@ def outcome(run):
         return type(exc), str(exc)
 
 
+def counted_draws(monkeypatch) -> list:
+    """Patch ``cycle.iter_pairs`` to record the index of every pair drawn from it."""
+    drawn = []
+
+    def counting(spec, *args, **kwargs):
+        for n, x, y in iter_pairs(spec, *args, **kwargs):
+            drawn.append(n)
+            yield n, x, y
+
+    monkeypatch.setattr(cycle, "iter_pairs", counting)
+    return drawn
+
+
+def under_cap(spec, max_bits, uncapped):
+    """What ``detect_cycle`` gives under ``max_bits`` (``None``: the default cap).
+
+    ``uncapped``, unless a pair that :func:`counted_draws` records in an
+    uncapped run passes the cap; then the ``naive_pairs`` error for the
+    first such pair, x_n tested before y_n.
+    """
+    with pytest.MonkeyPatch.context() as patch, bit_cap(None):
+        drawn = counted_draws(patch)
+        detect_cycle(spec)
+    assert drawn == list(range(1, len(drawn) + 1))  # one iterator, drawn in order
+    try:
+        for _ in itertools.islice(naive_pairs(spec, max_bits or DEFAULT_MAX_BITS), len(drawn)):
+            pass
+    except BitLengthExceededError as exc:
+        return type(exc), str(exc)
+    return uncapped
+
+
 def test_find_cycle_matches_detect_cycle():
     """The decision equals the window-tuple scan of a stored trajectory."""
     spec = random_positive_spec(random.Random(13), 6, 10)
@@ -208,20 +241,17 @@ def test_find_cycle_matches_detect_cycle():
 @settings(max_examples=200, deadline=None)
 @given(specs() | small_alphabet_specs(), st.integers(8, 256) | st.none())
 def test_no_cycle_proof_matches_scan(spec, max_bits):
-    """The decision, the no-cycle proof from the multipliers included, equals a
-    scan of the literal recurrence over the default horizon.
+    """The decision, the no-cycle proof from the multipliers included, equals an
+    uncapped scan of the literal recurrence over the default horizon, unless a
+    pair that the period search draws passes the cap (:func:`under_cap`).
 
-    The one difference allowed: on a spec without a cycle the scan can
-    outgrow a small cap, while the decision answers without a step.
+    A spec without a cycle draws nothing, so no cap stops its answer.
     """
     horizon = default_horizon(spec.p, spec.q)
-    want = outcome(lambda: scan_cycle(spec, horizon, max_bits or DEFAULT_MAX_BITS))
+    want = scan_cycle(spec, horizon).to_obj()
     with bit_cap(max_bits):
         got = outcome(lambda: detect_cycle(spec))
-    if isinstance(want, tuple) and got != want:  # the scan outgrew the cap
-        assert got == scan_cycle(spec, horizon).to_obj() == NoCycleWithinHorizon(horizon).to_obj()
-    else:
-        assert got == want
+    assert got == under_cap(spec, max_bits, want)
 
 
 def test_rolling_detector_on_plus_minus_one_data_63_64():
@@ -327,23 +357,13 @@ def product_family_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(specs() | product_family_specs() | small_alphabet_specs(), st.sampled_from([None, 8, 24]))
 def test_detect_cycle_matches_the_block_scan(spec, max_bits):
-    """The decision from K's rotations and the backward window equals the scan of
-    the generated block: the same ``Periodic``, or the same cap error text."""
+    """The decision from K's rotations and the backward window equals the uncapped
+    scan of the generated block, unless a drawn pair passes the cap, which then
+    fails with the literal recurrence's text (:func:`under_cap`)."""
+    want = block_scan_cycle(spec).to_obj()
     with bit_cap(max_bits):
-        assert outcome(lambda: detect_cycle(spec)) == outcome(lambda: block_scan_cycle(spec))
-
-
-def counted_draws(monkeypatch) -> list:
-    """Patch ``cycle.iter_pairs`` to record the index of every pair drawn from it."""
-    drawn = []
-
-    def counting(spec, *args, **kwargs):
-        for n, x, y in iter_pairs(spec, *args, **kwargs):
-            drawn.append(n)
-            yield n, x, y
-
-    monkeypatch.setattr(cycle, "iter_pairs", counting)
-    return drawn
+        got = outcome(lambda: detect_cycle(spec))
+    assert got == under_cap(spec, max_bits, want)
 
 
 @pytest.mark.parametrize("spec, block, draws", [
@@ -367,21 +387,25 @@ def test_period_search_draws_a_short_prefix(monkeypatch, spec, block, draws):
     assert drawn == list(range(1, draws + 1))
 
 
-@pytest.mark.parametrize("spec, draws", [
-    (random_positive_spec(random.Random(5), 5, 10), 0),
-    (random_positive_spec(random.Random(6), 6, 10), 20),
-], ids=["(5, 10), nothing drawn", "(6, 10), 20 drawn"])
-def test_cap_past_the_drawn_prefix_still_fails(spec, draws):
-    """Under a cap that the search's draws stay within and a later pair of the
-    block passes, the block bound sends the detector through the block, which
-    fails as the scan does."""
+@pytest.mark.parametrize("spec, cap, want", [
+    # nothing drawn: the block reaches 9 bits, and the answer stands
+    (random_positive_spec(random.Random(5), 5, 10), 8,
+     {"status": "periodic", "n0": 5, "period": 20}),
+    # 20 drawn, the widest at 12 bits, while the block reaches 15
+    (random_positive_spec(random.Random(6), 6, 10), 12,
+     {"status": "periodic", "n0": 4, "period": 60}),
+    (random_positive_spec(random.Random(6), 6, 10), 11,
+     (BitLengthExceededError, "rational component reached 12 bits (cap 11)")),
+], ids=["(5, 10), nothing drawn, cap 8", "(6, 10), 20 drawn, cap 12",
+        "(6, 10), 20 drawn, cap 11"])
+def test_cap_meets_only_the_drawn_prefix(spec, cap, want):
+    """Under a cap that a pair of the block passes, the detector answers as with
+    no cap unless a pair that the search draws passes it too; then it fails
+    with the kernel's text for the first such pair."""
     size = block_period(spec.p, step_coefficients(spec))
     widths = [component_bits(value) for _, x, y in itertools.islice(iter_pairs(spec), size)
               for value in (x, y)]
-    cap = max(widths[:2 * draws] + [1])
     assert max(widths) > cap
-    with bit_cap(cap), pytest.raises(BitLengthExceededError) as decided:
-        detect_cycle(spec)
-    with bit_cap(cap), pytest.raises(BitLengthExceededError) as scanned:
-        block_scan_cycle(spec)
-    assert str(decided.value) == str(scanned.value)
+    with bit_cap(cap):
+        assert outcome(lambda: detect_cycle(spec)) == want
+    assert want == under_cap(spec, cap, block_scan_cycle(spec).to_obj())

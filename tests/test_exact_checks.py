@@ -99,17 +99,21 @@ def oracle_block_law(traj) -> bool:
     """Oracle: sigma_r = x_{M+r} / x_r multiply to c^(|orbit| q / d) and x_{n+M} == sigma_n x_n.
 
     As Fraction products, with the orbit of each class r under the shift
-    by q (mod d) formed as a set, so its size is found, not derived.
+    by q (mod d) formed as a set, so its size is found, not derived.  The
+    sigma_r are formed for r = 1 .. min(d, n_max - M); only an orbit whose
+    sigma are all formed is multiplied, and with none the trajectory is
+    too short.
     """
     spec = traj.spec
     m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
-    if traj.n_max < m + d:
-        raise TooFewPointsError(f"need a trajectory through n={m + d}, have {traj.n_max}")
-    sigma = {n % d: traj.x(n + m) / traj.x(n) for n in range(1, d + 1)}
-    for r in range(d):
-        orbit = {(r + i * spec.q) % d for i in range(d)}
-        if math.prod(sigma[k] for k in orbit) != spec.c ** (len(orbit) * spec.q // d):
-            return False
+    sigma = {n % d: traj.x(n + m) / traj.x(n) for n in range(1, min(d, traj.n_max - m) + 1)}
+    orbits = [{(r + i * spec.q) % d for i in range(d)} for r in range(d)]
+    complete = [orbit for orbit in orbits if orbit <= sigma.keys()]
+    if not complete:
+        raise TooFewPointsError(f"no orbit of sigma is formed through n={traj.n_max}")
+    if any(math.prod(sigma[k] for k in orbit) != spec.c ** (len(orbit) * spec.q // d)
+           for orbit in complete):
+        return False
     return all(traj.x(n + m) == sigma[n % d] * traj.x(n) for n in range(1, traj.n_max - m + 1))
 
 
