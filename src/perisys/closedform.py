@@ -118,10 +118,10 @@ def block_ratio_check(traj: Trajectory) -> bool:
     ``TooFewPointsError`` a trajectory that ends before the first
     comparison: n_max < M + 1 when d | q, n_max < M + d/2 + 1 otherwise.
 
-    On a trajectory from ``simulate`` the comparison reads the block and
-    its first scaled pass, x_{j+M} = x_j / R_{j mod d}, so it holds
-    whatever the block is; the constant is what sees a wrong R, and the
-    x-relation what sees a wrong block value.  When d | q no comparison
+    On a trajectory from ``simulate`` it compares the kernel's two
+    blocks, x_{M+j} with x_j for j in 1 .. M, so a wrong value in either
+    block fails it, and so does a wrong R, against the constant that the
+    spec fixes.  When d | q no comparison
     divides, so a zero x_n fails against a nonzero x_{n+M} and passes
     against a zero one, as 0 = c^(q/d) 0; otherwise a zero x_r,
     r = 1 .. d/2, divides a head quotient by zero, which raises
@@ -135,8 +135,8 @@ def block_ratio_check(traj: Trajectory) -> bool:
         raise TooFewPointsError(f"needs n >= {floor}")
     x, first = (traj.x_nums, traj.x_dens), spec.q + m  # list offset q + M holds x_{M+1}
     if ratio is None:
-        return _matches_shifted_product(traj, x, x, m, first, d // 2, spec.c ** (2 * spec.q // d))
-    return _matches_reference_cycle(traj, x, x, m, first, [ratio.as_integer_ratio()])
+        return _matches_shifted_product(x, x, m, first, d // 2, spec.c ** (2 * spec.q // d))
+    return _matches_reference_cycle(x, x, m, first, [ratio.as_integer_ratio()])
 
 
 # The benchmark tracer binds this name (ROADMAP item 2); no command calls it.
@@ -150,9 +150,10 @@ def growth_slope(traj: Trajectory, m: int, t: int) -> float:
     When m is a multiple of M = lcm(p, 2q), ln|x_{t+km}| is exactly affine
     in k (module docstring), and this is its slope, the value that a
     least-squares fit over k = 0, 1, 2, ... estimates.  Every stride that
-    ``verify`` passes is such a multiple.  It reads two values whatever
-    n_max is.  It raises ``ArgumentRangeError`` unless m >= 1 and
-    0 <= t < m, and ``TooFewPointsError`` when n_max < t + m.
+    ``verify`` passes is such a multiple, and at most 2M, so x_{t+m}
+    lies in what ``simulate`` stores whatever n is.  It raises
+    ``ArgumentRangeError`` unless m >= 1 and 0 <= t < m, and
+    ``TooFewPointsError`` when n_max < t + m.
     """
     if m < 1:
         raise ArgumentRangeError(f"stride m must be >= 1, got {m}")

@@ -16,8 +16,8 @@ Backends.  Trajectories are generated on two backends:
   y_n to columns that its caller gives, and reads y_{n-p} back from
   them.  :func:`simulate` gives it the four int lists of a
   :class:`Trajectory`, which every zero-tolerance law reads, for the
-  first block, and builds no pair; :func:`iter_pairs` gives it two int
-  deques of the last p values of y, and asks it for pairs.
+  first two blocks, and builds no pair; :func:`iter_pairs` gives it two
+  int deques of the last p values of y, and asks it for pairs.
 * ``signedlog`` values are (sign, log magnitude) pairs that track the
   exact trajectory to float precision and cannot overflow, which makes
   very long exports in growing regimes cheap; no ``Trajectory`` holds
@@ -107,14 +107,13 @@ among the divisors of P, from K's rotations and a short prefix of
 ``iter_pairs``, which itself never replays; only that prefix meets the
 bit cap.
 
-:func:`simulate` needs no P, since the block law holds in every case.
-Past M it stores the initial data, one block, indices 1 .. M at offsets
-q .. q + M - 1 of each column, and the d multipliers, and nothing else;
-the :class:`Trajectory` readers scale the block by the multipliers
-through the logical length, R_r = +-1 included.  Where the law does not
-bound every value through n within the bit cap, ``simulate`` also drains
-n pairs of ``iter_pairs``, storing none, so that a value over the cap
-raises where the kernel reaches it.
+:func:`simulate` needs no P.  Past 2M it stores the initial data and two
+generated blocks, indices 1 .. 2M at offsets q .. q + 2M - 1 of each
+column, and nothing else: every value that an exact law compares lies
+there, so each law compares values that the kernel made.  Where the
+block law does not bound every value through n within the bit cap,
+``simulate`` also drains n pairs of ``iter_pairs``, storing none, so that
+a value over the cap raises where the kernel reaches it.
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -187,7 +186,6 @@ import decimal
 import itertools
 import json
 import math
-import operator
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -226,19 +224,10 @@ class Trajectory:
 
     The values are stored as four int columns, the numerators and
     denominators of x and of y; list offset k holds index k - q + 1.
-    Each column holds the q initial values, then the generated ones: all
-    ``n_max`` of them, or one block of M = lcm(p, 2q), indices 1 .. M,
-    that stands for every later index.
-
-    ``multipliers`` are the d = gcd(p, 2q) block multipliers R_r of
-    :func:`block_multipliers`, or none.  A stored block needs them: index
-    j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k with R = R_{j mod d},
-    the block law of the module docstring.  :func:`simulate` stores an
-    M-block and its multipliers for each trajectory longer than M.
-    Columns of unequal length, or with fewer than q or more than
-    q + ``n_max`` values, or with no generated value when ``n_max`` >= 1,
-    and multipliers other than d of them over a block of M, or fewer than
-    ``n_max`` generated values without them, raise ``ArgumentRangeError``.
+    Each column holds the q initial values, then the ``n_max`` generated
+    ones, and nothing else: a value past them is not held, and reading it
+    raises.  Columns of unequal length, or shorter than q, raise
+    ``ArgumentRangeError``.
     """
 
     spec: SystemSpec
@@ -246,75 +235,24 @@ class Trajectory:
     x_dens: list
     y_nums: list
     y_dens: list
-    n_max: int
-    multipliers: tuple = ()
 
     def __post_init__(self) -> None:
-        q = self.spec.q
         lengths = sorted({len(self.x_nums), len(self.x_dens), len(self.y_nums), len(self.y_dens)})
-        least, most = q + (self.n_max >= 1), q + self.n_max
-        if len(lengths) > 1 or not least <= lengths[0] <= most:
-            raise ArgumentRangeError(f"column lengths {lengths}; q = {q} and "
-                                     f"n_max = {self.n_max} need {least} .. {most}")
-        if self.multipliers or lengths[0] < most:
-            d, m = math.gcd(self.spec.p, 2 * q), math.lcm(self.spec.p, 2 * q)
-            if len(self.multipliers) != d or lengths[0] - q != m:
-                raise ArgumentRangeError(
-                    f"{len(self.multipliers)} multipliers over a block of {lengths[0] - q}; "
-                    f"p = {self.spec.p} and q = {q} need {d} over {m}")
+        if len(lengths) != 1 or lengths[0] < self.spec.q:
+            raise ArgumentRangeError(f"column lengths {lengths}; q = {self.spec.q} needs "
+                                     f"equal lengths of at least {self.spec.q}")
 
-    def _read(self, column: list, start: int, stop: int | None = None) -> Iterator[int]:
-        """``column``'s values at list offsets start .. stop - 1, ``None`` the end.
-
-        The one reader of the logical range, offsets 0 .. q + n_max - 1;
-        ``column`` is one of the four columns.  The stored offsets are read
-        as they are, and past them the passes of the block
-        (:meth:`_passes`), whose values are not reduced.
-        """
-        end = self.spec.q + self.n_max
-        stop = end if stop is None else min(stop, end)
-        if stop <= len(column):
-            return itertools.islice(column, start, stop)
-        return itertools.islice(self._passes(column, start), max(stop - start, 0))
-
-    def _passes(self, column: list, start: int) -> Iterator[int]:
-        """``column``'s values from list offset ``start`` on, without end.
-
-        Offsets below q hold the initial data; pass k of the block holds
-        offsets q + kM .. q + (k + 1)M - 1.  Pass k reads the value stored
-        at offset q + j, index j + 1, times F_r^k, with r = (j + 1) mod d:
-        F_r is A_r for the y numerators and the x denominators, B_r for
-        the other two columns, where R_r = A_r / B_r.  So each value is
-        y_{j+1} R^k or x_{j+1} / R^k as an unreduced quotient, whose
-        denominator is negative where A_r^k is.  Each pass is one ``map``
-        over the block.
-        """
-        q = self.spec.q
-        size = len(column) - q
-        k, j = divmod(start - q, size) if start >= q else (0, 0)
-        grows = column is self.y_nums or column is self.x_dens
-        factors = [r.numerator if grows else r.denominator for r in self.multipliers]
-
-        def scaled(k: int, j: int) -> Iterator[int]:
-            powers = [factor ** k for factor in factors]
-            block = itertools.islice(column, q + j, q + size)
-            if powers == [1] * len(powers):
-                return block
-            # offset q + j holds class (j + 1) mod d, and d divides M
-            scale = itertools.islice(itertools.cycle(powers[1:] + powers[:1]), j, None)
-            return map(operator.mul, block, scale)
-
-        later = itertools.chain.from_iterable(map(scaled, itertools.count(k + 1),
-                                                  itertools.repeat(0)))
-        return itertools.chain(itertools.islice(column, start, q), scaled(k, j), later)
+    @property
+    def n_max(self) -> int:
+        """The last stored index: the generated values each column holds."""
+        return len(self.x_nums) - self.spec.q
 
     def _at(self, column: list, n: int) -> int:
-        """``column``'s value at index n, through the reader; n outside -q+1 .. n_max raises."""
-        q = self.spec.q
-        if not 1 - q <= n <= self.n_max:
-            raise TrajectoryIndexError(f"index {n} outside stored range {1 - q} .. {self.n_max}")
-        offset = n + q - 1
-        return column[offset] if offset < len(column) else next(self._passes(column, offset))
+        """``column``'s value at index n; n outside -q+1 .. n_max raises."""
+        if not 1 - self.spec.q <= n <= self.n_max:
+            raise TrajectoryIndexError(f"index {n} outside stored range {1 - self.spec.q} .. "
+                                       f"{self.n_max}")
+        return column[n + self.spec.q - 1]
 
     def x(self, n: int) -> Fraction:
         """x_n, reduced."""
@@ -513,31 +451,33 @@ def _log_rows(spec: SystemSpec) -> Iterator[tuple]:
 
 
 def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
-    """Generate the exact trajectory through index ``n_steps`` (deterministic).
+    """The exact trajectory through index min(``n_steps``, 2M), M = lcm(p, 2q) (deterministic).
 
     The exact kernel :func:`_exact_steps` appends its steps straight to the
     four int columns of the :class:`Trajectory`, with no per-step pair.
-    It runs min(``n_steps``, M) steps first, M = lcm(p, 2q).  Past M, index
-    j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k, R = R_{j mod d}
-    (module docstring, Block multipliers), and reduction only shrinks
-    components.  Let G be the largest ceil(log2 |c|) over the components c
-    of the multipliers (0 when every |R_r| = 1), so |c| <= 2^G, and w the
-    largest component bit length of the block, so each component of y_j
-    or x_j is below 2^w.  A component of R^k then has magnitude at most
+    It runs min(``n_steps``, 2M) steps, and the trajectory stores each of
+    them and nothing else: at most two generated blocks, so memory is
+    O(q + M) whatever ``n_steps`` is, and ``n_max`` = min(``n_steps``, 2M).
+    Every value that the exact laws and ``closedform.growth_slope`` compare
+    for ``verify`` lies at an index <= 2M, so they compare only values that
+    the kernel made.
+
+    The bit cap still holds through ``n_steps``.  Past M, index j + kM,
+    j in 1 .. M, holds y_j R^k and x_j / R^k, R = R_{j mod d} (module
+    docstring, Block multipliers), and reduction only shrinks components.
+    Let G be the largest ceil(log2 |c|) over the components c of the
+    multipliers (0 when every |R_r| = 1), so |c| <= 2^G, and w the largest
+    component bit length of the first block, so each component of y_j or
+    x_j is below 2^w.  A component of R^k then has magnitude at most
     2^(k G), and a component of y_j R^k or x_j / R^k is below 2^(w + k G):
     each component through ``n_steps`` has at most k G + w bits, with
-    k <= (``n_steps`` - 1) // M.  Past M the columns hold the
-    initial data and the block, with the d multipliers, so memory is
-    O(q + M) whatever ``n_steps`` is.  When the bound is within the cap,
-    no value can pass it, and no further step is taken.  Otherwise
+    k <= (``n_steps`` - 1) // M.  Past 2M, when the bound is within the
+    cap, no value can pass it, and no further step is taken.  Otherwise
     :func:`iter_pairs` steps through indices 1 .. ``n_steps`` once more,
     in O(q) memory and O(``n_steps``) time, its pairs dropped as they
-    come; a value over the cap then raises where the literal recurrence
-    reaches it, x_n before y_n, and a run that reaches ``n_steps`` returns
-    the same block, whose readers give the values that the kernel made,
-    by the block law.  The bit cap is that of :func:`iter_pairs`,
-    resolved before the first step.  ``n_steps`` < 1 raises
-    ``TooFewPointsError``.
+    come; a value over the cap then raises where the kernel reaches it,
+    x_n before y_n.  The bit cap is that of :func:`iter_pairs`, resolved
+    before the first step.  ``n_steps`` < 1 raises ``TooFewPointsError``.
     """
     if n_steps < 1:
         raise TooFewPointsError("needs n >= 1")
@@ -546,28 +486,30 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
                [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init])
     coefficients = step_coefficients(spec)
     block = math.lcm(spec.p, 2 * spec.q)
-    deque(_exact_steps(spec, cap, coefficients, min(n_steps, block), *columns), maxlen=0)
-    if n_steps <= block:
-        return Trajectory(spec, *columns, n_steps)
-    multipliers = block_multipliers(spec.p, coefficients)
-    growth = max((abs(component) - 1).bit_length() for r in multipliers for component in r)
-    widest = max(value.bit_length() for column in columns for value in column[spec.q:])
-    if (n_steps - 1) // block * growth + widest > cap:
-        deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)
-    return Trajectory(spec, *columns, n_steps, tuple(multipliers))
+    n_max = min(n_steps, 2 * block)
+    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)
+    if n_steps > n_max:
+        growth = max((abs(component) - 1).bit_length()
+                     for r in block_multipliers(spec.p, coefficients) for component in r)
+        widest = max(value.bit_length() for column in columns
+                     for value in column[spec.q:spec.q + block])
+        if (n_steps - 1) // block * growth + widest > cap:
+            deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)
+    return Trajectory(spec, *columns)
 
 
-def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
+def _matches_reference_cycle(v: tuple, w: tuple, lag: int, first: int,
                              references: Sequence[tuple[int, int]]) -> bool:
     """True iff v_k == r_j * w_{k - lag} for every list offset k >= first, r_j = references[j].
 
     The one comparison engine of the three exact laws: every comparison
-    of a stored value that any of them makes is made here.  ``v`` and ``w`` are (nums, dens)
-    column pairs of ``traj``; ``w`` is ``v`` itself, or, when v = y, the x
-    columns swapped, which stands for 1/x.  j = (k - first) mod
+    of a stored value that any of them makes is made here.  ``v`` and ``w``
+    are (nums, dens) column pairs of one :class:`Trajectory`; ``w`` is
+    ``v`` itself, or, when v = y, the x columns swapped, which stands for
+    1/x.  j = (k - first) mod
     len(references), so the references repeat along the offsets.  Every
-    value is read through the trajectory's reader, up to its last index,
-    and may be an unreduced quotient whose denominator is negative; each
+    stored offset from ``first`` on is compared, through the last index;
+    a value swapped in for 1/x may have a negative denominator, and each
     reference is an int pair (rN, rD), reduced or not.  Each comparison is
     cross-multiplied over numerators (N) and denominators (D), as
     vN wD rD == rN wN vD: for any nonzero denominators u/v = r/s holds
@@ -575,53 +517,31 @@ def _matches_reference_cycle(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     positive denominators are needed, and no comparison divides.  The
     exact laws take their references from the stored values themselves:
     small rationals in a correct trajectory, so an offset costs two
-    products of value-sized integers and two by a small one.
-
-    One block.  When ``traj`` has multipliers, only the offsets
-    first .. first + M - 1 are compared, M = lcm(p, 2q), from the spec's
-    delays alone and not from the kernel; every caller's len(references)
-    divides M.  One without multipliers, no longer than M or built by
-    hand, is compared at every offset.  Proof: every caller has
-    first - lag >= q, so a comparison at k >= first + M reads v at k and w
-    at k - lag, both at offsets >= q + M, in the passes of the block past
-    the first, and its j is that of k - M, since len(references) divides
-    M.  The block has length M, so k and k - M lie one pass apart in it,
-    and the reader multiplies each column at k by F over its value at
-    k - M, F the column's factor of the class of k.  Every caller's lag is
-    0, p or M, and d = gcd(p, 2q) divides each of them, so w_{k-lag} has
-    the class of v_k, R = A/B.  With w = v both sides of the comparison
-    gain A B, from vN wD and from wN vD; with v = y and w = 1/x, vN and wN
-    (x's denominator) gain A and wD (x's numerator) and vD gain B, so again
-    both sides gain A B, which is nonzero.  Either way the comparison at k
-    is the one at k - M >= first, and by induction on k every comparison
-    is one at an offset in first .. first + M - 1.  The laws take no
-    reference from K or R: R enters only through the reader.  A wrong R
-    leaves z = x y as it is, but it fails the x-relation, whose x_n and
-    x_{n-p} lie in different passes for the first p offsets of each, and
-    the block law, whose x_{n+M} and x_n lie in different passes, against
-    the constant that the spec fixes.
+    products of value-sized integers and two by a small one.  The laws
+    take no reference from K or R, and a trajectory from ``simulate``
+    stores only values that the kernel made, so a wrong value fails the
+    law that compares it.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
-    stop = first + math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers else None
     return all(
         v_num * w_den * r_den == r_num * w_num * v_den
         for v_num, v_den, w_num, w_den, (r_num, r_den) in zip(
-            traj._read(v_nums, first, stop), traj._read(v_dens, first, stop),
-            traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),
+            itertools.islice(v_nums, first, None), itertools.islice(v_dens, first, None),
+            itertools.islice(w_nums, first - lag, None), itertools.islice(w_dens, first - lag, None),
             itertools.cycle(references),
         )
     )
 
 
-def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, first: int,
-                             shift: int, const: Fraction) -> bool:
+def _matches_shifted_product(v: tuple, w: tuple, lag: int, first: int, shift: int,
+                             const: Fraction) -> bool:
     """True iff W_k W_{k-s} = ``const`` at every list offset k >= first + s, W_k = v_k / w_{k-lag}.
 
     s is ``shift``.  One call of :func:`_matches_reference_cycle`, from
     first + s, with the 2s references const/W_first .. const/W_{first+s-1},
     W_first .. W_{first+s-1}: the s quotients of the head are the only ones
-    formed, each the reduced pair of ``Fraction(vN wD, vD wN)`` of values
-    read through the trajectory's reader, and each const/W is the
+    formed, each the reduced pair of ``Fraction(vN wD, vD wN)`` of stored
+    values, and each const/W is the
     unreduced pair (cN W_D, cD W_N), with no division.  So
     r_j r_{j+s} = const for j < s, and the law holds at every k >= first + s
     iff W_k = r_j, j = (k - first - s) mod 2s, at every such k.  (=>) by
@@ -632,22 +552,18 @@ def _matches_shifted_product(traj: Trajectory, v: tuple, w: tuple, lag: int, fir
     W_{k-s} is the head's W_{first+j} and r_j = const / W_{first+j}; for
     larger k, W_k W_{k-s} is r_j r_{j-s} or r_j r_{j+s}; either way it is
     ``const``.  So the law holds iff W repeats with period 2s from
-    ``first`` on and W_k W_{k+s} = const for k in the head.  The engine's
-    preconditions hold for every caller: first + s - lag >= q, which is
-    q - 0 for the product invariant, 2q - p for the x-relation (s = q) and
-    q + d/2 for the block law (lag M, s = d/2); and 2s divides M, since 2q
-    and d do.  A zero w_{k-lag} in the head raises ``ZeroDivisionError``.
+    ``first`` on and W_k W_{k+s} = const for k in the head.  A zero
+    w_{k-lag} in the head raises ``ZeroDivisionError``.
     A zero W in the head makes its const/W a pair with denominator 0,
     which fails the comparison against any v_k whose w_{k-lag} is nonzero.
     """
     (v_nums, v_dens), (w_nums, w_dens) = v, w
+    v_head, w_head = slice(first, first + shift), slice(first - lag, first - lag + shift)
     head = [Fraction(v_num * w_den, v_den * w_num).as_integer_ratio()
-            for v_num, v_den, w_num, w_den in zip(traj._read(v_nums, first, first + shift),
-                                                  traj._read(v_dens, first, first + shift),
-                                                  traj._read(w_nums, first - lag),
-                                                  traj._read(w_dens, first - lag))]
+            for v_num, v_den, w_num, w_den in zip(v_nums[v_head], v_dens[v_head],
+                                                  w_nums[w_head], w_dens[w_head])]
     c_num, c_den = const.as_integer_ratio()
-    return _matches_reference_cycle(traj, v, w, lag, first + shift,
+    return _matches_reference_cycle(v, w, lag, first + shift,
                                     [(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head)
 
 
@@ -664,7 +580,7 @@ def product_invariant_check(traj: Trajectory) -> bool:
     returns ``False`` and never divides by it.
     """
     ab = traj.spec.a * traj.spec.b
-    return _matches_shifted_product(traj, (traj.y_nums, traj.y_dens), (traj.x_dens, traj.x_nums),
+    return _matches_shifted_product((traj.y_nums, traj.y_dens), (traj.x_dens, traj.x_nums),
                                     0, 0, traj.spec.q, ab)
 
 
@@ -697,7 +613,7 @@ def x_relation_check(traj: Trajectory) -> bool:
     if traj.n_max < start:
         raise TooFewPointsError(f"needs n >= {start}")
     x = (traj.x_nums, traj.x_dens)
-    return _matches_shifted_product(traj, x, x, spec.p, start - 1, spec.q, spec.c)
+    return _matches_shifted_product(x, x, spec.p, start - 1, spec.q, spec.c)
 
 
 def _image_text(image: decimal.Decimal) -> str:

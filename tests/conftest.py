@@ -20,7 +20,6 @@ from perisys import (
     Rational,
     SystemSpec,
     Trajectory,
-    simulate,
     spec_to_obj,
 )
 from perisys.numerics import ENV_MAX_BITS, check_bits, component_bits
@@ -151,26 +150,31 @@ def columns(values) -> tuple[list, list]:
 
 
 def logical_columns(traj) -> tuple[list, list, list, list]:
-    """The four columns of ``traj`` at every index -q+1 .. n_max, read through ``x()`` and ``y()``.
-
-    A trajectory that stores one block has shorter columns; its accessors
-    scale the block by its multipliers, so these are the columns of every
-    value it stands for.
-    """
+    """The four columns of ``traj`` at every index -q+1 .. n_max, read through ``x()`` and ``y()``."""
     indices = range(1 - traj.spec.q, traj.n_max + 1)
     return (*columns([traj.x(n) for n in indices]), *columns([traj.y(n) for n in indices]))
+
+
+def stored_columns(spec, pairs) -> tuple[list, list, list, list]:
+    """Test oracle: the four columns that ``simulate(spec, n)`` stores, from n literal ``pairs``.
+
+    The initial data, then the first min(n, 2M) of the (n, x_n, y_n)
+    ``pairs``, M = lcm(p, 2q), each a ``Fraction``: two blocks at most.
+    """
+    kept = pairs[:stored_length(spec, len(pairs)) - spec.q]
+    return (*columns(list(spec.x_init) + [x for _, x, _ in kept]),
+            *columns(list(spec.y_init) + [y for _, _, y in kept]))
 
 
 def materialised(spec, n_steps) -> Trajectory:
     """Test oracle: the trajectory of ``spec`` through ``n_steps`` with every value stored.
 
     Its columns hold all q + n_steps values of the literal recurrence,
-    :func:`naive_pairs`, so no reader of it cycles a block, and the exact
-    laws compare it at every offset.
+    :func:`naive_pairs`, also past the two blocks that ``simulate`` keeps.
     """
     steps = list(itertools.islice(naive_pairs(spec), n_steps))
     return Trajectory(spec, *columns(list(spec.x_init) + [x for _, x, _ in steps]),
-                      *columns(list(spec.y_init) + [y for _, _, y in steps]), n_steps)
+                      *columns(list(spec.y_init) + [y for _, _, y in steps]))
 
 
 def block_bound(spec, n_steps) -> int:
@@ -192,10 +196,10 @@ def block_bound(spec, n_steps) -> int:
 def stored_length(spec, n_steps) -> int:
     """Test oracle: the column length of every ``simulate(spec, n_steps)`` that returns.
 
-    q + min(n_steps, M), M = lcm(p, 2q): past M one block is stored,
-    whatever the bit cap and :func:`block_bound`.
+    q + min(n_steps, 2M), M = lcm(p, 2q): past 2M two generated blocks are
+    stored, whatever the bit cap and :func:`block_bound`.
     """
-    return spec.q + min(n_steps, math.lcm(spec.p, 2 * spec.q))
+    return spec.q + min(n_steps, 2 * math.lcm(spec.p, 2 * spec.q))
 
 
 def outcome(check, traj):
@@ -278,16 +282,12 @@ def find_window_cycle(items, window):
 def stored_pairs(spec, n_steps, backend):
     """Test oracle: the (n, x_n, y_n) the exports must carry, from a stored sequence.
 
-    Exact pairs come from a ``simulate`` trajectory, log pairs from the
-    ``SignedLog`` recurrence ``oracles.log_pairs``; neither reads the
-    exports' own rows.
+    Exact pairs come from the literal recurrence :func:`naive_pairs`, log
+    pairs from the ``SignedLog`` recurrence ``oracles.log_pairs``; neither
+    reads the exports' own rows.
     """
-    if backend == BACKEND_SIGNEDLOG:
-        return list(itertools.islice(log_pairs(spec), n_steps))
-    if n_steps == 0:
-        return []
-    traj = simulate(spec, n_steps)
-    return [(n, traj.x(n), traj.y(n)) for n in range(1, n_steps + 1)]
+    pairs = log_pairs(spec) if backend == BACKEND_SIGNEDLOG else naive_pairs(spec)
+    return list(itertools.islice(pairs, n_steps))
 
 
 def export_rows(spec, n_steps, backend):

@@ -48,8 +48,8 @@ SIMULATOR, CYCLE = "src/perisys/simulator.py", "src/perisys/cycle.py"
 CLOSEDFORM = "src/perisys/closedform.py"
 TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
 TEST_CLI = "tests/test_cli.py"
-TEST_REPEATS = "tests/test_exact_checks.py::test_checks_stop_after_one_repeat_and_match_the_oracles"
-TEST_BLOCK = "tests/test_exact_checks.py::test_block_backed_trajectory_matches_materialised"
+TEST_REPEATS = ("tests/test_exact_checks.py::"
+                "test_checks_on_long_periodic_trajectories_match_the_oracles")
 TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_block_bound"
 TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
 TEST_BLOCK_LAW = "tests/test_simulator.py::test_rows_past_the_block_follow_the_block_law"
@@ -107,26 +107,23 @@ MUTANTS = (
     # the comparison engine reads w from v's columns, so the product
     # invariant (v = y, w = 1/x) no longer reads x
     Mutant("engine reads only v's columns", SIMULATOR,
-           "traj._read(w_nums, first - lag), traj._read(w_dens, first - lag),",
-           "traj._read(v_nums, first - lag), traj._read(v_dens, first - lag),",
+           "itertools.islice(w_nums, first - lag, None), itertools.islice(w_dens, first - lag, None),",
+           "itertools.islice(v_nums, first - lag, None), itertools.islice(v_dens, first - lag, None),",
            (TEST_REPEATS,)),
-    # the engine stops after one block of a trajectory that stores every
-    # value, which need not repeat
-    Mutant("engine stops without a stored block", SIMULATOR,
-           "2 * traj.spec.q) if traj.multipliers else None",
-           "2 * traj.spec.q) if True else None",
+    # the engine stops one offset before the last stored one, so the last
+    # value, index n_max, is never compared as v
+    Mutant("engine stops one offset short", SIMULATOR,
+           "itertools.islice(v_nums, first, None), itertools.islice(v_dens, first, None),",
+           "itertools.islice(v_nums, first, len(v_nums) - 1), itertools.islice(v_dens, first, None),",
            (TEST_REPEATS,)),
-    # the engine compares half a block of offsets on a stored block, so a
-    # corrupted value in its second half recurs unseen
-    Mutant("law window half a block", SIMULATOR,
-           "math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers",
-           "math.lcm(traj.spec.p, 2 * traj.spec.q) // 2 if traj.multipliers",
-           (TEST_REPEATS,)),
-    # the engine stops one offset before the end of the block, so the
-    # block's last value, index M, is never compared as v
-    Mutant("law window one offset short", SIMULATOR,
-           "math.lcm(traj.spec.p, 2 * traj.spec.q) if traj.multipliers",
-           "math.lcm(traj.spec.p, 2 * traj.spec.q) - 1 if traj.multipliers",
+    # the kernel makes x_{n_max} one step coefficient K too large past M, so
+    # the values that the laws compare are no longer all the kernel's
+    Mutant("kernel value past M off by one K", SIMULATOR,
+           "    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)\n",
+           "    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)\n"
+           "    if n_max > block:\n"
+           "        columns[0][-1] *= coefficients[(n_max - 1) % (2 * spec.q)].numerator\n"
+           "        columns[1][-1] *= coefficients[(n_max - 1) % (2 * spec.q)].denominator\n",
            (TEST_REPEATS,)),
     # the shifted-product laws compare the first q values past the head
     # with the head itself instead of with the law's constant over it
@@ -134,38 +131,15 @@ MUTANTS = (
            "[(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head",
            "head + head",
            ("tests/test_exact_checks.py::test_corrupted_y_fails_product_invariant",)),
-    # x(), y() and the laws' reader past the block map index n to
-    # 1 + n mod B, one too far
-    Mutant("accessors past the block by n mod B", SIMULATOR,
-           "k, j = divmod(start - q, size)",
-           "k, j = divmod(start - q + 1, size)",
-           (TEST_BLOCK,)),
-    # each pass of the reader starts at the initial data, so it cycles the
-    # initial data along with the block
-    Mutant("reader cycles the initial data", SIMULATOR,
-           "itertools.islice(column, q + j, q + size)",
-           "itertools.islice(column, j, q + size)",
-           (TEST_BLOCK,)),
-    # pass k scales index n by the multiplier of class n + 1, which differs
-    # from that of class n on the unbounded specs
-    Mutant("multiplier taken from class n + 1", SIMULATOR,
-           "powers[1:] + powers[:1]",
-           "powers[2:] + powers[:2]",
-           (TEST_BLOCK,)),
-    # the x numerators gain A^k and the x denominators B^k: x_j R^k for x_j / R^k
-    Mutant("x scaled by R instead of 1/R", SIMULATOR,
-           "grows = column is self.y_nums or column is self.x_dens",
-           "grows = column is self.y_nums or column is self.x_nums",
-           (TEST_BLOCK,)),
-    # the bound on the values past the block drops the block count k, so
-    # no step past the block is tested where a value passes the cap, and
+    # the bound on the values past two blocks drops the block count k, so
+    # no step past them is tested where a value passes the cap, and
     # nothing raises
     Mutant("cap bound without the k factor", SIMULATOR,
            "if (n_steps - 1) // block * growth + widest > cap:",
            "if growth + widest > cap:",
            (TEST_CAP,)),
-    # the steps that test the cap past the block stop at n - 1, so a first
-    # value over the cap at n itself raises nothing
+    # the steps that test the cap past two blocks stop at n - 1, so a
+    # first value over the cap at n itself raises nothing
     Mutant("fallback steps one pair short", SIMULATOR,
            "deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)",
            "deque(itertools.islice(iter_pairs(spec), n_steps - 1), maxlen=0)",
@@ -216,8 +190,8 @@ MUTANTS = (
            "    return spec.c ** (spec.q // d)",
            (TEST_REGIMES,)),
     # the d | q reference is read from the trajectory, x_{M+1} / x_1, and
-    # never checked against c^(q/d), so a wrong R, which the reader applies
-    # to both sides alike, passes wherever d = 1
+    # never checked against c^(q/d), so a block scaled by a wrong R passes
+    # wherever d = 1
     Mutant("block law without its constant", CLOSEDFORM,
            "[ratio.as_integer_ratio()]",
            "[(traj.x(m + 1) / traj.x(1)).as_integer_ratio()]",

@@ -362,5 +362,5 @@ def sigma_orbit_block_law(traj: Trajectory) -> bool:
            for orbit in orbits if max(orbit) < len(sigma)):
         return False
     x = (traj.x_nums, traj.x_dens)
-    return _matches_reference_cycle(traj, x, x, m, spec.q + m,
+    return _matches_reference_cycle(x, x, m, spec.q + m,
                                     [value.as_integer_ratio() for value in sigma])

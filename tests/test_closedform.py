@@ -18,7 +18,7 @@ from perisys import (
     PerisysError,
     SystemSpec,
     TooFewPointsError,
-    Trajectory,
+    TrajectoryIndexError,
     block_ratio_check,
     classify,
     drift,
@@ -57,11 +57,12 @@ def test_drift_halving_system():
     assert report.c == Fraction(1, 2)
     assert report.drift_per_step == -math.log(2) / 12
     assert report.block_ratio == Fraction(1, 32)
-    # oracle: the simulated block ratio is that exact constant, everywhere
-    traj = simulate(spec, 200)
-    ratios = {traj.x(n + 60) / traj.x(n) for n in range(1, 141)}
+    # oracle: the literal block ratio is that exact constant, everywhere
+    full = materialised(spec, 200)
+    ratios = {full.x(n + 60) / full.x(n) for n in range(1, 141)}
     assert ratios == {Fraction(1, 32)}
-    assert block_ratio_check(traj)
+    assert block_ratio_check(simulate(spec, 200))
+    assert block_ratio_check(full)
 
 
 def test_drift_large_doubling_system():
@@ -155,7 +156,7 @@ def test_block_law_brute_force_small():
     # (2, 3): no cycle exists, yet x_{n+6} / x_n takes d = 2 values, whose
     # product is c^3 = 1, and the second difference it implies is exact
     spec = random_positive_spec(random.Random(6), 2, 3)
-    traj = simulate(spec, 60)
+    traj = materialised(spec, 60)
     m = 6
     sigma = [traj.x(m + 1) / traj.x(1), traj.x(m + 2) / traj.x(2)]
     assert sigma[0] * sigma[1] == 1 and sigma[0] != sigma[1]
@@ -164,6 +165,7 @@ def test_block_law_brute_force_small():
     for n in range(1, 60 - 2 * m + 1):
         assert traj.x(n + 2 * m) * traj.x(n) == traj.x(n + m) ** 2
     assert block_ratio_check(traj)
+    assert block_ratio_check(simulate(spec, 60))
 
 
 @pytest.mark.parametrize("p,q,a,b", [
@@ -266,11 +268,16 @@ def test_growth_slope_signedlog_backend():
 
 
 def test_growth_slope_too_few_points():
-    """The ratio needs x_{t+m}: n_max < t + m is refused in the laws' "needs n >= N" form."""
-    for n, m, t in ((11, 12, 0), (16, 12, 5)):
+    """The ratio needs x_{t+m}: n_max < t + m is refused in the laws' "needs n >= N" form.
+
+    ``simulate`` stores through 2M = 12 on (2, 3), so x_17 is never
+    stored there, whatever n is; a trajectory that stores it reads it.
+    """
+    for n, m, t in ((11, 12, 0), (16, 12, 5), (17, 12, 5), (10**6, 12, 5)):
         with pytest.raises(TooFewPointsError, match=rf"^needs n >= {t + m}$"):
             growth_slope(simulate(fixed_point_spec(2, 3), n), m, t)
-    assert growth_slope(simulate(fixed_point_spec(2, 3), 17), 12, 5) == 0.0
+    assert growth_slope(simulate(fixed_point_spec(2, 3), 10**6), 12, 0) == 0.0
+    assert growth_slope(materialised(fixed_point_spec(2, 3), 17), 12, 5) == 0.0
 
 
 @pytest.mark.parametrize("m,t,message", [(0, 0, "stride m must be >= 1, got 0"),
@@ -290,53 +297,62 @@ def test_growth_slope_matches_the_regression_oracle(spec):
 
     The strides are those ``verify`` passes, the predicted period or the
     witness modulus, and twice that; n = 4 strides gives every offset t at
-    least four points.
+    least four points, which the trajectory that stores every value
+    holds.  ``simulate`` stores through 2M, and gives the same slope
+    wherever x_{t+m} lies there.
     """
     classification = classify(spec.p, spec.q)
     base = classification.predicted_period or classification.witness_modulus
     for stride in (base, 2 * base):
-        traj = simulate(spec, 4 * stride)
+        traj = materialised(spec, 4 * stride)
+        stored = simulate(spec, 4 * stride)
         for t in range(stride):
             oracle = regression_slope(traj, stride, t)
             slope = growth_slope(traj, stride, t)
             assert abs(slope - oracle) <= 1e-12 * max(1.0, abs(oracle)), (stride, t)
+            if t + stride <= stored.n_max:
+                assert growth_slope(stored, stride, t) == slope, (stride, t)
 
 
-def test_growth_slope_reads_two_stored_values_at_any_n(monkeypatch):
-    """At n = 10**12 on a periodic spec the value walks nothing: no column is read in order."""
+def test_growth_slope_reads_two_stored_values_at_any_n():
+    """At n = 10**12 on a periodic spec two blocks are stored, and the slope reads two of them.
+
+    The columns hold q + 2M values, M = lcm(p, 2q); x_{2M+1} is not
+    stored and raises; the slope is the regression oracle's over the
+    trajectory that stores every value through 3M.
+    """
     spec = random_signed_spec(random.Random(17), 3, 5, a=2, b=-2)
     m = math.lcm(spec.p, 2 * spec.q)
-    short = simulate(spec, 3 * m)
-    expected = {t: regression_slope(short, m, t) for t in (0, 1, m - 1)}
+    expected = {t: regression_slope(materialised(spec, 3 * m), m, t) for t in (0, 1, m - 1)}
     traj = simulate(spec, 10**12)
-
-    def walk(*args):
-        raise AssertionError("growth_slope walked a column")
-
-    monkeypatch.setattr(Trajectory, "_read", walk)
+    assert traj.n_max == 2 * m
+    assert all(len(column) == spec.q + 2 * m
+               for column in (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens))
+    with pytest.raises(TrajectoryIndexError):
+        traj.x(2 * m + 1)
     for t, value in expected.items():
         assert growth_slope(traj, m, t) == value == 0.0
 
 
 def test_monotone_constant_on_periodic():
     spec = random_positive_spec(random.Random(11), 6, 10)
-    traj = simulate(spec, 400)
+    traj = materialised(spec, 400)
     for t in (0, 7, 33, 59):
         assert monotone_check(traj, 60, t) is Monotonicity.CONSTANT
 
 
 def test_monotone_decreasing_and_increasing():
     halving = replace(random_positive_spec(random.Random(12), 6, 10), a=1, b=2)
-    traj = simulate(halving, 400)
+    traj = materialised(halving, 400)
     assert monotone_check(traj, 60, 0) is Monotonicity.DECREASING
     doubling = replace(random_positive_spec(random.Random(12), 6, 10), a=2, b=1)
-    traj = simulate(doubling, 400)
+    traj = materialised(doubling, 400)
     assert monotone_check(traj, 60, 5) is Monotonicity.INCREASING
 
 
 def test_monotone_non_monotone_at_half_period():
     spec = random_positive_spec(random.Random(13), 6, 10)
-    traj = simulate(spec, 400)
+    traj = materialised(spec, 400)
     # stride 30 alternates between the two half-period values of the cycle
     for t in range(30):
         if traj.x(120 + t) != traj.x(150 + t):
@@ -356,8 +372,9 @@ def test_alternating_sign_dynamics():
     # b = -a: signs of (x, y) pairs are eventually periodic and magnitudes
     # obey the drift-free laws
     spec = random_signed_spec(random.Random(15), 6, 10, a=2, b=-2)
-    traj = simulate(spec, 400)
+    traj = materialised(spec, 400)
     signs = [(1 if traj.x(n) > 0 else -1, 1 if traj.y(n) > 0 else -1) for n in range(-9, 401)]
     assert find_window_cycle(signs, 10) is not None
     assert {abs(traj.x(n + 60) / traj.x(n)) for n in range(1, 301)} == {Fraction(1)}
     assert block_ratio_check(traj)
+    assert block_ratio_check(simulate(spec, 400))

@@ -36,6 +36,7 @@ from conftest import (
     bit_cap,
     find_window_cycle,
     fixed_point_spec,
+    materialised,
     naive_pairs,
     nonzero_rationals,
     product_family_spec,
@@ -81,7 +82,7 @@ def test_period_60_with_replay_and_minimality():
         assert isinstance(result, Periodic)
         assert 60 % result.period == 0
         assert result.period == 60  # generic initial data
-        traj = simulate(spec, result.preperiod + 3 * result.period)
+        traj = materialised(spec, result.preperiod + 3 * result.period)
         assert replays(traj, result.preperiod, result.period)
         # no proper divisor of the period passes the replay check
         for d in (2, 3, 5):
@@ -150,7 +151,6 @@ def oracle_cycle(traj):
     """The naive window-tuple scan, as Periodic / NoCycleWithinHorizon."""
     spec = traj.spec
     w = max(spec.p, spec.q)
-    # read through the accessors, which cycle a stored block through n_max
     pairs = [(traj.x(n), traj.y(n)) for n in range(1 - spec.q, traj.n_max + 1)]
     hit = find_window_cycle(pairs, w)
     if hit is None:
@@ -186,7 +186,7 @@ def small_alphabet_specs(draw):
 @given(small_alphabet_specs(), st.integers(1, 300))
 def test_rolling_detector_matches_naive_oracle(spec, horizon):
     """The rolling-hash scan oracle agrees with the window-tuple oracle at any horizon."""
-    assert scan_cycle(spec, horizon) == oracle_cycle(simulate(spec, horizon))
+    assert scan_cycle(spec, horizon) == oracle_cycle(materialised(spec, horizon))
 
 
 def outcome(run):
@@ -273,7 +273,7 @@ def test_hash_collisions_are_confirmed_exactly(monkeypatch):
         spec = random_positive_spec(rng, p, q)
         horizon = default_horizon(p, q)
         assert (scan_cycle(spec, horizon) == detect_cycle(spec)
-                == oracle_cycle(simulate(spec, horizon)))
+                == oracle_cycle(materialised(spec, horizon)))
 
 
 def test_no_cycle_proof_skips_the_scan(monkeypatch):

@@ -11,13 +11,9 @@ W = rho_r = x_r / x_{r-p} and s = q; and the block law when
 d = gcd(p, 2q) does not divide q, W = x_{M+r} / x_r and s = d/2, with
 M = lcm(p, 2q).  When d | q the block law's one reference is the
 constant c^(q/d).  No law compares a stored value outside the engine.
-A trajectory from ``simulate``
-longer than M = lcm(p, 2q) stores its initial data, one block of M values
-and the block multipliers, by which its readers scale the block; the
-engine then stops after its first T = M offsets, one block, since every
-later comparison is the one a block earlier with both sides scaled alike.
-A trajectory that stores every value is compared at every offset.  The
-``oracle_*``
+A trajectory from ``simulate`` stores its initial data and the kernel's
+values through min(n, 2M): two generated blocks at most.  Every
+trajectory is compared at every stored offset.  The ``oracle_*``
 functions below are the reference: they form the Fraction products of
 each law directly at every index and read every value through the
 bounds-checked ``Trajectory.x()``/``y()`` accessors.  They exist only for
@@ -25,11 +21,13 @@ the differential tests here.  ``oracle_block_ratio`` and
 ``oracle_second_difference`` are the two block laws that the one block
 law replaced, kept as labelled oracles: where the first applies, the
 block law must agree with it, and wherever the block law holds, so must
-the second.  Those cover long periodic trajectories in
-both forms, block-backed and materialised (the conftest ``materialised``,
-every value stored), clean and corrupted: in their last block, at every
-T-th index, and in their initial data; and drifting and unbounded ones in
-both forms, clean, and with a corrupted multiplier, against the oracles.
+the second.  Those cover long periodic trajectories in both forms,
+simulated and materialised (the conftest ``materialised``, every value
+stored through n), clean and corrupted: in their last block, at every
+T-th index, T = M, and in their initial data; drifting and unbounded
+ones in both forms; and hand-built ones whose values past M scale the
+first block by a corrupted multiplier, against the oracles.  One tripled
+x in either block that ``simulate`` stores fails the block law on its own.
 The block law is also tested against ``oracles.sigma_orbit_block_law``,
 the law as it ran before it became one engine call, with its d ratios
 and their orbit products: on every corruption and corrupted multiplier
@@ -50,12 +48,16 @@ from hypothesis import strategies as st
 
 from perisys import (
     TooFewPointsError,
+    Trajectory,
+    TrajectoryIndexError,
+    block_multipliers,
     block_ratio_check,
     growth_slope,
     product_invariant_check,
     random_positive_spec,
     simulate,
     simulator,
+    step_coefficients,
     x_relation_check,
 )
 from perisys.numerics import Rational, component_bits
@@ -163,10 +165,8 @@ def trajectories(draw, materialise=False):
     A corruption scales the value by a rational other than 1, or only
     flips its sign, through its numerator and denominator columns.  It can
     land on an initial entry as well as on a generated one.  Trajectories
-    run to n = 4m + 3q, so that every check can stop early on a periodic
-    one.  A periodic one is drawn block-backed, as ``simulate`` stores it,
-    where a corrupted block value recurs at every repeat, or materialised,
-    with every value stored, where it changes one index.  With
+    run to n = 4m + 3q.  Past 2M one is drawn as ``simulate`` stores it,
+    through 2M, or materialised, with every value through n stored.  With
     ``materialise`` every trajectory is materialised and runs to
     n >= M + d, so that the block law applies.
     """
@@ -174,7 +174,7 @@ def trajectories(draw, materialise=False):
     m, d = math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
     n = draw(st.integers(m + d if materialise else 1, 4 * m + 3 * spec.q))
     traj = simulate(spec, n)
-    if materialise or (len(traj.x_nums) < spec.q + n and draw(st.booleans())):
+    if materialise or (traj.n_max < n and draw(st.booleans())):
         traj = materialised(spec, n)
     corruption = draw(st.sampled_from(["none", "scale", "sign"]))
     if corruption != "none":
@@ -246,8 +246,8 @@ def test_sign_flip_of_x_fails_block_ratio():
 # Pinned corruptions on long trajectories with values of several hundred
 # bits: c = 1/2 on (3, 5) (q = 5, s = max(p, q) + 1 = 6, m = 30, d = 1),
 # and c = 1 on (2, 3) (m = 6, d = 2, which does not divide q).
-# ``simulate`` stores one block of these; the tests that corrupt a stored
-# value past it read the conftest ``materialised`` form, every value stored.
+# ``simulate`` stores two blocks of these; the tests that corrupt a value
+# past them read the conftest ``materialised`` form, every value stored.
 DRIFT = random_signed_spec(random.Random(1), 3, 5, a=1, b=2)
 UNBOUNDED = random_signed_spec(random.Random(1), 2, 3, a=1, b=1)
 LONG = 2000
@@ -407,9 +407,8 @@ def test_checks_do_not_derive_the_kernel(monkeypatch):
 # c = 1 data on (6, 10), where every R_r = 1 (P = M = 60); b = -a on
 # (3, 5), where R = -1 (P = 2M = 60); and x y = b data on (5, 8), which
 # repeats with p = 5, far below M = 80.  ``simulate`` stores their initial
-# data, one block of M values and the multipliers +-1, so every check may
-# stop after its first T = M offsets; ``materialised`` stores every value,
-# so every check compares them all.
+# data and two blocks, through 2M; ``materialised`` stores every value
+# through n.  Every check compares every stored value.
 REPEATING = {
     "c=1-(6,10)": random_signed_spec(random.Random(5), 6, 10, a=1, b=1),
     "b=-a-(3,5)": random_signed_spec(random.Random(5), 3, 5, a=2, b=-2),
@@ -418,29 +417,26 @@ REPEATING = {
 
 
 def repeat_period(spec) -> int:
-    """T = M = lcm(p, 2q), the offsets each exact law compares on a stored block."""
+    """T = M = lcm(p, 2q), the block length."""
     return math.lcm(spec.p, 2 * spec.q)
 
 
 def long_trajectory(spec, form):
     n = 4 * repeat_period(spec) + 3 * spec.q
-    return simulate(spec, n) if form == "block" else materialised(spec, n)
+    return simulate(spec, n) if form == "simulated" else materialised(spec, n)
 
 
 def corrupt(traj, how, nums):
     """Scale stored values of ``nums``, a numerator column of ``traj``, by 3.
 
-    On a materialised trajectory: "last-block", the last value but one,
-    past every check's stop; "last-offset", the last value; "every-T",
-    x_n or y_n at every n = 1 (mod T), T = M, so the column still repeats
-    with T; "every-T-tail", the same at n = T - 1 (mod T), which lies past
-    the head of the product invariant and the x-relation, so they see it
-    only in their first T compared offsets; "initial", the entry at index
-    0.  On a block-backed one the same stored offsets hold block values,
-    so each corruption recurs at every repeat of the block; an offset past
-    the block is left out.  There "last-offset" is the block's last value,
-    index M, the last offset of the window of every law that compares it
-    as v: a window one offset short misses it.
+    "last-block", the last value but one, in the last block; "last-offset",
+    the last value, the last offset that every law compares it at as v: an
+    engine that stops one offset short misses it; "every-T", x_n or y_n at
+    every n = 1 (mod T), T = M, so the column still repeats with T;
+    "every-T-tail", the same at n = T - 1 (mod T), which lies past the head
+    of the product invariant and the x-relation; "initial", the entry at
+    index 0.  A simulated trajectory ends at 2M, so there the last value is
+    the kernel's x_{2M} or y_{2M}.
     """
     q, period = traj.spec.q, repeat_period(traj.spec)
     offsets = {  # list offset k holds index k - q + 1
@@ -459,19 +455,19 @@ def corrupt(traj, how, nums):
 @pytest.mark.parametrize("how", ["clean", "last-block", "last-offset", "every-T", "every-T-tail",
                                  "initial"])
 @pytest.mark.parametrize("name", REPEATING)
-@pytest.mark.parametrize("form", ["materialised", "block"])
-def test_checks_stop_after_one_repeat_and_match_the_oracles(form, name, how, column):
+@pytest.mark.parametrize("form", ["materialised", "simulated"])
+def test_checks_on_long_periodic_trajectories_match_the_oracles(form, name, how, column):
     """Both forms fail exactly where the oracles, which read every index, fail.
 
-    A block-backed trajectory stores q + M values per column, M = lcm(p, 2q),
-    and its checks may stop after one repeat.  A materialised one stores every
-    value, and no check stops, so one changed value in its last block
-    fails it.
+    A simulated trajectory stores q + 2M values per column, M = lcm(p, 2q),
+    every one the kernel's.  A materialised one stores every value through
+    n.  No check stops early, so one changed value in the last block fails
+    either.
     """
     traj = long_trajectory(REPEATING[name], form)
     spec = traj.spec
     block = math.lcm(spec.p, 2 * spec.q)
-    assert len(traj.x_nums) == spec.q + (block if form == "block" else traj.n_max)
+    assert len(traj.x_nums) == spec.q + (2 * block if form == "simulated" else traj.n_max)
     corrupt(traj, how, getattr(traj, column))
     got = {check.__name__: outcome(check, traj) for check, _ in CHECKS_AND_ORACLES}
     want = {check.__name__: outcome(oracle, traj) for check, oracle in CHECKS_AND_ORACLES}
@@ -496,41 +492,45 @@ GROWING = {
 
 @pytest.mark.parametrize("steps", ["M", "M+1", "3M+q", "10M"])
 @pytest.mark.parametrize("name", [*REPEATING, *GROWING])
-def test_block_backed_trajectory_matches_materialised(name, steps):
-    """Every reader of a stored block gives what a trajectory storing every value gives.
+def test_simulated_trajectory_matches_materialised(name, steps):
+    """``simulate`` stores the literal values through min(n, 2M), and its readers agree.
 
-    That is every x(n) and y(n), the laws' reader over each whole column,
-    read as quotients, ``growth_slope`` for strides below, at and past the
-    block length, and every exact law.
+    Every stored component equals that of the trajectory that stores every
+    value, and so does every x(n) and y(n); an index past min(n, 2M)
+    raises.  ``growth_slope``, for strides below, at and past the block
+    length, gives the same slope wherever x_{t+m} is stored, and refuses
+    the others; every exact law gives the same verdict as at n.
     """
     spec = {**REPEATING, **GROWING}[name]
     m = math.lcm(spec.p, 2 * spec.q)
     n = {"M": m, "M+1": m + 1, "3M+q": 3 * m + spec.q, "10M": 10 * m}[steps]
-    block, full = simulate(spec, n), materialised(spec, n)
-    assert block.n_max == full.n_max == n
-    assert len(block.x_nums) == len(block.y_dens) == spec.q + m
+    stored, full = simulate(spec, n), materialised(spec, n)
+    n_max = min(n, 2 * m)
+    assert stored.n_max == n_max and full.n_max == n
+    assert len(stored.x_nums) == len(stored.y_dens) == spec.q + n_max
     assert len(full.x_nums) == spec.q + n
-    assert logical_columns(block) == logical_columns(full)  # every x(n) and y(n)
-    for nums, dens in (("x_nums", "x_dens"), ("y_nums", "y_dens")):
-        read = [Fraction(num, den) for num, den in zip(block._read(getattr(block, nums), 0),
-                                                        block._read(getattr(block, dens), 0))]
-        assert read == [Fraction(num, den) for num, den in zip(getattr(full, nums),
-                                                                getattr(full, dens))], nums
+    for column in ("x_nums", "x_dens", "y_nums", "y_dens"):
+        assert getattr(stored, column) == getattr(full, column)[:spec.q + n_max], column
+    assert logical_columns(stored) == tuple(column[:spec.q + n_max]
+                                            for column in logical_columns(full))
+    with pytest.raises(TrajectoryIndexError):
+        stored.y(n_max + 1)
     strides = [(1, 0), (2, 1), (7, 5), (spec.q, spec.q - 1), (m, 0), (m, m - 1),
                (m + 1, 1), (2 * m, 3)]
     for stride, t in strides:
         def slope(traj):
             return growth_slope(traj, stride, t)
 
-        assert outcome(slope, block) == outcome(slope, full), (stride, t)
+        want = outcome(slope, full) if t + stride <= n_max else TooFewPointsError
+        assert outcome(slope, stored) == want, (stride, t)
     for check, _ in CHECKS_AND_ORACLES:
-        assert outcome(check, block) == outcome(check, full), check.__name__
+        assert outcome(check, stored) == outcome(check, full), check.__name__
 
 
 @pytest.mark.parametrize("how", ["clean", "last-block", "last-offset", "every-T", "every-T-tail",
                                  "initial"])
 @pytest.mark.parametrize("name", [*REPEATING, *GROWING])
-@pytest.mark.parametrize("form", ["materialised", "block"])
+@pytest.mark.parametrize("form", ["materialised", "simulated"])
 def test_block_law_matches_the_sigma_orbit_reference_on_every_corruption(form, name, how):
     """Each ``corrupt`` kind of x, at n = 4M + 3q, in both forms and both regimes: one verdict.
 
@@ -555,35 +555,83 @@ def corrupted(r, how) -> Rational:
     return Rational(den, num) if num > 0 else Rational(-den, -num)
 
 
+def block_scaled(spec, n_steps, multipliers) -> Trajectory:
+    """A trajectory through ``n_steps`` whose values past M scale the kernel's first block.
+
+    Index j + kM, j in 1 .. M, holds y_j R^k and x_j / R^k with
+    R = multipliers[j mod d], as unreduced int pairs, each built from the
+    one M before it; d = gcd(p, 2q), M = lcm(p, 2q).  With the kernel's
+    multipliers these are the literal values (module docstring of
+    ``simulator``, Block multipliers); with a wrong one, a kernel that
+    scales its block by it.
+    """
+    q, m, d = spec.q, math.lcm(spec.p, 2 * spec.q), math.gcd(spec.p, 2 * spec.q)
+    block = simulate(spec, min(n_steps, m))
+    x_nums, x_dens, y_nums, y_dens = (list(column) for column in (
+        block.x_nums, block.x_dens, block.y_nums, block.y_dens))
+    for k in range(q + m, q + n_steps):  # list offset k holds index k - q + 1
+        r_num, r_den = multipliers[(k - q + 1) % d]
+        x_nums.append(x_nums[k - m] * r_den)
+        x_dens.append(x_dens[k - m] * r_num)
+        y_nums.append(y_nums[k - m] * r_num)
+        y_dens.append(y_dens[k - m] * r_den)
+    return Trajectory(spec, x_nums, x_dens, y_nums, y_dens)
+
+
 @pytest.mark.parametrize("how", ["doubled", "negated", "inverted"])
 @pytest.mark.parametrize("name", [*GROWING, *REPEATING])
 def test_corrupted_multiplier_fails_a_law(name, how):
-    """Each R_r in turn times 2, negated or inverted, in block-backed trajectories.
+    """Each R_r in turn times 2, negated or inverted, scaling the kernel's block past M.
 
-    The block itself is the kernel's; the wrong R enters only through the
-    reader past M.  Through n = 2M + 1, 3M + q and 5M every law gives what
-    its oracle gives, which reads every index through the same reader.
-    The x-relation fails wherever R_r changed: x_n and x_{n-p} lie in
-    different passes of the block for the first p offsets of each.  So
-    does the block law, in both regimes: W_r = x_{M+r} / x_r = 1 / R_r is
-    no longer c^(q/d) when d | q, and no longer pairs with W_{r+d/2} to
-    c^(2q/d) otherwise.  The sigma-orbit reference gives the same verdict.
-    (An inverted R_r = +-1 is unchanged, and every law passes.)
+    With the kernel's R, :func:`block_scaled` gives the literal values.
+    With a wrong R_r, through n = 2M + 1, 3M + q and 5M every law gives
+    what its oracle gives, which reads every index.  The x-relation fails
+    wherever R_r changed: x_n and x_{n-p} lie in different blocks for the
+    first p offsets of each.  So does the block law, in both regimes:
+    W_r = x_{M+r} / x_r = 1 / R_r is no longer c^(q/d) when d | q, and no
+    longer pairs with W_{r+d/2} to c^(2q/d) otherwise.  The sigma-orbit
+    reference gives the same verdict.  (An inverted R_r = +-1 is
+    unchanged, and every law passes.)
     """
     spec = {**GROWING, **REPEATING}[name]
     m = math.lcm(spec.p, 2 * spec.q)
+    multipliers = block_multipliers(spec.p, step_coefficients(spec))
     for n in (2 * m + 1, 3 * m + spec.q, 5 * m):
-        traj = simulate(spec, n)
+        traj = block_scaled(spec, n, multipliers)
+        assert logical_columns(traj) == logical_columns(materialised(spec, n))
         assert all(outcome(check, traj) is True for check, _ in CHECKS_AND_ORACLES)
-        for r, multiplier in enumerate(traj.multipliers):
-            multipliers = list(traj.multipliers)
-            multipliers[r] = corrupted(multiplier, how)
-            bad = replace(traj, multipliers=tuple(multipliers))
+        for r, multiplier in enumerate(multipliers):
+            wrong = list(multipliers)
+            wrong[r] = corrupted(multiplier, how)
+            bad = block_scaled(spec, n, wrong)
             for check, oracle in CHECKS_AND_ORACLES:
                 assert outcome(check, bad) == outcome(oracle, bad), (n, r, check.__name__)
-            assert x_relation_check(bad) is (multipliers[r] == multiplier), (n, r)
-            assert block_ratio_check(bad) is (multipliers[r] == multiplier), (n, r)
+            assert x_relation_check(bad) is (wrong[r] == multiplier), (n, r)
+            assert block_ratio_check(bad) is (wrong[r] == multiplier), (n, r)
             assert sigma_orbit_block_law(bad) is block_ratio_check(bad), (n, r)
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_corrupted_block_value_fails_the_block_law(q):
+    """One x of either stored block tripled fails the block law on its own, for each 1 <= p <= q.
+
+    ``simulate(spec, 3M + q)`` stores x_1 .. x_{2M}, every one the
+    kernel's, M = lcm(p, 2q), and the block law compares each x_{M+j}
+    with x_j.  A tripled x_j, j in 1 .. M, breaks its comparison with
+    x_{M+j}, and a tripled x_{M+j} breaks the same one; no R scales the
+    corruption along.
+    """
+    rng = random.Random(q)
+    for p in range(1, q + 1):
+        spec = random_signed_spec(rng, p, q)
+        m = math.lcm(p, 2 * q)
+        traj = simulate(spec, 3 * m + q)
+        assert block_ratio_check(traj)
+        for first in (1, m + 1):
+            n = rng.randint(first, first + m - 1)
+            bad = replace(traj, x_nums=list(traj.x_nums))
+            bad.x_nums[n + q - 1] *= 3  # list offset n + q - 1 holds x_n
+            assert block_ratio_check(bad) is False, (p, n)
 
 
 def test_a_block_ratio_of_period_2q_but_not_d_fails():
@@ -614,4 +662,4 @@ def test_a_block_ratio_of_period_2q_but_not_d_fails():
     assert sigma_orbit_block_law(traj) is False
     assert oracle_block_law(traj) is False
     x = (traj.x_nums, traj.x_dens)
-    assert simulator._matches_shifted_product(traj, x, x, m, q + m, q, const)
+    assert simulator._matches_shifted_product(x, x, m, q + m, q, const)

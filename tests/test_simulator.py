@@ -70,6 +70,7 @@ from conftest import (
     rand_value,
     random_signed_spec,
     specs,
+    stored_columns,
     stored_length,
 )
 from oracles import (
@@ -147,14 +148,18 @@ def test_hand_computed_first_steps():
 
 
 def test_matches_naive_reference():
+    """``simulate`` through min(40, 2M), and ``iter_pairs`` through 40, read the literal values."""
     rng = random.Random(2024)
     for p, q in [(1, 1), (1, 4), (2, 3), (3, 3), (4, 6), (5, 7)]:
         spec = random_signed_spec(rng, p, q)
         traj = simulate(spec, 40)
         x_ref, y_ref = naive_simulate(spec, 40)
-        for n in range(-q + 1, 41):
+        assert traj.n_max == min(40, 2 * math.lcm(p, 2 * q))
+        for n in range(-q + 1, traj.n_max + 1):
             assert traj.x(n) == x_ref[n]
             assert traj.y(n) == y_ref[n]
+        for n, x, y in itertools.islice(iter_pairs(spec), 40):
+            assert (Fraction(*x), Fraction(*y)) == (x_ref[n], y_ref[n])
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,8 +170,7 @@ def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
         assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
         if error is None:
             traj = simulate(spec, n_steps)
-            assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
-                                             *columns(list(spec.y_init) + [y for _, _, y in want]))
+            assert logical_columns(traj) == stored_columns(spec, want)
         else:
             with pytest.raises(BitLengthExceededError) as info:
                 simulate(spec, n_steps)
@@ -189,9 +193,9 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
     canonical forms.  ``specs`` draws signed data, p = q, b = -a and
     a != +-1; the x y = b family is periodic in every regime, and its steps
     run past the block period P, and ``iter_pairs`` steps on.  Past
-    M = lcm(p, 2q) ``simulate`` stores one block and its d = gcd(p, 2q)
-    multipliers, which its accessors scale, whatever the cap (conftest
-    ``stored_length``).  A small cap can stop them inside the first block.
+    2M, M = lcm(p, 2q), ``simulate`` stores two generated blocks, whatever
+    the cap (conftest ``stored_length``).  A small cap can stop them
+    inside the first block.
     """
     if data != "drawn":
         spec = product_family_spec(rng, spec.p, spec.q, spec.a,
@@ -210,10 +214,7 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
         for nums, dens in ((traj.x_nums, traj.x_dens), (traj.y_nums, traj.y_dens)):
             assert all(map(is_canonical, nums, dens))
             assert len(nums) == stored_length(spec, n_steps)
-        past_block = n_steps > math.lcm(spec.p, 2 * spec.q)
-        assert len(traj.multipliers) == (math.gcd(spec.p, 2 * spec.q) if past_block else 0)
-        assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
-                                         *columns(list(spec.y_init) + [y for _, _, y in want]))
+        assert logical_columns(traj) == stored_columns(spec, want)
 
 
 # The README's (6, 10) initial data with a = 2 and b = 3: c = 2/3, every
@@ -233,13 +234,14 @@ def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
     """Past M, a cap drawn around the block rule's bound: the oracle's first error, or every value.
 
     When a value through n can pass the cap (conftest ``block_bound``),
-    ``simulate`` steps on to n, storing nothing, as the literal recurrence
-    does: the same error text at the same value, x_n before y_n.  Every
-    run that returns stores the initial data, one block of M and the
-    d = gcd(p, 2q) multipliers (conftest ``stored_length``), and reads the
-    literal recurrence's values.  Where the cap lies under the bound and
-    no value passes it, every exact law and ``growth_slope`` at strides M
-    and 2M give what the trajectory that stores every value gives.  The
+    ``simulate`` steps on to n, storing nothing past 2M, as the literal
+    recurrence does: the same error text at the same value, x_n before
+    y_n.  Every run that returns stores the initial data and the literal
+    recurrence's values through min(n, 2M) (conftest ``stored_length``).
+    Where the cap lies under the bound and no value passes it, every
+    exact law and ``growth_slope`` at strides M and 2M give what the
+    trajectory that stores every value gives, or, for a stride past the
+    two stored blocks, refuse it.  The
     examples are c = 1/2 on (3, 5), R = 32, where a cap 10 bits under the
     bound of 8 blocks is passed; and c = 2/3 on (6, 10), whose cap 5 bits
     under the bound of 8 blocks is never passed, and whose cap 2 bits
@@ -256,16 +258,16 @@ def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
             assert str(info.value) == error
             return
         traj = simulate(spec, n_steps)
-    assert len(traj.x_nums) == stored_length(spec, n_steps) == spec.q + m
-    assert len(traj.multipliers) == math.gcd(spec.p, 2 * spec.q)
-    assert logical_columns(traj) == (*columns(list(spec.x_init) + [x for _, x, _ in want]),
-                                     *columns(list(spec.y_init) + [y for _, _, y in want]))
+    assert len(traj.x_nums) == stored_length(spec, n_steps) == spec.q + min(n_steps, 2 * m)
+    assert logical_columns(traj) == stored_columns(spec, want)
     if cap < block_bound(spec, n_steps):
         full = materialised(spec, n_steps)
-        laws = [product_invariant_check, x_relation_check, block_ratio_check,
-                *(functools.partial(growth_slope, m=stride, t=t)
-                  for stride in (m, 2 * m) for t in (0, spec.q, m - 1))]
+        laws = [product_invariant_check, x_relation_check, block_ratio_check]
         assert [outcome(law, traj) for law in laws] == [outcome(law, full) for law in laws]
+        for stride, t in itertools.product((m, 2 * m), (0, spec.q, m - 1)):
+            slope = functools.partial(growth_slope, m=stride, t=t)
+            stored = stride + t <= traj.n_max
+            assert outcome(slope, traj) == (outcome(slope, full) if stored else TooFewPointsError)
 
 
 def multipliers_of(spec):
@@ -357,8 +359,8 @@ def replay_specs():
 def test_replayed_blocks_match_literal_recurrence():
     """P is M, or 2M iff some R_r = -1, and the literal pairs repeat with period P.
 
-    ``simulate`` stores the initial data, one block of M values and the
-    multipliers +-1, and its accessors read the block through n_max.
+    ``simulate`` at n = 4M + q stores the initial data and the kernel's
+    two blocks, and ``iter_pairs`` steps on through n.
     """
     for spec in replay_specs():
         multipliers = multipliers_of(spec)
@@ -370,10 +372,13 @@ def test_replayed_blocks_match_literal_recurrence():
         traj = simulate(spec, n_max)
         x, y = naive_simulate(spec, n_max)
         assert all((x[n + period], y[n + period]) == (x[n], y[n]) for n in range(1, period + 1))
-        assert len(traj.x_nums) == len(traj.y_dens) == spec.q + m
-        indices = range(1 - spec.q, n_max + 1)
+        assert len(traj.x_nums) == len(traj.y_dens) == spec.q + 2 * m
+        indices = range(1 - spec.q, 2 * m + 1)
         assert logical_columns(traj) == (*columns([x[n] for n in indices]),
                                          *columns([y[n] for n in indices]))
+        assert [(n, Fraction(*x_n), Fraction(*y_n))
+                for n, x_n, y_n in itertools.islice(iter_pairs(spec), n_max)] == [
+            (n, x[n], y[n]) for n in range(1, n_max + 1)]
 
 
 def test_bit_cap_inside_first_block_matches_literal_recurrence():
@@ -409,9 +414,9 @@ def boundary_specs():
 
 
 def test_simulate_matches_literal_recurrence_at_replay_boundaries():
-    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, then the stored block read.
+    """n < P, n = P, n = P + 1 and n = 3P + 5: the kernel's own steps, through min(n, 2M).
 
-    The columns store q + min(n, M) values, M = lcm(p, 2q), whether the
+    The columns store q + min(n, 2M) values, M = lcm(p, 2q), whether the
     pairs repeat or drift: these values stay far below the default cap.
     """
     periodic = 0
@@ -421,8 +426,9 @@ def test_simulate_matches_literal_recurrence_at_replay_boundaries():
         x, y = naive_simulate(spec, 3 * length + 5)
         for n_steps in (max(length // 2, 1), length - 1 or 1, length, length + 1, 3 * length + 5):
             traj = simulate(spec, n_steps)
-            indices = range(1 - spec.q, n_steps + 1)
-            assert len(traj.x_nums) == spec.q + min(n_steps, math.lcm(spec.p, 2 * spec.q))
+            n_max = min(n_steps, 2 * math.lcm(spec.p, 2 * spec.q))
+            indices = range(1 - spec.q, n_max + 1)
+            assert traj.n_max == n_max and len(traj.x_nums) == spec.q + n_max
             assert logical_columns(traj) == (*columns([x[n] for n in indices]),
                                              *columns([y[n] for n in indices])), (spec, n_steps)
     assert periodic >= 20
@@ -509,7 +515,10 @@ def test_first_component_over_the_cap(spec, cap, n_before, bits):
 
 def test_fixed_point_stays_fixed():
     traj = simulate(fixed_point_spec(2, 3), 100)
-    assert all(traj.x(n) == 1 and traj.y(n) == 1 for n in range(-2, 101))
+    assert traj.n_max == 12  # 2M, M = lcm(2, 6)
+    assert all(traj.x(n) == 1 and traj.y(n) == 1 for n in range(-2, 13))
+    assert list(itertools.islice(iter_pairs(fixed_point_spec(2, 3)), 100)) == [
+        (n, (1, 1), (1, 1)) for n in range(1, 101)]
 
 
 def test_determinism():
@@ -539,9 +548,9 @@ def test_no_zero_ever_appears(p, q, n_steps, rng):
 def test_backend_agreement_signs_and_logs():
     rng = random.Random(31)
     spec = random_positive_spec(rng, 6, 10)
-    exact = simulate(spec, 200)
+    exact = {n: Fraction(*x) for n, x, _ in itertools.islice(iter_pairs(spec), 200)}
     for n, _, _, sign, logmag, _, _ in trajectory_rows(spec, 200, BACKEND_SIGNEDLOG):
-        want = to_signed_log(exact.x(n))
+        want = to_signed_log(exact[n])
         assert sign == want.sign
         assert math.isclose(logmag, want.logmag, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -614,45 +623,36 @@ def test_iter_pairs_rejects_unknown_backend():
 def test_hand_built_trajectory_shape_is_checked():
     """Columns that no reader can read consistently are refused when the Trajectory is built.
 
-    Unequal columns would let ``zip`` in the laws stop at the shortest, and
-    a trajectory with no generated value stored would divide by its empty
-    block.  Multipliers need one per class, d = gcd(p, 2q) of them, over a
-    block of M = lcm(p, 2q) values, and a block that stands for later
-    values needs them: there is no cycled block without multipliers.  Each
-    is a typed ``ArgumentRangeError``, still a ValueError.
+    Unequal columns would let ``zip`` in the laws stop at the shortest.
+    Every column holds the q initial values and then the generated ones,
+    so ``n_max`` is the columns' length less q; columns of unequal length,
+    or shorter than q, are refused.  Each is a typed
+    ``ArgumentRangeError``, still a ValueError.
     """
     full = materialised(HAND_SPEC, 20)  # q = 3, 23 values per column
     cols = (full.x_nums, full.x_dens, full.y_nums, full.y_dens)
     cases = {
-        "x_dens shorter": (*cols[:1], cols[1][:-1], *cols[2:], 20),
-        "fewer than q": (*(column[:2] for column in cols), 0),
-        "more than q + n_max": (*cols, 19),
-        "no generated value": (*(column[:3] for column in cols), 200),
+        "x_dens shorter": (*cols[:1], cols[1][:-1], *cols[2:]),
+        "y_dens longer": (*cols[:3], cols[3] + [1]),
+        "two blocks beside every value": (*(column[:15] for column in cols[:2]), *cols[2:]),
+        "fewer than q": tuple(column[:2] for column in cols),
+        "empty": ([], [], [], []),
     }
-    for name, (x_nums, x_dens, y_nums, y_dens, n_max) in cases.items():
-        with pytest.raises(ArgumentRangeError, match=r"^column lengths \[") as raised:
-            Trajectory(HAND_SPEC, x_nums, x_dens, y_nums, y_dens, n_max)
+    for name, (x_nums, x_dens, y_nums, y_dens) in cases.items():
+        with pytest.raises(ArgumentRangeError,
+                           match=r"^column lengths \[.*\]; q = 3 needs equal lengths of at "
+                                 r"least 3$") as raised:
+            Trajectory(HAND_SPEC, x_nums, x_dens, y_nums, y_dens)
         assert isinstance(raised.value, ValueError), name
-    traj = simulate(HAND_SPEC, 20)  # M = 6 and d = 2: 9 values per column, 2 multipliers
-    block = (traj.x_nums, traj.x_dens, traj.y_nums, traj.y_dens)
-    assert len(traj.x_nums) == 9 and len(traj.multipliers) == 2
-    shapes = {
-        "one multiplier": (block, traj.multipliers[:1], r"^1 multipliers over a block of 6; "),
-        "three multipliers": (block, traj.multipliers + traj.multipliers[:1],
-                              r"^3 multipliers over a block of 6; "),
-        "block of 5": ([column[:8] for column in block], traj.multipliers,
-                       r"^2 multipliers over a block of 5; "),
-        "block of 1 without multipliers": ([column[:4] for column in cols], (),
-                                           r"^0 multipliers over a block of 1; "),
-        "block of 6 without multipliers": (block, (), r"^0 multipliers over a block of 6; "),
-    }
-    for name, (columns_, multipliers, message) in shapes.items():
-        with pytest.raises(ArgumentRangeError, match=message + r"p = 2 and q = 3 need 2 over 6$"):
-            Trajectory(HAND_SPEC, *columns_, 200, multipliers)
-    # the initial data alone, a scaled block, and every value
-    Trajectory(HAND_SPEC, *(column[:3] for column in cols), 0)
-    assert Trajectory(HAND_SPEC, *block, 20, traj.multipliers).x(20) == full.x(20) != full.x(2)
-    assert full.x(20) == HAND_SPEC.a / full.y(18)
+    traj = simulate(HAND_SPEC, 200)  # M = 6: two blocks, 15 values per column
+    assert traj.n_max == 12 and len(traj.x_nums) == 15
+    assert [column[:15] for column in cols] == [traj.x_nums, traj.x_dens, traj.y_nums,
+                                                traj.y_dens]
+    # the initial data alone, two blocks, and every value
+    assert Trajectory(HAND_SPEC, *(column[:3] for column in cols)).n_max == 0
+    two_blocks = Trajectory(HAND_SPEC, *(column[:15] for column in cols))
+    assert two_blocks.n_max == 12 and two_blocks.x(12) == full.x(12)
+    assert full.n_max == 20 and full.x(20) == HAND_SPEC.a / full.y(18) != full.x(2)
 
 
 def test_bit_length_cap_enforced():
@@ -1087,9 +1087,10 @@ def test_trajectory_index_bounds():
     # a typed error, which the CLI reports as one line
     assert isinstance(raised.value, TrajectoryIndexError)
     assert isinstance(raised.value, PerisysError)
-    block = simulate(HAND_SPEC, 20)  # one block of M = 6, read through index 20
-    with pytest.raises(TrajectoryIndexError, match=r"^index 21 outside stored range -2 \.\. 20$"):
-        block.y(21)
+    blocks = simulate(HAND_SPEC, 20)  # two blocks of M = 6, through index 12
+    assert blocks.n_max == 12 and blocks.y(12) == materialised(HAND_SPEC, 12).y(12)
+    with pytest.raises(TrajectoryIndexError, match=r"^index 13 outside stored range -2 \.\. 12$"):
+        blocks.y(13)
     with pytest.raises(IndexError, match=r"^index -3 outside stored range -2 \.\. 5$"):
         traj.y(-3)
     # q = 1 stores from index 0
