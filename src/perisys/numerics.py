@@ -45,7 +45,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BitCapSettingError, BitLengthExceededError, SpecSyntaxError, ZeroValueError
+from .errors import (
+    ArgumentRangeError,
+    BitCapSettingError,
+    BitLengthExceededError,
+    SpecSyntaxError,
+    ZeroValueError,
+)
 
 DEFAULT_MAX_BITS = 1_000_000
 ENV_MAX_BITS = "PERISYS_MAX_BITS"
@@ -171,7 +177,7 @@ class SignedLog:
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+            raise ArgumentRangeError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
 def to_signed_log(value: Fraction | Rational | int) -> SignedLog:

@@ -769,8 +769,11 @@ def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tu
     * otherwise the kernel steps and renders every row.
 
     Signed-log rows are those of the log recurrence itself; that backend
-    has no exact form, so its x and y columns are empty.
+    has no exact form, so its x and y columns are empty.  ``n_steps`` < 1
+    raises ``TooFewPointsError``, before the bit cap is resolved.
     """
+    if n_steps < 1:
+        raise TooFewPointsError("needs n >= 1")
     if backend == BACKEND_SIGNEDLOG:
         return itertools.islice(_log_rows(spec), n_steps)
     pairs = iter_pairs(spec, backend)
@@ -852,4 +855,4 @@ def write_trajectory_json(spec: SystemSpec, n_steps: int, backend: str, stream) 
     stream.write(head)
     for row in rows:
         stream.write(row)
-    stream.write(("\n  ]" if rows else "[]") + tail + "\n")
+    stream.write("\n  ]" + tail + "\n")

@@ -1,4 +1,5 @@
-"""Shared helpers: random system instances and the literal-recurrence, cycle-scan and export oracles."""
+"""Shared helpers: random system instances, spec files and child runs of the CLI, and the
+literal-recurrence, cycle-scan and export oracles."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -312,3 +315,52 @@ def json_dump_export(spec, n_steps, backend):
            "rows": [dict(zip(TRAJECTORY_CSV_HEADER, row))
                     for row in export_rows(spec, n_steps, backend)]}
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The README spec file with c = 1/2 (6, 10), and its variants: a = 2, b = 1
+# (c = 2) and a = 2, b = 3 (c = 2/3); x y = b data on (6, 10); and b = -a
+# data on (3, 5), P = 60.
+README_SPEC = {"a": "1", "b": "2", "p": 6, "q": 10,
+               "x_init": ["1", "2", "3", "1", "2", "3", "1", "2", "3", "1"],
+               "y_init": ["5", "4", "3", "2", "1", "5", "4", "3", "2", "1"]}
+MEMORY_SPECS = {
+    "c=1/2": README_SPEC,
+    "c=2": {**README_SPEC, "a": "2", "b": "1"},
+    "c=2/3": {**README_SPEC, "a": "2", "b": "3"},
+    "xy=b": {**README_SPEC, "b": "1",
+             "x_init": ["1/5", "1/4", "1/3", "1/2", "1", "1/5", "1/4", "1/3", "1/2", "1"]},
+    "b=-a": {"a": "2", "b": "-2", "p": 3, "q": 5, "x_init": ["1", "-2", "3", "1/2", "-5/3"],
+             "y_init": ["3", "1", "-2", "4/3", "1/5"]},
+}
+
+# Run in a child process, so that its peak RSS is that of these runs
+# alone: argv[1] is a JSON list of ``main`` argument lists, run in turn.
+# The child prints each run's exit code and stdout, and its peak RSS: its
+# VmHWM, that of its own address space; its RUSAGE_SELF peak would also
+# count the test process's resident set at the fork.
+MAIN_CHILD = """
+import contextlib, io, json, sys
+from perisys.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+with open("/proc/self/status") as status:
+    rss_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"runs": runs, "rss_mb": rss_kb / 1024}))
+"""
+
+
+def child_runs(argvs, cap, seconds):
+    """``MAIN_CHILD``'s runs of ``argvs`` under the bit cap ``cap`` (None: unset), and its peak MB."""
+    env = {key: value for key, value in os.environ.items() if key != ENV_MAX_BITS}
+    if cap is not None:
+        env[ENV_MAX_BITS] = str(cap)
+    proc = subprocess.run([sys.executable, "-c", MAIN_CHILD, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=seconds)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert len(result["runs"]) == len(argvs)
+    return result["runs"], result["rss_mb"]

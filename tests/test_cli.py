@@ -47,7 +47,15 @@ import perisys
 import perisys.cli as cli_module
 import perisys.simulator as simulator_module
 
-from conftest import csv_writer_export, fixed_point_spec, naive_pairs, random_signed_spec, specs
+from conftest import (
+    MEMORY_SPECS,
+    child_runs,
+    csv_writer_export,
+    fixed_point_spec,
+    naive_pairs,
+    random_signed_spec,
+    specs,
+)
 
 
 @pytest.fixture
@@ -488,11 +496,10 @@ def test_agreement_matches_generic_detector_periods():
     ("period 2E", VERDICT_INCONSISTENT),  # a multiple of E is no reading of generic data
 ])
 def test_wrong_detector_periods_break_the_ci_sweep(mutant, verdict, monkeypatch, capsys):
-    """The CI sweep, generic data only, reads all 105 rows CONSISTENT with the true detector.
+    """The sweep 2 <= p < q <= 16 of generic data reads all 105 rows CONSISTENT under the true detector.
 
     A detector that answers period 1 or twice E on every periodic spec
-    turns every periodic-regime row to ``verdict``, which the CI gate
-    rejects.
+    turns every periodic-regime row to ``verdict``.
     """
     def sweep_verdicts():
         code = main(["sweep", "16", "16", "--trials", "1", "--p-min", "2", "--seed", "1",
@@ -588,43 +595,6 @@ def test_back_to_back_main_calls_match_separate_processes(periodic_config, growi
     assert together == separate
 
 
-# The README spec file with c = 1/2 (6, 10), and its variants: a = 2, b = 1
-# (c = 2) and a = 2, b = 3 (c = 2/3); x y = b data on (6, 10); and b = -a
-# data on (3, 5), P = 60.
-README_SPEC = {"a": "1", "b": "2", "p": 6, "q": 10,
-               "x_init": ["1", "2", "3", "1", "2", "3", "1", "2", "3", "1"],
-               "y_init": ["5", "4", "3", "2", "1", "5", "4", "3", "2", "1"]}
-MEMORY_SPECS = {
-    "c=1/2": README_SPEC,
-    "c=2": {**README_SPEC, "a": "2", "b": "1"},
-    "c=2/3": {**README_SPEC, "a": "2", "b": "3"},
-    "xy=b": {**README_SPEC, "b": "1",
-             "x_init": ["1/5", "1/4", "1/3", "1/2", "1", "1/5", "1/4", "1/3", "1/2", "1"]},
-    "b=-a": {"a": "2", "b": "-2", "p": 3, "q": 5, "x_init": ["1", "-2", "3", "1/2", "-5/3"],
-             "y_init": ["3", "1", "-2", "4/3", "1/5"]},
-}
-
-# Run in a child process, so that its peak RSS is that of these verify
-# runs alone: argv is n, then the spec files, each verified in turn.  The
-# peak is the child's VmHWM, that of its own address space; its
-# RUSAGE_SELF peak would also count the test process's resident set at
-# the fork.
-VERIFY_CHILD = """
-import contextlib, io, json, sys
-from perisys.cli import main
-runs = []
-for config in sys.argv[2:]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify", "--config", config, "-n", sys.argv[1]])
-    report = json.loads(out.getvalue())
-    runs.append([code, report["checks"], report["skipped"]])
-with open("/proc/self/status") as status:
-    rss_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"runs": runs, "rss_mb": rss_kb / 1024}))
-"""
-
-
 @pytest.mark.parametrize("n, names, cap, rss_mb, seconds", [
     (10**12, ("xy=b", "b=-a"), None, 200, 120),
     (10**6, ("c=1/2", "c=2"), None, 200, 120),
@@ -633,34 +603,29 @@ print(json.dumps({"runs": runs, "rss_mb": rss_kb / 1024}))
 def test_verify_memory_is_bounded_at_any_n(n, names, cap, rss_mb, seconds, tmp_path):
     """``simulate`` stores two generated blocks, so verify at a large n runs in bounded memory.
 
-    Each child runs ``verify`` in-process on its spec files and reports
-    its own peak RSS (``VERIFY_CHILD``).  Every run exits 0, and every law that applies
+    One ``MAIN_CHILD`` runs ``verify`` on the spec files and reports its
+    own peak RSS.  Every run exits 0, and every law that applies
     passes; the periodic specs skip none at n = 10^12, where the growth
     slope reads two stored values.  On c = 2/3 at n = 100000 the block law
     bounds the values by 13339 bits, so under a 13239-bit cap ``simulate``
     steps on through n to test the cap, storing no value past the two
     blocks.
     """
-    paths = []
+    argvs = []
     for name in names:
-        path = tmp_path / f"{len(paths)}.json"
+        path = tmp_path / f"{len(argvs)}.json"
         path.write_text(json.dumps(MEMORY_SPECS[name]))
-        paths.append(str(path))
-    env = {key: value for key, value in os.environ.items() if key != "PERISYS_MAX_BITS"}
-    if cap is not None:
-        env["PERISYS_MAX_BITS"] = str(cap)
-    proc = subprocess.run([sys.executable, "-c", VERIFY_CHILD, str(n), *paths], env=env,
-                          capture_output=True, text=True, timeout=seconds)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+        argvs.append(["verify", "--config", str(path), "-n", str(n)])
+    runs, peak_mb = child_runs(argvs, cap, seconds)
     laws = ("product_invariant", "x_relation", "block_ratio")
-    for name, (code, checks, skipped) in zip(names, result["runs"]):
+    for name, (code, out) in zip(names, runs):
+        report = json.loads(out)
         assert code == 0, name
-        assert all(checks[law] == "pass" for law in laws if law not in skipped), name
+        assert all(report["checks"][law] == "pass" for law in laws
+                   if law not in report["skipped"]), name
         if n == 10**12:
-            assert skipped == {}, name
-    assert len(result["runs"]) == len(names)
-    assert result["rss_mb"] < rss_mb
+            assert report["skipped"] == {}, name
+    assert peak_mb < rss_mb
 
 
 def test_rebound_detect_cycle_takes_effect_after_the_parser_is_built(periodic_config,
@@ -712,6 +677,7 @@ def test_malformed_cap_fails_on_an_unbounded_spec(command, growing_config, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PERISYS_MAX_BITS must be an integer" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_unbounded_spec_never_reaches_a_small_cap(growing_config, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perisys import (
+    ArgumentRangeError,
     BitCapSettingError,
     BitLengthExceededError,
     DEFAULT_MAX_BITS,
@@ -173,8 +174,10 @@ def test_signed_log_combine():
 
 
 def test_signed_log_rejects_bad_sign():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         SignedLog(0, 1.0)
+    assert isinstance(raised.value, ArgumentRangeError)
+    assert isinstance(raised.value, PerisysError)
 
 
 @given(nonzero_fractions, nonzero_fractions)

@@ -470,7 +470,7 @@ def test_signedlog_backend_is_the_literal_recurrence(p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(specs(), st.integers(0, 300))
+@given(specs(), st.integers(1, 300))
 def test_log_rows_match_the_signed_log_recurrence(spec, n_steps):
     """The flat log rows and both exports are the oracle's, exactly.
 
@@ -485,7 +485,7 @@ def test_log_rows_match_the_signed_log_recurrence(spec, n_steps):
 
 
 # The first component over the cap is y's denominator: the (2, 3) spec of
-# the CI steps, with x at 62 bits and y = 1/d at 65 bits when n = 117.
+# test_entry_point.UNBOUNDED_DOC, with x at 62 bits and y = 1/d at 65 bits when n = 117.
 CAP_Y_DENOMINATOR = SystemSpec(a=1, b=1, p=2, q=3, x_init=(1, 2, 3), y_init=(3, 1, 2))
 # The first is x's numerator, with a = -1, whose reduction takes no gcd:
 # x_3 = -1/y_0 = -(2**70 + 3)/5, at 71 bits, while y_3 reaches 73.
@@ -752,12 +752,18 @@ def test_exports_match_stdlib_writers(spec, n_steps, backend):
     assert_exports_match_stdlib_writers(spec, n_steps, backend)
 
 
-def test_exports_of_a_trajectory_without_rows():
-    assert_exports_match_stdlib_writers(HAND_SPEC, 0, BACKEND_EXACT)
-    written = io.StringIO()
-    write_trajectory_json(HAND_SPEC, 0, BACKEND_EXACT, written)
-    assert '"rows": []' in written.getvalue()
-    assert json.loads(written.getvalue())["rows"] == []
+@pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_SIGNEDLOG])
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_exports_need_one_row(n_steps, backend):
+    """n < 1 raises ``simulate``'s typed error, before the cap is read and with nothing written."""
+    with bit_cap("bogus"):
+        with pytest.raises(TooFewPointsError, match=r"^needs n >= 1$"):
+            trajectory_rows(HAND_SPEC, n_steps, backend)
+        for write in (write_trajectory_csv, write_trajectory_json):
+            written = io.StringIO()
+            with pytest.raises(TooFewPointsError, match=r"^needs n >= 1$"):
+                write(HAND_SPEC, n_steps, backend, written)
+            assert written.getvalue() == ""
 
 
 def test_exports_of_long_negative_literals():
