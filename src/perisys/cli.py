@@ -18,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .closedform import block_ratio_check, drift, growth_slope
+from .closedform import _block_ratio, block_ratio_check, drift, growth_slope
 from .cycle import CycleResult, Periodic, detect_cycle
 from .errors import PerisysError, TooFewPointsError
 from .model import SystemSpec, load_spec, random_positive_spec, spec_to_obj
@@ -71,8 +71,9 @@ def agreement(classification: Classification, spec: SystemSpec, result: CycleRes
     Agreement accounts for c = a/b: the classifier speaks about the |c| = 1
     magnitude structure, so with drift (|c| != 1) it expects no exact
     cycle.  In a periodic regime with |c| = 1 generic data has the exact
-    period E = predicted_period * (1 if c^(q/d) = 1 else 2), where c^(q/d)
-    is the block ratio of :func:`closedform.drift`: "pass" iff the period
+    period E = predicted_period * (1 if c^(q/d) = 1 else 2), where c^(q/d),
+    d = gcd(p, 2q), is the block ratio (:func:`closedform._block_ratio`,
+    which ``drift`` reports): "pass" iff the period
     is E, "pass-degenerate" iff it is a proper divisor of E (special
     data), and "fail" otherwise.  E comes from the spec alone, never from
     the kernel's block multipliers, so the check stays independent of it.
@@ -85,7 +86,7 @@ def agreement(classification: Classification, spec: SystemSpec, result: CycleRes
         return "fail" if periodic else "pass"
     if classification.regime is Regime.EVENTUALLY_PERIODIC:
         # c^(q/d) = -1 flips x over each block, doubling the joint period
-        expected = classification.predicted_period * (1 if drift(spec).block_ratio == 1 else 2)
+        expected = classification.predicted_period * (1 if _block_ratio(spec) == 1 else 2)
         if periodic and result.period == expected:
             return "pass"
         return "pass-degenerate" if periodic and expected % result.period == 0 else "fail"
@@ -145,15 +146,6 @@ class SweepRow:
     outcomes: tuple[CycleResult, ...]
     verdict: str
 
-    def to_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "classification": self.classification.to_obj(),
-            "outcomes": [res.to_obj() for res in self.outcomes],
-            "verdict": self.verdict,
-        }
-
 
 def sweep_grid(p_max: int, q_max: int, trials: int, seed: int = 0,
                p_min: int = 1) -> list[SweepRow]:
@@ -194,6 +186,53 @@ def _sweep_row_line(row: SweepRow) -> str:
         for res in row.outcomes
     )
     return f"{row.p},{row.q},{cls.regime.value},{modulus},{row.verdict},{outcome_text}"
+
+
+# One sweep row, and one outcome of it, at the indent of
+# json.dump(rows, indent=2), each beginning with the newline before it, so
+# that "," joins them.  Strings are enum values and verdicts that need no
+# escaping; ints render as json renders them, and None as null.
+_SWEEP_JSON_ROW = """
+  {{
+    "p": {},
+    "q": {},
+    "classification": {{
+      "regime": "{}",
+      "reason": "{}",
+      "predicted_period": {},
+      "witness_modulus": {}
+    }},
+    "outcomes": [{}
+    ],
+    "verdict": "{}"
+  }}"""
+_PERIODIC_JSON = """
+      {{
+        "status": "periodic",
+        "n0": {},
+        "period": {}
+      }}"""
+_NO_CYCLE_JSON = """
+      {{
+        "status": "no-cycle",
+        "horizon": {}
+      }}"""
+
+
+def _json_int(value: int | None):
+    return "null" if value is None else value
+
+
+def _sweep_row_json(row: SweepRow) -> str:
+    """``row`` as ``json.dump(rows, stream, indent=2)`` writes it, without the "," after it."""
+    cls = row.classification
+    outcomes = ",".join(
+        _PERIODIC_JSON.format(res.preperiod, res.period) if isinstance(res, Periodic)
+        else _NO_CYCLE_JSON.format(res.horizon)
+        for res in row.outcomes)
+    return _SWEEP_JSON_ROW.format(row.p, row.q, cls.regime.value, cls.reason.value,
+                                  _json_int(cls.predicted_period),
+                                  _json_int(cls.witness_modulus), outcomes, row.verdict)
 
 
 @contextlib.contextmanager
@@ -255,8 +294,8 @@ def cmd_sweep(args) -> int:
     rows = sweep_grid(args.p_max, args.q_max, args.trials, seed=args.seed, p_min=args.p_min)
     with _open_out(args.out) as stream:
         if args.format == "json":
-            json.dump([row.to_obj() for row in rows], stream, indent=2)
-            stream.write("\n")
+            text = ",".join(_sweep_row_json(row) for row in rows)
+            stream.write(f"[{text}\n]\n" if rows else "[]\n")
         else:
             stream.write("p,q,regime,modulus,verdict,outcomes\n")
             for row in rows:

@@ -119,7 +119,7 @@ def detect_cycle(spec: SystemSpec) -> CycleResult:
     block = math.lcm(p, 2 * q)
 
     def draws() -> Iterator:  # y_1, y_2, ... of one iter_pairs, opened by the first draw
-        for _, _, y in iter_pairs(spec):
+        for _, _, y in iter_pairs(spec, coefficients=coefficients):
             yield y
     later = draws()
 

@@ -10,6 +10,7 @@ spec that can be constructed can be run.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -168,23 +169,33 @@ def load_spec(path) -> SystemSpec:
         return parse_spec(handle.read())
 
 
+@functools.cache
+def _positive_values() -> tuple[Fraction, ...]:
+    """The 256 values n/d, n and d in 1..16, at index 16 (n - 1) + (d - 1)."""
+    return tuple(Fraction(n, d) for n in range(1, 17) for d in range(1, 17))
+
+
 def random_positive_spec(rng: random.Random, p: int, q: int) -> SystemSpec:
     """Random generic spec with a = b = 1 and positive initial values.
 
     Numerators and denominators are drawn uniformly from 1..16, as
     perfbench's ``positive_spec(rng, p, q, 1, 16)`` draws them; small
     magnitudes keep exact arithmetic fast while staying generic with
-    overwhelming probability.
+    overwhelming probability.  Each component is drawn as
+    ``rng.randint(1, 16)`` draws it, one ``getrandbits(5)`` again while it
+    is 16 or more, numerator before denominator and x_init before y_init.
+    So the spec, and the state left in ``rng``, are those of
+    ``Fraction(rng.randint(1, 16), rng.randint(1, 16))`` per value.  The
+    256 values come from one table, built on the first draw.
     """
-
-    def value() -> Fraction:
-        return Fraction(rng.randint(1, 16), rng.randint(1, 16))
-
-    return SystemSpec(
-        a=1,
-        b=1,
-        p=p,
-        q=q,
-        x_init=tuple(value() for _ in range(q)),
-        y_init=tuple(value() for _ in range(q)),
-    )
+    values, bits = _positive_values(), rng.getrandbits
+    drawn = []
+    for _ in range(2 * q):
+        num = bits(5)
+        while num >= 16:
+            num = bits(5)
+        den = bits(5)
+        while den >= 16:
+            den = bits(5)
+        drawn.append(values[num << 4 | den])
+    return SystemSpec(a=1, b=1, p=p, q=q, x_init=tuple(drawn[:q]), y_init=tuple(drawn[q:]))

@@ -320,7 +320,8 @@ def block_period(p: int, coefficients: Sequence[Rational]) -> int | None:
     return math.lcm(p, len(coefficients)) * (1 if all(r.numerator == 1 for r in multipliers) else 2)
 
 
-def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple]:
+def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT, *,
+               coefficients: Sequence[Rational] | None = None) -> Iterator[tuple]:
     """An endless iterator of exact (n, x_n, y_n) for n = 1, 2, ..., computed lazily.
 
     x_n and y_n are :class:`numerics.Rational` pairs from the one exact
@@ -338,12 +339,17 @@ def iter_pairs(spec: SystemSpec, backend: str = BACKEND_EXACT) -> Iterator[tuple
     bounded; a caller that knows how many pairs it needs replays the block
     itself.  ``backend`` must be ``"exact"``: any other name, the
     signed-log one included, raises ``WrongBackendError`` from this call.
+    ``coefficients``, when given, must be :func:`step_coefficients` of
+    ``spec``, which a caller that has already formed K passes so that it is
+    not formed again; ``None`` forms it here.
     """
     if backend != BACKEND_EXACT:
         raise WrongBackendError(f"unknown backend {backend!r} for exact pairs")
     history = spec.y_init[-spec.p:]
     x_sink = deque(maxlen=0)  # the pairs carry x_n; no step reads a stored x
-    return _exact_steps(spec, resolve_max_bits(), step_coefficients(spec), None, x_sink, x_sink,
+    if coefficients is None:
+        coefficients = step_coefficients(spec)
+    return _exact_steps(spec, resolve_max_bits(), coefficients, None, x_sink, x_sink,
                         deque((y.numerator for y in history), maxlen=spec.p),
                         deque((y.denominator for y in history), maxlen=spec.p))
 

@@ -45,7 +45,7 @@ class Mutant(NamedTuple):
 
 
 SIMULATOR, CYCLE = "src/perisys/simulator.py", "src/perisys/cycle.py"
-CLOSEDFORM = "src/perisys/closedform.py"
+CLOSEDFORM, MODEL, CLI = "src/perisys/closedform.py", "src/perisys/model.py", "src/perisys/cli.py"
 TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_REPEATS = ("tests/test_exact_checks.py::"
@@ -61,6 +61,8 @@ TEST_PINNED = "tests/test_exact_checks.py::test_pinned_corruption_fails_check_an
 TEST_SHIFT = "tests/test_exact_checks.py::test_a_block_ratio_of_period_2q_but_not_d_fails"
 TEST_X_CAP = ("tests/test_simulator.py::"
               "test_csv_export_streams_the_rows_before_an_x_over_the_cap_past_the_block")
+TEST_DRAW = "tests/test_model.py::test_random_positive_spec_draws_as_randint_does"
+TEST_SWEEP_JSON = "tests/test_cli.py::test_sweep_json_is_json_dump_of_the_row_objects"
 
 MUTANTS = (
     # the detector answers period 1, which properly divides every E, so
@@ -214,6 +216,24 @@ MUTANTS = (
            "m, first, d // 2, spec.c",
            "m, first, spec.q, spec.c",
            (TEST_SHIFT,)),
+    # the first component drawn becomes the denominator, so every value is
+    # the reciprocal of randint's
+    Mutant("denominator drawn before numerator", MODEL,
+           "drawn.append(values[num << 4 | den])",
+           "drawn.append(values[den << 4 | num])",
+           (TEST_DRAW,)),
+    # four bits never need a second draw, so the spec and the generator's
+    # state both leave randint's
+    Mutant("getrandbits(4) draw", MODEL,
+           "values, bits = _positive_values(), rng.getrandbits",
+           "values, bits = _positive_values(), lambda k: rng.getrandbits(k - 1)",
+           (TEST_DRAW,)),
+    # a classification's missing period or modulus is written as None,
+    # which is not JSON
+    Mutant("template renders None for null", CLI,
+           '    return "null" if value is None else value',
+           "    return value",
+           (TEST_SWEEP_JSON,)),
 )
 
 

@@ -24,9 +24,12 @@ export's exact and signed-log rows, the ``Fraction`` forms of K, R and
 the block period are those of the simulator's int pairs, and the block
 scans are the detector's minimal-period search without its early-out
 and the whole detector as it ran before it stopped generating the block.
-:func:`sigma_orbit_block_law`, at the end, is the block law as
+:func:`sigma_orbit_block_law` is the block law as
 ``closedform.block_ratio_check`` ran it before it became one call of the
-comparison engine.
+comparison engine.  At the end, :func:`randint_positive_spec` is the
+spec draw that ``model.random_positive_spec`` must reproduce, and
+:func:`sweep_row_obj` the object that ``sweep --format json`` writes
+each row as.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from fractions import Fraction
 
 from perisys.cycle import NoCycleWithinHorizon, Periodic, default_horizon
 from perisys.errors import PerisysError, TooFewPointsError
+from perisys.model import SystemSpec
 from perisys.numerics import Rational, SignedLog, resolve_max_bits, to_signed_log
 from perisys.simulator import (
     Trajectory,
@@ -364,3 +368,35 @@ def sigma_orbit_block_law(traj: Trajectory) -> bool:
     x = (traj.x_nums, traj.x_dens)
     return _matches_reference_cycle(x, x, m, spec.q + m,
                                     [value.as_integer_ratio() for value in sigma])
+
+
+def randint_positive_spec(rng, p: int, q: int) -> SystemSpec:
+    """``model.random_positive_spec`` as it drew before its table (test oracle).
+
+    Each value is ``Fraction(rng.randint(1, 16), rng.randint(1, 16))``,
+    x_init before y_init.  The table draw must give the same spec and
+    leave ``rng`` in the same state, on every Python whose ``randint``
+    this is.
+    """
+
+    def value() -> Fraction:
+        return Fraction(rng.randint(1, 16), rng.randint(1, 16))
+
+    return SystemSpec(a=1, b=1, p=p, q=q, x_init=tuple(value() for _ in range(q)),
+                      y_init=tuple(value() for _ in range(q)))
+
+
+def sweep_row_obj(row) -> dict:
+    """One ``cli.SweepRow`` as a JSON-ready object (test oracle).
+
+    ``sweep --format json`` writes each row from a format template; its
+    output must be ``json.dump([sweep_row_obj(row) ...], indent=2)`` and a
+    newline, byte for byte.
+    """
+    return {
+        "p": row.p,
+        "q": row.q,
+        "classification": row.classification.to_obj(),
+        "outcomes": [res.to_obj() for res in row.outcomes],
+        "verdict": row.verdict,
+    }

@@ -56,6 +56,7 @@ from conftest import (
     random_signed_spec,
     specs,
 )
+from oracles import sweep_row_obj
 
 
 @pytest.fixture
@@ -426,6 +427,22 @@ def test_sweep_json_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [(row["p"], row["q"]) for row in rows] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     assert all(row["verdict"].startswith("CONSISTENT") for row in rows)
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["24", "24", "--trials", "3"], (24, 24, 3)),
+    (["12", "30", "--trials", "2", "--seed", "9"], (12, 30, 2, 9)),
+    (["1", "1"], (1, 1, 3)),
+], ids=["24-24-trials-3", "12-30-seed-9", "no-row"])
+def test_sweep_json_is_json_dump_of_the_row_objects(argv, grid, capsys):
+    """The template rows are ``json.dump(..., indent=2)`` of the oracle objects, byte for byte."""
+    rows = sweep_grid(*grid)
+    kinds = {type(res) for row in rows for res in row.outcomes}
+    assert kinds == ({Periodic, NoCycleWithinHorizon} if rows else set())
+    assert main(["sweep", *argv, "--format", "json"]) == 0
+    expected = io.StringIO()
+    json.dump([sweep_row_obj(row) for row in rows], expected, indent=2)
+    assert capsys.readouterr().out == expected.getvalue() + "\n"
 
 
 def test_sweep_trials_only_through_the_flag(capsys):

@@ -27,7 +27,7 @@ from perisys import (
     simulate,
     step_coefficients,
 )
-from perisys import cycle
+from perisys import cycle, simulator
 from perisys.numerics import component_bits
 from perisys.simulator import block_period, iter_pairs
 
@@ -274,6 +274,22 @@ def test_hash_collisions_are_confirmed_exactly(monkeypatch):
         horizon = default_horizon(p, q)
         assert (scan_cycle(spec, horizon) == detect_cycle(spec)
                 == oracle_cycle(materialised(spec, horizon)))
+
+
+def test_one_detection_forms_k_once(monkeypatch):
+    """``detect_cycle`` hands its K to the ``iter_pairs`` it draws from."""
+    formed = []
+
+    def counting(spec):
+        formed.append(spec)
+        return step_coefficients(spec)
+
+    monkeypatch.setattr(cycle, "step_coefficients", counting)
+    monkeypatch.setattr(simulator, "step_coefficients", counting)
+    drawn = counted_draws(monkeypatch)
+    spec = random_positive_spec(random.Random(13), 6, 10)
+    assert isinstance(detect_cycle(spec), Periodic) and drawn
+    assert formed == [spec]
 
 
 def test_no_cycle_proof_skips_the_scan(monkeypatch):

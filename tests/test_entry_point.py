@@ -8,11 +8,15 @@ runs take place in a child process (``conftest.child_runs``).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from perisys import SystemSpec, parse_spec, spec_to_obj
 from perisys.cli import VERDICT_CONSISTENT, main
@@ -23,12 +27,13 @@ from oracles import chunked_literal
 # (2, 3) with a = b = 1: unbounded, so an exact export soon outgrows a 64-bit cap.
 UNBOUNDED_DOC = {"a": "1", "b": "1", "p": 2, "q": 3, "x_init": ["1", "2", "3"],
                  "y_init": ["3", "1", "2"]}
-# (2, 3) with initial components of about 20 bits and a = -1: the literals
-# pass Python's 4300-digit int/str limit near n = 820, and each x_n =
-# -1/y_{n-2} reuses the rendered texts of y_{n-2}.
-NEGATED_WIDE_DOC = {"a": "-1", "b": "1", "p": 2, "q": 3,
-                    "x_init": ["1048573/1234567", "1299709/1048583", "1505117/1676543"],
-                    "y_init": ["1162261/1594319", "1398269/1111111", "2015177/1815157"]}
+# (2, 3) with initial components of about 20 bits, a = 1 or -1 to be set:
+# the literals pass Python's 4300-digit int/str limit near n = 820 and
+# reach about 7400 digits at n = 1200, and each x_n = a/y_{n-2} reuses
+# the rendered texts of y_{n-2}.
+WIDE_DOC = {"b": "1", "p": 2, "q": 3,
+            "x_init": ["1048573/1234567", "1299709/1048583", "1505117/1676543"],
+            "y_init": ["1162261/1594319", "1398269/1111111", "2015177/1815157"]}
 
 
 def spec_file(tmp_path, name, doc) -> str:
@@ -121,22 +126,41 @@ def test_capped_export_leaves_no_file_and_the_log_backend_ignores_the_cap(tmp_pa
     assert len(out.read_text().splitlines()) == 2001
 
 
-def test_negated_export_past_the_int_string_limit(tmp_path, capsys):
+@functools.cache
+def wide_magnitudes() -> tuple:
+    """|x_n|, |y_n| and their ``chunked_literal`` texts, n = 1 .. 1200, of ``WIDE_DOC`` with a = 1.
+
+    Negating a changes signs only, which the test asserts, so one
+    rendering, about a second of ``chunked_literal``, serves both a.
+    """
+    spec = parse_spec(json.dumps(dict(WIDE_DOC, a="1")))
+    values = [(abs(x), abs(y)) for _, x, y in itertools.islice(naive_pairs(spec), 1200)]
+    return values, [[chunked_literal(x), chunked_literal(y)] for x, y in values]
+
+
+@pytest.mark.parametrize("a", ["1", "-1"])
+def test_export_past_the_int_string_limit(a, tmp_path, capsys):
     """Both formats export all 1200 rows, every literal that of the literal recurrence.
 
+    The exact export leaves ``sys.get_int_max_str_digits()`` as it was.
     Rows are compared one by one: a failing comparison of whole lists of
     such literals would take pytest minutes to report.
     """
-    path = spec_file(tmp_path, "negated", NEGATED_WIDE_DOC)
-    pairs = itertools.islice(naive_pairs(parse_spec(json.dumps(NEGATED_WIDE_DOC))), 1200)
-    want = [[chunked_literal(x), chunked_literal(y)] for _, x, y in pairs]
-    assert max(len(part) for literal in want[-1] for part in literal.lstrip("-").split("/")) > 4300
+    spec_doc = dict(WIDE_DOC, a=a)
+    pairs = list(itertools.islice(naive_pairs(parse_spec(json.dumps(spec_doc))), 1200))
+    magnitudes, literals = wide_magnitudes()
+    assert [(abs(x), abs(y)) for _, x, y in pairs] == magnitudes
+    want = [["-" * (x < 0) + x_text, "-" * (y < 0) + y_text]
+            for (_, x, y), (x_text, y_text) in zip(pairs, literals)]
+    assert max(len(part) for literal in want[-1] for part in literal.lstrip("-").split("/")) > 7000
+    path, limit = spec_file(tmp_path, "wide", spec_doc), sys.get_int_max_str_digits()
     assert main(["simulate", "--config", path, "-n", "1200"]) == 0
     rows = [row[1:3] for row in csv.reader(io.StringIO(capsys.readouterr().out))][1:]
     assert len(rows) == 1200 and [n for n, row in enumerate(rows) if row != want[n]] == []
     assert main(["simulate", "--config", path, "-n", "1200", "--format", "json"]) == 0
     rows = [[row["x"], row["y"]] for row in json.loads(capsys.readouterr().out)["rows"]]
     assert len(rows) == 1200 and [n for n, row in enumerate(rows) if row != want[n]] == []
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unbounded_30_31_export_is_the_recurrence_in_bounded_time_and_memory(tmp_path):

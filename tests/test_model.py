@@ -23,6 +23,8 @@ from perisys import (
     validate,
 )
 
+from oracles import randint_positive_spec
+
 FIXED_POINT_DOC = json.dumps({
     "a": "1", "b": "1", "p": 2, "q": 3,
     "x_init": ["1", "1", "1"], "y_init": ["1", "1", "1"],
@@ -219,3 +221,17 @@ def test_random_positive_spec_is_positive_and_seeded():
     assert one.a == one.b == 1
     assert all(v > 0 for v in one.x_init + one.y_init)
     assert len(one.x_init) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_random_positive_spec_draws_as_randint_does(seed):
+    """The table draw gives the ``randint`` spec and leaves the generator in its state.
+
+    Every (p, q) with 1 <= p <= q <= 40, each generator seeded as ``sweep``
+    seeds a trial's; a Python whose ``randint`` draws otherwise fails here.
+    """
+    for q in range(1, 41):
+        for p in range(1, q + 1):
+            drawn, reference = (random.Random(f"{seed}:{p}:{q}:0") for _ in range(2))
+            assert random_positive_spec(drawn, p, q) == randint_positive_spec(reference, p, q)
+            assert drawn.getstate() == reference.getstate(), (p, q)

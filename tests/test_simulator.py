@@ -10,7 +10,6 @@ import json
 import math
 import os
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -74,7 +73,6 @@ from conftest import (
     stored_length,
 )
 from oracles import (
-    chunked_literal,
     fraction_block_multipliers,
     fraction_block_period,
     fraction_step_coefficients,
@@ -1040,30 +1038,6 @@ def test_exact_export_routes_by_the_block_multipliers(monkeypatch):
         rows = list(trajectory_rows(spec, n_steps, BACKEND_EXACT))
         assert drawn == list(range(1, pairs + 1))
         assert rows == _str_fraction_rows(spec, n_steps)
-
-
-# (2, 3) with initial components of about 20 bits: the literals pass
-# 4300 digits near n = 820 and reach about 7400 digits at n = 1200.
-WIDE_SPEC = SystemSpec(
-    a=Fraction(1), b=Fraction(1), p=2, q=3,
-    x_init=(Fraction(1048573, 1234567), Fraction(1299709, 1048583), Fraction(1505117, 1676543)),
-    y_init=(Fraction(1162261, 1594319), Fraction(1398269, 1111111), Fraction(2015177, 1815157)),
-)
-
-
-def test_exact_rows_past_the_int_string_limit():
-    limit = sys.get_int_max_str_digits()
-    rows = list(trajectory_rows(WIDE_SPEC, 1200, BACKEND_EXACT))
-    assert sys.get_int_max_str_digits() == limit
-    pairs = itertools.islice(iter_pairs(WIDE_SPEC), 1200)
-    # compared row by row: a failing comparison of whole lists of such
-    # literals would take pytest minutes to report
-    wrong = [n for (n, x, y), row in zip(pairs, rows)
-             if row[1:3] != (chunked_literal(x), chunked_literal(y))]
-    assert len(rows) == 1200 and wrong == []
-    longest = max(len(part.lstrip("-")) for row in rows for literal in row[1:3]
-                  for part in literal.split("/"))
-    assert longest > 7000
 
 
 def test_signedlog_csv_export_streams():
