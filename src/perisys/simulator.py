@@ -110,10 +110,9 @@ bit cap.
 :func:`simulate` needs no P.  Past 2M it stores the initial data and two
 generated blocks, indices 1 .. 2M at offsets q .. q + 2M - 1 of each
 column, and nothing else: every value that an exact law compares lies
-there, so each law compares values that the kernel made.  Where the
-block law does not bound every value through n within the bit cap,
-``simulate`` also drains n pairs of ``iter_pairs``, storing none, so that
-a value over the cap raises where the kernel reaches it.
+there, so each law compares values that the kernel made.  The kernel
+forms no value past the two blocks, so the bit cap meets only the values
+that ``simulate`` stores, at indices 1 .. min(n, 2M).
 
 Which case generic data reaches depends on p and q alone.  K_n and
 K_{n+q} share z_{n-q}, once as a divisor and once as a factor, and no
@@ -468,21 +467,11 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     for ``verify`` lies at an index <= 2M, so they compare only values that
     the kernel made.
 
-    The bit cap still holds through ``n_steps``.  Past M, index j + kM,
-    j in 1 .. M, holds y_j R^k and x_j / R^k, R = R_{j mod d} (module
-    docstring, Block multipliers), and reduction only shrinks components.
-    Let G be the largest ceil(log2 |c|) over the components c of the
-    multipliers (0 when every |R_r| = 1), so |c| <= 2^G, and w the largest
-    component bit length of the first block, so each component of y_j or
-    x_j is below 2^w.  A component of R^k then has magnitude at most
-    2^(k G), and a component of y_j R^k or x_j / R^k is below 2^(w + k G):
-    each component through ``n_steps`` has at most k G + w bits, with
-    k <= (``n_steps`` - 1) // M.  Past 2M, when the bound is within the
-    cap, no value can pass it, and no further step is taken.  Otherwise
-    :func:`iter_pairs` steps through indices 1 .. ``n_steps`` once more,
-    in O(q) memory and O(``n_steps``) time, its pairs dropped as they
-    come; a value over the cap then raises where the kernel reaches it,
-    x_n before y_n.  The bit cap is that of :func:`iter_pairs`, resolved
+    The bit cap meets the values that the kernel forms, and no others:
+    each of indices 1 .. min(``n_steps``, 2M) is tested inline, x_n
+    before y_n, and the first over the cap raises the kernel's error.  A
+    value past 2M is never formed, so it is never tested, however wide it
+    would be.  The cap is that of :func:`resolve_max_bits`, resolved
     before the first step.  ``n_steps`` < 1 raises ``TooFewPointsError``.
     """
     if n_steps < 1:
@@ -490,17 +479,8 @@ def simulate(spec: SystemSpec, n_steps: int) -> Trajectory:
     cap = resolve_max_bits()
     columns = ([x.numerator for x in spec.x_init], [x.denominator for x in spec.x_init],
                [y.numerator for y in spec.y_init], [y.denominator for y in spec.y_init])
-    coefficients = step_coefficients(spec)
-    block = math.lcm(spec.p, 2 * spec.q)
-    n_max = min(n_steps, 2 * block)
-    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)
-    if n_steps > n_max:
-        growth = max((abs(component) - 1).bit_length()
-                     for r in block_multipliers(spec.p, coefficients) for component in r)
-        widest = max(value.bit_length() for column in columns
-                     for value in column[spec.q:spec.q + block])
-        if (n_steps - 1) // block * growth + widest > cap:
-            deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)
+    n_max = min(n_steps, 2 * math.lcm(spec.p, 2 * spec.q))
+    deque(_exact_steps(spec, cap, step_coefficients(spec), n_max, *columns), maxlen=0)
     return Trajectory(spec, *columns)
 
 
@@ -782,8 +762,8 @@ def trajectory_rows(spec: SystemSpec, n_steps: int, backend: str) -> Iterator[tu
         raise TooFewPointsError("needs n >= 1")
     if backend == BACKEND_SIGNEDLOG:
         return itertools.islice(_log_rows(spec), n_steps)
-    pairs = iter_pairs(spec, backend)
     coefficients = step_coefficients(spec)
+    pairs = iter_pairs(spec, backend, coefficients=coefficients)
     multipliers = block_multipliers(spec.p, coefficients)
     period = block_period(spec.p, coefficients)
     if period is None and all(component.bit_length() <= _BLOCK_LAW_BITS

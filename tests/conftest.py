@@ -25,15 +25,10 @@ from perisys import (
     Trajectory,
     spec_to_obj,
 )
-from perisys.numerics import ENV_MAX_BITS, check_bits, component_bits
+from perisys.numerics import ENV_MAX_BITS, check_bits
 from perisys.simulator import TRAJECTORY_CSV_HEADER
 
-from oracles import (
-    fraction_block_multipliers,
-    fraction_step_coefficients,
-    log_pairs,
-    str_fraction_row,
-)
+from oracles import log_pairs, str_fraction_row
 
 
 @contextlib.contextmanager
@@ -180,27 +175,11 @@ def materialised(spec, n_steps) -> Trajectory:
                       *columns(list(spec.y_init) + [y for _, _, y in steps]))
 
 
-def block_bound(spec, n_steps) -> int:
-    """Test oracle: the block rule's bound on the component bits of every value through n_steps.
-
-    k e + w, where k = (n_steps - 1) // M, M = lcm(p, 2q), 2^e is the least
-    power of two at or above every component of the ``Fraction`` block
-    multipliers, and w is the widest component of the literal recurrence's
-    first M values.
-    """
-    m = math.lcm(spec.p, 2 * spec.q)
-    multipliers = fraction_block_multipliers(spec.p, fraction_step_coefficients(spec))
-    e = next(e for e in itertools.count()
-             if all(2 ** e >= abs(c) for r in multipliers for c in (r.numerator, r.denominator)))
-    w = max(component_bits(v) for _, x, y in itertools.islice(naive_pairs(spec), m) for v in (x, y))
-    return (n_steps - 1) // m * e + w
-
-
 def stored_length(spec, n_steps) -> int:
     """Test oracle: the column length of every ``simulate(spec, n_steps)`` that returns.
 
     q + min(n_steps, 2M), M = lcm(p, 2q): past 2M two generated blocks are
-    stored, whatever the bit cap and :func:`block_bound`.
+    stored, whatever the bit cap.
     """
     return spec.q + min(n_steps, 2 * math.lcm(spec.p, 2 * spec.q))
 

@@ -50,7 +50,9 @@ TEST_SIMULATOR, TEST_CYCLE = "tests/test_simulator.py", "tests/test_cycle.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_REPEATS = ("tests/test_exact_checks.py::"
                 "test_checks_on_long_periodic_trajectories_match_the_oracles")
-TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_block_bound"
+TEST_CAP = "tests/test_simulator.py::test_cap_straddling_the_widest_stored_value"
+TEST_SMALL_CAP = ("tests/test_simulator.py::"
+                  "test_small_cap_raises_the_literal_recurrences_first_error")
 TEST_GROWTH = "tests/test_closedform.py::test_growth_slope_matches_the_regression_oracle"
 TEST_BLOCK_LAW = "tests/test_simulator.py::test_rows_past_the_block_follow_the_block_law"
 TEST_SETTLING = "tests/test_simulator.py::test_a_chain_settles_only_on_a_gcd_of_1"
@@ -121,9 +123,10 @@ MUTANTS = (
     # the kernel makes x_{n_max} one step coefficient K too large past M, so
     # the values that the laws compare are no longer all the kernel's
     Mutant("kernel value past M off by one K", SIMULATOR,
-           "    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)\n",
+           "    deque(_exact_steps(spec, cap, step_coefficients(spec), n_max, *columns), maxlen=0)\n",
+           "    coefficients = step_coefficients(spec)\n"
            "    deque(_exact_steps(spec, cap, coefficients, n_max, *columns), maxlen=0)\n"
-           "    if n_max > block:\n"
+           "    if n_max > math.lcm(spec.p, 2 * spec.q):\n"
            "        columns[0][-1] *= coefficients[(n_max - 1) % (2 * spec.q)].numerator\n"
            "        columns[1][-1] *= coefficients[(n_max - 1) % (2 * spec.q)].denominator\n",
            (TEST_REPEATS,)),
@@ -133,19 +136,14 @@ MUTANTS = (
            "[(c_num * h_den, c_den * h_num) for h_num, h_den in head] + head",
            "head + head",
            ("tests/test_exact_checks.py::test_corrupted_y_fails_product_invariant",)),
-    # the bound on the values past two blocks drops the block count k, so
-    # no step past them is tested where a value passes the cap, and
-    # nothing raises
-    Mutant("cap bound without the k factor", SIMULATOR,
-           "if (n_steps - 1) // block * growth + widest > cap:",
-           "if growth + widest > cap:",
-           (TEST_CAP,)),
-    # the steps that test the cap past two blocks stop at n - 1, so a
-    # first value over the cap at n itself raises nothing
-    Mutant("fallback steps one pair short", SIMULATOR,
-           "deque(itertools.islice(iter_pairs(spec), n_steps), maxlen=0)",
-           "deque(itertools.islice(iter_pairs(spec), n_steps - 1), maxlen=0)",
-           (TEST_CAP,)),
+    # the kernel tests only x_n against the cap, so a y_n over it is
+    # stored or yielded, and the error comes p steps later, from x_{n+p}
+    Mutant("kernel skips its y cap test", SIMULATOR,
+           "        if y_num.bit_length() > cap or y_den.bit_length() > cap:\n"
+           "            check_bits(Rational(y_num, y_den), cap)\n"
+           "        append_x_num(x_num)\n",
+           "        append_x_num(x_num)\n",
+           ("tests/test_simulator.py::test_bit_length_cap_enforced", TEST_SMALL_CAP)),
     # an exact export past the block period renumbers its replayed rows from P + 2
     Mutant("replay renumbered from P + 2", SIMULATOR,
            "zip(range(len(stored) + 1, n_steps + 1)",

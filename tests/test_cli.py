@@ -624,9 +624,9 @@ def test_verify_memory_is_bounded_at_any_n(n, names, cap, rss_mb, seconds, tmp_p
     own peak RSS.  Every run exits 0, and every law that applies
     passes; the periodic specs skip none at n = 10^12, where the growth
     slope reads two stored values.  On c = 2/3 at n = 100000 the block law
-    bounds the values by 13339 bits, so under a 13239-bit cap ``simulate``
-    steps on through n to test the cap, storing no value past the two
-    blocks.
+    bounds the values by 13339 bits, over the 13239-bit cap; ``simulate``
+    forms and tests only its two blocks, far under the cap, and no value
+    past them.
     """
     argvs = []
     for name in names:

@@ -1,7 +1,7 @@
 """The CLI on the README spec files, on capped and long exports, and in bounded time and memory.
 
 Each test calls ``main`` in-process, as ``test_cli`` does, except where
-the process is what gets checked, a 120 s timeout or a peak RSS: those
+the process is what gets checked, a timeout or a peak RSS: those
 runs take place in a child process (``conftest.child_runs``).
 """
 
@@ -58,8 +58,9 @@ def test_sweep_to_q_48_agrees_within_120_s():
 def test_readme_spec_through_every_command(tmp_path, capsys, monkeypatch):
     """The README spec, c = 1/2, and its c = 2 mirror.
 
-    ``verify -n 10000`` passes on both, and under a 256-bit cap the same
-    run outgrows the cap in ``simulate``: exit 1, one line on stderr.  At
+    ``verify -n 10000`` passes on both.  Under a 12-bit cap, which index
+    95 of the two blocks that ``simulate`` forms passes, the same run exits
+    1 with one line on stderr.  At
     ``-n 5`` each law that does not apply says why.  Both backends export
     300 rows in both formats, and ``detect-period`` answers.
     """
@@ -79,10 +80,24 @@ def test_readme_spec_through_every_command(tmp_path, capsys, monkeypatch):
         assert main(simulate) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 301 and all(len(row) == 7 for row in rows)
-    monkeypatch.setenv("PERISYS_MAX_BITS", "256")
+    monkeypatch.setenv("PERISYS_MAX_BITS", "12")
     assert main(["verify", "--config", readme, "-n", "10000"]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "(cap 256)" in err
+    assert err == "rational component reached 13 bits (cap 12)\n"
+
+
+def test_verify_forms_no_value_past_two_blocks(tmp_path):
+    """``WIDE_DOC`` with a = 1 at ``-n 100000``: every check passes within 30 s.
+
+    M = 6, so ``simulate`` forms indices 1 .. 12 alone.  The values from
+    about n = 48767 on would pass the default cap, but ``verify`` forms
+    none of them, so none is tested.
+    """
+    path = spec_file(tmp_path, "wide", dict(WIDE_DOC, a="1"))
+    [(code, out)], _ = child_runs([["verify", "--config", path, "-n", "100000"]], None, 30)
+    report = json.loads(out)
+    assert code == 0 and report["skipped"] == {}
+    assert set(report["checks"].values()) == {"pass"} and len(report["checks"]) == 4
 
 
 def test_xy_equals_b_data_is_degenerate_and_cycles_its_block(tmp_path, capsys):

@@ -54,7 +54,6 @@ from perisys.simulator import TRAJECTORY_CSV_HEADER, block_period, trajectory_ro
 
 from conftest import (
     bit_cap,
-    block_bound,
     canonical_triples,
     columns,
     components,
@@ -100,6 +99,25 @@ def pairs_until_cap(pairs, n_steps):
     except BitLengthExceededError as exc:
         return got, str(exc)
     return got, None
+
+
+def simulate_against_oracle(spec, n_steps, want, error):
+    """``simulate(spec, n_steps)`` under the current cap, against the oracle's ``want`` and ``error``.
+
+    ``want`` and ``error`` are what :func:`pairs_until_cap` took from the
+    capped literal recurrence through ``n_steps``.  ``simulate`` forms
+    indices 1 .. min(n, 2M) alone, so it raises the oracle's text iff its
+    first value over the cap lies among them, and otherwise stores the
+    oracle's values there.  The trajectory, or ``None`` when it raised.
+    """
+    if len(want) < stored_length(spec, n_steps) - spec.q:
+        with pytest.raises(BitLengthExceededError) as info:
+            simulate(spec, n_steps)
+        assert str(info.value) == error
+        return None
+    traj = simulate(spec, n_steps)
+    assert logical_columns(traj) == stored_columns(spec, want)
+    return traj
 
 
 def direct_log_simulate(spec, n_steps):
@@ -163,16 +181,11 @@ def test_matches_naive_reference():
 @settings(max_examples=200, deadline=None)
 @given(specs(), st.integers(1, 300), st.integers(8, 256) | st.just(DEFAULT_MAX_BITS))
 def test_exact_kernel_matches_literal_recurrence(spec, n_steps, max_bits):
+    """``iter_pairs`` through n, and ``simulate`` through min(n, 2M), are the capped oracle's."""
     want, error = pairs_until_cap(naive_pairs(spec, max_bits), n_steps)
     with bit_cap(max_bits):
         assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
-        if error is None:
-            traj = simulate(spec, n_steps)
-            assert logical_columns(traj) == stored_columns(spec, want)
-        else:
-            with pytest.raises(BitLengthExceededError) as info:
-                simulate(spec, n_steps)
-            assert str(info.value) == error
+        simulate_against_oracle(spec, n_steps, want, error)
 
 
 def is_canonical(num, den):
@@ -216,8 +229,7 @@ def test_exact_pairs_and_columns_are_canonical(spec, data, rng, n_steps, max_bit
 
 
 # The README's (6, 10) initial data with a = 2 and b = 3: c = 2/3, every
-# R_r = (3/2)^5 = 243/32, so the block rule's bound of 8 bits per block
-# overestimates the growth by about 0.08 bits per block.
+# R_r = (3/2)^5 = 243/32, so its widest components grow by about 7.9 bits a block.
 README_C_2_3 = SystemSpec(a=2, b=3, p=6, q=10, x_init=(1, 2, 3, 1, 2, 3, 1, 2, 3, 1),
                           y_init=(5, 4, 3, 2, 1, 5, 4, 3, 2, 1))
 
@@ -228,44 +240,43 @@ README_C_2_3 = SystemSpec(a=2, b=3, p=6, q=10, x_init=(1, 2, 3, 1, 2, 3, 1, 2, 3
          8, 0, -10)
 @example(README_C_2_3, 8, 0, -5)
 @example(README_C_2_3, 2, 21, -2)
-def test_cap_straddling_the_block_bound(spec, blocks, extra, shift):
-    """Past M, a cap drawn around the block rule's bound: the oracle's first error, or every value.
+@example(README_C_2_3, 8, 0, 0)
+def test_cap_straddling_the_widest_stored_value(spec, blocks, extra, shift):
+    """Past M, a cap drawn around the widest value that ``simulate`` forms: its first error, or two blocks.
 
-    When a value through n can pass the cap (conftest ``block_bound``),
-    ``simulate`` steps on to n, storing nothing past 2M, as the literal
-    recurrence does: the same error text at the same value, x_n before
-    y_n.  Every run that returns stores the initial data and the literal
-    recurrence's values through min(n, 2M) (conftest ``stored_length``).
-    Where the cap lies under the bound and no value passes it, every
+    ``simulate`` forms indices 1 .. min(n, 2M) alone.  Under a cap below
+    the widest component among them it raises the literal recurrence's
+    first error, x_n before y_n; at or above it, it returns the literal
+    values through min(n, 2M) (conftest ``stored_length``), whether or not
+    a later value would pass the cap.  On every run that returns, every
     exact law and ``growth_slope`` at strides M and 2M give what the
     trajectory that stores every value gives, or, for a stride past the
-    two stored blocks, refuse it.  The
-    examples are c = 1/2 on (3, 5), R = 32, where a cap 10 bits under the
-    bound of 8 blocks is passed; and c = 2/3 on (6, 10), whose cap 5 bits
-    under the bound of 8 blocks is never passed, and whose cap 2 bits
-    under the bound through 2M + 22 is first passed at n itself.
+    two stored blocks, refuse it.  The examples are c = 1/2 on (3, 5),
+    R = 32, and c = 2/3 on (6, 10), capped 10, 5 and 2 bits under their
+    widest stored value, which first pass the cap at n = 9, 73 and 82;
+    and c = 2/3 capped at its widest stored value, 19 bits, which
+    n = 2M + 2 = 122 would pass, so ``simulate(spec, 8M + 1)`` returns.
     """
     m = math.lcm(spec.p, 2 * spec.q)
     n_steps = blocks * m + extra + 1
-    cap = max(1, block_bound(spec, n_steps) + shift)
+    stored = min(n_steps, 2 * m)
+    widest = max(component_bits(v) for _, x, y in itertools.islice(naive_pairs(spec), stored)
+                 for v in (x, y))
+    cap = max(1, widest + shift)
     want, error = pairs_until_cap(naive_pairs(spec, cap), n_steps)
     with bit_cap(cap):
-        if error is not None:
-            with pytest.raises(BitLengthExceededError) as info:
-                simulate(spec, n_steps)
-            assert str(info.value) == error
-            return
-        traj = simulate(spec, n_steps)
-    assert len(traj.x_nums) == stored_length(spec, n_steps) == spec.q + min(n_steps, 2 * m)
-    assert logical_columns(traj) == stored_columns(spec, want)
-    if cap < block_bound(spec, n_steps):
-        full = materialised(spec, n_steps)
-        laws = [product_invariant_check, x_relation_check, block_ratio_check]
-        assert [outcome(law, traj) for law in laws] == [outcome(law, full) for law in laws]
-        for stride, t in itertools.product((m, 2 * m), (0, spec.q, m - 1)):
-            slope = functools.partial(growth_slope, m=stride, t=t)
-            stored = stride + t <= traj.n_max
-            assert outcome(slope, traj) == (outcome(slope, full) if stored else TooFewPointsError)
+        traj = simulate_against_oracle(spec, n_steps, want, error)
+    assert (traj is None) == (cap < widest)
+    if traj is None:
+        return
+    assert len(traj.x_nums) == stored_length(spec, n_steps) == spec.q + stored
+    full = materialised(spec, n_steps)
+    laws = [product_invariant_check, x_relation_check, block_ratio_check]
+    assert [outcome(law, traj) for law in laws] == [outcome(law, full) for law in laws]
+    for stride, t in itertools.product((m, 2 * m), (0, spec.q, m - 1)):
+        slope = functools.partial(growth_slope, m=stride, t=t)
+        assert outcome(slope, traj) == (outcome(slope, full) if stride + t <= traj.n_max
+                                        else TooFewPointsError)
 
 
 def multipliers_of(spec):
@@ -433,12 +444,15 @@ def test_simulate_matches_literal_recurrence_at_replay_boundaries():
 
 
 def test_small_cap_raises_the_literal_recurrences_first_error():
-    """simulate and iter_pairs stop at the oracle's first value over the cap, x_n before y_n.
+    """iter_pairs through n, and simulate through min(n, 2M), stop at the oracle's first error.
 
-    Some of these steps have both x_n and y_n over the cap with different
-    bit lengths, so the message tells which was tested first.
+    Both test x_n before y_n.  Some of these steps have both x_n and y_n
+    over the cap with different bit lengths, so the message tells which
+    was tested first.  n = 3P + 5 or 3M + 5 lies past 2M; ``simulate``
+    raises where that first error lies among its two blocks, and returns
+    them where it lies past them.
     """
-    both_over = 0
+    both_over, raised, returned = 0, 0, 0
     for spec, length in boundary_specs():
         for cap in (3, 5, 8):
             n_steps = 3 * length + 5
@@ -450,10 +464,10 @@ def test_small_cap_raises_the_literal_recurrences_first_error():
             both_over += x_bits > cap and y_bits > cap and x_bits != y_bits
             with bit_cap(cap):
                 assert pairs_until_cap(iter_pairs(spec), n_steps) == (canonical_triples(want), error)
-                with pytest.raises(BitLengthExceededError) as info:
-                    simulate(spec, n_steps)
-            assert str(info.value) == error
-    assert both_over >= 5
+                traj = simulate_against_oracle(spec, n_steps, want, error)
+            raised += traj is None
+            returned += traj is not None
+    assert both_over >= 5 and raised >= 70 and returned >= 1
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (6, 10)])
@@ -654,9 +668,21 @@ def test_hand_built_trajectory_shape_is_checked():
 
 
 def test_bit_length_cap_enforced():
+    """A 64-bit cap stops ``iter_pairs`` at n = 56; ``simulate`` meets it only through 2M = 12.
+
+    The widest of the 12 stored values is the last, with 16 bits, so a
+    16-bit cap lets ``simulate`` return, and a 15-bit cap stops it at
+    n = 12 with the literal recurrence's error.
+    """
     spec = random_signed_spec(random.Random(10), 2, 3, a=1, b=1)
-    with bit_cap(64), pytest.raises(BitLengthExceededError):
-        simulate(spec, 2000)
+    for cap in (64, 16, 15):
+        want, error = pairs_until_cap(naive_pairs(spec, cap), 2000)
+        assert error is not None
+        with bit_cap(cap):
+            assert pairs_until_cap(iter_pairs(spec), 2000) == (canonical_triples(want), error)
+            traj = simulate_against_oracle(spec, 2000, want, error)
+        assert (traj is None) == (cap == 15)
+    assert len(want) == 11
 
 
 def test_iter_pairs_rejects_oversized_p():
@@ -1019,15 +1045,23 @@ def _wide_spec(p: int, q: int) -> SystemSpec:
 
 
 def test_exact_export_routes_by_the_block_multipliers(monkeypatch):
-    """Pairs drawn from ``iter_pairs``: M past a narrow R, every row past a wide one, P when periodic."""
-    drawn = []
+    """Pairs drawn from ``iter_pairs``: M past a narrow R, every row past a wide one, P when periodic.
 
-    def counting(spec, backend=BACKEND_EXACT):
-        for item in iter_pairs(spec, backend):
+    Each export forms K once, and hands it to ``iter_pairs``.
+    """
+    drawn, formed = [], []
+
+    def counting(spec, backend=BACKEND_EXACT, *, coefficients=None):
+        for item in iter_pairs(spec, backend, coefficients=coefficients):
             drawn.append(item[0])
             yield item
 
+    def forming(spec):
+        formed.append(spec)
+        return step_coefficients(spec)
+
     monkeypatch.setattr(simulator, "iter_pairs", counting)
+    monkeypatch.setattr(simulator, "step_coefficients", forming)
     narrow = _block_law_spec(random.Random(3), 2, 3, 1)
     wide = _wide_spec(2, 31)
     assert max(component.bit_length() for r in block_multipliers(2, step_coefficients(wide))
@@ -1035,8 +1069,9 @@ def test_exact_export_routes_by_the_block_multipliers(monkeypatch):
     periodic = product_family_spec(random.Random(3), 2, 3, 2, -2)
     for spec, n_steps, pairs in ((narrow, 60, 6), (wide, 100, 100), (periodic, 60, 12)):
         drawn.clear()
+        formed.clear()
         rows = list(trajectory_rows(spec, n_steps, BACKEND_EXACT))
-        assert drawn == list(range(1, pairs + 1))
+        assert drawn == list(range(1, pairs + 1)) and formed == [spec]
         assert rows == _str_fraction_rows(spec, n_steps)
 
 
